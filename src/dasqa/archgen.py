@@ -167,14 +167,6 @@ class Architecture:
         return json.dumps(self.to_dict(), indent=2) + "\n"
 
 
-def architecture_from_dict(data: dict) -> Architecture:
-    layout = np.array(data["layout"], dtype=np.int64)
-    n = int(data["num_qubits"])
-    coupling = CouplingGraph(n, [tuple(e) for e in data["edges"]])
-    freqs = np.array(data.get("frequencies_ghz", [0.0] * n), dtype=float)
-    return Architecture(layout, coupling, freqs)
-
-
 def load_coupling(path: str | Path) -> CouplingGraph:
     """Read a coupling graph from JSON: {"num_qubits": n, "edges": [[a,b],...]}."""
     from .errors import DasqaError

@@ -8,7 +8,6 @@ the architecture generator.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -137,29 +136,31 @@ class CircuitStats:
     depth: int
 
 
-def circuit_stats(qc: QuantumCircuit) -> CircuitStats:
-    """Gate counts plus greedy-layered depth.
+def layered_depth(gates, num_qubits: int) -> int:
+    """Greedy-layered depth of a gate list over qubits 0..num_qubits-1.
 
     Gates sharing a qubit cannot share a layer; BARRIER synchronizes its
-    operands without occupying a layer and is excluded from gate_count.
+    operands (all qubits when it has none) without occupying a layer.
     """
-    level = [0] * qc.num_qubits
-    gate_count = 0
-    two_qubit = 0
-    for g in qc.gates:
+    level = [0] * num_qubits
+    for g in gates:
         if g.kind is GateKind.BARRIER:
-            qs = g.qubits if g.qubits else tuple(range(qc.num_qubits))
+            qs = g.qubits if g.qubits else tuple(range(num_qubits))
             sync = max((level[q] for q in qs), default=0)
             for q in qs:
                 level[q] = sync
             continue
-        gate_count += 1
-        if g.is_two_qubit:
-            two_qubit += 1
         layer = 1 + max(level[q] for q in g.qubits)
         for q in g.qubits:
             level[q] = layer
-    return CircuitStats(gate_count, two_qubit, max(level, default=0))
+    return max(level, default=0)
+
+
+def circuit_stats(qc: QuantumCircuit) -> CircuitStats:
+    """Gate counts plus :func:`layered_depth`; BARRIER is not a gate."""
+    gates = [g for g in qc.gates if g.kind is not GateKind.BARRIER]
+    two_qubit = sum(1 for g in gates if g.is_two_qubit)
+    return CircuitStats(len(gates), two_qubit, layered_depth(qc.gates, qc.num_qubits))
 
 
 def to_qasm(qc: QuantumCircuit) -> str:

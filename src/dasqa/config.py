@@ -56,26 +56,11 @@ class GeometryConfig:
 
 
 @dataclass
-class TargetConfig:
-    """Transmon target parameters carried through to reports.
-
-    Only the per-qubit frequencies (computed upstream) feed the surrogate;
-    the rest are echoed so a fuller optimizer can pick them up.
-    """
-
-    ej_ec_ratio: float | None = None
-    anharmonicity_mhz: float | None = None
-    t1_us: float | None = None
-    t2_us: float | None = None
-
-
-@dataclass
 class DesignConfig:
     grid: GridConfig = field(default_factory=GridConfig)
     frequency: FrequencyConfig = field(default_factory=FrequencyConfig)
     layout: LayoutConfig = field(default_factory=LayoutConfig)
     geometry: GeometryConfig = field(default_factory=GeometryConfig)
-    targets: TargetConfig = field(default_factory=TargetConfig)
 
     def validate(self) -> None:
         f = self.frequency
@@ -126,7 +111,6 @@ _SECTIONS = {
     "frequency": FrequencyConfig,
     "layout": LayoutConfig,
     "geometry": GeometryConfig,
-    "targets": TargetConfig,
 }
 
 

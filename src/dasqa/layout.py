@@ -44,6 +44,10 @@ DEFAULT_PAD_WIDTH_UM = 455.0
 DEFAULT_PAD_HEIGHT_UM = 90.0
 DEFAULT_PAD_GAP_UM = 30.0
 
+DEFAULT_CAP_WIDTH_UM = 240.0
+DEFAULT_CAP_PLATE_HEIGHT_UM = 60.0
+DEFAULT_CAP_GAP_UM = 40.0
+
 CAP_OFFSET_UM = 500.0  # qubit center to capacitor center
 CHAIN_X_OFFSET_UM = 400.0  # readout chain sits right of the qubit column
 READOUT_DROP_UM = 150.0  # capacitor center to readout meander start
@@ -115,9 +119,6 @@ class LayoutDocument:
             if comp.name == name:
                 return comp
         raise LayoutError(f"unknown component {name!r}")
-
-    def has_component(self, name: str) -> bool:
-        return any(c.name == name for c in self.components)
 
     def by_kind(self, kind: str) -> list[Component]:
         return [c for c in self.components if c.kind == kind]
@@ -307,13 +308,8 @@ def update_component(layout: LayoutDocument, name: str, option: str, value: str)
             "target_frequency": f"{f_ghz:.9g}GHz",
             "total_length": fmt_um(new_len_mm * 1000.0),
         }
-    elif option in ("pad_width", "pad_height", "pad_gap", "total_length",
-                    "meander_amplitude", "cap_width", "cap_plate_height",
-                    "cap_gap", "stub_length"):
-        length_um(value)  # validates magnitude and unit
-        staged = {option: value}
     else:
-        parse_quantity(value)
+        length_um(value)  # every other known option is a length
         staged = {option: value}
 
     saved_options = dict(comp.options)
@@ -415,9 +411,9 @@ def build_layout(arch: Architecture, config: DesignConfig) -> LayoutDocument:
             kind="capacitor",
             position=(xc, cap_y),
             options={
-                "cap_width": fmt_um(240.0),
-                "cap_plate_height": fmt_um(60.0),
-                "cap_gap": fmt_um(40.0),
+                "cap_width": fmt_um(DEFAULT_CAP_WIDTH_UM),
+                "cap_plate_height": fmt_um(DEFAULT_CAP_PLATE_HEIGHT_UM),
+                "cap_gap": fmt_um(DEFAULT_CAP_GAP_UM),
             },
         )
         rebuild_geometry(cap)
@@ -454,11 +450,9 @@ def build_layout(arch: Architecture, config: DesignConfig) -> LayoutDocument:
         rebuild_geometry(ctl)
         doc.components.append(ctl)
 
-        pad_gap = length_um(doc.component(f"Q_{q}").options["pad_gap"])
-        pad_h = length_um(doc.component(f"Q_{q}").options["pad_height"])
-        pad_bottom = (x, y - pad_gap / 2 - pad_h)
-        cap_top = (xc, cap_y + 40.0 / 2 + 60.0)
-        cap_bottom = (xc, cap_y - 40.0 / 2 - 60.0)
+        pad_bottom = (x, y - DEFAULT_PAD_GAP_UM / 2 - DEFAULT_PAD_HEIGHT_UM)
+        cap_top = (xc, cap_y + DEFAULT_CAP_GAP_UM / 2 + DEFAULT_CAP_PLATE_HEIGHT_UM)
+        cap_bottom = (xc, cap_y - DEFAULT_CAP_GAP_UM / 2 - DEFAULT_CAP_PLATE_HEIGHT_UM)
 
         for suffix, a_name, b_name, kind, anchors in (
             ("QC", f"Q_{q}", f"CAP_{q}", "qubit-capacitor", (pad_bottom, cap_top)),

@@ -7,58 +7,38 @@ optimize the transmon geometries, then emit ``architecture.json``,
 ``layout.json``, ``layout.svg`` and ``report.json``. Outputs are
 deterministic: fixed inputs give byte-identical files.
 
-The stages are swappable through :class:`StageInterfaces`, so alternative
-generators, placers or optimizers can be dropped in without touching the
-flow itself.
+The architecture generator can be swapped through :class:`StageInterfaces`,
+so an alternative generator can be dropped in without touching the rest of
+the flow.
 """
 from __future__ import annotations
 
 import json
 import os
 import tempfile
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
 
 import numpy as np
 
 from . import archgen, geomopt, router
-from .archgen import Architecture, CouplingGraph, load_coupling
-from .circuit import InteractionGraph, QuantumCircuit, circuit_stats
+from .archgen import Architecture, load_coupling
+from .circuit import QuantumCircuit, circuit_stats
 from .config import DesignConfig, load_config
-from .errors import DasqaError, SimulationLimitError
-from .layout import LayoutDocument, build_layout
+from .errors import DasqaError
+from .layout import build_layout
 from .qasm import parse_qasm_file
 from .svg import render_svg
 
 ArchitectureGenerator = Callable[[QuantumCircuit, DesignConfig], Architecture]
-QubitPlacer = Callable[[InteractionGraph, DesignConfig], np.ndarray]
-LayoutOptimizer = Callable[
-    [LayoutDocument, np.ndarray, DesignConfig],
-    tuple[LayoutDocument, list[geomopt.QubitGeometryResult]],
-]
-
-
-def _default_layout_optimizer(
-    layout: LayoutDocument, frequencies: np.ndarray, config: DesignConfig
-) -> tuple[LayoutDocument, list[geomopt.QubitGeometryResult]]:
-    if config.geometry.dataset_path is not None:
-        data = geomopt.load_dataset(config.geometry.dataset_path)
-    else:
-        data = geomopt.bundled_dataset()
-    model = geomopt.fit_model(data, config.geometry.poly_degree)
-    return geomopt.optimize_layout(layout, frequencies, config, model)
 
 
 @dataclass
 class StageInterfaces:
-    """Pluggable stage implementations, defaulting to the bundled ones."""
+    """Pluggable architecture generator, defaulting to the bundled one."""
 
     architecture_generator: ArchitectureGenerator = archgen.generate_architecture
-    qubit_placer: QubitPlacer = archgen.place_qubits
-    layout_optimizer: LayoutOptimizer = field(
-        default=_default_layout_optimizer
-    )
 
 
 @dataclass(frozen=True)
@@ -103,7 +83,6 @@ def build_report(
     routed: router.RoutedCircuit,
     equivalence_ok: bool | None,
     geometry_results: list[geomopt.QubitGeometryResult],
-    fit_summary: dict | None = None,
     baseline: dict | None = None,
 ) -> dict:
     stats = circuit_stats(qc)
@@ -143,8 +122,6 @@ def build_report(
             ],
         },
     }
-    if fit_summary is not None:
-        report["geometry"].update(fit_summary)
     if baseline is not None:
         report["baseline"] = baseline
     return report
@@ -189,8 +166,13 @@ def run_flow(
     score = router.ArchitectureScore(routed.swap_count, routed.depth)
 
     layout = _run_stage("layout", build_layout, arch, config)
+    if config.geometry.dataset_path is not None:
+        data = _run_stage("geometry", geomopt.load_dataset, config.geometry.dataset_path)
+    else:
+        data = _run_stage("geometry", geomopt.bundled_dataset)
+    model = _run_stage("geometry", geomopt.fit_model, data, config.geometry.poly_degree)
     layout, geometry_results = _run_stage(
-        "geometry", stages.layout_optimizer, layout, arch.frequencies, config
+        "geometry", geomopt.optimize_layout, layout, arch.frequencies, config, model
     )
     _run_stage("layout", layout.validate)
 

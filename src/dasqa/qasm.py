@@ -18,7 +18,7 @@ import re
 from dataclasses import dataclass
 
 from .circuit import Gate, GateKind, QuantumCircuit
-from .errors import QasmError
+from .errors import CircuitError, QasmError
 
 _GATE_KINDS = {
     "x": GateKind.X,
@@ -139,6 +139,13 @@ class _Parser:
             return math.pi
         raise QasmError(f"bad angle term {tok.text!r}", tok.line, tok.column)
 
+    def integer(self, what: str) -> int:
+        """Consume a non-negative integer literal (register size or index)."""
+        tok = self.next()
+        if tok.kind != "num" or not tok.text.isdigit():
+            raise QasmError(f"expected integer {what}, found {tok.text!r}", tok.line, tok.column)
+        return int(tok.text)
+
 
 def parse_qasm(source: str, name: str = "circuit") -> QuantumCircuit:
     """Parse OpenQASM 2.0 text into a :class:`QuantumCircuit`.
@@ -168,10 +175,7 @@ def parse_qasm(source: str, name: str = "circuit") -> QuantumCircuit:
             raise QasmError(f"unknown quantum register {tok.text!r}", tok.line, tok.column)
         offset, size = qregs[tok.text]
         p.expect("[")
-        idx_tok = p.next()
-        if idx_tok.kind != "num" or "." in idx_tok.text or "e" in idx_tok.text.lower():
-            raise QasmError(f"expected integer index, found {idx_tok.text!r}", idx_tok.line, idx_tok.column)
-        idx = int(idx_tok.text)
+        idx = p.integer("index")
         p.expect("]")
         if idx >= size:
             raise QasmError(
@@ -186,8 +190,7 @@ def parse_qasm(source: str, name: str = "circuit") -> QuantumCircuit:
             raise QasmError(f"unknown classical register {tok.text!r}", tok.line, tok.column)
         offset, size = cregs[tok.text]
         p.expect("[")
-        idx_tok = p.next()
-        idx = int(idx_tok.text)
+        idx = p.integer("index")
         p.expect("]")
         if idx >= size:
             raise QasmError(
@@ -210,8 +213,8 @@ def parse_qasm(source: str, name: str = "circuit") -> QuantumCircuit:
             if name_tok.text in qregs or name_tok.text in cregs:
                 raise QasmError(f"register {name_tok.text!r} redeclared", name_tok.line, name_tok.column)
             p.expect("[")
-            size_tok = p.next()
-            size = int(size_tok.text)
+            size_tok = p.peek()
+            size = p.integer("register size")
             if size <= 0:
                 raise QasmError("register size must be positive", size_tok.line, size_tok.column)
             p.expect("]")
@@ -235,7 +238,8 @@ def parse_qasm(source: str, name: str = "circuit") -> QuantumCircuit:
                     reg = p.peek()
                     after = p.tokens[p.pos + 1] if p.pos + 1 < len(p.tokens) else None
                     if (
-                        reg.kind == "id"
+                        reg is not None
+                        and reg.kind == "id"
                         and reg.text in qregs
                         and after is not None
                         and after.text in (",", ";")
@@ -266,16 +270,10 @@ def parse_qasm(source: str, name: str = "circuit") -> QuantumCircuit:
                 p.next()
                 qs.append(qubit_ref())
             p.expect(";")
-            if kind.arity is not None and len(qs) != kind.arity:
-                raise QasmError(
-                    f"{tok.text} expects {kind.arity} operand(s), got {len(qs)}",
-                    tok.line, tok.column,
-                )
-            if kind.is_two_qubit and qs[0] == qs[1]:
-                raise QasmError(
-                    f"duplicate operand on two-qubit gate {tok.text}", tok.line, tok.column
-                )
-            gates.append(Gate(kind, tuple(qs), angle=angle))
+            try:
+                gates.append(Gate(kind, tuple(qs), angle=angle))
+            except CircuitError as exc:
+                raise QasmError(str(exc), tok.line, tok.column) from exc
         else:
             raise QasmError(f"unexpected token {tok.text!r}", tok.line, tok.column)
 

@@ -27,16 +27,16 @@ from .circuit import (
     InteractionGraph,
     QuantumCircuit,
     interaction_graph,
+    layered_depth,
 )
 from .errors import MappingError, OracleLimitError, RoutingError, SimulationLimitError
-from .sim import allclose_up_to_global_phase, apply_gates, circuit_unitary
+from .sim import SIM_MAX_QUBITS, allclose_up_to_global_phase, apply_gates, circuit_unitary
 
 LOOKAHEAD_WINDOW = 20
 LOOKAHEAD_DECAY = 0.8
 
 ORACLE_MAX_QUBITS = 6
 ORACLE_MAX_GATES = 10
-SIM_MAX_QUBITS = 10
 
 
 def _coupling_of(arch: Architecture | CouplingGraph) -> CouplingGraph:
@@ -88,9 +88,6 @@ class RoutedCircuit:
     swap_count: int
     depth: int
 
-    def inserted_swaps(self) -> list[Gate]:
-        return [rg.gate for rg in self.gates if rg.inserted]
-
     def replay_mapping(self) -> Mapping:
         """Apply the inserted SWAPs to the initial mapping."""
         l2p = list(self.initial_mapping.log_to_phys)
@@ -106,22 +103,6 @@ class RoutedCircuit:
                 l2p[lv] = u
             p2l = {p: l for l, p in enumerate(l2p)}
         return Mapping(tuple(l2p))
-
-
-def _routed_depth(gates: tuple[RoutedGate, ...], num_physical: int) -> int:
-    level = [0] * num_physical
-    for rg in gates:
-        g = rg.gate
-        if g.kind is GateKind.BARRIER:
-            qs = g.qubits if g.qubits else tuple(range(num_physical))
-            sync = max((level[q] for q in qs), default=0)
-            for q in qs:
-                level[q] = sync
-            continue
-        layer = 1 + max(level[q] for q in g.qubits)
-        for q in g.qubits:
-            level[q] = layer
-    return max(level, default=0)
 
 
 def initial_mapping(ig: InteractionGraph, arch: Architecture | CouplingGraph) -> Mapping:
@@ -303,7 +284,7 @@ def route(
         initial_mapping=mapping,
         final_mapping=Mapping(tuple(l2p)),
         swap_count=swap_count,
-        depth=_routed_depth(gates, n_phys),
+        depth=layered_depth([rg.gate for rg in gates], n_phys),
     )
     return routed
 
@@ -403,7 +384,7 @@ def check_equivalence(original: QuantumCircuit, routed: RoutedCircuit) -> bool:
         raise SimulationLimitError(
             f"{max(n_log, n_phys)} qubits exceeds the simulation guard ({SIM_MAX_QUBITS})"
         )
-    u_orig = circuit_unitary(original.gates, n_log, limit=SIM_MAX_QUBITS)
+    u_orig = circuit_unitary(original.gates, n_log)
 
     def embed(mapping: Mapping, columns: np.ndarray) -> np.ndarray:
         """Lift logical state columns into the physical register."""

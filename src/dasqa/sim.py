@@ -13,6 +13,8 @@ import numpy as np
 from .circuit import Gate, GateKind
 from .errors import SimulationLimitError
 
+SIM_MAX_QUBITS = 10  # dense unitaries above this size are refused
+
 _SQ2 = 1.0 / math.sqrt(2.0)
 
 _FIXED_1Q = {
@@ -76,10 +78,10 @@ def apply_gates(state: np.ndarray, gates, n: int) -> np.ndarray:
     return state
 
 
-def circuit_unitary(gates, n: int, limit: int = 10) -> np.ndarray:
+def circuit_unitary(gates, n: int) -> np.ndarray:
     """Full (2**n, 2**n) unitary of a gate list."""
-    if n > limit:
-        raise SimulationLimitError(f"{n} qubits exceeds the simulation guard ({limit})")
+    if n > SIM_MAX_QUBITS:
+        raise SimulationLimitError(f"{n} qubits exceeds the simulation guard ({SIM_MAX_QUBITS})")
     return apply_gates(np.eye(2**n, dtype=complex), gates, n)
 
 

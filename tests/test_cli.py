@@ -72,3 +72,19 @@ def test_baseline_flag(tmp_path, capsys):
     assert status == 0
     report = (tmp_path / "report.json").read_text()
     assert "baseline" in report
+
+
+def test_malformed_register_size_reports_parse_stage_without_traceback(tmp_path, capsys):
+    circuit = tmp_path / "bad.qasm"
+    circuit.write_text('OPENQASM 2.0;\ninclude "qelib1.inc";\nqreg q[abc];\n', encoding="utf-8")
+    status = cli_main(
+        [
+            "--file-path", str(circuit),
+            "--config-file-path", CONFIG,
+            "--out-dir", str(tmp_path / "out"),
+        ]
+    )
+    assert status == 1
+    err = capsys.readouterr().err
+    assert err.startswith("dasqa: [parse]")
+    assert "Traceback" not in err

@@ -43,6 +43,9 @@ def test_unknown_key_rejected():
 def test_unknown_section_rejected():
     with pytest.raises(ConfigError, match="unknown section"):
         config_from_dict({"grids": {}})
+    # a config still carrying the removed targets section fails loudly
+    with pytest.raises(ConfigError, match="unknown section 'targets'"):
+        config_from_dict({"targets": {"ej_ec_ratio": 50.0}})
 
 
 @pytest.mark.parametrize(
@@ -79,9 +82,3 @@ def test_non_mapping_root_rejected(tmp_path):
     with pytest.raises(ConfigError, match="mapping"):
         load_config(path)
 
-
-def test_targets_carried_through():
-    cfg = config_from_dict({"targets": {"ej_ec_ratio": 50.0, "t1_us": 80.0}})
-    assert cfg.targets.ej_ec_ratio == 50.0
-    assert cfg.targets.t1_us == 80.0
-    assert cfg.targets.anharmonicity_mhz is None

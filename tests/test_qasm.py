@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import math
+import re
 
 import pytest
 
@@ -45,6 +46,24 @@ def test_unsupported_gate_named_in_diagnostic():
 def test_operand_index_out_of_range():
     with pytest.raises(QasmError, match=r"out of range"):
         parse_qasm(HEADER + "qreg q[2];\nh q[2];")
+
+
+@pytest.mark.parametrize(
+    "body,line,column,message",
+    [
+        ("qreg q[abc];", 3, 8, "expected integer register size, found 'abc'"),
+        ("qreg q[1.5];", 3, 8, "expected integer register size, found '1.5'"),
+        ("qreg q[1];\ncreg c[1e1];", 4, 8, "expected integer register size, found '1e1'"),
+        ("qreg q[1];\nh q[x];", 4, 5, "expected integer index, found 'x'"),
+        ("qreg q[1];\ncreg c[1];\nmeasure q[0] -> c[x];", 5, 19, "expected integer index, found 'x'"),
+        ("qreg q[1];\nbarrier q[0],", 4, 13, "unexpected end of input"),
+    ],
+    ids=["size-word", "size-float", "size-exponent", "qubit-index", "cbit-index", "barrier-trailing-comma"],
+)
+def test_malformed_operands_raise_positioned_qasm_error(body, line, column, message):
+    with pytest.raises(QasmError, match=re.escape(message)) as info:
+        parse_qasm(HEADER + body)
+    assert (info.value.line, info.value.column) == (line, column)
 
 
 def test_error_carries_line_and_column():
