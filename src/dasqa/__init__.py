@@ -76,6 +76,7 @@ __all__ = [
     "RoutedCircuit",
     "StageInterfaces",
     "allocate_frequencies",
+    "build_layout",
     "bundled_dataset",
     "check_equivalence",
     "circuit_stats",

@@ -356,19 +356,7 @@ def place_qubits(ig: InteractionGraph, config: DesignConfig) -> np.ndarray:
 
 def realized_weight(layout: np.ndarray, ig: InteractionGraph) -> int:
     """Interaction weight captured by grid-adjacent pairs of a placement."""
-    rows, cols = layout.shape
-    total = 0
-    for r in range(rows):
-        for c in range(cols):
-            q = int(layout[r, c])
-            if q == EMPTY:
-                continue
-            for rr, cc in ((r, c + 1), (r + 1, c)):
-                if rr < rows and cc < cols:
-                    other = int(layout[rr, cc])
-                    if other != EMPTY:
-                        total += ig.weight(q, other)
-    return total
+    return sum(ig.weight(a, b) for a, b in _adjacent_pairs(layout))
 
 
 def _adjacent_pairs(layout: np.ndarray) -> list[tuple[int, int]]:
@@ -415,7 +403,7 @@ def derive_couplings(
         try_add(pair)
     if config.grid.include_idle_edges:
         for pair in adjacent:
-            if pair not in set(chosen) and ig.weight(*pair) == 0:
+            if ig.weight(*pair) == 0:
                 try_add(pair)
     return CouplingGraph(n, chosen)
 

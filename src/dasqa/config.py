@@ -2,8 +2,8 @@
 
 One YAML file drives the whole flow; every stage receives the same
 :class:`DesignConfig`. Missing keys take the documented defaults below,
-unknown keys are rejected (typo protection), and invariants are checked at
-load time so stage code can trust the values.
+unknown keys are rejected (typo protection), and value types and invariants
+are checked at load time so stage code can trust the values.
 """
 from __future__ import annotations
 
@@ -114,12 +114,36 @@ _SECTIONS = {
 }
 
 
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+# field annotation (without "| None") -> (accepts the value, what it expects)
+_TYPE_CHECKS = {
+    "int": (lambda v: isinstance(v, int) and not isinstance(v, bool), "an integer"),
+    "float": (_is_number, "a number"),
+    "bool": (lambda v: isinstance(v, bool), "true or false"),
+    "str": (lambda v: isinstance(v, str), "a string"),
+    "list[float]": (
+        lambda v: isinstance(v, list) and all(_is_number(x) for x in v),
+        "a list of numbers",
+    ),
+}
+
+
 def _build_section(cls, data: dict, section: str):
-    known = {f.name for f in fields(cls)}
-    unknown = set(data) - known
+    types = {f.name: f.type for f in fields(cls)}
+    unknown = set(data) - set(types)
     if unknown:
         key = sorted(unknown)[0]
         raise ConfigError(f"unknown key {section}.{key}")
+    for key, value in data.items():
+        kind = types[key].removesuffix(" | None")
+        if value is None and kind != types[key]:
+            continue
+        accepts, expected = _TYPE_CHECKS[kind]
+        if not accepts(value):
+            raise ConfigError(f"{section}.{key} must be {expected}, got {value!r}")
     return cls(**data)
 
 

@@ -7,14 +7,14 @@ quarter-wave readout resonator, control-line port at the chip edge) with the
 connecting nets. All coordinates are micrometers; option values are strings
 with explicit units so they survive serialization unambiguously.
 
-The document is single-writer: :func:`update_component` mutates geometry in
-place and re-checks the layout invariants.
+The document is single-writer: :func:`update_component` rebuilds the edited
+component on a copy, checks only that copy and commits it once it passes.
 """
 from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from .archgen import Architecture
 from .config import DesignConfig
@@ -144,34 +144,34 @@ class LayoutDocument:
             for endpoint in (a, b):
                 if endpoint not in known:
                     raise LayoutError(f"net endpoint {endpoint!r} does not exist")
+        for comp in self.components:
+            self._check_component(comp)
+
+    def _check_component(self, comp: Component) -> None:
+        """Every shape of ``comp`` lies on the chip; transmon pads clear all others."""
         x0, y0, w, h = self.chip
         x1, y1 = x0 + w, y0 + h
         tol = 1e-6
-        for comp in self.components:
-            for rx, ry, rw, rh in comp.rects:
-                if rx < x0 - tol or ry < y0 - tol or rx + rw > x1 + tol or ry + rh > y1 + tol:
-                    raise LayoutError(
-                        f"{comp.name}: rectangle outside chip bounds "
-                        f"(chip too small for the configured pitch/margin)"
-                    )
-            for line in comp.polylines:
-                for px, py in line:
-                    if px < x0 - tol or py < y0 - tol or px > x1 + tol or py > y1 + tol:
-                        raise LayoutError(
-                            f"{comp.name}: path outside chip bounds "
-                            f"(chip too small for the configured pitch/margin)"
-                        )
-        pads = [
-            (comp.name, rect)
-            for comp in self.components
-            if comp.kind == "transmon"
-            for rect in comp.rects
+        outside = "outside chip bounds (chip too small for the configured pitch/margin)"
+        for rx, ry, rw, rh in comp.rects:
+            if rx < x0 - tol or ry < y0 - tol or rx + rw > x1 + tol or ry + rh > y1 + tol:
+                raise LayoutError(f"{comp.name}: rectangle {outside}")
+        for line in comp.polylines:
+            for px, py in line:
+                if px < x0 - tol or py < y0 - tol or px > x1 + tol or py > y1 + tol:
+                    raise LayoutError(f"{comp.name}: path {outside}")
+        if comp.kind != "transmon":
+            return
+        others = [
+            (c.name, rect)
+            for c in self.components
+            if c.kind == "transmon" and c.name != comp.name
+            for rect in c.rects
         ]
-        for i in range(len(pads)):
-            for j in range(i + 1, len(pads)):
-                (na, a), (nb, b) = pads[i], pads[j]
-                if na != nb and _rects_overlap(a, b):
-                    raise LayoutError(f"transmon pads of {na} and {nb} overlap")
+        for pad in comp.rects:
+            for other, rect in others:
+                if _rects_overlap(pad, rect):
+                    raise LayoutError(f"transmon pads of {comp.name} and {other} overlap")
 
     # -- serialization -----------------------------------------------------
 
@@ -288,9 +288,10 @@ def update_component(layout: LayoutDocument, name: str, option: str, value: str)
     """Set one geometry option and recompute the dependent shapes.
 
     For resonators, changing ``target_frequency`` re-derives ``total_length``
-    from the wavelength formula before re-synthesizing the meander. The
-    layout invariants are re-checked after the change; on violation the
-    document is left untouched.
+    from the wavelength formula before re-synthesizing the meander. The edit
+    is built and checked on a copy of the component (shapes on the chip,
+    transmon pads clear of every other transmon) and copied into the document
+    only if the check passes, so a rejected edit changes nothing.
     """
     comp = layout.component(name)
     known = KNOWN_OPTIONS[comp.kind]
@@ -312,18 +313,13 @@ def update_component(layout: LayoutDocument, name: str, option: str, value: str)
         length_um(value)  # every other known option is a length
         staged = {option: value}
 
-    saved_options = dict(comp.options)
-    saved_rects = list(comp.rects)
-    saved_polylines = [list(line) for line in comp.polylines]
-    comp.options.update(staged)
-    try:
-        rebuild_geometry(comp)
-        layout.validate()
-    except LayoutError:
-        comp.options = saved_options
-        comp.rects = saved_rects
-        comp.polylines = saved_polylines
-        raise
+    candidate = replace(comp, options={**comp.options, **staged})
+    rebuild_geometry(candidate)
+    layout._check_component(candidate)
+    # commit into the live component: callers may hold it across the call
+    comp.options = candidate.options
+    comp.rects = candidate.rects
+    comp.polylines = candidate.polylines
     return layout
 
 

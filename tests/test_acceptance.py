@@ -11,10 +11,8 @@ import time
 from pathlib import Path
 
 import numpy as np
-import pytest
 
 from dasqa.archgen import CouplingGraph, detuning_violations, generate_architecture
-from dasqa.circuit import interaction_graph
 from dasqa.cli import cli_main
 from dasqa.config import DesignConfig
 from dasqa.geomopt import bundled_dataset, fit_model, optimize_layout
@@ -28,7 +26,7 @@ from dasqa.router import (
     validate_routing,
 )
 
-from conftest import LIMA_EDGES, random_circuit, random_connected_architecture
+from conftest import random_circuit, random_connected_architecture
 
 DATA = Path(__file__).parent / "data"
 GOLDEN = Path(__file__).parent / "golden" / "five_qubit_app"

@@ -18,7 +18,7 @@ from dasqa.archgen import (
 from dasqa.circuit import Gate, GateKind, InteractionGraph, QuantumCircuit, interaction_graph
 from dasqa.config import DesignConfig, config_from_dict
 from dasqa.errors import FrequencyAllocationError, PlacementError
-from dasqa.router import Mapping, route
+from dasqa.router import route
 
 from conftest import random_circuit
 

@@ -88,3 +88,19 @@ def test_malformed_register_size_reports_parse_stage_without_traceback(tmp_path,
     err = capsys.readouterr().err
     assert err.startswith("dasqa: [parse]")
     assert "Traceback" not in err
+
+
+def test_mistyped_config_value_reports_config_stage_without_traceback(tmp_path, capsys):
+    config = tmp_path / "config.yml"
+    config.write_text('grid: {rows: "3"}\n', encoding="utf-8")
+    status = cli_main(
+        [
+            "--file-path", CIRCUIT,
+            "--config-file-path", str(config),
+            "--out-dir", str(tmp_path / "out"),
+        ]
+    )
+    assert status == 1
+    err = capsys.readouterr().err
+    assert err.startswith("dasqa: [config]")
+    assert "Traceback" not in err

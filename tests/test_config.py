@@ -57,6 +57,13 @@ def test_unknown_section_rejected():
         ({"geometry": {"poly_degree": -1}}, "poly_degree"),
         ({"grid": {"rows": 0}}, "rows"),
         ({"geometry": {"invert_mode": "newton"}}, "invert_mode"),
+        # mistyped values: checked before any stage sees them
+        ({"grid": {"rows": "3"}}, "grid.rows"),
+        ({"frequency": {"step_ghz": "abc"}}, "frequency.step_ghz"),
+        ({"layout": {"coupling_freq_lattice_ghz": 7.0}}, "layout.coupling_freq_lattice_ghz"),
+        ({"geometry": {"poly_degree": 2.5}}, "geometry.poly_degree"),
+        ({"geometry": {"dataset_path": 5}}, "geometry.dataset_path"),
+        ({"grid": {"max_degree": 1.5}}, "grid.max_degree"),
     ],
 )
 def test_invariant_violations_name_the_key(data, key):

@@ -4,7 +4,6 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from dasqa.config import DesignConfig, config_from_dict
 from dasqa.errors import GeometryError, UnreachableTargetError
 from dasqa.geomopt import (
     GeometryDataset,

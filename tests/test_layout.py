@@ -4,9 +4,10 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from dasqa import layout as layout_module
 from dasqa.archgen import Architecture, CouplingGraph, generate_architecture
 from dasqa.circuit import QuantumCircuit
-from dasqa.config import DesignConfig, config_from_dict
+from dasqa.config import config_from_dict
 from dasqa.errors import LayoutError
 from dasqa.layout import (
     build_layout,
@@ -140,18 +141,50 @@ def test_pad_overlap_detected():
 
 
 def test_random_update_sequences_keep_invariants(star_layout):
+    # pads up to 4 mm wide collide with a neighbour one pitch away, so some
+    # edits are rejected: those must leave the document byte-for-byte as it was
     rng = np.random.default_rng(31)
     qubits = [f"Q_{q}" for q in range(5)]
+    accepted = rejected = 0
     for _ in range(60):
         name = qubits[int(rng.integers(0, 5))]
         option = ("pad_width", "pad_height", "pad_gap")[int(rng.integers(0, 3))]
         value = {
-            "pad_width": float(rng.uniform(100, 600)),
+            "pad_width": float(rng.uniform(100, 4000)),
             "pad_height": float(rng.uniform(40, 200)),
             "pad_gap": float(rng.uniform(5, 80)),
         }[option]
-        update_component(star_layout, name, option, f"{value:.9g}um")
-        star_layout.validate()
+        before = star_layout.to_json()
+        try:
+            update_component(star_layout, name, option, f"{value:.9g}um")
+        except LayoutError:
+            rejected += 1
+            assert star_layout.to_json() == before
+        else:
+            accepted += 1
+            star_layout.validate()
+    assert accepted > 0 and rejected > 0
+
+
+def test_transmon_edit_checks_only_its_own_pads(monkeypatch, config):
+    # 6x6 grid of 36 transmons: an edit compares the edited transmon's two
+    # pads with the two pads of each other transmon, never all pairs
+    n = 36
+    grid = np.arange(n, dtype=np.int64).reshape(6, 6)
+    edges = [(q, q + 1) for q in range(n) if q % 6 != 5]
+    doc = build_layout(Architecture(grid, CouplingGraph(n, edges), np.full(n, 5.0)), config)
+    calls = 0
+    real_overlap = layout_module._rects_overlap
+
+    def counting_overlap(a, b):
+        nonlocal calls
+        calls += 1
+        return real_overlap(a, b)
+
+    monkeypatch.setattr(layout_module, "_rects_overlap", counting_overlap)
+    update_component(doc, "Q_14", "pad_height", "120um")
+    assert 0 < calls <= 4 * (n - 1)
+    assert doc.component("Q_14").options["pad_height"] == "120um"
 
 
 def test_nets_reference_existing_components(star_layout):
