@@ -211,14 +211,10 @@ def _refined_keys(ig: InteractionGraph, seed: dict[int, int] | None = None) -> l
     """
     n = ig.num_qubits
     seed = seed or {}
-    incident: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-    for (a, b), w in ig.weights.items():
-        incident[a].append((w, b))
-        incident[b].append((w, a))
     keys: list[tuple] = [(seed.get(q, -1), ig.weighted_degree(q)) for q in range(n)]
     for _ in range(3):
         keys = [
-            keys[q] + (tuple(sorted((w, keys[u]) for w, u in incident[q])),)
+            keys[q] + (tuple(sorted((w, keys[u]) for w, u in ig.incident[q])),)
             for q in range(n)
         ]
     return keys

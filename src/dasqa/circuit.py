@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 
 from .errors import CircuitError
 
@@ -104,17 +105,20 @@ class InteractionGraph:
     def weight(self, a: int, b: int) -> int:
         return self.weights.get((min(a, b), max(a, b)), 0)
 
+    @cached_property
+    def incident(self) -> tuple[tuple[tuple[int, int], ...], ...]:
+        """Per-qubit (weight, neighbour) pairs, in ``weights`` order."""
+        incident: list[list[tuple[int, int]]] = [[] for _ in range(self.num_qubits)]
+        for (a, b), w in self.weights.items():
+            incident[a].append((w, b))
+            incident[b].append((w, a))
+        return tuple(map(tuple, incident))
+
     def weighted_degree(self, q: int) -> int:
-        return sum(w for (a, b), w in self.weights.items() if q in (a, b))
+        return sum(w for w, _ in self.incident[q])
 
     def neighbors(self, q: int) -> set[int]:
-        out = set()
-        for a, b in self.weights:
-            if a == q:
-                out.add(b)
-            elif b == q:
-                out.add(a)
-        return out
+        return {u for _, u in self.incident[q]}
 
     @property
     def total_weight(self) -> int:

@@ -7,6 +7,7 @@ are checked at load time so stage code can trust the values.
 """
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field, fields, asdict
 from pathlib import Path
 
@@ -169,13 +170,24 @@ def config_from_dict(data: dict | None) -> DesignConfig:
     return cfg
 
 
+class _Loader(yaml.SafeLoader):
+    """SafeLoader that also reads exponent floats written without a dot (1e-3)."""
+
+
+_Loader.add_implicit_resolver(
+    "tag:yaml.org,2002:float",
+    re.compile(r"^[-+]?(?:[0-9]+(?:\.[0-9]+)?|\.[0-9]+)[eE][-+]?[0-9]+$"),
+    list("-+0123456789."),
+)
+
+
 def load_config(path: str | Path) -> DesignConfig:
     """Read a YAML config file, apply defaults, reject unknown keys."""
     path = Path(path)
     if not path.exists():
         raise ConfigError(f"config file not found: {path}")
     try:
-        data = yaml.safe_load(path.read_text(encoding="utf-8"))
+        data = yaml.load(path.read_text(encoding="utf-8"), Loader=_Loader)
     except yaml.YAMLError as exc:
         raise ConfigError(f"malformed YAML in {path}: {exc}") from exc
     return config_from_dict(data)

@@ -41,10 +41,9 @@ class GeometryDataset:
             raise GeometryError("dataset is empty")
         if len(self.height_um) != n or len(self.frequency_ghz) != n:
             raise GeometryError("dataset columns have mismatched lengths")
-        if (self.gap_um <= 0).any() or (self.height_um <= 0).any() or (
-            self.frequency_ghz <= 0
-        ).any():
-            raise GeometryError("dataset values must be positive")
+        for column in (self.gap_um, self.height_um, self.frequency_ghz):
+            if not (np.isfinite(column) & (column > 0)).all():
+                raise GeometryError("dataset values must be finite and positive")
         seen: dict[tuple[float, float], float] = {}
         for g, h, f in zip(self.gap_um, self.height_um, self.frequency_ghz):
             key = (float(g), float(h))
@@ -64,17 +63,25 @@ def load_dataset(path: str | Path) -> GeometryDataset:
     if not path.exists():
         raise GeometryError(f"dataset file not found: {path}")
     with path.open(newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
+        reader = csv.reader(fh)
         expected = ["pad_gap_um", "pad_height_um", "frequency_ghz"]
-        if reader.fieldnames != expected:
-            raise GeometryError(
-                f"dataset header must be {','.join(expected)}, got {reader.fieldnames}"
-            )
+        header = next(reader, None)
+        if header != expected:
+            raise GeometryError(f"dataset header must be {','.join(expected)}, got {header}")
         gaps, heights, freqs = [], [], []
-        for row in reader:
-            gaps.append(float(row["pad_gap_um"]))
-            heights.append(float(row["pad_height_um"]))
-            freqs.append(float(row["frequency_ghz"]))
+        for fields in reader:
+            if not fields:
+                continue
+            try:
+                gap, height, freq = map(float, fields)
+            except ValueError as exc:
+                raise GeometryError(
+                    f"{path} line {reader.line_num}: expected three numbers, "
+                    f"got {','.join(fields)!r}"
+                ) from exc
+            gaps.append(gap)
+            heights.append(height)
+            freqs.append(freq)
     return GeometryDataset(np.array(gaps), np.array(heights), np.array(freqs))
 
 

@@ -9,9 +9,12 @@ non-adjacent it evaluates every coupling edge touching either operand's
 position and applies the swap minimizing a decayed sum of coupling distances
 over the pending two-qubit gates. That single-window lookahead is what lets
 it park a hot qubit on a hub and later undo a swap instead of ping-ponging.
-A BFS oracle (:func:`optimal_swap_count`) provides exact minima at desk
-scale for testing, and :func:`check_equivalence` verifies routed circuits by
-statevector comparison.
+If the lookahead stalls, the remaining distance is walked directly: the
+first operand's image steps to its smallest-index neighbour one hop closer to
+the second's, read from the same hop table the costs use. A BFS oracle
+(:func:`optimal_swap_count`) provides exact minima at desk scale for testing,
+and :func:`check_equivalence` verifies routed circuits by statevector
+comparison.
 """
 from __future__ import annotations
 
@@ -41,6 +44,17 @@ ORACLE_MAX_GATES = 10
 
 def _coupling_of(arch: Architecture | CouplingGraph) -> CouplingGraph:
     return arch.coupling if isinstance(arch, Architecture) else arch
+
+
+def _hop_table(coupling: CouplingGraph) -> list[list[int]]:
+    """Coupling distances as nested lists; unreachable pairs cost n_phys**2."""
+    n = coupling.num_qubits
+    return [[d if d >= 0 else n * n for d in row] for row in coupling.distances().tolist()]
+
+
+def _swapped(l2p, u: int, v: int) -> list[int]:
+    """The mapping after a SWAP exchanges whatever sits on physical u and v."""
+    return [v if p == u else u if p == v else p for p in l2p]
 
 
 @dataclass(frozen=True)
@@ -90,18 +104,10 @@ class RoutedCircuit:
 
     def replay_mapping(self) -> Mapping:
         """Apply the inserted SWAPs to the initial mapping."""
-        l2p = list(self.initial_mapping.log_to_phys)
-        p2l = {p: l for l, p in enumerate(l2p)}
+        l2p = self.initial_mapping.log_to_phys
         for rg in self.gates:
-            if not rg.inserted:
-                continue
-            u, v = rg.gate.qubits
-            lu, lv = p2l.get(u), p2l.get(v)
-            if lu is not None:
-                l2p[lu] = v
-            if lv is not None:
-                l2p[lv] = u
-            p2l = {p: l for l, p in enumerate(l2p)}
+            if rg.inserted:
+                l2p = _swapped(l2p, *rg.gate.qubits)
         return Mapping(tuple(l2p))
 
 
@@ -125,14 +131,10 @@ def initial_mapping(ig: InteractionGraph, arch: Architecture | CouplingGraph) ->
     for lq, pq in zip(logical, physical):
         l2p[lq] = pq
 
-    dist = coupling.distances()
+    hops = _hop_table(coupling)
 
-    def cost(assign: list[int]) -> float:
-        total = 0.0
-        for (a, b), w in ig.weights.items():
-            d = dist[assign[a], assign[b]]
-            total += w * (d if d >= 0 else n_phys * n_phys)
-        return total
+    def cost(assign: list[int]) -> int:
+        return sum(w * hops[assign[a]][assign[b]] for (a, b), w in ig.weights.items())
 
     best = cost(l2p)
     used = set(l2p)
@@ -157,30 +159,6 @@ def initial_mapping(ig: InteractionGraph, arch: Architecture | CouplingGraph) ->
     return Mapping(tuple(l2p))
 
 
-def _shortest_path(coupling: CouplingGraph, src: int, dst: int) -> list[int]:
-    """Deterministic BFS path, smallest-next-vertex tie-break."""
-    if src == dst:
-        return [src]
-    prev: dict[int, int] = {src: src}
-    frontier = [src]
-    while frontier:
-        nxt = []
-        for u in frontier:
-            for v in sorted(coupling.neighbors(u)):
-                if v not in prev:
-                    prev[v] = u
-                    nxt.append(v)
-        if dst in prev:
-            break
-        frontier = nxt
-    if dst not in prev:
-        raise RoutingError(f"physical qubits {src} and {dst} are disconnected")
-    path = [dst]
-    while path[-1] != src:
-        path.append(prev[path[-1]])
-    return path[::-1]
-
-
 def route(
     qc: QuantumCircuit,
     arch: Architecture | CouplingGraph,
@@ -197,6 +175,7 @@ def route(
     mapping.validate(qc.num_qubits, coupling.num_qubits)
 
     dist = coupling.distances()
+    hops = _hop_table(coupling)
     n_phys = coupling.num_qubits
     l2p = list(mapping.log_to_phys)
 
@@ -209,18 +188,13 @@ def route(
         total = 0.0
         weight = 1.0
         for a, b in pending[pend_idx : pend_idx + LOOKAHEAD_WINDOW]:
-            d = dist[assign[a], assign[b]]
-            total += weight * (d if d >= 0 else n_phys * n_phys)
+            total += weight * hops[assign[a]][assign[b]]
             weight *= LOOKAHEAD_DECAY
         return total
 
     def apply_swap(u: int, v: int) -> None:
-        nonlocal swap_count
-        for lq in range(len(l2p)):
-            if l2p[lq] == u:
-                l2p[lq] = v
-            elif l2p[lq] == v:
-                l2p[lq] = u
+        nonlocal l2p, swap_count
+        l2p = _swapped(l2p, u, v)
         out.append(RoutedGate(Gate(GateKind.SWAP, (u, v)), inserted=True))
         swap_count += 1
 
@@ -246,14 +220,15 @@ def route(
             )
         swaps_this_gate = 0
         last_edge: tuple[int, int] | None = None
-        while dist[l2p[a], l2p[b]] > 1:
+        while hops[l2p[a]][l2p[b]] > 1:
             if swaps_this_gate >= stall_cap:
-                # lookahead stalled: walk the remaining distance directly
-                path = _shortest_path(coupling, l2p[a], l2p[b])
-                while dist[l2p[a], l2p[b]] > 1:
-                    u, hop = path[0], path[1]
-                    apply_swap(min(u, hop), max(u, hop))
-                    path = path[1:]
+                # lookahead stalled: step a's image along the smallest-index
+                # shortest path to b's image
+                pb = l2p[b]
+                while hops[l2p[a]][pb] > 1:
+                    pa = l2p[a]
+                    hop = min(nb for nb in coupling.neighbors(pa) if hops[nb][pb] < hops[pa][pb])
+                    apply_swap(min(pa, hop), max(pa, hop))
                 break
             pa, pb = l2p[a], l2p[b]
             candidates = set()
@@ -264,11 +239,7 @@ def route(
                 candidates.discard(last_edge)
             best_edge, best_score = None, None
             for edge in sorted(candidates):
-                u, v = edge
-                trial = [
-                    v if p == u else u if p == v else p for p in l2p
-                ]
-                score = lookahead_cost(trial)
+                score = lookahead_cost(_swapped(l2p, *edge))
                 if best_score is None or score < best_score:
                     best_edge, best_score = edge, score
             apply_swap(*best_edge)
@@ -357,9 +328,7 @@ def optimal_swap_count(
     while queue:
         (l2p, idx), swaps = queue.popleft()
         for u, v in edges:
-            trial = tuple(
-                v if p == u else u if p == v else p for p in l2p
-            )
+            trial = tuple(_swapped(l2p, u, v))
             nidx = closure(trial, idx)
             if nidx == len(pairs):
                 return swaps + 1

@@ -145,3 +145,13 @@ def test_weight_sum_equals_two_qubit_count_property():
     for _ in range(100):
         qc = random_circuit(rng, max_qubits=7, max_gates=20)
         assert interaction_graph(qc).total_weight == circuit_stats(qc).two_qubit_count
+
+
+def test_degree_and_neighbors_match_an_edge_scan_property():
+    rng = np.random.default_rng(20261018)
+    for _ in range(100):
+        ig = interaction_graph(random_circuit(rng, max_qubits=7, max_gates=20))
+        for q in range(ig.num_qubits):
+            touching = {(a, b): w for (a, b), w in ig.weights.items() if q in (a, b)}
+            assert ig.weighted_degree(q) == sum(touching.values())
+            assert ig.neighbors(q) == {b if a == q else a for a, b in touching}

@@ -1,8 +1,12 @@
 """CLI contract: flags, exit codes, file emission."""
 from __future__ import annotations
 
+import json
 from pathlib import Path
 
+import pytest
+
+from dasqa import geomopt
 from dasqa.cli import cli_main
 
 DATA = Path(__file__).parent / "data"
@@ -103,4 +107,30 @@ def test_mistyped_config_value_reports_config_stage_without_traceback(tmp_path, 
     assert status == 1
     err = capsys.readouterr().err
     assert err.startswith("dasqa: [config]")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("bad_row", ["30,abc,5.1", "30,100", "30,nan,5.1"])
+def test_malformed_geometry_dataset_reports_geometry_stage_without_traceback(
+    tmp_path, capsys, bad_row
+):
+    bundled = Path(geomopt.__file__).parent / "data" / "pad_geometry.csv"
+    dataset = tmp_path / "dataset.csv"
+    dataset.write_text(bundled.read_text(encoding="utf-8") + bad_row + "\n", encoding="utf-8")
+    config = tmp_path / "config.yml"
+    config.write_text(
+        (DATA / "config.yml").read_text(encoding="utf-8")
+        + f"geometry:\n  dataset_path: {json.dumps(str(dataset))}\n",
+        encoding="utf-8",
+    )
+    status = cli_main(
+        [
+            "--file-path", CIRCUIT,
+            "--config-file-path", str(config),
+            "--out-dir", str(tmp_path / "out"),
+        ]
+    )
+    assert status == 1
+    err = capsys.readouterr().err
+    assert err.startswith("dasqa: [geometry]")
     assert "Traceback" not in err

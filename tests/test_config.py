@@ -71,6 +71,18 @@ def test_invariant_violations_name_the_key(data, key):
         config_from_dict(data)
 
 
+def test_exponent_floats_load_without_a_dot(tmp_path):
+    path = tmp_path / "exp.yml"
+    path.write_text("frequency: {step_ghz: 1e-3, band_hi_ghz: 53E-1}\n", encoding="utf-8")
+    cfg = load_config(path)
+    assert cfg.frequency.step_ghz == 0.001
+    assert cfg.frequency.band_hi_ghz == 5.3
+    # an exponent literal is a float, so an integer option still rejects it
+    path.write_text("grid: {rows: 1e1}\n", encoding="utf-8")
+    with pytest.raises(ConfigError, match="grid.rows"):
+        load_config(path)
+
+
 def test_missing_file():
     with pytest.raises(ConfigError, match="not found"):
         load_config("/nonexistent/config.yml")

@@ -1,9 +1,12 @@
 """Geometry surrogate: fitting, prediction, inversion, layout optimization."""
 from __future__ import annotations
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from dasqa import geomopt
 from dasqa.errors import GeometryError, UnreachableTargetError
 from dasqa.geomopt import (
     GeometryDataset,
@@ -179,6 +182,9 @@ def test_exact_recovery_of_random_polynomials():
 def test_dataset_validation():
     with pytest.raises(GeometryError, match="positive"):
         GeometryDataset(np.array([-1.0]), np.array([50.0]), np.array([5.0]))
+    for bad in (np.nan, np.inf):
+        with pytest.raises(GeometryError, match="finite and positive"):
+            GeometryDataset(np.array([10.0]), np.array([bad]), np.array([5.0]))
     with pytest.raises(GeometryError, match="conflicting"):
         GeometryDataset(
             np.array([10.0, 10.0]),
@@ -194,6 +200,31 @@ def test_load_dataset_rejects_bad_header(tmp_path):
         load_dataset(bad)
     with pytest.raises(GeometryError, match="not found"):
         load_dataset(tmp_path / "missing.csv")
+
+
+BUNDLED_CSV = Path(geomopt.__file__).parent / "data" / "pad_geometry.csv"
+
+
+@pytest.mark.parametrize(
+    "rows,match",
+    [
+        (["30,abc,5.1"], r"bad\.csv line 2: expected three numbers, got '30,abc,5\.1'"),
+        (["30,100"], r"bad\.csv line 2: expected three numbers, got '30,100'"),
+        (["30,100,5.1,7"], r"bad\.csv line 2: expected three numbers"),
+        (["", "30,100,5.1", "30,100,x"], r"bad\.csv line 4: "),
+        ([None, "30,nan,5.1"], "finite and positive"),
+        ([None, "30,100,inf"], "finite and positive"),
+    ],
+)
+def test_load_dataset_rejects_malformed_rows(tmp_path, rows, match):
+    header, *bundled = BUNDLED_CSV.read_text(encoding="utf-8").splitlines()
+    lines = [header]
+    for row in rows:
+        lines.extend(bundled if row is None else [row])
+    bad = tmp_path / "bad.csv"
+    bad.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with pytest.raises(GeometryError, match=match):
+        load_dataset(bad)
 
 
 REFERENCE_FREQS = [5.06, 5.24, 5.08, 5.27, 5.17]

@@ -4,8 +4,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from dasqa.archgen import CouplingGraph
+from dasqa.archgen import CouplingGraph, generate_architecture
 from dasqa.circuit import Gate, GateKind, QuantumCircuit, circuit_stats, interaction_graph
+from dasqa.config import config_from_dict
 from dasqa.errors import MappingError, OracleLimitError, RoutingError, SimulationLimitError
 from dasqa.router import (
     Mapping,
@@ -17,8 +18,9 @@ from dasqa.router import (
     score_architecture,
     validate_routing,
 )
+from dasqa.qasm import parse_qasm
 
-from conftest import random_circuit, random_connected_architecture
+from conftest import DATA_DIR, random_circuit, random_connected_architecture
 
 
 def star_graph() -> CouplingGraph:
@@ -206,3 +208,53 @@ def test_random_instances_soundness_equivalence_and_oracle_bound():
             if best > 0:
                 ratios.append(routed.swap_count / best)
     assert ratios, "expected at least some instances needing swaps"
+
+
+def test_swaps_through_unoccupied_physical_qubits_replay_and_stay_equivalent():
+    chain = CouplingGraph(5, [(0, 1), (1, 2), (2, 3), (3, 4)])
+    qc = QuantumCircuit(
+        3,
+        (
+            Gate(GateKind.H, (0,)),
+            Gate(GateKind.CX, (0, 1)),
+            Gate(GateKind.T, (1,)),
+            Gate(GateKind.CX, (2, 0)),
+            Gate(GateKind.CX, (1, 2)),
+        ),
+    )
+    start = Mapping((0, 4, 2))  # physical 1 and 3 hold no logical qubit
+    routed = route(qc, chain, start)
+    swaps = [rg.gate.qubits for rg in routed.gates if rg.inserted]
+    # (0, 1) and (3, 4) each move a logical qubit onto an empty site
+    assert swaps == [(0, 1), (3, 4), (1, 2), (1, 2)]
+    assert routed.replay_mapping() == routed.final_mapping
+    validate_routing(routed, chain)
+    assert check_equivalence(qc, routed)
+
+
+# Swap sequence the router produced for tests/data/stall_9q.qasm; routing its
+# gates exhausts the lookahead's per-gate swap cap once, so the tail of the
+# sequence comes from the direct shortest-path walk.
+STALL_SWAPS = [
+    (0, 7), (0, 7), (2, 6), (2, 6), (4, 8), (2, 6), (4, 8), (2, 6), (4, 8), (2, 6),
+    (4, 8), (2, 6), (4, 8), (2, 6), (4, 8), (2, 6), (4, 8), (2, 6), (2, 6), (2, 3),
+    (5, 6), (4, 8), (0, 2), (2, 3), (2, 3), (5, 6), (4, 5), (4, 8), (4, 8), (4, 5),
+    (2, 6), (2, 3), (3, 5), (0, 2), (0, 2), (3, 5), (0, 7), (0, 2), (4, 5),
+]
+
+
+def test_stalled_lookahead_falls_back_to_the_smallest_index_shortest_path():
+    qc = parse_qasm((DATA_DIR / "stall_9q.qasm").read_text(encoding="utf-8"))
+    # the flow benchmark's pinned config for generated circuits
+    config = config_from_dict(
+        {
+            "grid": {"include_idle_edges": True},
+            "frequency": {"band_lo_ghz": 5.0, "band_hi_ghz": 7.0},
+            "layout": {"margin_um": 14000},
+        }
+    )
+    arch = generate_architecture(qc, config)
+    routed = route(qc, arch)
+    assert [rg.gate.qubits for rg in routed.gates if rg.inserted] == STALL_SWAPS
+    validate_routing(routed, arch)
+    assert check_equivalence(qc, routed)
