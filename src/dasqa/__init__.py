@@ -29,7 +29,7 @@ from .circuit import (
     to_qasm,
 )
 from .config import DesignConfig, config_from_dict, load_config
-from .errors import DasqaError
+from .errors import ArchitectureError, DasqaError
 from .geomopt import (
     GeometryDataset,
     GeometryModel,
@@ -59,6 +59,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Architecture",
+    "ArchitectureError",
     "CircuitStats",
     "Component",
     "CouplingGraph",

@@ -19,7 +19,7 @@ import numpy as np
 
 from .circuit import InteractionGraph, QuantumCircuit, interaction_graph
 from .config import DesignConfig
-from .errors import FrequencyAllocationError, PlacementError
+from .errors import ArchitectureError, DasqaError, FrequencyAllocationError, PlacementError
 
 # Comparisons against detuning thresholds allow this slack so that gaps that
 # equal a threshold exactly (e.g. 0.07 or 0.02 GHz) survive float rounding.
@@ -36,9 +36,9 @@ class CouplingGraph:
         norm = set()
         for a, b in edges:
             if a == b:
-                raise ValueError(f"self-loop on qubit {a}")
+                raise ArchitectureError(f"self-loop on qubit {a}")
             if not (0 <= a < num_qubits and 0 <= b < num_qubits):
-                raise ValueError(f"edge ({a},{b}) out of range")
+                raise ArchitectureError(f"edge ({a},{b}) out of range")
             norm.add((min(a, b), max(a, b)))
         self.edges = frozenset(norm)
         self._adj: dict[int, set[int]] = {q: set() for q in range(num_qubits)}
@@ -126,26 +126,26 @@ class Architecture:
         return out
 
     def validate(self, config: DesignConfig | None = None) -> None:
-        """Raise ValueError if any structural invariant is broken."""
+        """Raise ArchitectureError if any structural invariant is broken."""
         n = self.num_qubits
         vals = sorted(int(v) for v in self.layout.ravel() if v != EMPTY)
         if vals != list(range(n)):
-            raise ValueError("layout must contain each qubit index exactly once")
+            raise ArchitectureError("layout must contain each qubit index exactly once")
         pos = self.positions()
         for a, b in self.coupling.edges:
             (ra, ca), (rb, cb) = pos[a], pos[b]
             if abs(ra - rb) + abs(ca - cb) != 1:
-                raise ValueError(f"coupling edge ({a},{b}) joins non-adjacent cells")
+                raise ArchitectureError(f"coupling edge ({a},{b}) joins non-adjacent cells")
         if len(self.frequencies) != n:
-            raise ValueError("frequency vector length must equal qubit count")
+            raise ArchitectureError("frequency vector length must equal qubit count")
         if config is not None:
             fc = config.frequency
             lo, hi = fc.band_lo_ghz, fc.band_hi_ghz
             for q, f in enumerate(self.frequencies):
                 if not (lo - FREQ_EPS <= f <= hi + FREQ_EPS):
-                    raise ValueError(f"frequency of qubit {q} outside band [{lo}, {hi}]")
+                    raise ArchitectureError(f"frequency of qubit {q} outside band [{lo}, {hi}]")
             if any(self.coupling.degree(q) > config.grid.max_degree for q in range(n)):
-                raise ValueError("coupling degree exceeds configured max_degree")
+                raise ArchitectureError("coupling degree exceeds configured max_degree")
             bad = detuning_violations(
                 self.coupling,
                 self.frequencies,
@@ -153,7 +153,7 @@ class Architecture:
                 fc.min_next_detuning_ghz,
             )
             if bad:
-                raise ValueError(f"detuning violations: {bad}")
+                raise ArchitectureError(f"detuning violations: {bad}")
 
     def to_dict(self) -> dict:
         return {
@@ -169,14 +169,12 @@ class Architecture:
 
 def load_coupling(path: str | Path) -> CouplingGraph:
     """Read a coupling graph from JSON: {"num_qubits": n, "edges": [[a,b],...]}."""
-    from .errors import DasqaError
-
     try:
         data = json.loads(Path(path).read_text(encoding="utf-8"))
         return CouplingGraph(int(data["num_qubits"]), [tuple(e) for e in data["edges"]])
     except OSError as exc:
         raise DasqaError(f"cannot read coupling file {path}: {exc.strerror}") from exc
-    except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+    except (json.JSONDecodeError, KeyError, TypeError, ValueError, ArchitectureError) as exc:
         raise DasqaError(f"malformed coupling file {path}: {exc}") from exc
 
 

@@ -29,6 +29,10 @@ class ConfigError(DasqaError):
     """Invalid or unknown configuration keys / values."""
 
 
+class ArchitectureError(DasqaError):
+    """Architecture or coupling graph breaks a structural invariant."""
+
+
 class PlacementError(DasqaError):
     """Qubit placement cannot satisfy the grid constraints."""
 

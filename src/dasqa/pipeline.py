@@ -156,6 +156,8 @@ def run_flow(
     config = _run_stage("config", load_config, config_path)
     qc = _run_stage("parse", parse_qasm_file, str(circuit_path))
     arch = _run_stage("architecture", stages.architecture_generator, qc, config)
+    # structure only: a plugged-in generator may bring its own frequency plan
+    _run_stage("architecture", arch.validate)
 
     routed = _run_stage("routing", router.route, qc, arch)
     _run_stage("routing", router.validate_routing, routed, arch)

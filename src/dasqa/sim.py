@@ -3,6 +3,16 @@
 Only what the equivalence checker needs: apply a gate list to a batch of
 state columns and build small unitaries. Measurements and barriers carry no
 unitary action and are skipped.
+
+Every supported gate except H is monomial (one nonzero per row of its
+matrix): it only relabels basis states and multiplies them by phases.
+:func:`apply_gates` therefore fuses each run of monomial gates into one
+pending relabeling, a basis permutation ``perm`` plus a phase vector
+``phase`` over all 2**n indices, composed in O(2**n) per gate. The state
+columns are touched only when the relabeling is flushed (``state[perm]``
+times ``phase``), before a dense gate and once at the end. A dense one-qubit
+gate is one broadcast matmul; any dense multi-qubit matrix falls back to
+:func:`apply_gate`.
 """
 from __future__ import annotations
 
@@ -69,12 +79,77 @@ def apply_gate(state: np.ndarray, matrix: np.ndarray, qubits: tuple[int, ...], n
     return psi.reshape(2**n, m)
 
 
+def _monomial_form(matrix: np.ndarray):
+    """(source column, phase) of each row, or None unless one nonzero per row."""
+    nonzero = matrix != 0
+    if not (nonzero.sum(axis=1) == 1).all():
+        return None
+    src = nonzero.argmax(axis=1)
+    return src, matrix[np.arange(len(matrix)), src]
+
+
+def _basis_action(form, qubits: tuple[int, ...], index: np.ndarray, n: int):
+    """Full-register ``(perm, phase)`` of a monomial gate.
+
+    The gate maps a state ``s`` to ``phase * s[perm]``. ``index`` is
+    ``arange(2**n)``; the first operand is the gate's most significant bit.
+    """
+    src, local_phase = form
+    k = len(qubits)
+    shifts = [n - 1 - q for q in qubits]
+    local = np.zeros_like(index)
+    for j, shift in enumerate(shifts):
+        local |= ((index >> shift) & 1) << (k - 1 - j)
+    flip = local ^ src[local]
+    perm = index.copy()
+    for j, shift in enumerate(shifts):
+        perm ^= ((flip >> (k - 1 - j)) & 1) << shift
+    return perm, local_phase[local]
+
+
+def _relabel(state: np.ndarray, perm: np.ndarray, phase: np.ndarray) -> np.ndarray:
+    """Flush a pending relabeling: row x becomes ``phase[x] * state[perm[x]]``."""
+    state = state[perm]
+    state *= phase[:, None]
+    return state
+
+
+def _apply_dense_1q(state: np.ndarray, matrix: np.ndarray, q: int) -> np.ndarray:
+    """One broadcast matmul over the (bits above q, bit q, the rest) view."""
+    return np.matmul(matrix, state.reshape(2**q, 2, -1)).reshape(state.shape)
+
+
 def apply_gates(state: np.ndarray, gates, n: int) -> np.ndarray:
+    """Apply a gate list to the complex columns of ``state`` (shape (2**n, m)).
+
+    Runs of monomial gates are fused into one basis relabeling (see the
+    module docstring), so only dense gates and the final flush touch
+    ``state``.
+    """
+    index = np.arange(2**n)
+    perm = phase = None  # pending relabeling; None is the identity
     for g in gates:
         mat = gate_matrix(g)
         if mat is None:
             continue
-        state = apply_gate(state, mat, g.qubits, n)
+        form = _monomial_form(mat)
+        if form is not None:
+            g_perm, g_phase = _basis_action(form, g.qubits, index, n)
+            if perm is None:
+                perm, phase = g_perm, g_phase
+            else:
+                phase = g_phase * phase[g_perm]
+                perm = perm[g_perm]
+            continue
+        if perm is not None:
+            state = _relabel(state, perm, phase)
+            perm = phase = None
+        if len(g.qubits) == 1:
+            state = _apply_dense_1q(state, mat, g.qubits[0])
+        else:
+            state = apply_gate(state, mat, g.qubits, n)
+    if perm is not None:
+        state = _relabel(state, perm, phase)
     return state
 
 

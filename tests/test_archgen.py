@@ -12,12 +12,13 @@ from dasqa.archgen import (
     derive_couplings,
     detuning_violations,
     generate_architecture,
+    load_coupling,
     place_qubits,
     realized_weight,
 )
 from dasqa.circuit import Gate, GateKind, InteractionGraph, QuantumCircuit, interaction_graph
 from dasqa.config import DesignConfig, config_from_dict
-from dasqa.errors import FrequencyAllocationError, PlacementError
+from dasqa.errors import ArchitectureError, DasqaError, FrequencyAllocationError, PlacementError
 from dasqa.router import route
 
 from conftest import random_circuit
@@ -53,6 +54,18 @@ def test_path_graph_placement_realizes_both_edges():
     ig = InteractionGraph(3, {(0, 1): 1, (1, 2): 1})
     layout = place_qubits(ig, cfg)
     assert realized_weight(layout, ig) == 2
+
+
+@pytest.mark.parametrize(
+    "edges, match", [([(1, 1)], "self-loop on qubit 1"), ([(0, 3)], r"edge \(0,3\) out of range")]
+)
+def test_bad_coupling_edges_raise_architecture_error(tmp_path, edges, match):
+    with pytest.raises(ArchitectureError, match=match):
+        CouplingGraph(3, edges)
+    path = tmp_path / "coupling.json"
+    path.write_text(f'{{"num_qubits": 3, "edges": {[list(e) for e in edges]}}}', encoding="utf-8")
+    with pytest.raises(DasqaError, match=f"malformed coupling file .*{match}"):
+        load_coupling(path)
 
 
 def test_grid_too_small_raises():

@@ -2,13 +2,15 @@
 from __future__ import annotations
 
 import json
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from dasqa import cli
 from dasqa.archgen import Architecture, CouplingGraph
-from dasqa.errors import DasqaError
+from dasqa.errors import ArchitectureError, DasqaError
 from dasqa.pipeline import StageFailure, StageInterfaces, run_flow
 
 DATA = Path(__file__).parent / "data"
@@ -111,6 +113,32 @@ def test_stub_stage_substitution_keeps_invariants(tmp_path):
     kinds = [c["kind"] for c in layout_doc["components"]]
     assert kinds.count("transmon") == 5
     assert kinds.count("coupling_resonator") == 4
+
+
+def _skewed_chain_architecture(qc, config) -> Architecture:
+    """Stub generator whose coupling edge (0, 4) joins non-adjacent cells."""
+    arch = _chain_architecture(qc, config)
+    return Architecture(arch.layout, CouplingGraph(qc.num_qubits, [(0, 4)]), arch.frequencies)
+
+
+def test_invalid_generated_architecture_fails_in_architecture_stage(tmp_path, monkeypatch, capsys):
+    stages = StageInterfaces(architecture_generator=_skewed_chain_architecture)
+    out = tmp_path / "out"
+    with pytest.raises(StageFailure) as info:
+        run_flow(CIRCUIT, CONFIG, out_dir=out, stages=stages)
+    assert info.value.stage == "architecture"
+    assert isinstance(info.value.cause, ArchitectureError)
+    assert "joins non-adjacent cells" in str(info.value)
+    assert not out.exists() or not any(out.iterdir())
+
+    monkeypatch.setattr(cli, "run_flow", partial(run_flow, stages=stages))
+    status = cli.cli_main(
+        ["--file-path", str(CIRCUIT), "--config-file-path", str(CONFIG), "--out-dir", str(out)]
+    )
+    assert status == 1
+    err = capsys.readouterr().err
+    assert err.startswith("dasqa: [architecture] coupling edge (0,4) joins non-adjacent cells")
+    assert "Traceback" not in err
 
 
 def test_stage_failures_are_dasqa_errors():

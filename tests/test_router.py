@@ -1,6 +1,8 @@
 """Router: mapping heuristics, SWAP insertion, oracle, equivalence."""
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,7 @@ from dasqa.errors import MappingError, OracleLimitError, RoutingError, Simulatio
 from dasqa.router import (
     Mapping,
     RoutedCircuit,
+    _embed,
     check_equivalence,
     initial_mapping,
     optimal_swap_count,
@@ -156,6 +159,64 @@ def test_check_equivalence_detects_dropped_swap(five_qubit_app, lima):
     )
     assert check_equivalence(five_qubit_app, routed)
     assert not check_equivalence(five_qubit_app, broken)
+
+
+def _mutate_first(routed: RoutedCircuit, kind: GateKind, make) -> RoutedCircuit:
+    k = next(k for k, rg in enumerate(routed.gates) if rg.gate.kind is kind)
+    gates = list(routed.gates)
+    gates[k] = replace(gates[k], gate=make(gates[k].gate))
+    return replace(routed, gates=tuple(gates))
+
+
+def _exchange_final(routed: RoutedCircuit, a: int, b: int) -> RoutedCircuit:
+    l2p = list(routed.final_mapping.log_to_phys)
+    l2p[a], l2p[b] = l2p[b], l2p[a]
+    return replace(routed, final_mapping=Mapping(tuple(l2p)))
+
+
+@pytest.mark.parametrize(
+    "mutate",
+    [
+        lambda r: _mutate_first(r, GateKind.T, lambda g: Gate(GateKind.S, g.qubits)),
+        lambda r: _mutate_first(
+            r, GateKind.RZ, lambda g: Gate(GateKind.RZ, g.qubits, angle=-g.angle)
+        ),
+        lambda r: _exchange_final(r, 0, 4),
+    ],
+    ids=["t_becomes_s", "rz_angle_negated", "final_mapping_exchanged"],
+)
+def test_check_equivalence_detects_wrong_phase_or_permutation(lima, mutate):
+    qc = QuantumCircuit(
+        5,
+        (
+            Gate(GateKind.H, (0,)),
+            Gate(GateKind.T, (0,)),
+            Gate(GateKind.CX, (0, 4)),
+            Gate(GateKind.RZ, (4,), angle=0.7),
+            Gate(GateKind.H, (2,)),
+            Gate(GateKind.CX, (2, 4)),
+            Gate(GateKind.T, (2,)),
+        ),
+    )
+    routed = route(qc, lima, Mapping.identity(5))
+    assert routed.swap_count >= 1
+    assert check_equivalence(qc, routed)
+    assert not check_equivalence(qc, mutate(routed))
+
+
+def test_embed_matches_the_bitwise_loop():
+    rng = np.random.default_rng(3)
+    for n_log, n_phys in [(0, 2), (1, 1), (2, 4), (3, 3), (3, 5)]:
+        mapping = Mapping(tuple(int(p) for p in rng.permutation(n_phys)[:n_log]))
+        cols = rng.normal(size=(2**n_log, 3)) + 1j * rng.normal(size=(2**n_log, 3))
+        ref = np.zeros((2**n_phys, 3), dtype=complex)
+        for basis in range(2**n_log):
+            target = 0
+            for lq in range(n_log):
+                if (basis >> (n_log - 1 - lq)) & 1:
+                    target |= 1 << (n_phys - 1 - mapping[lq])
+            ref[target, :] += cols[basis, :]
+        assert np.array_equal(_embed(mapping, cols, n_log, n_phys), ref)
 
 
 def test_check_equivalence_empty_circuit():
