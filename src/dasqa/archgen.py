@@ -197,18 +197,17 @@ def _grid_shape(num_qubits: int, config: DesignConfig) -> tuple[int, int]:
     return rows, cols
 
 
-def _refined_keys(ig: InteractionGraph, seed: dict[int, int] | None = None) -> list[tuple]:
+def _refined_keys(ig: InteractionGraph, seed: dict[int, int]) -> list[tuple]:
     """Label-independent qubit signatures (three sharpening rounds).
 
-    Starting from the weighted degree (plus an optional per-qubit seed
-    color, e.g. the placement rank of already-placed qubits), each round
+    Starting from the weighted degree plus a per-qubit seed color (the
+    placement rank of already-placed qubits, -1 for the others), each round
     appends the sorted multiset of (edge weight, neighbour key) pairs.
     Qubits that differ structurally - or relate differently to the seeded
     ones - get different keys even when their weighted degrees tie, which
     keeps placement decisions stable under relabeling of the circuit.
     """
     n = ig.num_qubits
-    seed = seed or {}
     keys: list[tuple] = [(seed.get(q, -1), ig.weighted_degree(q)) for q in range(n)]
     for _ in range(3):
         keys = [
@@ -225,47 +224,55 @@ def _neighbor_cells(cell: tuple[int, int], rows: int, cols: int):
             yield rr, cc
 
 
-def _improve_placement(layout: np.ndarray, ig: InteractionGraph, order: list[int]) -> None:
-    """Pairwise-exchange refinement to a 2-swap local optimum.
+def _cell_weight(
+    layout: np.ndarray, ig: InteractionGraph, q: int, cell: tuple[int, int], skip: int = EMPTY
+) -> int:
+    """Interaction weight between q and the occupants of cell's grid neighbours.
 
-    Deterministic scan, strict improvements only; also tries moving a qubit
-    to a free cell. Bounded at a generous pass count for safety (the score
-    strictly increases, so it terminates long before that).
+    The occupant ``skip`` is left out, so a move can be scored as if two
+    qubits had already traded places.
     """
     rows, cols = layout.shape
-    pos = {int(layout[r, c]): (r, c) for r in range(rows) for c in range(cols)
-           if layout[r, c] != EMPTY}
-    free = [(r, c) for r in range(rows) for c in range(cols) if layout[r, c] == EMPTY]
+    total = 0
+    for nb in _neighbor_cells(cell, rows, cols):
+        other = int(layout[nb])
+        if other != EMPTY and other != skip:
+            total += ig.weight(q, other)
+    return total
 
-    def local_weight(q: int, cell: tuple[int, int], skip: int | None = None) -> int:
-        total = 0
-        for rr, cc in _neighbor_cells(cell, rows, cols):
-            other = int(layout[rr, cc])
-            if other != EMPTY and other != skip:
-                total += ig.weight(q, other)
-        return total
 
+def _improve_placement(
+    layout: np.ndarray, ig: InteractionGraph, pos: dict[int, tuple[int, int]], free: list
+) -> None:
+    """Pairwise-exchange refinement to a 2-swap local optimum.
+
+    ``pos`` maps each qubit to its cell in placement order, and ``free``
+    lists the empty cells in row-major order; both are updated in place with
+    ``layout``. Qubits are scanned in placement order and each move is scored
+    with ``_cell_weight``: swapping two qubits, or moving one to a free cell.
+    Only strict improvements are taken. Bounded at a generous pass count for
+    safety (the score strictly increases, so it terminates long before that).
+    """
+    order = list(pos)
     for _ in range(ig.num_qubits * ig.num_qubits + 4):
         improved = False
         for i, qa in enumerate(order):
             ca = pos[qa]
             for qb in order[i + 1 :]:
                 cb = pos[qb]
-                before = local_weight(qa, ca, skip=qb) + local_weight(qb, cb, skip=qa)
-                after = local_weight(qa, cb, skip=qb) + local_weight(qb, ca, skip=qa)
+                before = _cell_weight(layout, ig, qa, ca, qb) + _cell_weight(layout, ig, qb, cb, qa)
+                after = _cell_weight(layout, ig, qa, cb, qb) + _cell_weight(layout, ig, qb, ca, qa)
                 if after > before:
                     layout[ca], layout[cb] = qb, qa
                     pos[qa], pos[qb] = cb, ca
+                    ca = cb
                     improved = True
-                    ca = pos[qa]
             for k, cell in enumerate(free):
-                if local_weight(qa, cell) > local_weight(qa, ca):
-                    layout[cell] = qa
-                    layout[ca] = EMPTY
+                if _cell_weight(layout, ig, qa, cell) > _cell_weight(layout, ig, qa, ca):
+                    layout[cell], layout[ca] = qa, EMPTY
                     free[k] = ca
-                    pos[qa] = cell
+                    pos[qa] = ca = cell
                     improved = True
-                    ca = cell
         if not improved:
             break
 
@@ -273,78 +280,51 @@ def _improve_placement(layout: np.ndarray, ig: InteractionGraph, order: list[int
 def place_qubits(ig: InteractionGraph, config: DesignConfig) -> np.ndarray:
     """Greedy grid placement maximizing realized interaction weight.
 
-    Qubits are placed in descending order of their refined structural keys
-    (weighted degree first). The first goes to the grid center; each
-    subsequent pick is the unplaced qubit with the largest total weight to
-    already-placed qubits, put on the free cell that maximizes the summed
-    interaction weight to its grid neighbours. Cell ties prefer cells with
-    more free neighbours (room for later qubits), then smaller Manhattan
-    distance to the center, then row-major order. A pairwise-exchange pass
-    polishes the result to a local optimum. Deterministic throughout.
+    Each pick is the unplaced qubit with the largest weight to the placed
+    ones (ties: refined structural keys seeded with the placement order,
+    then smaller index), put on the free cell with the largest
+    ``_cell_weight``. Cell ties prefer more free neighbours, then smaller
+    Manhattan distance to the center, then row-major order; so the first
+    qubit lands on the center, the only cell at distance 0 and one with the
+    most in-grid neighbours. ``pos`` (qubit -> cell, in placement order),
+    the free-cell set and the running weight to the placed set are the whole
+    state; a pairwise-exchange pass over it polishes the result to a local
+    optimum. Deterministic throughout.
     """
     n = ig.num_qubits
     rows, cols = _grid_shape(n, config)
     if rows * cols < n:
         raise PlacementError(f"grid {rows}x{cols} too small for {n} qubit(s)")
     layout = np.full((rows, cols), EMPTY, dtype=np.int64)
-    if n == 0:
-        return layout
-
     center = (rows // 2, cols // 2)
-    placed: dict[int, tuple[int, int]] = {}
-    ranks: dict[int, int] = {}  # placement order, seeds the key refinement
-
-    def adjacency_weight(q: int, cell: tuple[int, int]) -> int:
-        return sum(
-            ig.weight(q, int(layout[rr, cc]))
-            for rr, cc in _neighbor_cells(cell, rows, cols)
-            if layout[rr, cc] != EMPTY
-        )
-
-    def free_neighbors(cell: tuple[int, int]) -> int:
-        return sum(
-            1
-            for rr, cc in _neighbor_cells(cell, rows, cols)
-            if layout[rr, cc] == EMPTY
-        )
+    pos: dict[int, tuple[int, int]] = {}
+    free = {(r, c) for r in range(rows) for c in range(cols)}
+    to_placed = [0] * n  # each qubit's total weight to the placed ones
 
     def cell_pick_key(q: int, cell: tuple[int, int]):
         r, c = cell
         return (
-            adjacency_weight(q, cell),
-            free_neighbors(cell),
+            _cell_weight(layout, ig, q, cell),
+            sum(1 for nb in _neighbor_cells(cell, rows, cols) if nb in free),
             -(abs(r - center[0]) + abs(c - center[1])),
             -r,
             -c,
         )
 
-    keys = _refined_keys(ig)
-    first = max(range(n), key=lambda q: (keys[q], -q))
-    layout[center] = first
-    placed[first] = center
-    ranks[first] = 0
-    pending = [q for q in range(n) if q != first]
-
-    while pending:
-        keys = _refined_keys(ig, seed=ranks)
+    while len(pos) < n:
+        keys = _refined_keys(ig, seed={q: rank for rank, q in enumerate(pos)})
         best_q = max(
-            pending,
-            key=lambda q: (sum(ig.weight(q, p) for p in placed), keys[q], -q),
+            (q for q in range(n) if q not in pos),
+            key=lambda q: (to_placed[q], keys[q], -q),
         )
-        free = [
-            (r, c)
-            for r in range(rows)
-            for c in range(cols)
-            if layout[r, c] == EMPTY
-        ]
         best_cell = max(free, key=lambda cell: cell_pick_key(best_q, cell))
         layout[best_cell] = best_q
-        placed[best_q] = best_cell
-        ranks[best_q] = len(ranks)
-        pending.remove(best_q)
+        pos[best_q] = best_cell
+        free.remove(best_cell)
+        for w, u in ig.incident[best_q]:
+            to_placed[u] += w
 
-    order = sorted(range(n), key=lambda q: ranks[q])
-    _improve_placement(layout, ig, order)
+    _improve_placement(layout, ig, pos, sorted(free))
     return layout
 
 
@@ -354,6 +334,7 @@ def realized_weight(layout: np.ndarray, ig: InteractionGraph) -> int:
 
 
 def _adjacent_pairs(layout: np.ndarray) -> list[tuple[int, int]]:
+    """Occupied grid-adjacent pairs (a, b) with a < b, each once, sorted."""
     rows, cols = layout.shape
     pairs = []
     for r in range(rows):
@@ -361,12 +342,11 @@ def _adjacent_pairs(layout: np.ndarray) -> list[tuple[int, int]]:
             q = int(layout[r, c])
             if q == EMPTY:
                 continue
-            for rr, cc in ((r, c + 1), (r + 1, c)):
-                if rr < rows and cc < cols:
-                    other = int(layout[rr, cc])
-                    if other != EMPTY:
-                        pairs.append((min(q, other), max(q, other)))
-    return pairs
+            for nb in _neighbor_cells((r, c), rows, cols):
+                other = int(layout[nb])
+                if other > q:  # from the smaller index only; EMPTY never is larger
+                    pairs.append((q, other))
+    return sorted(pairs)
 
 
 def derive_couplings(
@@ -390,7 +370,7 @@ def derive_couplings(
             degree[a] += 1
             degree[b] += 1
 
-    adjacent = sorted(set(_adjacent_pairs(layout)))
+    adjacent = _adjacent_pairs(layout)
     active = [p for p in adjacent if ig.weight(*p) > 0]
     active.sort(key=lambda p: (-ig.weight(*p), p))
     for pair in active:

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import yaml
 
-from .errors import ConfigError
+from .errors import ConfigError, file_error_reason
 
 
 @dataclass
@@ -188,6 +188,8 @@ def load_config(path: str | Path) -> DesignConfig:
         raise ConfigError(f"config file not found: {path}")
     try:
         data = yaml.load(path.read_text(encoding="utf-8"), Loader=_Loader)
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read config file {path}: {file_error_reason(exc)}") from exc
     except yaml.YAMLError as exc:
         raise ConfigError(f"malformed YAML in {path}: {exc}") from exc
     return config_from_dict(data)

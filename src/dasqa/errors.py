@@ -10,6 +10,13 @@ class DasqaError(Exception):
     """Base class for all errors raised by this package."""
 
 
+def file_error_reason(exc: OSError | UnicodeDecodeError) -> str:
+    """Why a file could not be read or written, for a one-line stage message."""
+    if isinstance(exc, UnicodeDecodeError):
+        return f"not UTF-8 text ({exc.reason} at byte {exc.start})"
+    return exc.strerror or str(exc)
+
+
 class QasmError(DasqaError):
     """Malformed or unsupported OpenQASM input. Carries line/column."""
 

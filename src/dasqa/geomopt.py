@@ -14,13 +14,14 @@ from __future__ import annotations
 
 import csv
 import importlib.resources
+import io
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from .config import DesignConfig
-from .errors import GeometryError, UnreachableTargetError
+from .errors import GeometryError, UnreachableTargetError, file_error_reason
 from .layout import LayoutDocument, length_um, update_component
 
 INVERT_TOL_GHZ = 1e-6
@@ -62,26 +63,29 @@ def load_dataset(path: str | Path) -> GeometryDataset:
     path = Path(path)
     if not path.exists():
         raise GeometryError(f"dataset file not found: {path}")
-    with path.open(newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        expected = ["pad_gap_um", "pad_height_um", "frequency_ghz"]
-        header = next(reader, None)
-        if header != expected:
-            raise GeometryError(f"dataset header must be {','.join(expected)}, got {header}")
-        gaps, heights, freqs = [], [], []
-        for fields in reader:
-            if not fields:
-                continue
-            try:
-                gap, height, freq = map(float, fields)
-            except ValueError as exc:
-                raise GeometryError(
-                    f"{path} line {reader.line_num}: expected three numbers, "
-                    f"got {','.join(fields)!r}"
-                ) from exc
-            gaps.append(gap)
-            heights.append(height)
-            freqs.append(freq)
+    try:
+        text = path.read_bytes().decode("utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise GeometryError(f"cannot read dataset file {path}: {file_error_reason(exc)}") from exc
+    reader = csv.reader(io.StringIO(text, newline=""))  # csv splits the lines itself
+    expected = ["pad_gap_um", "pad_height_um", "frequency_ghz"]
+    header = next(reader, None)
+    if header != expected:
+        raise GeometryError(f"dataset header must be {','.join(expected)}, got {header}")
+    gaps, heights, freqs = [], [], []
+    for fields in reader:
+        if not fields:
+            continue
+        try:
+            gap, height, freq = map(float, fields)
+        except ValueError as exc:
+            raise GeometryError(
+                f"{path} line {reader.line_num}: expected three numbers, "
+                f"got {','.join(fields)!r}"
+            ) from exc
+        gaps.append(gap)
+        heights.append(height)
+        freqs.append(freq)
     return GeometryDataset(np.array(gaps), np.array(heights), np.array(freqs))
 
 

@@ -26,7 +26,7 @@ from . import archgen, geomopt, router
 from .archgen import Architecture, load_coupling
 from .circuit import QuantumCircuit, circuit_stats
 from .config import DesignConfig, load_config
-from .errors import DasqaError
+from .errors import DasqaError, file_error_reason
 from .layout import build_layout
 from .qasm import parse_qasm_file
 from .svg import render_svg
@@ -139,6 +139,18 @@ def _write_atomic(path: Path, text: str) -> None:
         raise
 
 
+def _write_outputs(out: Path, files: dict[str, str]) -> None:
+    """Create ``out`` and write each named file into it atomically."""
+    path = out
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+        for name, text in files.items():
+            path = out / name
+            _write_atomic(path, text)
+    except OSError as exc:
+        raise DasqaError(f"cannot write {path}: {file_error_reason(exc)}") from exc
+
+
 def run_flow(
     circuit_path: str | Path,
     config_path: str | Path,
@@ -192,24 +204,22 @@ def run_flow(
 
     report = build_report(qc, arch, routed, equivalence_ok, geometry_results, baseline=baseline)
 
+    files = {
+        "architecture.json": arch.to_json(),
+        "layout.json": layout.to_json(),
+        "layout.svg": render_svg(layout),
+        "report.json": json.dumps(report, indent=2) + "\n",
+    }
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    arch_path = out / "architecture.json"
-    layout_path = out / "layout.json"
-    svg_path = out / "layout.svg"
-    report_path = out / "report.json"
-    _write_atomic(arch_path, arch.to_json())
-    _write_atomic(layout_path, layout.to_json())
-    _write_atomic(svg_path, render_svg(layout))
-    _write_atomic(report_path, json.dumps(report, indent=2) + "\n")
+    _run_stage("write", _write_outputs, out, files)
 
     return FlowResult(
         architecture=arch,
         routing=score,
         equivalence_ok=equivalence_ok,
         geometry_results=geometry_results,
-        architecture_path=arch_path,
-        layout_path=layout_path,
-        svg_path=svg_path,
-        report_path=report_path,
+        architecture_path=out / "architecture.json",
+        layout_path=out / "layout.json",
+        svg_path=out / "layout.svg",
+        report_path=out / "report.json",
     )

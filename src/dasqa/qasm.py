@@ -18,7 +18,7 @@ import re
 from dataclasses import dataclass
 
 from .circuit import Gate, GateKind, QuantumCircuit
-from .errors import CircuitError, QasmError
+from .errors import CircuitError, QasmError, file_error_reason
 
 _GATE_KINDS = {
     "x": GateKind.X,
@@ -146,6 +146,26 @@ class _Parser:
             raise QasmError(f"expected integer {what}, found {tok.text!r}", tok.line, tok.column)
         return int(tok.text)
 
+    def register_ref(self, regs: dict[str, tuple[int, int]], register: str, index: str) -> int:
+        """Consume ``name[i]`` and return its flattened index.
+
+        ``regs`` maps register names to (offset, size); ``register`` and
+        ``index`` name the register kind and the index in error messages.
+        """
+        tok = self.next()
+        if tok.kind != "id" or tok.text not in regs:
+            raise QasmError(f"unknown {register} register {tok.text!r}", tok.line, tok.column)
+        offset, size = regs[tok.text]
+        self.expect("[")
+        idx = self.integer("index")
+        self.expect("]")
+        if idx >= size:
+            raise QasmError(
+                f"{index} index {tok.text}[{idx}] out of range (size {size})",
+                tok.line, tok.column,
+            )
+        return offset + idx
+
 
 def parse_qasm(source: str, name: str = "circuit") -> QuantumCircuit:
     """Parse OpenQASM 2.0 text into a :class:`QuantumCircuit`.
@@ -170,34 +190,7 @@ def parse_qasm(source: str, name: str = "circuit") -> QuantumCircuit:
     gates: list[Gate] = []
 
     def qubit_ref() -> int:
-        tok = p.next()
-        if tok.kind != "id" or tok.text not in qregs:
-            raise QasmError(f"unknown quantum register {tok.text!r}", tok.line, tok.column)
-        offset, size = qregs[tok.text]
-        p.expect("[")
-        idx = p.integer("index")
-        p.expect("]")
-        if idx >= size:
-            raise QasmError(
-                f"operand index {tok.text}[{idx}] out of range (size {size})",
-                tok.line, tok.column,
-            )
-        return offset + idx
-
-    def cbit_ref() -> int:
-        tok = p.next()
-        if tok.kind != "id" or tok.text not in cregs:
-            raise QasmError(f"unknown classical register {tok.text!r}", tok.line, tok.column)
-        offset, size = cregs[tok.text]
-        p.expect("[")
-        idx = p.integer("index")
-        p.expect("]")
-        if idx >= size:
-            raise QasmError(
-                f"classical index {tok.text}[{idx}] out of range (size {size})",
-                tok.line, tok.column,
-            )
-        return offset + idx
+        return p.register_ref(qregs, "quantum", "operand")
 
     while p.peek() is not None:
         tok = p.next()
@@ -228,7 +221,7 @@ def parse_qasm(source: str, name: str = "circuit") -> QuantumCircuit:
         elif tok.text == "measure":
             q = qubit_ref()
             p.expect("->")
-            c = cbit_ref()
+            c = p.register_ref(cregs, "classical", "classical")
             p.expect(";")
             gates.append(Gate(GateKind.MEASURE, (q,), cbit=c))
         elif tok.text == "barrier":
@@ -286,8 +279,8 @@ def parse_qasm_file(path: str, name: str | None = None) -> QuantumCircuit:
     try:
         with open(path, encoding="utf-8") as fh:
             source = fh.read()
-    except OSError as exc:
-        raise QasmError(f"cannot read circuit file {path}: {exc.strerror}") from exc
+    except (OSError, UnicodeDecodeError) as exc:
+        raise QasmError(f"cannot read circuit file {path}: {file_error_reason(exc)}") from exc
     if name is None:
         name = re.sub(r"\.qasm$", "", path.replace("\\", "/").rsplit("/", 1)[-1])
     return parse_qasm(source, name=name)

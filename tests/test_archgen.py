@@ -1,6 +1,7 @@
 """Architecture generation: placement, coupling selection, frequencies."""
 from __future__ import annotations
 
+import hashlib
 import itertools
 
 import numpy as np
@@ -220,6 +221,34 @@ def test_greedy_beats_random_placements(config):
                 rand_layout[cells[k]] = q
             best_random = max(best_random, realized_weight(rand_layout, ig))
         assert greedy_score >= best_random
+
+
+# flowbench's pinned config: idle edges on, a 5.0-7.0 GHz band, a 14 mm margin
+PINNED_CONFIG = {
+    "grid": {"include_idle_edges": True},
+    "frequency": {"band_lo_ghz": 5.0, "band_hi_ghz": 7.0},
+    "layout": {"margin_um": 14000},
+}
+# (qubits, random CX gates, seed) -> SHA-256 of generate_architecture(...).to_json().
+# The 20-qubit grid has free cells, and its exchange pass moves a qubit to one
+# of several better free cells, so it also pins the row-major free-cell scan.
+PINNED_ARCHITECTURES = {
+    (9, 45, 9): "5fc051ec3a19ba64e549bf067ae9e6f0be27f95cb1d2218c65fa704ebf5f129c",
+    (20, 40, 8): "54cee6f793bd337e4923f9d4c6611036fd5fc382586b92c89c088aa6933507db",
+    (25, 125, 25): "8dd5b8b5a12c7b34118367c4b522dc3f8cf9b458663e55c997f08db79100bf03",
+    (64, 320, 64): "d2aaeb7d9bbe6cd2da04da6763a636b96e452159b6f810ec2053b4bcd4a90e80",
+}
+
+
+@pytest.mark.parametrize("n, num_gates, seed", sorted(PINNED_ARCHITECTURES))
+def test_generated_architectures_are_pinned(n, num_gates, seed):
+    """Placement, couplings and frequencies stay bit-identical beyond 5 qubits."""
+    rng = np.random.default_rng(seed)
+    pairs = [rng.choice(n, size=2, replace=False) for _ in range(num_gates)]
+    qc = QuantumCircuit(n, tuple(Gate(GateKind.CX, (int(a), int(b))) for a, b in pairs))
+    arch = generate_architecture(qc, config_from_dict(PINNED_CONFIG))
+    digest = hashlib.sha256(arch.to_json().encode()).hexdigest()
+    assert digest == PINNED_ARCHITECTURES[(n, num_gates, seed)]
 
 
 def _canonical_form(coupling: CouplingGraph) -> tuple:

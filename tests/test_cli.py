@@ -134,3 +134,69 @@ def test_malformed_geometry_dataset_reports_geometry_stage_without_traceback(
     err = capsys.readouterr().err
     assert err.startswith("dasqa: [geometry]")
     assert "Traceback" not in err
+
+
+def _config_with_dataset(tmp_path: Path, dataset: Path) -> Path:
+    config = tmp_path / "dataset_config.yml"
+    config.write_text(
+        (DATA / "config.yml").read_text(encoding="utf-8")
+        + f"geometry:\n  dataset_path: {json.dumps(str(dataset))}\n",
+        encoding="utf-8",
+    )
+    return config
+
+
+def _not_utf8(path: Path) -> Path:
+    path.write_bytes(b"\xff\xfe not utf-8 \xc3\x28\n")
+    return path
+
+
+def _directory(path: Path) -> Path:
+    path.mkdir()
+    return path
+
+
+# case -> (stage tag, builder returning (circuit, config, out_dir) under tmp_path)
+UNREADABLE_FILE_CASES = {
+    "qasm_not_utf8": (
+        "[parse]",
+        lambda tmp: (_not_utf8(tmp / "bad.qasm"), CONFIG, tmp / "out"),
+    ),
+    "config_not_utf8": (
+        "[config]",
+        lambda tmp: (CIRCUIT, _not_utf8(tmp / "bad.yml"), tmp / "out"),
+    ),
+    "config_is_directory": (
+        "[config]",
+        lambda tmp: (CIRCUIT, _directory(tmp / "config.yml"), tmp / "out"),
+    ),
+    "dataset_not_utf8": (
+        "[geometry]",
+        lambda tmp: (CIRCUIT, _config_with_dataset(tmp, _not_utf8(tmp / "d.csv")), tmp / "out"),
+    ),
+    "dataset_is_directory": (
+        "[geometry]",
+        lambda tmp: (CIRCUIT, _config_with_dataset(tmp, _directory(tmp / "d.csv")), tmp / "out"),
+    ),
+    "out_dir_is_file": (
+        "[write] cannot write",
+        lambda tmp: (CIRCUIT, CONFIG, _not_utf8(tmp / "out")),
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(UNREADABLE_FILE_CASES))
+def test_unreadable_or_unwritable_file_reports_stage_without_traceback(tmp_path, capsys, case):
+    tag, build = UNREADABLE_FILE_CASES[case]
+    circuit, config, out_dir = build(tmp_path)
+    status = cli_main(
+        [
+            "--file-path", str(circuit),
+            "--config-file-path", str(config),
+            "--out-dir", str(out_dir),
+        ]
+    )
+    assert status == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"dasqa: {tag}")
+    assert "Traceback" not in err
