@@ -224,57 +224,46 @@ def _neighbor_cells(cell: tuple[int, int], rows: int, cols: int):
             yield rr, cc
 
 
-def _cell_weight(
-    layout: np.ndarray, ig: InteractionGraph, q: int, cell: tuple[int, int], skip: int = EMPTY
-) -> int:
-    """Interaction weight between q and the occupants of cell's grid neighbours.
+def _grid_cost(a: tuple[int, int], b: tuple[int, int]) -> int:
+    """-1 for grid-adjacent cells, else 0: the placement's exchange cost."""
+    return -1 if abs(a[0] - b[0]) + abs(a[1] - b[1]) == 1 else 0
 
-    The occupant ``skip`` is left out, so a move can be scored as if two
-    qubits had already traded places.
+
+def exchange_pass(ig: InteractionGraph, order, slot, free: list, cost) -> bool:
+    """One pass of pairwise exchange lowering ``sum(w * cost(slot[a], slot[b]))``.
+
+    The sum runs over the weighted edges of ``ig``; ``slot`` maps every
+    item to its slot and ``cost`` is a symmetric distance between slots.
+    Each item of ``order`` tries a swap with every later item, then a move
+    to every slot in ``free``, and takes each move that lowers the objective
+    strictly. A move is scored from the moved items' ``ig.incident`` lists
+    alone; a swap leaves out the edge between the two items it exchanges,
+    whose cost it does not change. ``slot`` and ``free`` are updated in
+    place: a move to ``free[k]`` leaves the vacated slot at ``free[k]``, so
+    the scan order of the other free slots never changes. Returns whether
+    any move was taken.
     """
-    rows, cols = layout.shape
-    total = 0
-    for nb in _neighbor_cells(cell, rows, cols):
-        other = int(layout[nb])
-        if other != EMPTY and other != skip:
-            total += ig.weight(q, other)
-    return total
-
-
-def _improve_placement(
-    layout: np.ndarray, ig: InteractionGraph, pos: dict[int, tuple[int, int]], free: list
-) -> None:
-    """Pairwise-exchange refinement to a 2-swap local optimum.
-
-    ``pos`` maps each qubit to its cell in placement order, and ``free``
-    lists the empty cells in row-major order; both are updated in place with
-    ``layout``. Qubits are scanned in placement order and each move is scored
-    with ``_cell_weight``: swapping two qubits, or moving one to a free cell.
-    Only strict improvements are taken. Bounded at a generous pass count for
-    safety (the score strictly increases, so it terminates long before that).
-    """
-    order = list(pos)
-    for _ in range(ig.num_qubits * ig.num_qubits + 4):
-        improved = False
-        for i, qa in enumerate(order):
-            ca = pos[qa]
-            for qb in order[i + 1 :]:
-                cb = pos[qb]
-                before = _cell_weight(layout, ig, qa, ca, qb) + _cell_weight(layout, ig, qb, cb, qa)
-                after = _cell_weight(layout, ig, qa, cb, qb) + _cell_weight(layout, ig, qb, ca, qa)
-                if after > before:
-                    layout[ca], layout[cb] = qb, qa
-                    pos[qa], pos[qb] = cb, ca
-                    ca = cb
-                    improved = True
-            for k, cell in enumerate(free):
-                if _cell_weight(layout, ig, qa, cell) > _cell_weight(layout, ig, qa, ca):
-                    layout[cell], layout[ca] = qa, EMPTY
-                    free[k] = ca
-                    pos[qa] = ca = cell
-                    improved = True
-        if not improved:
-            break
+    incident = ig.incident
+    improved = False
+    for i, a in enumerate(order):
+        for b in order[i + 1 :]:
+            sa, sb = slot[a], slot[b]
+            delta = 0
+            for w, u in incident[a]:
+                if u != b:
+                    delta += w * (cost(sb, slot[u]) - cost(sa, slot[u]))
+            for w, u in incident[b]:
+                if u != a:
+                    delta += w * (cost(sa, slot[u]) - cost(sb, slot[u]))
+            if delta < 0:
+                slot[a], slot[b] = sb, sa
+                improved = True
+        for k, s in enumerate(free):
+            sa = slot[a]
+            if sum(w * (cost(s, slot[u]) - cost(sa, slot[u])) for w, u in incident[a]) < 0:
+                slot[a], free[k] = s, sa
+                improved = True
+    return improved
 
 
 def place_qubits(ig: InteractionGraph, config: DesignConfig) -> np.ndarray:
@@ -282,29 +271,30 @@ def place_qubits(ig: InteractionGraph, config: DesignConfig) -> np.ndarray:
 
     Each pick is the unplaced qubit with the largest weight to the placed
     ones (ties: refined structural keys seeded with the placement order,
-    then smaller index), put on the free cell with the largest
-    ``_cell_weight``. Cell ties prefer more free neighbours, then smaller
-    Manhattan distance to the center, then row-major order; so the first
-    qubit lands on the center, the only cell at distance 0 and one with the
-    most in-grid neighbours. ``pos`` (qubit -> cell, in placement order),
-    the free-cell set and the running weight to the placed set are the whole
-    state; a pairwise-exchange pass over it polishes the result to a local
-    optimum. Deterministic throughout.
+    then smaller index), put on the free cell with the largest weight to
+    its placed grid neighbours. Cell ties prefer more free neighbours, then
+    smaller Manhattan distance to the center, then row-major order; so the
+    first qubit lands on the center, the only cell at distance 0 and one
+    with the most in-grid neighbours. ``pos`` (qubit -> cell, in placement
+    order), the free-cell set and the running weight to the placed set are
+    the whole state. :func:`exchange_pass` with ``_grid_cost`` then repeats
+    over the qubits in placement order and the free cells in row-major order
+    until no swap or move raises the realized weight. Deterministic
+    throughout.
     """
     n = ig.num_qubits
     rows, cols = _grid_shape(n, config)
     if rows * cols < n:
         raise PlacementError(f"grid {rows}x{cols} too small for {n} qubit(s)")
-    layout = np.full((rows, cols), EMPTY, dtype=np.int64)
     center = (rows // 2, cols // 2)
     pos: dict[int, tuple[int, int]] = {}
     free = {(r, c) for r in range(rows) for c in range(cols)}
     to_placed = [0] * n  # each qubit's total weight to the placed ones
 
-    def cell_pick_key(q: int, cell: tuple[int, int]):
+    def cell_pick_key(placed_nbrs: list, cell: tuple[int, int]):
         r, c = cell
         return (
-            _cell_weight(layout, ig, q, cell),
+            -sum(w * _grid_cost(cell, nb_cell) for w, nb_cell in placed_nbrs),
             sum(1 for nb in _neighbor_cells(cell, rows, cols) if nb in free),
             -(abs(r - center[0]) + abs(c - center[1])),
             -r,
@@ -317,14 +307,20 @@ def place_qubits(ig: InteractionGraph, config: DesignConfig) -> np.ndarray:
             (q for q in range(n) if q not in pos),
             key=lambda q: (to_placed[q], keys[q], -q),
         )
-        best_cell = max(free, key=lambda cell: cell_pick_key(best_q, cell))
-        layout[best_cell] = best_q
+        placed_nbrs = [(w, pos[u]) for w, u in ig.incident[best_q] if u in pos]
+        best_cell = max(free, key=lambda cell: cell_pick_key(placed_nbrs, cell))
         pos[best_q] = best_cell
         free.remove(best_cell)
         for w, u in ig.incident[best_q]:
             to_placed[u] += w
 
-    _improve_placement(layout, ig, pos, sorted(free))
+    order, free_cells = list(pos), sorted(free)
+    for _ in range(n * n + 4):  # the weight rises strictly, so this bound is never reached
+        if not exchange_pass(ig, order, pos, free_cells, _grid_cost):
+            break
+    layout = np.full((rows, cols), EMPTY, dtype=np.int64)
+    for q, cell in pos.items():
+        layout[cell] = q
     return layout
 
 

@@ -8,6 +8,7 @@ the architecture generator.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
@@ -64,6 +65,8 @@ class Gate:
             )
         if self.kind is GateKind.RZ and self.angle is None:
             raise CircuitError("rz requires an angle")
+        if self.angle is not None and not math.isfinite(self.angle):
+            raise CircuitError(f"{self.kind.value} angle must be finite, got {self.angle}")
 
 
 @dataclass(frozen=True)

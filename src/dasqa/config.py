@@ -8,6 +8,7 @@ are checked at load time so stage code can trust the values.
 from __future__ import annotations
 
 import re
+import sys
 from dataclasses import dataclass, field, fields, asdict
 from pathlib import Path
 
@@ -115,19 +116,21 @@ _SECTIONS = {
 }
 
 
-def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+def _is_finite_number(value) -> bool:
+    # NaN fails the comparison, and so does an int too large for a float
+    is_number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    return is_number and abs(value) <= sys.float_info.max
 
 
 # field annotation (without "| None") -> (accepts the value, what it expects)
 _TYPE_CHECKS = {
     "int": (lambda v: isinstance(v, int) and not isinstance(v, bool), "an integer"),
-    "float": (_is_number, "a number"),
+    "float": (_is_finite_number, "a finite number"),
     "bool": (lambda v: isinstance(v, bool), "true or false"),
     "str": (lambda v: isinstance(v, str), "a string"),
     "list[float]": (
-        lambda v: isinstance(v, list) and all(_is_number(x) for x in v),
-        "a list of numbers",
+        lambda v: isinstance(v, list) and all(_is_finite_number(x) for x in v),
+        "a list of finite numbers",
     ),
 }
 

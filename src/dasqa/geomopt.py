@@ -144,8 +144,7 @@ def fit_model(data: GeometryDataset, degree: int) -> GeometryModel:
     """
     if degree < 0:
         raise GeometryError("polynomial degree must be >= 0")
-    exps = monomial_exponents(degree)
-    n_coeff = len(exps)
+    n_coeff = (degree + 1) * (degree + 2) // 2  # len(monomial_exponents(degree))
     if len(data) < n_coeff:
         raise GeometryError(
             f"underdetermined fit: {len(data)} row(s) for {n_coeff} coefficient(s) "

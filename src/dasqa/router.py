@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .archgen import Architecture, CouplingGraph
+from .archgen import Architecture, CouplingGraph, exchange_pass
 from .circuit import (
     Gate,
     GateKind,
@@ -115,10 +115,11 @@ def initial_mapping(ig: InteractionGraph, arch: Architecture | CouplingGraph) ->
     """Degree-matched starting mapping.
 
     Logical qubits in descending interaction-weighted degree go onto physical
-    qubits in descending coupling degree (ties by index both sides), followed
-    by one improvement pass of pairwise exchanges / moves to free physical
-    qubits whenever that strictly lowers the total weighted coupling distance
-    of the interaction edges.
+    qubits in descending coupling degree (ties by index both sides). One
+    :func:`~dasqa.archgen.exchange_pass` follows, over the logical qubits in
+    index order and the free physical qubits in ascending order: it takes
+    each pairwise exchange or move to a free physical qubit that strictly
+    lowers the total weighted coupling distance of the interaction edges.
     """
     coupling = _coupling_of(arch)
     n_log, n_phys = ig.num_qubits, coupling.num_qubits
@@ -132,30 +133,9 @@ def initial_mapping(ig: InteractionGraph, arch: Architecture | CouplingGraph) ->
         l2p[lq] = pq
 
     hops = _hop_table(coupling)
-
-    def cost(assign: list[int]) -> int:
-        return sum(w * hops[assign[a]][assign[b]] for (a, b), w in ig.weights.items())
-
-    best = cost(l2p)
     used = set(l2p)
     free = [p for p in range(n_phys) if p not in used]
-    for i in range(n_log):
-        for j in range(i + 1, n_log):
-            l2p[i], l2p[j] = l2p[j], l2p[i]
-            c = cost(l2p)
-            if c < best:
-                best = c
-            else:
-                l2p[i], l2p[j] = l2p[j], l2p[i]
-        for k, p in enumerate(free):
-            old = l2p[i]
-            l2p[i] = p
-            c = cost(l2p)
-            if c < best:
-                best = c
-                free[k] = old
-            else:
-                l2p[i] = old
+    exchange_pass(ig, range(n_log), l2p, free, lambda p, r: hops[p][r])
     return Mapping(tuple(l2p))
 
 

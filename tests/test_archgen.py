@@ -223,6 +223,23 @@ def test_greedy_beats_random_placements(config):
         assert greedy_score >= best_random
 
 
+def test_placement_admits_no_improving_swap_or_move():
+    """Brute force: exchanging the contents of any two cells never raises the weight."""
+    rng = np.random.default_rng(41)
+    for trial in range(12):
+        n = int(rng.integers(2, 13))
+        qc = random_circuit(rng, max_qubits=n, min_qubits=n, max_gates=5 * n)
+        ig = interaction_graph(qc)
+        grid = {"rows": 2} if trial % 3 == 0 else {}  # free cells in other shapes
+        layout = place_qubits(ig, config_from_dict({"grid": grid}))
+        placed = realized_weight(layout, ig)
+        cells = list(itertools.product(*map(range, layout.shape)))
+        for c1, c2 in itertools.combinations(cells, 2):
+            trial_layout = layout.copy()
+            trial_layout[c1], trial_layout[c2] = layout[c2], layout[c1]
+            assert realized_weight(trial_layout, ig) <= placed
+
+
 # flowbench's pinned config: idle edges on, a 5.0-7.0 GHz band, a 14 mm margin
 PINNED_CONFIG = {
     "grid": {"include_idle_edges": True},

@@ -110,6 +110,24 @@ def test_mistyped_config_value_reports_config_stage_without_traceback(tmp_path, 
     assert "Traceback" not in err
 
 
+def test_non_finite_config_value_reports_config_stage_without_traceback(tmp_path, capsys):
+    # a NaN threshold would fail every comparison and switch the detuning rule off
+    config = tmp_path / "config.yml"
+    config.write_text("frequency: {min_adjacent_detuning_ghz: .nan}\n", encoding="utf-8")
+    status = cli_main(
+        [
+            "--file-path", CIRCUIT,
+            "--config-file-path", str(config),
+            "--out-dir", str(tmp_path / "out"),
+        ]
+    )
+    assert status == 1
+    err = capsys.readouterr().err
+    assert err.startswith("dasqa: [config] frequency.min_adjacent_detuning_ghz must be a finite number")
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("bad_row", ["30,abc,5.1", "30,100", "30,nan,5.1"])
 def test_malformed_geometry_dataset_reports_geometry_stage_without_traceback(
     tmp_path, capsys, bad_row

@@ -1,6 +1,8 @@
 """Configuration loading: defaults, overrides, rejection of unknowns."""
 from __future__ import annotations
 
+import math
+
 import pytest
 
 from dasqa.config import DesignConfig, config_from_dict, load_config
@@ -64,6 +66,13 @@ def test_unknown_section_rejected():
         ({"geometry": {"poly_degree": 2.5}}, "geometry.poly_degree"),
         ({"geometry": {"dataset_path": 5}}, "geometry.dataset_path"),
         ({"grid": {"max_degree": 1.5}}, "grid.max_degree"),
+        # non-finite numbers: NaN would turn every comparison with it off
+        ({"frequency": {"band_hi_ghz": math.inf}}, "frequency.band_hi_ghz must be a finite number"),
+        ({"layout": {"pitch_um": math.nan}}, "layout.pitch_um must be a finite number"),
+        ({"frequency": {"step_ghz": math.nan}}, "frequency.step_ghz must be a finite number"),
+        ({"frequency": {"min_adjacent_detuning_ghz": math.nan}}, "min_adjacent_detuning_ghz must be a finite"),
+        ({"frequency": {"band_hi_ghz": 10**400}}, "frequency.band_hi_ghz must be a finite number"),
+        ({"layout": {"coupling_freq_lattice_ghz": [7.0, -math.inf]}}, "list of finite numbers"),
     ],
 )
 def test_invariant_violations_name_the_key(data, key):

@@ -64,6 +64,15 @@ def test_underdetermined_fit_rejected():
         fit_model(data, 2)  # 6 coefficients from 3 rows
 
 
+def test_huge_degree_rejected_before_building_the_basis(monkeypatch):
+    def unbuilt(degree):
+        raise AssertionError(f"monomial basis of degree {degree} built before the row check")
+
+    monkeypatch.setattr(geomopt, "monomial_exponents", unbuilt)
+    with pytest.raises(GeometryError, match="underdetermined"):
+        fit_model(linear_height_dataset(), 10**6)
+
+
 def test_collinear_data_rejected():
     data = GeometryDataset(
         np.array([10.0, 10.0, 10.0, 10.0]),

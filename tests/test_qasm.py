@@ -57,8 +57,13 @@ def test_operand_index_out_of_range():
         ("qreg q[1];\nh q[x];", 4, 5, "expected integer index, found 'x'"),
         ("qreg q[1];\ncreg c[1];\nmeasure q[0] -> c[x];", 5, 19, "expected integer index, found 'x'"),
         ("qreg q[1];\nbarrier q[0],", 4, 13, "unexpected end of input"),
+        ("qreg q[1];\nrz(1e400) q[0];", 4, 1, "rz angle must be finite, got inf"),
+        ("qreg q[1];\nrz(1e400-1e400) q[0];", 4, 1, "rz angle must be finite, got nan"),
     ],
-    ids=["size-word", "size-float", "size-exponent", "qubit-index", "cbit-index", "barrier-trailing-comma"],
+    ids=[
+        "size-word", "size-float", "size-exponent", "qubit-index", "cbit-index",
+        "barrier-trailing-comma", "angle-overflow", "angle-nan",
+    ],
 )
 def test_malformed_operands_raise_positioned_qasm_error(body, line, column, message):
     with pytest.raises(QasmError, match=re.escape(message)) as info:

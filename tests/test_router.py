@@ -54,6 +54,68 @@ def test_initial_mapping_single_qubit_takes_first_physical():
     assert mapping[0] == 1  # the chain middle has the highest degree
 
 
+def _full_cost_hill_climb(ig, coupling: CouplingGraph) -> tuple[int, ...]:
+    """Reference: the exchange pass scored by recomputing the whole weighted distance."""
+    n_log, n_phys = ig.num_qubits, coupling.num_qubits
+    logical = sorted(range(n_log), key=lambda q: (-ig.weighted_degree(q), q))
+    physical = sorted(range(n_phys), key=lambda q: (-coupling.degree(q), q))
+    l2p = [0] * n_log
+    for lq, pq in zip(logical, physical):
+        l2p[lq] = pq
+    hops = [[d if d >= 0 else n_phys**2 for d in row] for row in coupling.distances().tolist()]
+
+    def cost(assign: list[int]) -> int:
+        return sum(w * hops[assign[a]][assign[b]] for (a, b), w in ig.weights.items())
+
+    best = cost(l2p)
+    free = [p for p in range(n_phys) if p not in l2p]
+    for i in range(n_log):
+        for j in range(i + 1, n_log):
+            l2p[i], l2p[j] = l2p[j], l2p[i]
+            c = cost(l2p)
+            if c < best:
+                best = c
+            else:
+                l2p[i], l2p[j] = l2p[j], l2p[i]
+        for k, p in enumerate(free):
+            old = l2p[i]
+            l2p[i] = p
+            c = cost(l2p)
+            if c < best:
+                best = c
+                free[k] = old
+            else:
+                l2p[i] = old
+    return tuple(l2p)
+
+
+def test_initial_mapping_matches_the_full_cost_hill_climb():
+    rng = np.random.default_rng(7)
+    spare = disconnected = 0
+    for trial in range(60):
+        n_log = int(rng.integers(1, 21))
+        # up to twice as many physical qubits, so that several free moves
+        # compete and the order of the free list decides between them
+        n_phys = n_log + int(rng.integers(0, n_log + 6))
+        qc = random_circuit(rng, max_qubits=n_log, min_qubits=n_log, max_gates=6 * n_log)
+        if trial % 3 == 0:  # a square grid with spare qubits
+            side = int(np.ceil(np.sqrt(n_log))) + 1
+            n_phys = side * side
+            edges = [(q, q + 1) for q in range(n_phys) if (q + 1) % side]
+            edges += [(q, q + side) for q in range(n_phys - side)]
+        else:  # a random, often disconnected coupling
+            p = rng.uniform(0.05, 0.5)
+            edges = [
+                (a, b) for a in range(n_phys) for b in range(a + 1, n_phys) if rng.random() < p
+            ]
+        coupling = CouplingGraph(n_phys, edges)
+        spare += n_phys > n_log
+        disconnected += not coupling.is_connected()
+        ig = interaction_graph(qc)
+        assert initial_mapping(ig, coupling).log_to_phys == _full_cost_hill_climb(ig, coupling)
+    assert spare >= 20 and disconnected >= 10
+
+
 def test_initial_mapping_architecture_too_small():
     ig = interaction_graph(QuantumCircuit(5))
     with pytest.raises(MappingError, match="architecture has 4"):
