@@ -30,16 +30,12 @@ class GateKind(Enum):
     MEASURE = "measure"
     BARRIER = "barrier"
 
-    @property
-    def is_two_qubit(self) -> bool:
-        return self in (GateKind.CX, GateKind.CZ, GateKind.SWAP)
-
-    @property
-    def arity(self) -> int | None:
-        """Required operand count; None means variadic (barrier)."""
-        if self is GateKind.BARRIER:
-            return None
-        return 2 if self.is_two_qubit else 1
+    def __init__(self, value: str):
+        # plain per-member attributes: the hot paths read them without
+        # hashing the member or looking up the other members
+        self.is_two_qubit = value in ("cx", "cz", "swap")
+        # required operand count; None means variadic (barrier)
+        self.arity = None if value == "barrier" else 2 if self.is_two_qubit else 1
 
 
 @dataclass(frozen=True)
@@ -54,19 +50,21 @@ class Gate:
         return self.kind.is_two_qubit
 
     def __post_init__(self):
-        arity = self.kind.arity
-        if arity is not None and len(self.qubits) != arity:
+        kind, qubits, angle = self.kind, self.qubits, self.angle
+        arity = kind.arity
+        if arity is not None and len(qubits) != arity:
             raise CircuitError(
-                f"{self.kind.value} expects {arity} operand(s), got {len(self.qubits)}"
+                f"{kind.value} expects {arity} operand(s), got {len(qubits)}"
             )
-        if self.is_two_qubit and self.qubits[0] == self.qubits[1]:
+        if kind.is_two_qubit and qubits[0] == qubits[1]:
             raise CircuitError(
-                f"duplicate operand q{self.qubits[0]} on two-qubit gate {self.kind.value}"
+                f"duplicate operand q{qubits[0]} on two-qubit gate {kind.value}"
             )
-        if self.kind is GateKind.RZ and self.angle is None:
-            raise CircuitError("rz requires an angle")
-        if self.angle is not None and not math.isfinite(self.angle):
-            raise CircuitError(f"{self.kind.value} angle must be finite, got {self.angle}")
+        if angle is None:
+            if kind is GateKind.RZ:
+                raise CircuitError("rz requires an angle")
+        elif not math.isfinite(angle):
+            raise CircuitError(f"{kind.value} angle must be finite, got {angle}")
 
 
 @dataclass(frozen=True)

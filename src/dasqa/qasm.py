@@ -6,16 +6,19 @@ global indices in declaration order), optional ``creg`` declarations, and
 statements built from x, y, z, h, s, t, rz(expr), cx, cz, swap, measure and
 barrier. Operands must be indexed (``q[3]``); barrier additionally accepts
 bare register names or no operands at all. Angle expressions support
-numbers, ``pi``, parentheses and ``+ - * /``.
+numbers, ``pi``, parentheses (nested at most 64 deep) and ``+ - * /``.
 
 Anything else (gate definitions, ``if``, ``opaque``, custom gates, register
 broadcast) is rejected with a diagnostic carrying line and column.
+
+One ``finditer`` over a combined pattern splits the source into tokens that
+carry only their text, kind and source offset; line and column are computed
+from the offset when a diagnostic is raised.
 """
 from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
 
 from .circuit import Gate, GateKind, QuantumCircuit
 from .errors import CircuitError, QasmError, file_error_reason
@@ -35,116 +38,131 @@ _GATE_KINDS = {
 
 _TOKEN_RE = re.compile(
     r"""
-    (?P<ws>\s+)
-  | (?P<comment>//[^\n]*)
-  | (?P<num>(\d+\.\d*|\.\d+|\d+)([eE][+-]?\d+)?)
+    (?P<skip>\s+|//[^\n]*)
+  | (?P<num>(?:\d+\.\d*|\.\d+|\d+)(?:[eE][+-]?\d+)?)
   | (?P<id>[A-Za-z_][A-Za-z0-9_]*)
   | (?P<str>"[^"\n]*")
   | (?P<arrow>->)
   | (?P<punct>[;,\[\]()+\-*/])
+  | (?P<bad>.)
     """,
-    re.VERBOSE,
+    re.VERBOSE | re.DOTALL,
 )
 
+# Parentheses an angle expression may nest; each level costs three frames of
+# the recursive-descent parser, so this stays far below the recursion limit.
+_MAX_ANGLE_DEPTH = 64
 
-@dataclass(frozen=True)
-class _Token:
-    text: str
-    kind: str
-    line: int
-    column: int
+_Token = tuple[str, str, int]  # text, kind, source offset
+
+
+def _line_column(source: str, pos: int) -> tuple[int, int]:
+    """1-based line and column of the character at offset ``pos``."""
+    return source.count("\n", 0, pos) + 1, pos - source.rfind("\n", 0, pos)
 
 
 def _tokenize(source: str) -> list[_Token]:
     tokens = []
-    line, col = 1, 1
-    pos = 0
-    while pos < len(source):
-        m = _TOKEN_RE.match(source, pos)
-        if m is None:
-            raise QasmError(f"unexpected character {source[pos]!r}", line, col)
-        text = m.group(0)
-        kind = m.lastgroup or "punct"
-        if kind not in ("ws", "comment"):
-            tokens.append(_Token(text, kind, line, col))
-        newlines = text.count("\n")
-        if newlines:
-            line += newlines
-            col = len(text) - text.rfind("\n")
-        else:
-            col += len(text)
-        pos = m.end()
+    append = tokens.append
+    for m in _TOKEN_RE.finditer(source):
+        kind = m.lastgroup
+        if kind == "skip":
+            continue
+        if kind == "bad":
+            raise QasmError(f"unexpected character {m.group()!r}", *_line_column(source, m.start()))
+        append((m.group(), kind, m.start()))
     return tokens
 
 
 class _Parser:
-    def __init__(self, tokens: list[_Token]):
-        self.tokens = tokens
+    def __init__(self, source: str):
+        self.source = source
+        self.tokens = _tokenize(source)
         self.pos = 0
+        self.depth = 0  # open parentheses of the angle being parsed
+
+    def error(self, message: str, tok: _Token) -> QasmError:
+        return QasmError(message, *_line_column(self.source, tok[2]))
 
     def peek(self) -> _Token | None:
         return self.tokens[self.pos] if self.pos < len(self.tokens) else None
 
     def next(self) -> _Token:
-        tok = self.peek()
-        if tok is None:
-            last = self.tokens[-1] if self.tokens else _Token("", "id", 1, 1)
-            raise QasmError("unexpected end of input", last.line, last.column)
-        self.pos += 1
-        return tok
+        pos = self.pos
+        if pos >= len(self.tokens):
+            last = self.tokens[-1][2] if self.tokens else 0
+            raise QasmError("unexpected end of input", *_line_column(self.source, last))
+        self.pos = pos + 1
+        return self.tokens[pos]
 
     def expect(self, text: str) -> _Token:
         tok = self.next()
-        if tok.text != text:
-            raise QasmError(f"expected {text!r}, found {tok.text!r}", tok.line, tok.column)
+        if tok[0] != text:
+            raise self.error(f"expected {text!r}, found {tok[0]!r}", tok)
         return tok
+
+    def accept(self, text: str) -> bool:
+        """Consume the next token if it is ``text``."""
+        if self.pos < len(self.tokens) and self.tokens[self.pos][0] == text:
+            self.pos += 1
+            return True
+        return False
 
     # -- angle expressions ------------------------------------------------
 
     def expr(self) -> float:
         value = self.term()
-        while self.peek() and self.peek().text in "+-":
-            op = self.next().text
-            rhs = self.term()
-            value = value + rhs if op == "+" else value - rhs
-        return value
+        while True:
+            if self.accept("+"):
+                value = value + self.term()
+            elif self.accept("-"):
+                value = value - self.term()
+            else:
+                return value
 
     def term(self) -> float:
         value = self.factor()
-        while self.peek() and self.peek().text in "*/":
-            op = self.next().text
-            rhs = self.factor()
-            if op == "*":
-                value *= rhs
-            else:
+        while True:
+            if self.accept("*"):
+                value *= self.factor()
+            elif self.accept("/"):
+                rhs = self.factor()
                 if rhs == 0:
-                    tok = self.tokens[self.pos - 1]
-                    raise QasmError("division by zero in angle", tok.line, tok.column)
+                    raise self.error("division by zero in angle", self.tokens[self.pos - 1])
                 value /= rhs
-        return value
+            else:
+                return value
 
     def factor(self) -> float:
+        # a run of unary signs is read in one loop; negation is exact, so
+        # its parity gives the same float as applying each sign in turn
+        negate = False
         tok = self.next()
-        if tok.text == "-":
-            return -self.factor()
-        if tok.text == "+":
-            return self.factor()
-        if tok.text == "(":
+        while tok[0] in ("-", "+"):
+            negate ^= tok[0] == "-"
+            tok = self.next()
+        text, kind, _ = tok
+        if text == "(":
+            if self.depth == _MAX_ANGLE_DEPTH:
+                raise self.error("angle expression nested too deeply", tok)
+            self.depth += 1
             value = self.expr()
             self.expect(")")
-            return value
-        if tok.kind == "num":
-            return float(tok.text)
-        if tok.text == "pi":
-            return math.pi
-        raise QasmError(f"bad angle term {tok.text!r}", tok.line, tok.column)
+            self.depth -= 1
+        elif kind == "num":
+            value = float(text)
+        elif text == "pi":
+            value = math.pi
+        else:
+            raise self.error(f"bad angle term {text!r}", tok)
+        return -value if negate else value
 
     def integer(self, what: str) -> int:
         """Consume a non-negative integer literal (register size or index)."""
         tok = self.next()
-        if tok.kind != "num" or not tok.text.isdigit():
-            raise QasmError(f"expected integer {what}, found {tok.text!r}", tok.line, tok.column)
-        return int(tok.text)
+        if tok[1] != "num" or not tok[0].isdigit():
+            raise self.error(f"expected integer {what}, found {tok[0]!r}", tok)
+        return int(tok[0])
 
     def register_ref(self, regs: dict[str, tuple[int, int]], register: str, index: str) -> int:
         """Consume ``name[i]`` and return its flattened index.
@@ -153,17 +171,15 @@ class _Parser:
         ``index`` name the register kind and the index in error messages.
         """
         tok = self.next()
-        if tok.kind != "id" or tok.text not in regs:
-            raise QasmError(f"unknown {register} register {tok.text!r}", tok.line, tok.column)
-        offset, size = regs[tok.text]
+        name = tok[0]
+        if tok[1] != "id" or name not in regs:
+            raise self.error(f"unknown {register} register {name!r}", tok)
+        offset, size = regs[name]
         self.expect("[")
         idx = self.integer("index")
         self.expect("]")
         if idx >= size:
-            raise QasmError(
-                f"{index} index {tok.text}[{idx}] out of range (size {size})",
-                tok.line, tok.column,
-            )
+            raise self.error(f"{index} index {name}[{idx}] out of range (size {size})", tok)
         return offset + idx
 
 
@@ -173,14 +189,14 @@ def parse_qasm(source: str, name: str = "circuit") -> QuantumCircuit:
     Qubit indices flatten all ``qreg`` declarations in order; classical bits
     flatten ``creg`` declarations the same way. Gate order is preserved.
     """
-    p = _Parser(_tokenize(source))
+    p = _Parser(source)
 
     head = p.next()
-    if head.text != "OPENQASM":
-        raise QasmError("program must start with the OPENQASM 2.0 header", head.line, head.column)
+    if head[0] != "OPENQASM":
+        raise p.error("program must start with the OPENQASM 2.0 header", head)
     ver = p.next()
-    if ver.text != "2.0":
-        raise QasmError(f"unsupported OPENQASM version {ver.text!r}", ver.line, ver.column)
+    if ver[0] != "2.0":
+        raise p.error(f"unsupported OPENQASM version {ver[0]!r}", ver)
     p.expect(";")
 
     qregs: dict[str, tuple[int, int]] = {}  # name -> (offset, size)
@@ -194,81 +210,80 @@ def parse_qasm(source: str, name: str = "circuit") -> QuantumCircuit:
 
     while p.peek() is not None:
         tok = p.next()
-        if tok.text == "include":
-            path = p.next()
-            if path.text != '"qelib1.inc"':
-                raise QasmError(f"unsupported include {path.text}", path.line, path.column)
-            p.expect(";")
-        elif tok.text in ("qreg", "creg"):
-            name_tok = p.next()
-            if name_tok.kind != "id":
-                raise QasmError(f"expected register name, found {name_tok.text!r}", name_tok.line, name_tok.column)
-            if name_tok.text in qregs or name_tok.text in cregs:
-                raise QasmError(f"register {name_tok.text!r} redeclared", name_tok.line, name_tok.column)
-            p.expect("[")
-            size_tok = p.peek()
-            size = p.integer("register size")
-            if size <= 0:
-                raise QasmError("register size must be positive", size_tok.line, size_tok.column)
-            p.expect("]")
-            p.expect(";")
-            if tok.text == "qreg":
-                qregs[name_tok.text] = (n_qubits, size)
-                n_qubits += size
-            else:
-                cregs[name_tok.text] = (n_cbits, size)
-                n_cbits += size
-        elif tok.text == "measure":
-            q = qubit_ref()
-            p.expect("->")
-            c = p.register_ref(cregs, "classical", "classical")
-            p.expect(";")
-            gates.append(Gate(GateKind.MEASURE, (q,), cbit=c))
-        elif tok.text == "barrier":
-            qs: list[int] = []
-            if p.peek() and p.peek().text != ";":
-                while True:
-                    reg = p.peek()
-                    after = p.tokens[p.pos + 1] if p.pos + 1 < len(p.tokens) else None
-                    if (
-                        reg is not None
-                        and reg.kind == "id"
-                        and reg.text in qregs
-                        and after is not None
-                        and after.text in (",", ";")
-                    ):
-                        # bare register name: barrier spans the whole register
-                        p.next()
-                        offset, size = qregs[reg.text]
-                        qs.extend(range(offset, offset + size))
-                    else:
-                        qs.append(qubit_ref())
-                    if p.peek() and p.peek().text == ",":
-                        p.next()
-                    else:
-                        break
-            p.expect(";")
-            gates.append(Gate(GateKind.BARRIER, tuple(qs)))
-        elif tok.kind == "id":
-            kind = _GATE_KINDS.get(tok.text)
-            if kind is None:
-                raise QasmError(f"unsupported gate {tok.text!r}", tok.line, tok.column)
+        text = tok[0]
+        kind = _GATE_KINDS.get(text)
+        if kind is not None:
             angle = None
             if kind is GateKind.RZ:
                 p.expect("(")
                 angle = p.expr()
                 p.expect(")")
             qs = [qubit_ref()]
-            while p.peek() and p.peek().text == ",":
-                p.next()
+            while p.accept(","):
                 qs.append(qubit_ref())
             p.expect(";")
             try:
                 gates.append(Gate(kind, tuple(qs), angle=angle))
             except CircuitError as exc:
-                raise QasmError(str(exc), tok.line, tok.column) from exc
+                raise p.error(str(exc), tok) from exc
+        elif text == "include":
+            path = p.next()
+            if path[0] != '"qelib1.inc"':
+                raise p.error(f"unsupported include {path[0]}", path)
+            p.expect(";")
+        elif text in ("qreg", "creg"):
+            name_tok = p.next()
+            reg_name = name_tok[0]
+            if name_tok[1] != "id":
+                raise p.error(f"expected register name, found {reg_name!r}", name_tok)
+            if reg_name in qregs or reg_name in cregs:
+                raise p.error(f"register {reg_name!r} redeclared", name_tok)
+            p.expect("[")
+            size_tok = p.peek()
+            size = p.integer("register size")
+            if size <= 0:
+                raise p.error("register size must be positive", size_tok)
+            p.expect("]")
+            p.expect(";")
+            if text == "qreg":
+                qregs[reg_name] = (n_qubits, size)
+                n_qubits += size
+            else:
+                cregs[reg_name] = (n_cbits, size)
+                n_cbits += size
+        elif text == "measure":
+            q = qubit_ref()
+            p.expect("->")
+            c = p.register_ref(cregs, "classical", "classical")
+            p.expect(";")
+            gates.append(Gate(GateKind.MEASURE, (q,), cbit=c))
+        elif text == "barrier":
+            qs = []
+            if p.peek() and p.peek()[0] != ";":
+                while True:
+                    reg = p.peek()
+                    after = p.tokens[p.pos + 1] if p.pos + 1 < len(p.tokens) else None
+                    if (
+                        reg is not None
+                        and reg[1] == "id"
+                        and reg[0] in qregs
+                        and after is not None
+                        and after[0] in (",", ";")
+                    ):
+                        # bare register name: barrier spans the whole register
+                        p.next()
+                        offset, size = qregs[reg[0]]
+                        qs.extend(range(offset, offset + size))
+                    else:
+                        qs.append(qubit_ref())
+                    if not p.accept(","):
+                        break
+            p.expect(";")
+            gates.append(Gate(GateKind.BARRIER, tuple(qs)))
+        elif tok[1] == "id":
+            raise p.error(f"unsupported gate {text!r}", tok)
         else:
-            raise QasmError(f"unexpected token {tok.text!r}", tok.line, tok.column)
+            raise p.error(f"unexpected token {text!r}", tok)
 
     if n_qubits == 0:
         raise QasmError("no qreg declared")

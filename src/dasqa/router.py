@@ -9,9 +9,12 @@ non-adjacent it evaluates every coupling edge touching either operand's
 position and applies the swap minimizing a decayed sum of coupling distances
 over the pending two-qubit gates. That single-window lookahead is what lets
 it park a hot qubit on a hub and later undo a swap instead of ping-ponging.
-If the lookahead stalls, the remaining distance is walked directly: the
-first operand's image steps to its smallest-index neighbour one hop closer to
-the second's, read from the same hop table the costs use. A BFS oracle
+The window's physical pairs are built once per swap step and each candidate
+is scored by exchanging its two sites on the fly; the live mapping keeps its
+physical -> logical inverse, so a swap updates it in O(1). If the lookahead
+stalls, the remaining distance is walked directly: the first operand's image
+steps to its smallest-index neighbour one hop closer to the second's, read
+from the same hop table the costs use. A BFS oracle
 (:func:`optimal_swap_count`) provides exact minima at desk scale for testing,
 and :func:`check_equivalence` verifies routed circuits by statevector
 comparison.
@@ -20,6 +23,8 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from itertools import accumulate, repeat
+from operator import mul
 
 import numpy as np
 
@@ -37,6 +42,10 @@ from .sim import SIM_MAX_QUBITS, allclose_up_to_global_phase, apply_gates, circu
 
 LOOKAHEAD_WINDOW = 20
 LOOKAHEAD_DECAY = 0.8
+# 1, d, d*d, ...: the window weights by repeated multiplication
+_WINDOW_WEIGHTS = tuple(
+    accumulate(repeat(LOOKAHEAD_DECAY, LOOKAHEAD_WINDOW - 1), mul, initial=1.0)
+)
 
 ORACLE_MAX_QUBITS = 6
 ORACLE_MAX_GATES = 10
@@ -55,6 +64,24 @@ def _hop_table(coupling: CouplingGraph) -> list[list[int]]:
 def _swapped(l2p, u: int, v: int) -> list[int]:
     """The mapping after a SWAP exchanges whatever sits on physical u and v."""
     return [v if p == u else u if p == v else p for p in l2p]
+
+
+def _occupants(l2p, n_phys: int) -> list[int]:
+    """Physical -> logical table of a mapping; -1 marks an empty site."""
+    p2l = [-1] * n_phys
+    for q, p in enumerate(l2p):
+        p2l[p] = q
+    return p2l
+
+
+def _swap_sites(l2p: list[int], p2l: list[int], u: int, v: int) -> None:
+    """Exchange whatever sits on physical u and v, in both tables."""
+    lu, lv = p2l[u], p2l[v]
+    p2l[u], p2l[v] = lv, lu
+    if lu >= 0:
+        l2p[lu] = v
+    if lv >= 0:
+        l2p[lv] = u
 
 
 @dataclass(frozen=True)
@@ -104,10 +131,11 @@ class RoutedCircuit:
 
     def replay_mapping(self) -> Mapping:
         """Apply the inserted SWAPs to the initial mapping."""
-        l2p = self.initial_mapping.log_to_phys
+        l2p = list(self.initial_mapping.log_to_phys)
+        p2l = _occupants(l2p, self.num_physical)
         for rg in self.gates:
             if rg.inserted:
-                l2p = _swapped(l2p, *rg.gate.qubits)
+                _swap_sites(l2p, p2l, *rg.gate.qubits)
         return Mapping(tuple(l2p))
 
 
@@ -158,27 +186,22 @@ def route(
     hops = _hop_table(coupling)
     n_phys = coupling.num_qubits
     l2p = list(mapping.log_to_phys)
+    p2l = _occupants(l2p, n_phys)
 
     pending = qc.two_qubit_pairs()
     pend_idx = 0
     out: list[RoutedGate] = []
     swap_count = 0
 
-    def lookahead_cost(assign: list[int]) -> float:
-        total = 0.0
-        weight = 1.0
-        for a, b in pending[pend_idx : pend_idx + LOOKAHEAD_WINDOW]:
-            total += weight * hops[assign[a]][assign[b]]
-            weight *= LOOKAHEAD_DECAY
-        return total
-
     def apply_swap(u: int, v: int) -> None:
-        nonlocal l2p, swap_count
-        l2p = _swapped(l2p, u, v)
+        nonlocal swap_count
+        _swap_sites(l2p, p2l, u, v)
         out.append(RoutedGate(Gate(GateKind.SWAP, (u, v)), inserted=True))
         swap_count += 1
 
     stall_cap = n_phys + int(dist.max()) + 2
+    # coupling edges (low, high) at each physical qubit: the swap candidates
+    edges_at = [[(min(p, nb), max(p, nb)) for nb in coupling.neighbors(p)] for p in range(n_phys)]
 
     for g in qc.gates:
         if not g.is_two_qubit:
@@ -210,16 +233,24 @@ def route(
                     hop = min(nb for nb in coupling.neighbors(pa) if hops[nb][pb] < hops[pa][pb])
                     apply_swap(min(pa, hop), max(pa, hop))
                 break
-            pa, pb = l2p[a], l2p[b]
-            candidates = set()
-            for p in (pa, pb):
-                for nb in coupling.neighbors(p):
-                    candidates.add((min(p, nb), max(p, nb)))
+            candidates = set(edges_at[l2p[a]]).union(edges_at[l2p[b]])
             if last_edge is not None and len(candidates) > 1:
                 candidates.discard(last_edge)
+            # the window's physical pairs and weights; each candidate swap
+            # is scored by exchanging u and v on the fly, and the products are
+            # added left to right from 0.0, so near-ties resolve the same way
+            window = [
+                (l2p[x], l2p[y], w)
+                for (x, y), w in zip(pending[pend_idx : pend_idx + LOOKAHEAD_WINDOW], _WINDOW_WEIGHTS)
+            ]
             best_edge, best_score = None, None
             for edge in sorted(candidates):
-                score = lookahead_cost(_swapped(l2p, *edge))
+                u, v = edge
+                score = 0.0
+                for x, y, w in window:
+                    x = v if x == u else u if x == v else x
+                    y = v if y == u else u if y == v else y
+                    score += w * hops[x][y]
                 if best_score is None or score < best_score:
                     best_edge, best_score = edge, score
             apply_swap(*best_edge)

@@ -94,6 +94,25 @@ def test_malformed_register_size_reports_parse_stage_without_traceback(tmp_path,
     assert "Traceback" not in err
 
 
+def test_deeply_nested_angle_reports_parse_stage_without_traceback(tmp_path, capsys):
+    circuit = tmp_path / "nested.qasm"
+    angle = "(" * 5000 + "1" + ")" * 5000
+    circuit.write_text(
+        f'OPENQASM 2.0;\ninclude "qelib1.inc";\nqreg q[1];\nrz({angle}) q[0];\n', encoding="utf-8"
+    )
+    status = cli_main(
+        [
+            "--file-path", str(circuit),
+            "--config-file-path", CONFIG,
+            "--out-dir", str(tmp_path / "out"),
+        ]
+    )
+    assert status == 1
+    err = capsys.readouterr().err
+    assert err.startswith("dasqa: [parse] line 4, column 68: angle expression nested too deeply")
+    assert "Traceback" not in err
+
+
 def test_mistyped_config_value_reports_config_stage_without_traceback(tmp_path, capsys):
     config = tmp_path / "config.yml"
     config.write_text('grid: {rows: "3"}\n', encoding="utf-8")

@@ -59,10 +59,13 @@ def test_operand_index_out_of_range():
         ("qreg q[1];\nbarrier q[0],", 4, 13, "unexpected end of input"),
         ("qreg q[1];\nrz(1e400) q[0];", 4, 1, "rz angle must be finite, got inf"),
         ("qreg q[1];\nrz(1e400-1e400) q[0];", 4, 1, "rz angle must be finite, got nan"),
+        # the 65th parenthesis of the angle, after "rz("
+        ("qreg q[1];\nrz(" + "(" * 5000 + "1" + ")" * 5000 + ") q[0];", 4, 4 + 64,
+         "angle expression nested too deeply"),
     ],
     ids=[
         "size-word", "size-float", "size-exponent", "qubit-index", "cbit-index",
-        "barrier-trailing-comma", "angle-overflow", "angle-nan",
+        "barrier-trailing-comma", "angle-overflow", "angle-nan", "angle-nested-too-deep",
     ],
 )
 def test_malformed_operands_raise_positioned_qasm_error(body, line, column, message):
@@ -112,6 +115,10 @@ def test_barrier_forms():
         ("0.5", 0.5),
         ("1e-2", 0.01),
         ("(pi+1)/3", (math.pi + 1) / 3),
+        # sign runs are read in one loop, not one stack frame per sign
+        pytest.param("-" * 5000 + "1", 1.0, id="5000-signs"),
+        pytest.param("+-" * 2501 + "pi", -math.pi, id="mixed-signs"),
+        pytest.param("(" * 64 + "pi" + ")" * 64, math.pi, id="64-parentheses"),
     ],
 )
 def test_rz_angle_expressions(expr, value):

@@ -1,6 +1,7 @@
 """Router: mapping heuristics, SWAP insertion, oracle, equivalence."""
 from __future__ import annotations
 
+import hashlib
 from dataclasses import replace
 
 import numpy as np
@@ -24,6 +25,14 @@ from dasqa.router import (
 from dasqa.qasm import parse_qasm
 
 from conftest import DATA_DIR, random_circuit, random_connected_architecture
+
+
+# flowbench's pinned config for generated circuits
+BENCH_CONFIG = {
+    "grid": {"include_idle_edges": True},
+    "frequency": {"band_lo_ghz": 5.0, "band_hi_ghz": 7.0},
+    "layout": {"margin_um": 14000},
+}
 
 
 def star_graph() -> CouplingGraph:
@@ -368,16 +377,56 @@ STALL_SWAPS = [
 
 def test_stalled_lookahead_falls_back_to_the_smallest_index_shortest_path():
     qc = parse_qasm((DATA_DIR / "stall_9q.qasm").read_text(encoding="utf-8"))
-    # the flow benchmark's pinned config for generated circuits
-    config = config_from_dict(
-        {
-            "grid": {"include_idle_edges": True},
-            "frequency": {"band_lo_ghz": 5.0, "band_hi_ghz": 7.0},
-            "layout": {"margin_um": 14000},
-        }
-    )
-    arch = generate_architecture(qc, config)
+    arch = generate_architecture(qc, config_from_dict(BENCH_CONFIG))
     routed = route(qc, arch)
     assert [rg.gate.qubits for rg in routed.gates if rg.inserted] == STALL_SWAPS
     validate_routing(routed, arch)
     assert check_equivalence(qc, routed)
+
+
+def _mixed_circuit(n: int, num_gates: int, seed: int) -> QuantumCircuit:
+    """Seeded circuit: half CX, then RZ, other one-qubit gates and barriers, all measured."""
+    rng = np.random.default_rng(seed)
+    one_qubit = [GateKind.H, GateKind.X, GateKind.S, GateKind.T]
+    gates = []
+    for _ in range(num_gates):
+        r = rng.random()
+        if r < 0.5:
+            a, b = rng.choice(n, size=2, replace=False)
+            gates.append(Gate(GateKind.CX, (int(a), int(b))))
+        elif r < 0.65:
+            gates.append(Gate(GateKind.RZ, (int(rng.integers(n)),), angle=float(rng.uniform(-np.pi, np.pi))))
+        elif r < 0.98:
+            gates.append(Gate(one_qubit[int(rng.integers(4))], (int(rng.integers(n)),)))
+        else:
+            gates.append(Gate(GateKind.BARRIER, tuple(int(q) for q in rng.choice(n, size=2, replace=False))))
+    gates += [Gate(GateKind.MEASURE, (q,), cbit=q) for q in range(n)]
+    return QuantumCircuit(n, tuple(gates))
+
+
+# case -> SHA-256 over (kind, qubits, angle, cbit, inserted) of every routed
+# gate plus the final mapping, routed on the generated architecture under
+# BENCH_CONFIG, so any change to which swap the lookahead picks shows here.
+PINNED_ROUTES = {
+    (25, 3000): "4a2f31dedccc696a59e929df90cfabc80af0c96d5754617fee3d1d48c1aea7cd",
+    (64, 640): "32dfef7ae4984994b1cac4da8efdb10c52021056630636be5e785b33fd090d18",
+    "stall_9q": "5aa437fdf90f5f16eabf6f831e936b760748250ffe11542cd75a447ceb7abe83",
+}
+
+
+@pytest.mark.parametrize(
+    "case", list(PINNED_ROUTES), ids=lambda c: c if isinstance(c, str) else "{}q-{}".format(*c)
+)
+def test_routed_circuits_are_pinned(case):
+    """(qubits, gates) of a seeded mixed circuit, or the stall circuit's file name."""
+    if case == "stall_9q":
+        qc = parse_qasm((DATA_DIR / "stall_9q.qasm").read_text(encoding="utf-8"))
+    else:
+        qc = _mixed_circuit(*case, seed=case[0])
+    routed = route(qc, generate_architecture(qc, config_from_dict(BENCH_CONFIG)))
+    digest = hashlib.sha256()
+    for rg in routed.gates:
+        g = rg.gate
+        digest.update(repr((g.kind.value, g.qubits, g.angle, g.cbit, rg.inserted)).encode())
+    digest.update(repr(routed.final_mapping.log_to_phys).encode())
+    assert digest.hexdigest() == PINNED_ROUTES[case]
