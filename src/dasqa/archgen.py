@@ -63,9 +63,10 @@ class CouplingGraph:
         """All-pairs shortest path lengths (BFS); unreachable = -1."""
         if self._dist is None:
             n = self.num_qubits
-            dist = np.full((n, n), -1, dtype=np.int64)
+            rows = []
             for src in range(n):
-                dist[src, src] = 0
+                row = [-1] * n
+                row[src] = 0
                 frontier = [src]
                 d = 0
                 while frontier:
@@ -73,11 +74,12 @@ class CouplingGraph:
                     nxt = []
                     for u in frontier:
                         for v in self._adj[u]:
-                            if dist[src, v] < 0:
-                                dist[src, v] = d
+                            if row[v] < 0:
+                                row[v] = d
                                 nxt.append(v)
                     frontier = nxt
-            self._dist = dist
+                rows.append(row)
+            self._dist = np.array(rows, dtype=np.int64).reshape(n, n)
         return self._dist
 
     def is_connected(self) -> bool:
@@ -197,45 +199,70 @@ def _grid_shape(num_qubits: int, config: DesignConfig) -> tuple[int, int]:
     return rows, cols
 
 
-def _refined_keys(ig: InteractionGraph, seed: dict[int, int]) -> list[tuple]:
-    """Label-independent qubit signatures (three sharpening rounds).
+def _dense_ranks(keys: list) -> list[int]:
+    """Each key's index among the distinct keys in sorted order."""
+    index = {key: rank for rank, key in enumerate(sorted(set(keys)))}
+    return [index[key] for key in keys]
 
-    Starting from the weighted degree plus a per-qubit seed color (the
-    placement rank of already-placed qubits, -1 for the others), each round
-    appends the sorted multiset of (edge weight, neighbour key) pairs.
-    Qubits that differ structurally - or relate differently to the seeded
-    ones - get different keys even when their weighted degrees tie, which
-    keeps placement decisions stable under relabeling of the circuit.
+
+def _refined_keys(ig: InteractionGraph, seed: dict[int, int]) -> list[int]:
+    """Label-independent qubit signatures as integer ranks (three sharpening rounds).
+
+    Ranks start from a per-qubit seed color (the placement rank of placed
+    qubits, -1 for the others) plus the weighted degree. Each round keys a
+    qubit by its rank and the sorted (edge weight, neighbour rank) pairs and
+    relabels the keys to dense ranks in sorted order (Weisfeiler-Leman colour
+    refinement), which keeps order and ties: ranks compare as the nested
+    tuples of all rounds would. Qubits that differ structurally - or relate
+    differently to the seeded ones - get different ranks even when their
+    weighted degrees tie, keeping placement stable under relabeling.
     """
-    n = ig.num_qubits
-    keys: list[tuple] = [(seed.get(q, -1), ig.weighted_degree(q)) for q in range(n)]
+    n, incident = ig.num_qubits, ig.incident
+    rank = _dense_ranks([(seed.get(q, -1), ig.weighted_degree(q)) for q in range(n)])
     for _ in range(3):
-        keys = [
-            keys[q] + (tuple(sorted((w, keys[u]) for w, u in ig.incident[q])),)
-            for q in range(n)
-        ]
-    return keys
+        # w*n + rank sorts as (w, rank) does, since every rank is below n
+        refined = _dense_ranks(
+            [(rank[q], tuple(sorted([w * n + rank[u] for w, u in incident[q]]))) for q in range(n)]
+        )
+        if refined == rank:  # no class split, so later rounds change nothing either
+            break
+        rank = refined
+    return rank
 
 
-def _neighbor_cells(cell: tuple[int, int], rows: int, cols: int):
-    r, c = cell
-    for rr, cc in ((r - 1, c), (r + 1, c), (r, c - 1), (r, c + 1)):
-        if 0 <= rr < rows and 0 <= cc < cols:
-            yield rr, cc
+def _grid_neighbors(rows: int, cols: int) -> list[list[int]]:
+    """Cell ``r*cols + c`` -> its in-grid neighbour cells (up, down, left, right)."""
+    return [
+        [rr * cols + cc for rr, cc in ((r - 1, c), (r + 1, c), (r, c - 1), (r, c + 1))
+         if 0 <= rr < rows and 0 <= cc < cols]
+        for r in range(rows) for c in range(cols)
+    ]
 
 
-def _grid_cost(a: tuple[int, int], b: tuple[int, int]) -> int:
-    """-1 for grid-adjacent cells, else 0: the placement's exchange cost."""
-    return -1 if abs(a[0] - b[0]) + abs(a[1] - b[1]) == 1 else 0
+class _GridAdjacency(dict):
+    """Cell -> row over all cells: -1 at its grid neighbours, else 0. Only cells
+    that have held a qubit get a row, built on first use, so a sparse grid
+    never builds the full square table."""
+
+    def __init__(self, neighbors: list[list[int]]):
+        super().__init__()
+        self.neighbors = neighbors
+
+    def __missing__(self, cell: int) -> list[int]:
+        row = self[cell] = [0] * len(self.neighbors)
+        for nb in self.neighbors[cell]:
+            row[nb] = -1
+        return row
 
 
 def exchange_pass(ig: InteractionGraph, order, slot, free: list, cost) -> bool:
-    """One pass of pairwise exchange lowering ``sum(w * cost(slot[a], slot[b]))``.
+    """One pass of pairwise exchange lowering ``sum(w * cost[slot[a]][slot[b]])``.
 
     The sum runs over the weighted edges of ``ig``; ``slot`` maps every
-    item to its slot and ``cost`` is a symmetric distance between slots.
-    Each item of ``order`` tries a swap with every later item, then a move
-    to every slot in ``free``, and takes each move that lowers the objective
+    item to its slot and ``cost`` is a symmetric table indexed by slot, of
+    which the pass reads only the rows of slots that hold an item. Each item
+    of ``order`` tries a swap with every later item, then a move to every
+    slot in ``free``, and takes each move that lowers the objective
     strictly. A move is scored from the moved items' ``ig.incident`` lists
     alone; a swap leaves out the edge between the two items it exchanges,
     whose cost it does not change. ``slot`` and ``free`` are updated in
@@ -246,22 +273,28 @@ def exchange_pass(ig: InteractionGraph, order, slot, free: list, cost) -> bool:
     incident = ig.incident
     improved = False
     for i, a in enumerate(order):
+        # (weight, neighbour, its cost row); rebuilt after a swap, which may move a neighbour
+        nbrs = [(w, u, cost[slot[u]]) for w, u in incident[a]]
         for b in order[i + 1 :]:
             sa, sb = slot[a], slot[b]
             delta = 0
-            for w, u in incident[a]:
+            for w, u, row in nbrs:
                 if u != b:
-                    delta += w * (cost(sb, slot[u]) - cost(sa, slot[u]))
+                    delta += w * (row[sb] - row[sa])
             for w, u in incident[b]:
                 if u != a:
-                    delta += w * (cost(sa, slot[u]) - cost(sb, slot[u]))
+                    row = cost[slot[u]]
+                    delta += w * (row[sa] - row[sb])
             if delta < 0:
                 slot[a], slot[b] = sb, sa
+                nbrs = [(w, u, cost[slot[u]]) for w, u in incident[a]]
                 improved = True
+        here = sum(w * row[slot[a]] for w, _, row in nbrs)
         for k, s in enumerate(free):
-            sa = slot[a]
-            if sum(w * (cost(s, slot[u]) - cost(sa, slot[u])) for w, u in incident[a]) < 0:
-                slot[a], free[k] = s, sa
+            there = sum(w * row[s] for w, _, row in nbrs)
+            if there < here:
+                slot[a], free[k] = s, slot[a]
+                here = there
                 improved = True
     return improved
 
@@ -270,15 +303,17 @@ def place_qubits(ig: InteractionGraph, config: DesignConfig) -> np.ndarray:
     """Greedy grid placement maximizing realized interaction weight.
 
     Each pick is the unplaced qubit with the largest weight to the placed
-    ones (ties: refined structural keys seeded with the placement order,
-    then smaller index), put on the free cell with the largest weight to
-    its placed grid neighbours. Cell ties prefer more free neighbours, then
-    smaller Manhattan distance to the center, then row-major order; so the
-    first qubit lands on the center, the only cell at distance 0 and one
-    with the most in-grid neighbours. ``pos`` (qubit -> cell, in placement
-    order), the free-cell set and the running weight to the placed set are
-    the whole state. :func:`exchange_pass` with ``_grid_cost`` then repeats
-    over the qubits in placement order and the free cells in row-major order
+    ones; only when several tie there are they told apart, by refined
+    structural keys seeded with the placement order, then by smaller index.
+    The pick goes on the free cell with the largest weight to its placed
+    grid neighbours. Cell ties prefer more free neighbours, then smaller
+    Manhattan distance to the center, then row-major order; so the first
+    qubit lands on the center, the only cell at distance 0 and one with the
+    most in-grid neighbours. Cells are integers ``r*cols + c``. ``pos``
+    (qubit -> cell, in placement order), the free-cell set and the running
+    weight to the placed set are the whole state. :func:`exchange_pass`
+    with the grid adjacency table (-1 for adjacent cells) then repeats over
+    the qubits in placement order and the free cells in row-major order
     until no swap or move raises the realized weight. Deterministic
     throughout.
     """
@@ -286,27 +321,29 @@ def place_qubits(ig: InteractionGraph, config: DesignConfig) -> np.ndarray:
     rows, cols = _grid_shape(n, config)
     if rows * cols < n:
         raise PlacementError(f"grid {rows}x{cols} too small for {n} qubit(s)")
-    center = (rows // 2, cols // 2)
-    pos: dict[int, tuple[int, int]] = {}
-    free = {(r, c) for r in range(rows) for c in range(cols)}
+    cr, cc = rows // 2, cols // 2
+    neighbors = _grid_neighbors(rows, cols)
+    adjacency = _GridAdjacency(neighbors)
+    pos: dict[int, int] = {}
+    free = set(range(rows * cols))
     to_placed = [0] * n  # each qubit's total weight to the placed ones
 
-    def cell_pick_key(placed_nbrs: list, cell: tuple[int, int]):
-        r, c = cell
+    def cell_pick_key(placed_nbrs: list, cell: int):
+        r, c = divmod(cell, cols)
         return (
-            -sum(w * _grid_cost(cell, nb_cell) for w, nb_cell in placed_nbrs),
-            sum(1 for nb in _neighbor_cells(cell, rows, cols) if nb in free),
-            -(abs(r - center[0]) + abs(c - center[1])),
-            -r,
-            -c,
+            -sum(w * adjacency[nb_cell][cell] for w, nb_cell in placed_nbrs),
+            sum(1 for nb in neighbors[cell] if nb in free),
+            -(abs(r - cr) + abs(c - cc)),
+            -cell,
         )
 
     while len(pos) < n:
-        keys = _refined_keys(ig, seed={q: rank for rank, q in enumerate(pos)})
-        best_q = max(
-            (q for q in range(n) if q not in pos),
-            key=lambda q: (to_placed[q], keys[q], -q),
-        )
+        top = max(to_placed[q] for q in range(n) if q not in pos)
+        tied = [q for q in range(n) if q not in pos and to_placed[q] == top]
+        best_q = tied[0]
+        if len(tied) > 1:
+            keys = _refined_keys(ig, seed={q: rank for rank, q in enumerate(pos)})
+            best_q = max(tied, key=lambda q: (keys[q], -q))
         placed_nbrs = [(w, pos[u]) for w, u in ig.incident[best_q] if u in pos]
         best_cell = max(free, key=lambda cell: cell_pick_key(placed_nbrs, cell))
         pos[best_q] = best_cell
@@ -316,11 +353,11 @@ def place_qubits(ig: InteractionGraph, config: DesignConfig) -> np.ndarray:
 
     order, free_cells = list(pos), sorted(free)
     for _ in range(n * n + 4):  # the weight rises strictly, so this bound is never reached
-        if not exchange_pass(ig, order, pos, free_cells, _grid_cost):
+        if not exchange_pass(ig, order, pos, free_cells, adjacency):
             break
     layout = np.full((rows, cols), EMPTY, dtype=np.int64)
     for q, cell in pos.items():
-        layout[cell] = q
+        layout.flat[cell] = q
     return layout
 
 
@@ -331,18 +368,13 @@ def realized_weight(layout: np.ndarray, ig: InteractionGraph) -> int:
 
 def _adjacent_pairs(layout: np.ndarray) -> list[tuple[int, int]]:
     """Occupied grid-adjacent pairs (a, b) with a < b, each once, sorted."""
-    rows, cols = layout.shape
-    pairs = []
-    for r in range(rows):
-        for c in range(cols):
-            q = int(layout[r, c])
-            if q == EMPTY:
-                continue
-            for nb in _neighbor_cells((r, c), rows, cols):
-                other = int(layout[nb])
-                if other > q:  # from the smaller index only; EMPTY never is larger
-                    pairs.append((q, other))
-    return sorted(pairs)
+    flat = layout.ravel().tolist()
+    neighbors = _grid_neighbors(*layout.shape)
+    return sorted(
+        (q, flat[nb])
+        for cell, q in enumerate(flat) if q != EMPTY
+        for nb in neighbors[cell] if flat[nb] > q  # from the smaller index only; EMPTY never is larger
+    )
 
 
 def derive_couplings(
@@ -384,7 +416,8 @@ def allocate_frequencies(coupling: CouplingGraph, config: DesignConfig) -> np.nd
     Qubits are processed in descending coupling degree (ties by index); each
     takes the lowest lattice point ``band_lo + k*step`` that keeps at least
     ``min_adjacent_detuning`` from every assigned neighbour and
-    ``min_next_detuning`` from every assigned distance-2 qubit.
+    ``min_next_detuning`` from every assigned distance-2 qubit, both found
+    from the coupling's neighbour lists; no other qubit is checked.
     """
     fc = config.frequency
     lo, hi, step = fc.band_lo_ghz, fc.band_hi_ghz, fc.step_ghz
@@ -393,34 +426,22 @@ def allocate_frequencies(coupling: CouplingGraph, config: DesignConfig) -> np.nd
     n_points = int((hi - lo) / step + FREQ_EPS) + 1
     lattice = [round(lo + k * step, 9) for k in range(n_points)]
 
-    dist = coupling.distances()
-    freqs = np.full(n, np.nan)
+    assigned: list[float | None] = [None] * n
     order = sorted(range(n), key=lambda q: (-coupling.degree(q), q))
     for q in order:
-        assigned = None
-        for f in lattice:
-            ok = True
-            for other in range(n):
-                if np.isnan(freqs[other]) or other == q:
-                    continue
-                gap = abs(f - freqs[other])
-                if dist[q, other] == 1 and gap < d_adj - FREQ_EPS:
-                    ok = False
-                    break
-                if dist[q, other] == 2 and gap < d_nn - FREQ_EPS:
-                    ok = False
-                    break
-            if ok:
-                assigned = f
-                break
-        if assigned is None:
+        adjacent = coupling.neighbors(q)
+        second = {v for u in adjacent for v in coupling.neighbors(u)} - adjacent - {q}
+        limits = [(assigned[o], d_adj - FREQ_EPS) for o in adjacent if assigned[o] is not None]
+        limits += [(assigned[o], d_nn - FREQ_EPS) for o in second if assigned[o] is not None]
+        f = next((f for f in lattice if all(abs(f - g) >= t for g, t in limits)), None)
+        if f is None:
             raise FrequencyAllocationError(
                 f"no frequency in [{lo}, {hi}] GHz satisfies the detuning "
                 f"constraints for qubit {q}",
                 qubit=q,
             )
-        freqs[q] = assigned
-    return freqs
+        assigned[q] = f
+    return np.array(assigned, dtype=float)
 
 
 def detuning_violations(

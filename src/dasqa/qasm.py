@@ -46,7 +46,7 @@ _TOKEN_RE = re.compile(
   | (?P<punct>[;,\[\]()+\-*/])
   | (?P<bad>.)
     """,
-    re.VERBOSE | re.DOTALL,
+    re.VERBOSE | re.DOTALL | re.ASCII,  # OpenQASM digits and spaces are ASCII
 )
 
 # Parentheses an angle expression may nest; each level costs three frames of

@@ -160,10 +160,9 @@ def initial_mapping(ig: InteractionGraph, arch: Architecture | CouplingGraph) ->
     for lq, pq in zip(logical, physical):
         l2p[lq] = pq
 
-    hops = _hop_table(coupling)
     used = set(l2p)
     free = [p for p in range(n_phys) if p not in used]
-    exchange_pass(ig, range(n_log), l2p, free, lambda p, r: hops[p][r])
+    exchange_pass(ig, range(n_log), l2p, free, _hop_table(coupling))
     return Mapping(tuple(l2p))
 
 

@@ -8,7 +8,9 @@ import numpy as np
 import pytest
 
 from dasqa.archgen import (
+    FREQ_EPS,
     CouplingGraph,
+    _refined_keys,
     allocate_frequencies,
     derive_couplings,
     detuning_violations,
@@ -327,3 +329,203 @@ def test_coupling_graph_distance_and_next_nearest():
     assert (0, 3) in graph.next_nearest_pairs()
     assert graph.is_connected()
     assert not CouplingGraph(3, [(0, 1)]).is_connected()
+
+
+# -- reference implementations: the nested-tuple keys, a placement that
+# refines keys before every pick, and the all-pairs frequency loop --
+
+
+def _reference_refined_keys(ig: InteractionGraph, seed: dict[int, int]) -> list[tuple]:
+    """Nested-tuple keys: each round appends the sorted (weight, neighbour key) pairs."""
+    n = ig.num_qubits
+    keys: list[tuple] = [(seed.get(q, -1), ig.weighted_degree(q)) for q in range(n)]
+    for _ in range(3):
+        keys = [
+            keys[q] + (tuple(sorted((w, keys[u]) for w, u in ig.incident[q])),)
+            for q in range(n)
+        ]
+    return keys
+
+
+def _reference_exchange_pass(ig, order, slot, free, cost) -> bool:
+    """Exchange pass scoring every trial through a cost callable on (row, col) cells."""
+    improved = False
+    for i, a in enumerate(order):
+        for b in order[i + 1 :]:
+            sa, sb = slot[a], slot[b]
+            delta = sum(w * (cost(sb, slot[u]) - cost(sa, slot[u])) for w, u in ig.incident[a] if u != b)
+            delta += sum(w * (cost(sa, slot[u]) - cost(sb, slot[u])) for w, u in ig.incident[b] if u != a)
+            if delta < 0:
+                slot[a], slot[b] = sb, sa
+                improved = True
+        for k, s in enumerate(free):
+            sa = slot[a]
+            if sum(w * (cost(s, slot[u]) - cost(sa, slot[u])) for w, u in ig.incident[a]) < 0:
+                slot[a], free[k] = s, sa
+                improved = True
+    return improved
+
+
+def _reference_place(ig: InteractionGraph, rows: int, cols: int) -> np.ndarray:
+    """Greedy placement on (row, col) cells that refines keys before every pick."""
+    n = ig.num_qubits
+
+    def grid_cost(a, b):
+        return -1 if abs(a[0] - b[0]) + abs(a[1] - b[1]) == 1 else 0
+
+    def in_grid_neighbors(cell):
+        r, c = cell
+        return [(rr, cc) for rr, cc in ((r - 1, c), (r + 1, c), (r, c - 1), (r, c + 1))
+                if 0 <= rr < rows and 0 <= cc < cols]
+
+    pos: dict[int, tuple[int, int]] = {}
+    free = {(r, c) for r in range(rows) for c in range(cols)}
+    to_placed = [0] * n
+    while len(pos) < n:
+        keys = _reference_refined_keys(ig, {q: rank for rank, q in enumerate(pos)})
+        best_q = max((q for q in range(n) if q not in pos), key=lambda q: (to_placed[q], keys[q], -q))
+        placed = [(w, pos[u]) for w, u in ig.incident[best_q] if u in pos]
+        best_cell = max(free, key=lambda cell: (
+            -sum(w * grid_cost(cell, nb) for w, nb in placed),
+            sum(1 for nb in in_grid_neighbors(cell) if nb in free),
+            -(abs(cell[0] - rows // 2) + abs(cell[1] - cols // 2)),
+            -cell[0],
+            -cell[1],
+        ))
+        pos[best_q] = best_cell
+        free.remove(best_cell)
+        for w, u in ig.incident[best_q]:
+            to_placed[u] += w
+    order, free_cells = list(pos), sorted(free)
+    while _reference_exchange_pass(ig, order, pos, free_cells, grid_cost):
+        pass
+    layout = np.full((rows, cols), -1, dtype=np.int64)
+    for q, cell in pos.items():
+        layout[cell] = q
+    return layout
+
+
+def _seeded_graphs(rng: np.random.Generator) -> list[InteractionGraph]:
+    """Sparse, all-pairs (unit and random weights) and relabelled interaction graphs."""
+    graphs = []
+    for _ in range(10):
+        n = int(rng.integers(2, 26))
+        weights: dict[tuple[int, int], int] = {}
+        for _ in range(int(rng.integers(0, 3 * n))):
+            a, b = sorted(int(x) for x in rng.choice(n, size=2, replace=False))
+            weights[(a, b)] = weights.get((a, b), 0) + int(rng.integers(1, 4))
+        graphs.append(InteractionGraph(n, weights))
+    for n in (6, 12):
+        pairs = list(itertools.combinations(range(n), 2))
+        graphs.append(InteractionGraph(n, {p: 1 for p in pairs}))
+        graphs.append(InteractionGraph(n, {p: int(rng.integers(1, 4)) for p in pairs}))
+    for ig in graphs[:6]:
+        perm = [int(x) for x in rng.permutation(ig.num_qubits)]
+        graphs.append(InteractionGraph(
+            ig.num_qubits,
+            {tuple(sorted((perm[a], perm[b]))): w for (a, b), w in ig.weights.items()},
+        ))
+    return graphs
+
+
+def _sign(x, y) -> int:
+    return (x > y) - (x < y)
+
+
+def test_integer_rank_keys_order_as_nested_reference_keys():
+    """Ranks induce the reference keys' order and ties under random seed maps."""
+    rng = np.random.default_rng(90)
+    for ig in _seeded_graphs(rng):
+        n = ig.num_qubits
+        for placed in (0, 1, n // 2, n - 1):
+            seed = {int(q): rank for rank, q in enumerate(rng.permutation(n)[:placed])}
+            ref, got = _reference_refined_keys(ig, seed), _refined_keys(ig, seed)
+            assert sorted(set(got)) == list(range(len(set(got))))  # dense ranks
+            for p, q in itertools.product(range(n), repeat=2):
+                assert _sign(got[p], got[q]) == _sign(ref[p], ref[q])
+
+
+@pytest.mark.parametrize("grid", [{}, {"rows": 2}, {"cols": 7}], ids=["square", "two-rows", "seven-cols"])
+def test_placement_matches_reference_that_refines_before_every_pick(grid):
+    rng = np.random.default_rng(91)
+    config = config_from_dict({"grid": grid})
+    for ig in _seeded_graphs(rng):
+        layout = place_qubits(ig, config)
+        assert np.array_equal(layout, _reference_place(ig, *layout.shape))
+
+
+def _reference_allocate(coupling: CouplingGraph, config: DesignConfig) -> np.ndarray:
+    """First fit on the band lattice, checking every lattice point against all qubits."""
+    fc = config.frequency
+    lo, hi, step = fc.band_lo_ghz, fc.band_hi_ghz, fc.step_ghz
+    d_adj, d_nn = fc.min_adjacent_detuning_ghz, fc.min_next_detuning_ghz
+    n = coupling.num_qubits
+    n_points = int((hi - lo) / step + FREQ_EPS) + 1
+    lattice = [round(lo + k * step, 9) for k in range(n_points)]
+
+    dist = coupling.distances()
+    freqs = np.full(n, np.nan)
+    order = sorted(range(n), key=lambda q: (-coupling.degree(q), q))
+    for q in order:
+        assigned = None
+        for f in lattice:
+            ok = True
+            for other in range(n):
+                if np.isnan(freqs[other]) or other == q:
+                    continue
+                gap = abs(f - freqs[other])
+                if dist[q, other] == 1 and gap < d_adj - FREQ_EPS:
+                    ok = False
+                    break
+                if dist[q, other] == 2 and gap < d_nn - FREQ_EPS:
+                    ok = False
+                    break
+            if ok:
+                assigned = f
+                break
+        if assigned is None:
+            raise FrequencyAllocationError(
+                f"no frequency in [{lo}, {hi}] GHz satisfies the detuning "
+                f"constraints for qubit {q}",
+                qubit=q,
+            )
+        freqs[q] = assigned
+    return freqs
+
+
+def _grid_edges(rows: int, cols: int) -> list[tuple[int, int]]:
+    right = [(r * cols + c, r * cols + c + 1) for r in range(rows) for c in range(cols - 1)]
+    down = [(r * cols + c, (r + 1) * cols + c) for r in range(rows - 1) for c in range(cols)]
+    return right + down
+
+
+def test_frequency_allocation_matches_all_pairs_reference():
+    """Equal vectors, or the same FrequencyAllocationError, on grids, chains and planar subgraphs."""
+    rng = np.random.default_rng(92)
+    couplings = [CouplingGraph(0, []), CouplingGraph(1, [])]
+    couplings += [CouplingGraph(r * c, _grid_edges(r, c)) for r, c in ((2, 2), (3, 3), (4, 5), (8, 8))]
+    couplings += [CouplingGraph(n, [(q, q + 1) for q in range(n - 1)]) for n in (2, 7, 30)]
+    for _ in range(12):
+        rows, cols = (int(x) for x in rng.integers(2, 9, size=2))
+        edges = _grid_edges(rows, cols)
+        keep = rng.random(len(edges)) < rng.uniform(0.3, 1.0)
+        couplings.append(CouplingGraph(rows * cols, [e for e, k in zip(edges, keep) if k]))
+    configs = [
+        DesignConfig(),  # 5.0-5.3 GHz: the larger grids cannot be satisfied
+        config_from_dict({"frequency": {"band_lo_ghz": 5.0, "band_hi_ghz": 7.0}}),
+        config_from_dict({"frequency": {"band_hi_ghz": 5.1, "min_adjacent_detuning_ghz": 0.04}}),
+        config_from_dict({"frequency": {"step_ghz": 0.03, "min_next_detuning_ghz": 0.05}}),
+    ]
+    outcomes = set()
+    for coupling, config in itertools.product(couplings, configs):
+        try:
+            expected = _reference_allocate(coupling, config)
+        except FrequencyAllocationError as exc:
+            with pytest.raises(FrequencyAllocationError) as info:
+                allocate_frequencies(coupling, config)
+            assert (info.value.qubit, str(info.value)) == (exc.qubit, str(exc))
+            outcomes.add("infeasible")
+        else:
+            assert np.array_equal(allocate_frequencies(coupling, config), expected)
+            outcomes.add("assigned")
+    assert outcomes == {"assigned", "infeasible"}

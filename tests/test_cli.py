@@ -113,6 +113,23 @@ def test_deeply_nested_angle_reports_parse_stage_without_traceback(tmp_path, cap
     assert "Traceback" not in err
 
 
+def test_non_ascii_digit_reports_parse_stage_without_traceback(tmp_path, capsys):
+    circuit = tmp_path / "digits.qasm"
+    circuit.write_text('OPENQASM 2.0;\ninclude "qelib1.inc";\nqreg q[\u0663];\n', encoding="utf-8")
+    status = cli_main(
+        [
+            "--file-path", str(circuit),
+            "--config-file-path", CONFIG,
+            "--out-dir", str(tmp_path / "out"),
+        ]
+    )
+    assert status == 1
+    err = capsys.readouterr().err
+    assert err.startswith("dasqa: [parse] line 3, column 8: unexpected character '\u0663'")
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_mistyped_config_value_reports_config_stage_without_traceback(tmp_path, capsys):
     config = tmp_path / "config.yml"
     config.write_text('grid: {rows: "3"}\n', encoding="utf-8")

@@ -62,10 +62,17 @@ def test_operand_index_out_of_range():
         # the 65th parenthesis of the angle, after "rz("
         ("qreg q[1];\nrz(" + "(" * 5000 + "1" + ")" * 5000 + ") q[0];", 4, 4 + 64,
          "angle expression nested too deeply"),
+        # OpenQASM digits and whitespace are ASCII: Arabic-Indic digits, U+00A0
+        ("qreg q[\u0663];", 3, 8, "unexpected character '\u0663'"),
+        ("qreg q[2];\nh q[\u0661];", 4, 5, "unexpected character '\u0661'"),
+        ("qreg q[1];\nrz(\u0661.\u0665) q[0];", 4, 4, "unexpected character '\u0661'"),
+        ("qreg q[1];\nh\u00a0q[0];", 4, 2, "unexpected character '\\xa0'"),
     ],
     ids=[
         "size-word", "size-float", "size-exponent", "qubit-index", "cbit-index",
         "barrier-trailing-comma", "angle-overflow", "angle-nan", "angle-nested-too-deep",
+        "size-arabic-indic-digit", "index-arabic-indic-digit", "angle-arabic-indic-digits",
+        "no-break-space",
     ],
 )
 def test_malformed_operands_raise_positioned_qasm_error(body, line, column, message):

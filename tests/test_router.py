@@ -430,3 +430,24 @@ def test_routed_circuits_are_pinned(case):
         digest.update(repr((g.kind.value, g.qubits, g.angle, g.cbit, rg.inserted)).encode())
     digest.update(repr(routed.final_mapping.log_to_phys).encode())
     assert digest.hexdigest() == PINNED_ROUTES[case]
+
+
+# (qubits, gates) -> SHA-256 of the generated architecture's JSON plus the
+# initial mapping's log_to_phys, for a seeded mixed circuit under BENCH_CONFIG:
+# pins placement, couplings, frequencies and the exchange pass of the mapping.
+PINNED_GENERATIONS = {
+    (9, 90): "5cfb2ea798d01f278d4e7262561c8f1ea86067c3ba67d85ec9cda4ade227426f",
+    (64, 640): "0a3e7abfe1d847d8cfe0a5d6aebbde7c4d2f983f9dbba204eb044e1bcb8673f9",
+    (144, 1440): "df7e4b22f165ac71e414b412a326c2a8472662164434962a883eb50ba8f6791f",
+}
+
+
+@pytest.mark.parametrize(
+    "n, num_gates", sorted(PINNED_GENERATIONS), ids=["{}q-{}".format(*c) for c in sorted(PINNED_GENERATIONS)]
+)
+def test_generated_architectures_and_mappings_are_pinned(n, num_gates):
+    qc = _mixed_circuit(n, num_gates, seed=n)
+    arch = generate_architecture(qc, config_from_dict(BENCH_CONFIG))
+    mapping = initial_mapping(interaction_graph(qc), arch)
+    digest = hashlib.sha256((arch.to_json() + repr(mapping.log_to_phys)).encode())
+    assert digest.hexdigest() == PINNED_GENERATIONS[(n, num_gates)]
