@@ -87,11 +87,19 @@ class CouplingGraph:
             return True
         return bool((self.distances()[0] >= 0).all())
 
+    def second_neighbors(self, q: int) -> set[int]:
+        """Qubits at shortest-path distance exactly 2 from ``q``: neighbours' neighbours."""
+        adjacent = self._adj[q]
+        return {v for u in adjacent for v in self._adj[u]} - adjacent - {q}
+
     def next_nearest_pairs(self) -> list[tuple[int, int]]:
-        """Pairs at shortest-path distance exactly 2."""
-        dist = self.distances()
-        n = self.num_qubits
-        return [(a, b) for a in range(n) for b in range(a + 1, n) if dist[a, b] == 2]
+        """Pairs at shortest-path distance exactly 2, sorted."""
+        return [
+            (a, b)
+            for a in range(self.num_qubits)
+            for b in sorted(self.second_neighbors(a))
+            if b > a
+        ]
 
     def __eq__(self, other):
         return (
@@ -416,8 +424,8 @@ def allocate_frequencies(coupling: CouplingGraph, config: DesignConfig) -> np.nd
     Qubits are processed in descending coupling degree (ties by index); each
     takes the lowest lattice point ``band_lo + k*step`` that keeps at least
     ``min_adjacent_detuning`` from every assigned neighbour and
-    ``min_next_detuning`` from every assigned distance-2 qubit, both found
-    from the coupling's neighbour lists; no other qubit is checked.
+    ``min_next_detuning`` from every assigned distance-2 qubit
+    (:meth:`CouplingGraph.second_neighbors`); no other qubit is checked.
     """
     fc = config.frequency
     lo, hi, step = fc.band_lo_ghz, fc.band_hi_ghz, fc.step_ghz
@@ -429,10 +437,9 @@ def allocate_frequencies(coupling: CouplingGraph, config: DesignConfig) -> np.nd
     assigned: list[float | None] = [None] * n
     order = sorted(range(n), key=lambda q: (-coupling.degree(q), q))
     for q in order:
-        adjacent = coupling.neighbors(q)
-        second = {v for u in adjacent for v in coupling.neighbors(u)} - adjacent - {q}
-        limits = [(assigned[o], d_adj - FREQ_EPS) for o in adjacent if assigned[o] is not None]
-        limits += [(assigned[o], d_nn - FREQ_EPS) for o in second if assigned[o] is not None]
+        limits = [(assigned[o], d_adj - FREQ_EPS) for o in coupling.neighbors(q)]
+        limits += [(assigned[o], d_nn - FREQ_EPS) for o in coupling.second_neighbors(q)]
+        limits = [(g, t) for g, t in limits if g is not None]
         f = next((f for f in lattice if all(abs(f - g) >= t for g, t in limits)), None)
         if f is None:
             raise FrequencyAllocationError(

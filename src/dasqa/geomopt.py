@@ -4,7 +4,7 @@ The surrogate replaces electromagnetic simulation in the loop: a polynomial
 in (pad_gap, pad_height) is least-squares fitted to a pre-collected table of
 simulated qubit frequencies, then inverted numerically to find the geometry
 that hits a target frequency. :func:`optimize_layout` applies the inverted
-geometries to the layout's transmons via ``update_component``.
+geometries to the layout's transmons, one checked edit per transmon.
 
 A bundled synthetic table (``data/pad_geometry.csv``, regenerable with
 ``python -m dasqa.data.make_pad_geometry``) stands in for simulation data;
@@ -15,14 +15,14 @@ from __future__ import annotations
 import csv
 import importlib.resources
 import io
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .config import DesignConfig
 from .errors import GeometryError, UnreachableTargetError, file_error_reason
-from .layout import LayoutDocument, length_um, update_component
+from .layout import LayoutDocument, length_um
 
 INVERT_TOL_GHZ = 1e-6
 GRID_POINTS = 101
@@ -116,7 +116,6 @@ class GeometryModel:
     gap_bounds: tuple[float, float]
     height_bounds: tuple[float, float]
     residual_rms_ghz: float = 0.0
-    residuals_ghz: np.ndarray = field(default_factory=lambda: np.zeros(0))
 
     def in_bounds(self, gap_um: float, height_um: float) -> bool:
         return (
@@ -166,7 +165,6 @@ def fit_model(data: GeometryDataset, degree: int) -> GeometryModel:
         gap_bounds=(float(data.gap_um.min()), float(data.gap_um.max())),
         height_bounds=(float(data.height_um.min()), float(data.height_um.max())),
         residual_rms_ghz=float(np.sqrt(np.mean(residuals**2))),
-        residuals_ghz=residuals,
     )
 
 
@@ -254,9 +252,9 @@ def invert_for_geometry(
 class QubitGeometryResult:
     qubit: str
     target_ghz: float
-    achieved_ghz: float | None
-    pad_gap_um: float | None
-    pad_height_um: float | None
+    achieved_ghz: float | None = None
+    pad_gap_um: float | None = None
+    pad_height_um: float | None = None
     error: str | None = None
 
 
@@ -272,6 +270,10 @@ def optimize_layout(
     current pad gap is kept and only the pad height is solved; ``free`` mode
     searches both. Unreachable targets are reported and skipped; the rest of
     the layout is still updated.
+
+    Each transmon gets one :meth:`LayoutDocument.edit` that sets ``pad_gap``
+    and ``pad_height`` together; the edit checks the rebuilt pads against the
+    chip and every other transmon, so the result needs no whole-chip check.
     """
     freqs = np.asarray(frequencies, dtype=float)
     transmons = layout.by_kind("transmon")
@@ -280,40 +282,19 @@ def optimize_layout(
             f"layout has {len(transmons)} transmon(s), got {len(freqs)} frequencies"
         )
     results: list[QubitGeometryResult] = []
+    fixed = config.geometry.invert_mode == "fixed_gap"
     for q, f_target in enumerate(freqs):
         name = f"Q_{q}"
         comp = layout.component(name)
-        if config.geometry.invert_mode == "fixed_gap":
-            fixed_gap = length_um(comp.options["pad_gap"])
-        else:
-            fixed_gap = None
+        fixed_gap = length_um(comp.options["pad_gap"]) if fixed else None
         try:
             gap, height = invert_for_geometry(model, float(f_target), fixed_gap)
-            # match the 9-significant-digit precision of the stored options
-            gap = float(f"{gap:.9g}")
-            height = float(f"{height:.9g}")
         except UnreachableTargetError as exc:
-            results.append(
-                QubitGeometryResult(
-                    qubit=name,
-                    target_ghz=float(f_target),
-                    achieved_ghz=None,
-                    pad_gap_um=None,
-                    pad_height_um=None,
-                    error=str(exc),
-                )
-            )
+            results.append(QubitGeometryResult(name, float(f_target), error=str(exc)))
             continue
-        update_component(layout, name, "pad_gap", f"{gap:.9g}um")
-        update_component(layout, name, "pad_height", f"{height:.9g}um")
+        # match the 9-significant-digit precision of the stored options
+        gap, height = float(f"{gap:.9g}"), float(f"{height:.9g}")
+        layout.edit(comp, {"pad_gap": f"{gap:.9g}um", "pad_height": f"{height:.9g}um"})
         achieved = predict_frequency(model, gap, height).frequency_ghz
-        results.append(
-            QubitGeometryResult(
-                qubit=name,
-                target_ghz=float(f_target),
-                achieved_ghz=achieved,
-                pad_gap_um=gap,
-                pad_height_um=height,
-            )
-        )
+        results.append(QubitGeometryResult(name, float(f_target), achieved, gap, height))
     return layout, results

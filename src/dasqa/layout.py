@@ -7,8 +7,11 @@ quarter-wave readout resonator, control-line port at the chip edge) with the
 connecting nets. All coordinates are micrometers; option values are strings
 with explicit units so they survive serialization unambiguously.
 
-The document is single-writer: :func:`update_component` rebuilds the edited
-component on a copy, checks only that copy and commits it once it passes.
+Checks run once: :func:`build_layout` ends with the whole-chip
+:meth:`LayoutDocument.validate`, and every later change is a single-writer
+:meth:`LayoutDocument.edit` that checks only the rebuilt copy of the edited
+component before committing it. A document changed only through edits needs
+no second whole-chip check.
 """
 from __future__ import annotations
 
@@ -17,7 +20,7 @@ import re
 from dataclasses import dataclass, field, replace
 
 from .archgen import Architecture
-from .config import DesignConfig
+from .config import DesignConfig, LayoutConfig
 from .errors import LayoutError
 from .resonator import Point, polyline_length, resonator_length, synthesize_meander
 
@@ -132,6 +135,10 @@ class LayoutDocument:
     # -- invariants --------------------------------------------------------
 
     def validate(self) -> None:
+        """Whole-chip check: names, option values and net endpoints, then each
+        component in document order, a transmon's pads against those of later
+        transmons only: each pad pair is compared once, and an overlap is
+        reported at the earlier transmon."""
         names = [c.name for c in self.components]
         if len(set(names)) != len(names):
             dup = sorted({n for n in names if names.count(n) > 1})[0]
@@ -144,11 +151,25 @@ class LayoutDocument:
             for endpoint in (a, b):
                 if endpoint not in known:
                     raise LayoutError(f"net endpoint {endpoint!r} does not exist")
+        pads, k = self._pads(), 0
         for comp in self.components:
-            self._check_component(comp)
+            later: list[tuple[str, Rect]] = []
+            if comp.kind == "transmon":
+                k += len(comp.rects)
+                later = pads[k:]
+            self._check_component(comp, later)
 
-    def _check_component(self, comp: Component) -> None:
-        """Every shape of ``comp`` lies on the chip; transmon pads clear all others."""
+    def _pads(self, skip: str | None = None) -> list[tuple[str, Rect]]:
+        """(transmon name, pad) in document order, leaving out transmon ``skip``."""
+        return [
+            (c.name, rect)
+            for c in self.components
+            if c.kind == "transmon" and c.name != skip
+            for rect in c.rects
+        ]
+
+    def _check_component(self, comp: Component, pads: list[tuple[str, Rect]]) -> None:
+        """Every shape of ``comp`` lies on the chip; transmon pads clear ``pads``."""
         x0, y0, w, h = self.chip
         x1, y1 = x0 + w, y0 + h
         tol = 1e-6
@@ -162,16 +183,23 @@ class LayoutDocument:
                     raise LayoutError(f"{comp.name}: path {outside}")
         if comp.kind != "transmon":
             return
-        others = [
-            (c.name, rect)
-            for c in self.components
-            if c.kind == "transmon" and c.name != comp.name
-            for rect in c.rects
-        ]
         for pad in comp.rects:
-            for other, rect in others:
+            for other, rect in pads:
                 if _rects_overlap(pad, rect):
                     raise LayoutError(f"transmon pads of {comp.name} and {other} overlap")
+
+    def edit(self, comp: Component, staged: dict[str, str]) -> None:
+        """Set options of ``comp``, a component of this document, if the result
+        passes: the copy it is rebuilt on must lie on the chip and, for a
+        transmon, clear every other transmon's pads. A rejected edit changes nothing."""
+        candidate = replace(comp, options={**comp.options, **staged})
+        rebuild_geometry(candidate)
+        others = self._pads(skip=comp.name) if comp.kind == "transmon" else []
+        self._check_component(candidate, others)
+        # commit into the live component: callers may hold it across the call
+        comp.options = candidate.options
+        comp.rects = candidate.rects
+        comp.polylines = candidate.polylines
 
     # -- serialization -----------------------------------------------------
 
@@ -222,15 +250,17 @@ def _rects_overlap(a: Rect, b: Rect) -> bool:
 # -- geometry synthesis ------------------------------------------------------
 
 
+def _rebuild_plates(comp: Component, width: str, height: str, gap: str) -> float:
+    """Two plates centred on ``comp`` above and below a gap; returns the gap."""
+    x, y = comp.position
+    w, h, g = (length_um(comp.options[key]) for key in (width, height, gap))
+    comp.rects = [(x - w / 2, y + g / 2, w, h), (x - w / 2, y - g / 2 - h, w, h)]
+    return g
+
+
 def _rebuild_transmon(comp: Component) -> None:
     x, y = comp.position
-    w = length_um(comp.options["pad_width"])
-    h = length_um(comp.options["pad_height"])
-    gap = length_um(comp.options["pad_gap"])
-    comp.rects = [
-        (x - w / 2, y + gap / 2, w, h),
-        (x - w / 2, y - gap / 2 - h, w, h),
-    ]
+    gap = _rebuild_plates(comp, "pad_width", "pad_height", "pad_gap")
     # junction marker bridging the gap
     comp.polylines = [[(x, y - gap / 2), (x, y + gap / 2)]]
 
@@ -245,14 +275,7 @@ def _rebuild_resonator(comp: Component) -> None:
 
 
 def _rebuild_capacitor(comp: Component) -> None:
-    x, y = comp.position
-    w = length_um(comp.options["cap_width"])
-    plate = length_um(comp.options["cap_plate_height"])
-    gap = length_um(comp.options["cap_gap"])
-    comp.rects = [
-        (x - w / 2, y + gap / 2, w, plate),
-        (x - w / 2, y - gap / 2 - plate, w, plate),
-    ]
+    _rebuild_plates(comp, "cap_width", "cap_plate_height", "cap_gap")
     comp.polylines = []
 
 
@@ -284,14 +307,19 @@ def rebuild_geometry(comp: Component) -> None:
     _REBUILD[comp.kind](comp)
 
 
+def _resonator_options(f_ghz: float, epsilon_eff: float, mode: str) -> dict[str, str]:
+    """``target_frequency`` and the ``total_length`` its wavelength sets."""
+    total_um = resonator_length(f_ghz, epsilon_eff, mode) * 1000.0
+    return {"target_frequency": f"{f_ghz:.9g}GHz", "total_length": fmt_um(total_um)}
+
+
 def update_component(layout: LayoutDocument, name: str, option: str, value: str) -> LayoutDocument:
     """Set one geometry option and recompute the dependent shapes.
 
-    For resonators, changing ``target_frequency`` re-derives ``total_length``
-    from the wavelength formula before re-synthesizing the meander. The edit
-    is built and checked on a copy of the component (shapes on the chip,
-    transmon pads clear of every other transmon) and copied into the document
-    only if the check passes, so a rejected edit changes nothing.
+    Checks the option name and parses its value here; for resonators, a
+    ``target_frequency`` re-derives ``total_length`` by
+    :func:`_resonator_options`. The shapes are then checked and committed by
+    :meth:`LayoutDocument.edit`, so a rejected edit changes nothing.
     """
     comp = layout.component(name)
     known = KNOWN_OPTIONS[comp.kind]
@@ -304,22 +332,11 @@ def update_component(layout: LayoutDocument, name: str, option: str, value: str)
         f_ghz = frequency_ghz(value)
         if comp.mode is None or comp.epsilon_eff is None:
             raise LayoutError(f"{name}: resonator mode/permittivity missing")
-        new_len_mm = resonator_length(f_ghz, comp.epsilon_eff, comp.mode)
-        staged = {
-            "target_frequency": f"{f_ghz:.9g}GHz",
-            "total_length": fmt_um(new_len_mm * 1000.0),
-        }
+        staged = _resonator_options(f_ghz, comp.epsilon_eff, comp.mode)
     else:
         length_um(value)  # every other known option is a length
         staged = {option: value}
-
-    candidate = replace(comp, options={**comp.options, **staged})
-    rebuild_geometry(candidate)
-    layout._check_component(candidate)
-    # commit into the live component: callers may hold it across the call
-    comp.options = candidate.options
-    comp.rects = candidate.rects
-    comp.polylines = candidate.polylines
+    layout.edit(comp, staged)
     return layout
 
 
@@ -328,6 +345,28 @@ def update_component(layout: LayoutDocument, name: str, option: str, value: str)
 
 def grid_position(row: int, col: int, pitch_um: float) -> Point:
     return (col * pitch_um, -row * pitch_um)
+
+
+def _midpoint(a: Point, b: Point) -> Point:
+    return ((a[0] + b[0]) / 2, (a[1] + b[1]) / 2)
+
+
+def _resonator(
+    name: str, kind: str, f_ghz: float, mode: str, anchors: tuple[Point, Point], lay: LayoutConfig
+) -> Component:
+    """A resonator between ``anchors``, cut to the wavelength of ``f_ghz``."""
+    return Component(
+        name=name,
+        kind=kind,
+        position=_midpoint(*anchors),
+        options={
+            **_resonator_options(f_ghz, lay.epsilon_eff, mode),
+            "meander_amplitude": fmt_um(lay.meander_amplitude_um),
+        },
+        mode=mode,
+        epsilon_eff=lay.epsilon_eff,
+        anchors=anchors,
+    )
 
 
 def build_layout(arch: Architecture, config: DesignConfig) -> LayoutDocument:
@@ -353,8 +392,12 @@ def build_layout(arch: Architecture, config: DesignConfig) -> LayoutDocument:
 
     qubit_xy = {q: grid_position(r, c, pitch) for q, (r, c) in positions.items()}
 
+    def add(comp: Component) -> None:
+        rebuild_geometry(comp)
+        doc.components.append(comp)
+
     for q in range(n):
-        comp = Component(
+        add(Component(
             name=f"Q_{q}",
             kind="transmon",
             position=qubit_xy[q],
@@ -363,38 +406,22 @@ def build_layout(arch: Architecture, config: DesignConfig) -> LayoutDocument:
                 "pad_height": fmt_um(DEFAULT_PAD_HEIGHT_UM),
                 "pad_gap": fmt_um(DEFAULT_PAD_GAP_UM),
             },
-        )
-        rebuild_geometry(comp)
-        doc.components.append(comp)
+        ))
 
     lattice = lay.coupling_freq_lattice_ghz
     for k, (a, b) in enumerate(arch.coupling.sorted_edges()):
-        f_ghz = lattice[k % len(lattice)]
-        total_um = resonator_length(f_ghz, lay.epsilon_eff, lay.resonator_mode) * 1000.0
+        cr = f"CR_{a}_{b}"
         (xa, ya), (xb, yb) = qubit_xy[a], qubit_xy[b]
         span = ((xb - xa) ** 2 + (yb - ya) ** 2) ** 0.5
         if span <= 2 * COUPLER_CLEARANCE_UM:
-            raise LayoutError(f"pitch {pitch} too small to attach coupler CR_{a}_{b}")
+            raise LayoutError(f"pitch {pitch} too small to attach coupler {cr}")
         ux, uy = (xb - xa) / span, (yb - ya) / span
         start = (xa + ux * COUPLER_CLEARANCE_UM, ya + uy * COUPLER_CLEARANCE_UM)
         end = (xb - ux * COUPLER_CLEARANCE_UM, yb - uy * COUPLER_CLEARANCE_UM)
-        comp = Component(
-            name=f"CR_{a}_{b}",
-            kind="coupling_resonator",
-            position=((start[0] + end[0]) / 2, (start[1] + end[1]) / 2),
-            options={
-                "target_frequency": f"{f_ghz:.9g}GHz",
-                "total_length": fmt_um(total_um),
-                "meander_amplitude": fmt_um(lay.meander_amplitude_um),
-            },
-            mode=lay.resonator_mode,
-            epsilon_eff=lay.epsilon_eff,
-            anchors=(start, end),
-        )
-        rebuild_geometry(comp)
-        doc.components.append(comp)
-        doc.nets.append((f"Q_{a}", f"CR_{a}_{b}", "qubit-coupler"))
-        doc.nets.append((f"Q_{b}", f"CR_{a}_{b}", "qubit-coupler"))
+        f_ghz = lattice[k % len(lattice)]
+        add(_resonator(cr, "coupling_resonator", f_ghz, lay.resonator_mode, (start, end), lay))
+        doc.nets.append((f"Q_{a}", cr, "qubit-coupler"))
+        doc.nets.append((f"Q_{b}", cr, "qubit-coupler"))
 
     chip_x0, chip_y0, chip_w, _ = chip
     for q in range(n):
@@ -402,7 +429,7 @@ def build_layout(arch: Architecture, config: DesignConfig) -> LayoutDocument:
         xc = x + CHAIN_X_OFFSET_UM
         cap_y = y - CAP_OFFSET_UM
 
-        cap = Component(
+        add(Component(
             name=f"CAP_{q}",
             kind="capacitor",
             position=(xc, cap_y),
@@ -411,40 +438,21 @@ def build_layout(arch: Architecture, config: DesignConfig) -> LayoutDocument:
                 "cap_plate_height": fmt_um(DEFAULT_CAP_PLATE_HEIGHT_UM),
                 "cap_gap": fmt_um(DEFAULT_CAP_GAP_UM),
             },
-        )
-        rebuild_geometry(cap)
-        doc.components.append(cap)
+        ))
 
         f_read = float(arch.frequencies[q]) + lay.readout_detuning_ghz
-        rd_total_um = resonator_length(f_read, lay.epsilon_eff, "quarter") * 1000.0
         rd_start = (xc, cap_y - READOUT_DROP_UM)
         rd_end = (xc, cap_y - READOUT_DROP_UM - READOUT_SPAN_UM)
-        rd = Component(
-            name=f"RD_{q}",
-            kind="readout_resonator",
-            position=((rd_start[0] + rd_end[0]) / 2, (rd_start[1] + rd_end[1]) / 2),
-            options={
-                "target_frequency": f"{f_read:.9g}GHz",
-                "total_length": fmt_um(rd_total_um),
-                "meander_amplitude": fmt_um(lay.meander_amplitude_um),
-            },
-            mode="quarter",
-            epsilon_eff=lay.epsilon_eff,
-            anchors=(rd_start, rd_end),
-        )
-        rebuild_geometry(rd)
-        doc.components.append(rd)
+        add(_resonator(f"RD_{q}", "readout_resonator", f_read, "quarter", (rd_start, rd_end), lay))
 
         slot_x = chip_x0 + (q + 0.5) * chip_w / n
         ctl_y = chip_y0 + 150.0
-        ctl = Component(
+        add(Component(
             name=f"CTL_{q}",
             kind="control_line",
             position=(slot_x, ctl_y),
             options={"stub_length": fmt_um(300.0)},
-        )
-        rebuild_geometry(ctl)
-        doc.components.append(ctl)
+        ))
 
         pad_bottom = (x, y - DEFAULT_PAD_GAP_UM / 2 - DEFAULT_PAD_HEIGHT_UM)
         cap_top = (xc, cap_y + DEFAULT_CAP_GAP_UM / 2 + DEFAULT_CAP_PLATE_HEIGHT_UM)
@@ -455,17 +463,12 @@ def build_layout(arch: Architecture, config: DesignConfig) -> LayoutDocument:
             ("CR", f"CAP_{q}", f"RD_{q}", "capacitor-readout", (cap_bottom, rd_start)),
             ("CC", f"CAP_{q}", f"CTL_{q}", "capacitor-control", (cap_bottom, (slot_x, ctl_y))),
         ):
-            conn = Component(
+            add(Component(
                 name=f"CONN_{suffix}_{q}",
                 kind="connection",
-                position=(
-                    (anchors[0][0] + anchors[1][0]) / 2,
-                    (anchors[0][1] + anchors[1][1]) / 2,
-                ),
+                position=_midpoint(*anchors),
                 anchors=anchors,
-            )
-            rebuild_geometry(conn)
-            doc.components.append(conn)
+            ))
             doc.nets.append((a_name, b_name, kind))
 
     doc.validate()

@@ -163,6 +163,10 @@ def run_flow(
     All computation happens before any file is written; each file is then
     written to a temp name and renamed, so a failed run leaves no partial
     outputs behind.
+
+    The layout is checked once: ``build_layout`` validates the whole chip,
+    and each geometry edit checks only the transmon it changes, so no
+    whole-chip check follows ``optimize_layout``.
     """
     stages = stages or StageInterfaces()
     config = _run_stage("config", load_config, config_path)
@@ -188,7 +192,6 @@ def run_flow(
     layout, geometry_results = _run_stage(
         "geometry", geomopt.optimize_layout, layout, arch.frequencies, config, model
     )
-    _run_stage("layout", layout.validate)
 
     baseline = None
     if baseline_path is not None:

@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from dasqa import layout as layout_module
 from dasqa.archgen import Architecture, CouplingGraph, generate_architecture
 from dasqa.circuit import Gate, GateKind, QuantumCircuit
 from dasqa.config import DesignConfig
@@ -116,3 +117,28 @@ def random_connected_architecture(
         coupling = CouplingGraph(num_qubits, edges)
         freqs = np.round(5.0 + 0.01 * np.arange(num_qubits), 9)
         return Architecture(layout, coupling, freqs)
+
+
+def grid_architecture(rows: int, cols: int, frequencies, coupled: bool = True) -> Architecture:
+    """Qubits 0..rows*cols-1 filling the grid row-major, coupled along every
+    grid edge (or not at all)."""
+    n = rows * cols
+    grid = np.arange(n, dtype=np.int64).reshape(rows, cols)
+    edges = []
+    if coupled:
+        edges = [(q, q + 1) for q in range(n) if q % cols != cols - 1]
+        edges += [(q, q + cols) for q in range(n - cols)]
+    return Architecture(grid, CouplingGraph(n, edges), np.asarray(frequencies, dtype=float))
+
+
+def count_overlap_calls(monkeypatch) -> list:
+    """Record the pads of each ``layout._rects_overlap`` call from here on."""
+    calls = []
+    real_overlap = layout_module._rects_overlap
+
+    def counting_overlap(a, b):
+        calls.append((a, b))
+        return real_overlap(a, b)
+
+    monkeypatch.setattr(layout_module, "_rects_overlap", counting_overlap)
+    return calls

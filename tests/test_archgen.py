@@ -332,7 +332,36 @@ def test_coupling_graph_distance_and_next_nearest():
 
 
 # -- reference implementations: the nested-tuple keys, a placement that
-# refines keys before every pick, and the all-pairs frequency loop --
+# refines keys before every pick, the all-pairs frequency loop and the
+# distance-matrix scan for distance-2 pairs --
+
+
+def _reference_next_nearest_pairs(coupling: CouplingGraph) -> list[tuple[int, int]]:
+    dist = coupling.distances()
+    n = coupling.num_qubits
+    return [(a, b) for a in range(n) for b in range(a + 1, n) if dist[a, b] == 2]
+
+
+def test_next_nearest_pairs_match_distance_matrix_scan():
+    rng = np.random.default_rng(57)
+    graphs = [CouplingGraph(0, []), CouplingGraph(1, []), CouplingGraph(6, [])]
+    graphs += [CouplingGraph(r * c, _grid_edges(r, c)) for r, c in ((1, 5), (3, 3), (4, 7), (8, 8))]
+    graphs += [CouplingGraph(n, [(q, q + 1) for q in range(n - 1)]) for n in (2, 3, 17)]
+    for _ in range(30):
+        n = int(rng.integers(2, 40))
+        pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
+        keep = rng.random(len(pairs)) < rng.uniform(0.02, 0.4)
+        edges = [p for p, k in zip(pairs, keep) if k]
+        graphs.append(CouplingGraph(n, edges))  # random, often disconnected
+        isolated = int(rng.integers(1, 5))  # the same edges plus qubits with none
+        graphs.append(CouplingGraph(n + isolated, edges))
+    # two disjoint grids side by side
+    graphs.append(CouplingGraph(18, _grid_edges(3, 3) + [(a + 9, b + 9) for a, b in _grid_edges(3, 3)]))
+    for coupling in graphs:
+        assert coupling.next_nearest_pairs() == _reference_next_nearest_pairs(coupling)
+        dist = coupling.distances()
+        for q in range(coupling.num_qubits):
+            assert coupling.second_neighbors(q) == set(np.flatnonzero(dist[q] == 2).tolist())
 
 
 def _reference_refined_keys(ig: InteractionGraph, seed: dict[int, int]) -> list[tuple]:

@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 from dasqa import geomopt
-from dasqa.errors import GeometryError, UnreachableTargetError
+from dasqa.config import config_from_dict
+from dasqa.errors import GeometryError, LayoutError, UnreachableTargetError
 from dasqa.geomopt import (
     GeometryDataset,
     bundled_dataset,
@@ -18,7 +19,9 @@ from dasqa.geomopt import (
     optimize_layout,
     predict_frequency,
 )
-from dasqa.layout import build_layout, length_um
+from dasqa.layout import LayoutDocument, build_layout, length_um
+
+from conftest import count_overlap_calls, grid_architecture
 
 GROUND_TRUTH = (7.2, -0.004, -0.012, 0.0, 0.0, 1.5e-5)  # over monomial_exponents(2)
 
@@ -284,3 +287,61 @@ def test_optimize_layout_frequency_count_mismatch(star_arch, config):
     model = fit_model(bundled_dataset(), 2)
     with pytest.raises(GeometryError, match="frequencies"):
         optimize_layout(layout, [5.0, 5.1], config, model)
+
+
+def test_optimize_layout_makes_one_checked_edit_per_transmon(monkeypatch, config):
+    # pad_gap and pad_height go in together: one check, and so one scan of the
+    # other transmons' pads, per transmon
+    n = 36
+    freqs = np.resize(REFERENCE_FREQS, n)
+    layout = build_layout(grid_architecture(6, 6, freqs), config)
+    model = fit_model(bundled_dataset(), 2)
+    checked = []
+    real_check = LayoutDocument._check_component
+
+    def counting_check(self, comp, *args):
+        checked.append(comp.name)
+        return real_check(self, comp, *args)
+
+    monkeypatch.setattr(LayoutDocument, "_check_component", counting_check)
+    overlaps = count_overlap_calls(monkeypatch)
+    layout, results = optimize_layout(layout, freqs, config, model)
+    assert all(r.error is None for r in results)
+    assert sorted(checked) == sorted(f"Q_{q}" for q in range(n))
+    assert len(overlaps) == 4 * n * (n - 1)
+    for q, r in enumerate(results):
+        options = layout.component(f"Q_{q}").options
+        assert length_um(options["pad_height"]) == pytest.approx(r.pad_height_um, rel=1e-9)
+
+
+# a free-mode inversion searches 101 gaps, so that mode gets one short column;
+# with no side-by-side pads, the column's pitch may go below the 455 um pad width
+@pytest.mark.parametrize(
+    "invert_mode, rows, cols, trials, pitches",
+    [("fixed_gap", 3, 3, 24, (460, 700)), ("free", 2, 1, 10, (220, 640))],
+)
+def test_optimized_layout_passes_whole_chip_check_or_is_rejected(
+    invert_mode, rows, cols, trials, pitches
+):
+    # a transmon is 210 um tall at build time and 370-590 um once tuned, so
+    # tight pitches leave no room; a coupler needs more than 600 um, so the
+    # tight grids are uncoupled
+    rng = np.random.default_rng(41)
+    model = fit_model(bundled_dataset(), 2)
+    outcomes = set()
+    for _ in range(trials):
+        pitch = float(rng.uniform(*pitches))
+        config = config_from_dict(
+            {"layout": {"pitch_um": pitch}, "geometry": {"invert_mode": invert_mode}}
+        )
+        freqs = np.round(rng.uniform(5.0, 5.5, size=rows * cols), 3)
+        layout = build_layout(grid_architecture(rows, cols, freqs, coupled=pitch > 620), config)
+        try:
+            layout, _ = optimize_layout(layout, freqs, config, model)
+        except LayoutError as exc:
+            assert "overlap" in str(exc)
+            outcomes.add("rejected")
+            continue
+        layout.validate()
+        outcomes.add("accepted")
+    assert outcomes == {"accepted", "rejected"}

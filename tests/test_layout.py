@@ -10,13 +10,18 @@ from dasqa.circuit import QuantumCircuit
 from dasqa.config import config_from_dict
 from dasqa.errors import LayoutError
 from dasqa.layout import (
+    LayoutDocument,
     build_layout,
+    fmt_um,
     length_um,
     measured_length_um,
     parse_quantity,
+    rebuild_geometry,
     update_component,
 )
 from dasqa.resonator import resonator_length
+
+from conftest import count_overlap_calls, grid_architecture
 
 
 @pytest.fixture()
@@ -170,21 +175,86 @@ def test_transmon_edit_checks_only_its_own_pads(monkeypatch, config):
     # 6x6 grid of 36 transmons: an edit compares the edited transmon's two
     # pads with the two pads of each other transmon, never all pairs
     n = 36
-    grid = np.arange(n, dtype=np.int64).reshape(6, 6)
-    edges = [(q, q + 1) for q in range(n) if q % 6 != 5]
-    doc = build_layout(Architecture(grid, CouplingGraph(n, edges), np.full(n, 5.0)), config)
-    calls = 0
-    real_overlap = layout_module._rects_overlap
-
-    def counting_overlap(a, b):
-        nonlocal calls
-        calls += 1
-        return real_overlap(a, b)
-
-    monkeypatch.setattr(layout_module, "_rects_overlap", counting_overlap)
+    doc = build_layout(grid_architecture(6, 6, np.full(n, 5.0)), config)
+    calls = count_overlap_calls(monkeypatch)
     update_component(doc, "Q_14", "pad_height", "120um")
-    assert 0 < calls <= 4 * (n - 1)
+    assert 0 < len(calls) <= 4 * (n - 1)
     assert doc.component("Q_14").options["pad_height"] == "120um"
+
+
+def test_whole_chip_check_compares_each_pad_pair_once(monkeypatch, config):
+    # two pads per transmon: n(n-1)/2 transmon pairs of 4 pad pairs each
+    n = 36
+    doc = build_layout(grid_architecture(6, 6, np.full(n, 5.0)), config)
+    calls = count_overlap_calls(monkeypatch)
+    doc.validate()
+    assert len(calls) == 2 * n * (n - 1)
+    assert len({(a, b) for a, b in calls} | {(b, a) for a, b in calls}) == 2 * len(calls)
+
+
+def _reference_check_shapes(doc: LayoutDocument) -> None:
+    """Shape part of the whole-chip check as a both-sides scan: each component
+    in document order, bounds first, then a transmon's pads against the pads
+    of every other transmon."""
+    x0, y0, w, h = doc.chip
+    x1, y1 = x0 + w, y0 + h
+    tol = 1e-6
+    outside = "outside chip bounds (chip too small for the configured pitch/margin)"
+    transmons = doc.by_kind("transmon")
+    for comp in doc.components:
+        for rx, ry, rw, rh in comp.rects:
+            if rx < x0 - tol or ry < y0 - tol or rx + rw > x1 + tol or ry + rh > y1 + tol:
+                raise LayoutError(f"{comp.name}: rectangle {outside}")
+        for line in comp.polylines:
+            for px, py in line:
+                if px < x0 - tol or py < y0 - tol or px > x1 + tol or py > y1 + tol:
+                    raise LayoutError(f"{comp.name}: path {outside}")
+        if comp.kind != "transmon":
+            continue
+        for pad in comp.rects:
+            for other in transmons:
+                if other is comp:
+                    continue
+                for rect in other.rects:
+                    if layout_module._rects_overlap(pad, rect):
+                        raise LayoutError(f"transmon pads of {comp.name} and {other.name} overlap")
+
+
+def _first_error(check) -> str | None:
+    try:
+        check()
+    except LayoutError as exc:
+        return str(exc)
+    return None
+
+
+def test_whole_chip_check_reports_the_same_first_error_as_both_sides_scan(config):
+    # faults are written into the document directly, past update_component's
+    # checks: pads widened into their neighbours, shapes pushed off the chip,
+    # or both; the first error must be the one the both-sides scan finds
+    rng = np.random.default_rng(23)
+    n = 16
+    seen = set()
+    for trial in range(90):
+        doc = build_layout(grid_architecture(4, 4, np.full(n, 5.0)), config)
+        if trial % 3 != 1:
+            for q in rng.choice(n, size=int(rng.integers(1, 5)), replace=False):
+                comp = doc.component(f"Q_{q}")
+                comp.options["pad_width"] = fmt_um(float(rng.uniform(455, 6000)))
+                comp.options["pad_height"] = fmt_um(float(rng.uniform(90, 2500)))
+                rebuild_geometry(comp)
+        if trial % 3 != 0:
+            for k in rng.choice(len(doc.components), size=int(rng.integers(1, 4)), replace=False):
+                comp = doc.components[int(k)]
+                dx, dy = (float(v) for v in rng.uniform(-9000, 9000, size=2))
+                comp.position = (comp.position[0] + dx, comp.position[1] + dy)
+                if comp.anchors is not None:
+                    comp.anchors = tuple((x + dx, y + dy) for x, y in comp.anchors)
+                rebuild_geometry(comp)
+        expected = _first_error(lambda: _reference_check_shapes(doc))
+        assert _first_error(doc.validate) == expected
+        seen.add("clean" if expected is None else expected.split()[-1])
+    assert seen == {"clean", "overlap", "pitch/margin)"}
 
 
 def test_nets_reference_existing_components(star_layout):
