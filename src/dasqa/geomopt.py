@@ -4,7 +4,8 @@ The surrogate replaces electromagnetic simulation in the loop: a polynomial
 in (pad_gap, pad_height) is least-squares fitted to a pre-collected table of
 simulated qubit frequencies, then inverted numerically to find the geometry
 that hits a target frequency. :func:`optimize_layout` applies the inverted
-geometries to the layout's transmons, one checked edit per transmon.
+geometries to the layout's transmons: one solve per distinct target, one
+checked edit per transmon.
 
 A bundled synthetic table (``data/pad_geometry.csv``, regenerable with
 ``python -m dasqa.data.make_pad_geometry``) stands in for simulation data;
@@ -21,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import DesignConfig
-from .errors import GeometryError, UnreachableTargetError, file_error_reason
+from .errors import GeometryError, LayoutError, UnreachableTargetError, file_error_reason
 from .layout import LayoutDocument, length_um
 
 INVERT_TOL_GHZ = 1e-6
@@ -271,9 +272,12 @@ def optimize_layout(
     searches both. Unreachable targets are reported and skipped; the rest of
     the layout is still updated.
 
-    Each transmon gets one :meth:`LayoutDocument.edit` that sets ``pad_gap``
-    and ``pad_height`` together; the edit checks the rebuilt pads against the
-    chip and every other transmon, so the result needs no whole-chip check.
+    Each distinct ``(target, fixed gap)`` is solved once per call, and every
+    transmon that shares it gets the same geometry or the same unreachable
+    message. Each transmon still gets its own :meth:`LayoutDocument.edit`,
+    which sets ``pad_gap`` and ``pad_height`` together and checks the rebuilt
+    pads against the chip and every other transmon, so the result needs no
+    whole-chip check.
     """
     freqs = np.asarray(frequencies, dtype=float)
     transmons = layout.by_kind("transmon")
@@ -281,20 +285,38 @@ def optimize_layout(
         raise GeometryError(
             f"layout has {len(transmons)} transmon(s), got {len(freqs)} frequencies"
         )
+    by_name = {comp.name: comp for comp in transmons}
+    # (target, fixed gap) -> (gap, height, achieved), or the unreachable-target message
+    solved: dict[tuple[float, float | None], tuple[float, float, float] | str] = {}
     results: list[QubitGeometryResult] = []
     fixed = config.geometry.invert_mode == "fixed_gap"
     for q, f_target in enumerate(freqs):
         name = f"Q_{q}"
-        comp = layout.component(name)
-        fixed_gap = length_um(comp.options["pad_gap"]) if fixed else None
-        try:
-            gap, height = invert_for_geometry(model, float(f_target), fixed_gap)
-        except UnreachableTargetError as exc:
-            results.append(QubitGeometryResult(name, float(f_target), error=str(exc)))
+        comp = by_name.get(name)
+        if comp is None:
+            raise LayoutError(f"unknown component {name!r}")
+        target = float(f_target)
+        key = (target, length_um(comp.options["pad_gap"]) if fixed else None)
+        if key not in solved or not target:  # 0.0 == -0.0, but their messages differ
+            solved[key] = _solve(model, *key)
+        solution = solved[key]
+        if isinstance(solution, str):
+            results.append(QubitGeometryResult(name, target, error=solution))
             continue
-        # match the 9-significant-digit precision of the stored options
-        gap, height = float(f"{gap:.9g}"), float(f"{height:.9g}")
+        gap, height, achieved = solution
         layout.edit(comp, {"pad_gap": f"{gap:.9g}um", "pad_height": f"{height:.9g}um"})
-        achieved = predict_frequency(model, gap, height).frequency_ghz
-        results.append(QubitGeometryResult(name, float(f_target), achieved, gap, height))
+        results.append(QubitGeometryResult(name, target, achieved, gap, height))
     return layout, results
+
+
+def _solve(
+    model: GeometryModel, target: float, fixed_gap: float | None
+) -> tuple[float, float, float] | str:
+    """(gap, height, achieved frequency) for one target, or why it is unreachable."""
+    try:
+        gap, height = invert_for_geometry(model, target, fixed_gap)
+    except UnreachableTargetError as exc:
+        return str(exc)
+    # match the 9-significant-digit precision of the stored options
+    gap, height = float(f"{gap:.9g}"), float(f"{height:.9g}")
+    return gap, height, predict_frequency(model, gap, height).frequency_ghz

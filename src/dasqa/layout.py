@@ -12,12 +12,17 @@ Checks run once: :func:`build_layout` ends with the whole-chip
 :meth:`LayoutDocument.edit` that checks only the rebuilt copy of the edited
 component before committing it. A document changed only through edits needs
 no second whole-chip check.
+
+:meth:`LayoutDocument.to_json` writes the text straight from the components
+and formats each distinct number once per call; the bytes are those of
+``json.dumps(..., indent=2)`` on the document's dict form.
 """
 from __future__ import annotations
 
-import json
+import math
 import re
 from dataclasses import dataclass, field, replace
+from json.encoder import encode_basestring_ascii as _json_str
 
 from .archgen import Architecture
 from .config import DesignConfig, LayoutConfig
@@ -56,6 +61,9 @@ CHAIN_X_OFFSET_UM = 400.0  # readout chain sits right of the qubit column
 READOUT_DROP_UM = 150.0  # capacitor center to readout meander start
 READOUT_SPAN_UM = 800.0  # readout meander baseline
 COUPLER_CLEARANCE_UM = 300.0  # pad clearance at coupling resonator ends
+# narrowest meander lobe: layout.svg prints 3 decimals at 10 um per unit, so a
+# narrower lobe collapses in the drawing
+MIN_LOBE_WIDTH_UM = 0.01
 
 _QTY_RE = re.compile(r"^\s*([0-9]*\.?[0-9]+(?:[eE][+-]?[0-9]+)?)\s*(um|mm|GHz)\s*$")
 
@@ -203,42 +211,83 @@ class LayoutDocument:
 
     # -- serialization -----------------------------------------------------
 
-    def to_dict(self) -> dict:
-        def num(v: float) -> float:
-            return float(f"{v:.9g}")
-
-        comps = []
-        for comp in self.components:
-            entry: dict = {
-                "name": comp.name,
-                "kind": comp.kind,
-                "position_um": [num(comp.position[0]), num(comp.position[1])],
-                "options": dict(sorted(comp.options.items())),
-            }
-            if comp.mode is not None:
-                entry["mode"] = comp.mode
-            if comp.epsilon_eff is not None:
-                entry["epsilon_eff"] = num(comp.epsilon_eff)
-            entry["geometry"] = {
-                "rects": [[num(v) for v in rect] for rect in comp.rects],
-                "polylines": [
-                    [[num(x), num(y)] for x, y in line] for line in comp.polylines
-                ],
-            }
-            comps.append(entry)
-        return {
-            "chip": {
-                "origin_x_um": num(self.chip[0]),
-                "origin_y_um": num(self.chip[1]),
-                "width_um": num(self.chip[2]),
-                "height_um": num(self.chip[3]),
-            },
-            "components": comps,
-            "nets": [list(net) for net in self.nets],
-        }
-
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2) + "\n"
+        """The document as ``json.dumps(..., indent=2)`` lays it out, written
+        straight from the components: each number as ``float(f"{v:.9g}")``,
+        options in sorted order, ``mode``/``epsilon_eff`` only when set."""
+        num = _NumberTexts()
+        x0, y0, w, h = self.chip
+        chip = _block("{", [
+            f'"origin_x_um": {num[x0]}',
+            f'"origin_y_um": {num[y0]}',
+            f'"width_um": {num[w]}',
+            f'"height_um": {num[h]}',
+        ], "}", 1)
+        comps = [_component_json(comp, num) for comp in self.components]
+        nets = [_block("[", [_json_str(end) for end in net], "]", 2) for net in self.nets]
+        return _block("{", [
+            f'"chip": {chip}',
+            f'"components": {_block("[", comps, "]", 1)}',
+            f'"nets": {_block("[", nets, "]", 1)}',
+        ], "}", 0) + "\n"
+
+
+_JSON_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+# a newline and the indent of each nesting depth of layout.json
+_NEWLINE_INDENT = tuple("\n" + "  " * depth for depth in range(8))
+_POINT_INDENT, _COORD_INDENT = _NEWLINE_INDENT[6], _NEWLINE_INDENT[7]
+
+
+class _NumberTexts(dict):
+    """Number -> its layout.json text, filled as it is read, so each distinct
+    value is formatted once per document. Zero is never stored: ``0.0 == -0.0``
+    and they hash alike, but their texts differ."""
+
+    def __missing__(self, value: float) -> str:
+        text = repr(float(f"{value:.9g}"))
+        text = _JSON_NON_FINITE.get(text, text)
+        if value:
+            self[value] = text
+        return text
+
+
+def _block(open_: str, items: list[str], close: str, depth: int) -> str:
+    """Encoded ``items`` as ``json.dumps(indent=2)`` lays out a list or an
+    object at nesting ``depth``."""
+    if not items:
+        return open_ + close
+    inner = _NEWLINE_INDENT[depth + 1]
+    return open_ + inner + ("," + inner).join(items) + _NEWLINE_INDENT[depth] + close
+
+
+def _component_json(comp: Component, num: _NumberTexts) -> str:
+    options = [
+        f"{_json_str(key)}: {_json_str(value)}" for key, value in sorted(comp.options.items())
+    ]
+    fields = [
+        f'"name": {_json_str(comp.name)}',
+        f'"kind": {_json_str(comp.kind)}',
+        f'"position_um": {_block("[", [num[comp.position[0]], num[comp.position[1]]], "]", 3)}',
+        f'"options": {_block("{", options, "}", 3)}',
+    ]
+    if comp.mode is not None:
+        fields.append(f'"mode": {_json_str(comp.mode)}')
+    if comp.epsilon_eff is not None:
+        fields.append(f'"epsilon_eff": {num[comp.epsilon_eff]}')
+    rects = [_block("[", [num[v] for v in rect], "]", 5) for rect in comp.rects]
+    lines = [
+        _block("[", [
+            f"[{_COORD_INDENT}{num[x]},{_COORD_INDENT}{num[y]}{_POINT_INDENT}]" for x, y in line
+        ], "]", 5)
+        for line in comp.polylines
+    ]
+    geometry = _block("{", [
+        f'"rects": {_block("[", rects, "]", 4)}',
+        f'"polylines": {_block("[", lines, "]", 4)}',
+    ], "}", 3)
+    fields.append(f'"geometry": {geometry}')
+    return _block("{", fields, "}", 2)
 
 
 def _rects_overlap(a: Rect, b: Rect) -> bool:
@@ -271,7 +320,9 @@ def _rebuild_resonator(comp: Component) -> None:
     total = length_um(comp.options["total_length"])
     amplitude = length_um(comp.options["meander_amplitude"])
     comp.rects = []
-    comp.polylines = [synthesize_meander(comp.anchors[0], comp.anchors[1], total, amplitude)]
+    comp.polylines = [
+        synthesize_meander(comp.anchors[0], comp.anchors[1], total, amplitude, MIN_LOBE_WIDTH_UM)
+    ]
 
 
 def _rebuild_capacitor(comp: Component) -> None:
@@ -412,7 +463,7 @@ def build_layout(arch: Architecture, config: DesignConfig) -> LayoutDocument:
     for k, (a, b) in enumerate(arch.coupling.sorted_edges()):
         cr = f"CR_{a}_{b}"
         (xa, ya), (xb, yb) = qubit_xy[a], qubit_xy[b]
-        span = ((xb - xa) ** 2 + (yb - ya) ** 2) ** 0.5
+        span = math.dist((xa, ya), (xb, yb))
         if span <= 2 * COUPLER_CLEARANCE_UM:
             raise LayoutError(f"pitch {pitch} too small to attach coupler {cr}")
         ux, uy = (xb - xa) / span, (yb - ya) / span

@@ -28,6 +28,11 @@ def resonator_length(f_ghz: float, epsilon_eff: float, mode: str = "half") -> fl
     if epsilon_eff < 1:
         raise LayoutError(f"effective permittivity must be >= 1, got {epsilon_eff}")
     wavelength_mm = SPEED_OF_LIGHT_M_PER_S / (f_ghz * 1e9 * math.sqrt(epsilon_eff)) * 1e3
+    if not 0 < wavelength_mm < math.inf:
+        raise LayoutError(
+            f"target frequency {f_ghz:.6g} GHz is out of range: its wavelength "
+            f"comes to {wavelength_mm:g} mm"
+        )
     if mode == "half":
         return wavelength_mm / 2
     if mode == "quarter":
@@ -46,6 +51,7 @@ def synthesize_meander(
     end: Point,
     target_length: float,
     amplitude: float,
+    min_lobe_width: float = 0.0,
 ) -> list[Point]:
     """Serpentine polyline from start to end with an exact total length.
 
@@ -54,9 +60,13 @@ def synthesize_meander(
     are spread evenly along the baseline, sides alternating, and the last
     lobe's amplitude absorbs the remainder so the summed segment length
     equals ``target_length`` up to float rounding (relative 1e-6 contract).
+    A lobe width ``d/(2n+1)`` below ``min_lobe_width``, or an unbounded lobe
+    count, is rejected before any point is made.
     """
     if amplitude <= 0:
         raise LayoutError(f"meander amplitude must be positive, got {amplitude}")
+    if not math.isfinite(target_length):
+        raise LayoutError(f"target length must be finite, got {target_length}")
     d = math.dist(start, end)
     if target_length < d * (1 - 1e-12):
         raise LayoutError(
@@ -69,12 +79,20 @@ def synthesize_meander(
     if d == 0:
         raise LayoutError("cannot meander between coincident endpoints")
 
-    n_lobes = math.ceil(extra / (2 * amplitude))
+    lobes = extra / (2 * amplitude)
+    n_lobes = math.ceil(lobes) if math.isfinite(lobes) else math.inf
+    # n lobes of width w separated by gaps of width w: (2n+1) slots of w
+    w = d / (2.0 * n_lobes + 1)
+    # checked before the lobe list is sized
+    if w == 0 or w < min_lobe_width:
+        raise LayoutError(
+            f"meander over a {d:.6g} baseline needs {n_lobes:.6g} lobes of amplitude "
+            f"{amplitude:.6g}; each would be {w:.3g} wide, below the minimum "
+            f"{min_lobe_width:g}"
+        )
     ux, uy = (end[0] - start[0]) / d, (end[1] - start[1]) / d
     vx, vy = -uy, ux
 
-    # n lobes of width w separated by gaps of width w: (2n+1) slots of w
-    w = d / (2 * n_lobes + 1)
     amps = [amplitude] * (n_lobes - 1) + [(extra - 2 * amplitude * (n_lobes - 1)) / 2]
 
     points = [start]

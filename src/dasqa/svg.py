@@ -3,7 +3,11 @@
 Stands in for an interactive viewer: chip outline, transmon pads, resonator
 meanders, capacitor plates, control stubs and name labels. 1 SVG unit equals
 10 um; the layout's y axis points up, SVG's points down, so y is negated.
-Identical layouts render to byte-identical SVG text.
+Identical layouts render to byte-identical SVG text. Numbers print to three
+decimals of the scaled coordinate, each distinct value formatted once per
+render from a table local to the call; ``layout.json`` prints different
+values (nine significant digits of the unscaled coordinate), so the two files
+keep separate tables.
 """
 from __future__ import annotations
 
@@ -44,56 +48,57 @@ def _fmt(value: float) -> str:
     return "0" if text == "-0" else text
 
 
-def _sx(x: float) -> str:
-    return _fmt(x * SCALE)
+class _Texts(dict):
+    """Scaled coordinate -> its SVG text, filled as it is read: one table per
+    render, so each distinct value is formatted once per document."""
+
+    def __missing__(self, value: float) -> str:
+        text = self[value] = _fmt(value)
+        return text
 
 
-def _sy(y: float) -> str:
-    return _fmt(-y * SCALE)
-
-
-def _rect(x: float, y: float, w: float, h: float, cls: str) -> str:
+def _rect(num: _Texts, x: float, y: float, w: float, h: float, cls: str) -> str:
     # (x, y) is the lower-left corner in layout coordinates
     return (
-        f'  <rect class="{cls}" x="{_sx(x)}" y="{_sy(y + h)}" '
-        f'width="{_fmt(w * SCALE)}" height="{_fmt(h * SCALE)}"/>'
+        f'  <rect class="{cls}" x="{num[x * SCALE]}" y="{num[-(y + h) * SCALE]}" '
+        f'width="{num[w * SCALE]}" height="{num[h * SCALE]}"/>'
     )
 
 
-def _polyline(points, cls: str) -> str:
-    coords = " ".join(f"{_sx(px)},{_sy(py)}" for px, py in points)
+def _polyline(num: _Texts, points, cls: str) -> str:
+    coords = " ".join(f"{num[px * SCALE]},{num[-py * SCALE]}" for px, py in points)
     return f'  <polyline class="{cls}" points="{coords}"/>'
 
 
-def _label(comp: Component) -> str:
+def _label(num: _Texts, comp: Component) -> str:
     x, y = comp.position
     return (
-        f'  <text class="label" x="{_sx(x)}" y="{_fmt(-y * SCALE - 1.5)}" '
+        f'  <text class="label" x="{num[x * SCALE]}" y="{num[-y * SCALE - 1.5]}" '
         f'text-anchor="middle">{comp.name}</text>'
     )
 
 
 def render_svg(layout: LayoutDocument) -> str:
     """Render the layout to SVG 1.1 text."""
+    num = _Texts()
     x0, y0, w, h = layout.chip
-    view = f"{_sx(x0)} {_fmt(-(y0 + h) * SCALE)} {_fmt(w * SCALE)} {_fmt(h * SCALE)}"
+    x, y, width, height = num[x0 * SCALE], num[-(y0 + h) * SCALE], num[w * SCALE], num[h * SCALE]
     lines = [
         '<?xml version="1.0" encoding="UTF-8"?>',
-        f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" viewBox="{view}" '
-        f'width="{_fmt(w * SCALE)}" height="{_fmt(h * SCALE)}">',
+        f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" viewBox="{x} {y} {width} {height}" '
+        f'width="{width}" height="{height}">',
         _STYLE.rstrip("\n"),
-        f'  <rect class="chip" x="{_sx(x0)}" y="{_fmt(-(y0 + h) * SCALE)}" '
-        f'width="{_fmt(w * SCALE)}" height="{_fmt(h * SCALE)}"/>',
+        f'  <rect class="chip" x="{x}" y="{y}" width="{width}" height="{height}"/>',
     ]
     for comp in layout.components:
         rect_cls = _RECT_CLASS.get(comp.kind)
         for rect in comp.rects:
-            lines.append(_rect(*rect, rect_cls or comp.kind))
+            lines.append(_rect(num, *rect, rect_cls or comp.kind))
         line_cls = _LINE_CLASS.get(comp.kind, comp.kind)
         for pts in comp.polylines:
-            lines.append(_polyline(pts, line_cls))
+            lines.append(_polyline(num, pts, line_cls))
     for comp in layout.components:
         if comp.kind != "connection":
-            lines.append(_label(comp))
+            lines.append(_label(num, comp))
     lines.append("</svg>")
     return "\n".join(lines) + "\n"

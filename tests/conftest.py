@@ -142,3 +142,46 @@ def count_overlap_calls(monkeypatch) -> list:
 
     monkeypatch.setattr(layout_module, "_rects_overlap", counting_overlap)
     return calls
+
+
+def edge_case_layout():
+    """A hand-built document holding the values a text encoder can get wrong:
+    zero of both signs in both orders, 1e-05, a twelve-digit integer, an int
+    position, nan and infinities, values that print as -0 in the SVG, empty
+    shape lists and options, an empty polyline, a name needing escapes, and
+    components with and without resonator metadata."""
+    from dasqa.layout import Component, LayoutDocument
+
+    nan, inf = float("nan"), float("inf")
+    return LayoutDocument(
+        chip=(-0.0, 0.0, 123456789012.0, 1e-05),
+        components=[
+            Component(
+                name='Q_"quoted"\\back\u00e9\u2713',
+                kind="transmon",
+                position=(3, -0.0),
+                options={"pad_width": "455um", "pad_gap": "30um", "a": "1um"},
+                rects=[(0.0, -0.0, 1e-05, 123456789012.0), (-0.0, 0.0, 0.1 + 0.2, 1 / 3)],
+                polylines=[[(0.0, -0.0), (-0.004, 0.004)], []],
+            ),
+            Component(
+                name="CR_0_1",
+                kind="coupling_resonator",
+                position=(-0.00049, 0.00049),
+                mode="half",
+                epsilon_eff=6.45,
+                polylines=[[(nan, inf), (-inf, 1e-05), (123456789012.0, -1e-05)]],
+            ),
+            Component(name="CONN_empty", kind="connection", position=(1e300, -2.5e-7)),
+            Component(
+                name="RD_0",
+                kind="readout_resonator",
+                position=(0.0, 0.0),
+                options={"total_length": "5000um"},
+                mode="quarter",
+                epsilon_eff=-0.0,
+                rects=[(nan, -inf, inf, 0.0)],
+            ),
+        ],
+        nets=[("Q_0", "CR_0_1", "qubit-coupler"), ('Q_"quoted"\\back\u00e9\u2713', "RD_0", "x")],
+    )

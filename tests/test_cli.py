@@ -254,3 +254,35 @@ def test_unreadable_or_unwritable_file_reports_stage_without_traceback(tmp_path,
     err = capsys.readouterr().err
     assert err.startswith(f"dasqa: {tag}")
     assert "Traceback" not in err
+
+
+# each ended in a Python traceback: the coupler span overflowed when squared,
+# and the meander sized a list of 10^12 (or an unrepresentable count of) lobes
+@pytest.mark.parametrize(
+    "layout_config, message",
+    [
+        ("{pitch_um: 1e300}", "shorter than straight-line distance"),
+        ("{meander_amplitude_um: 1e-9}", "needs 3.51593e+12 lobes"),
+        ("{coupling_freq_lattice_ghz: [1e-300]}", "lobes of amplitude 300"),
+        ("{coupling_freq_lattice_ghz: [1e300]}", "target frequency 1e+300 GHz is out of range"),
+    ],
+    ids=["huge_pitch", "tiny_meander_amplitude", "tiny_coupling_freq", "huge_coupling_freq"],
+)
+def test_out_of_range_layout_value_reports_layout_stage_without_traceback(
+    tmp_path, capsys, layout_config, message
+):
+    config = tmp_path / "config.yml"
+    config.write_text(f"layout: {layout_config}\n", encoding="utf-8")
+    status = cli_main(
+        [
+            "--file-path", CIRCUIT,
+            "--config-file-path", str(config),
+            "--out-dir", str(tmp_path / "out"),
+        ]
+    )
+    assert status == 1
+    err = capsys.readouterr().err
+    assert err.startswith("dasqa: [layout]")
+    assert message in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()

@@ -345,3 +345,62 @@ def test_optimized_layout_passes_whole_chip_check_or_is_rejected(
         layout.validate()
         outcomes.add("accepted")
     assert outcomes == {"accepted", "rejected"}
+
+
+def _count_inversions(monkeypatch) -> list:
+    calls = []
+    real_invert = geomopt.invert_for_geometry
+
+    def counting_invert(model, target, fixed_gap=None):
+        calls.append((target, fixed_gap))
+        return real_invert(model, target, fixed_gap)
+
+    monkeypatch.setattr(geomopt, "invert_for_geometry", counting_invert)
+    return calls
+
+
+def test_optimize_layout_solves_each_distinct_target_once(monkeypatch, config):
+    n = 36
+    freqs = np.resize(REFERENCE_FREQS, n)
+    layout = build_layout(grid_architecture(6, 6, freqs), config)
+    model = fit_model(bundled_dataset(), 2)
+    calls = _count_inversions(monkeypatch)
+    layout, results = optimize_layout(layout, freqs, config, model)
+    assert len(calls) == len(REFERENCE_FREQS)
+    # a transmon whose fixed gap differs shares no solve with its target's others
+    layout = build_layout(grid_architecture(6, 6, freqs), config)
+    layout.component("Q_5").options["pad_gap"] = "20um"
+    calls.clear()
+    layout, results = optimize_layout(layout, freqs, config, model)
+    assert len(calls) == len(REFERENCE_FREQS) + 1
+    # every transmon still gets the geometry its own solve gives
+    for q, r in enumerate(results):
+        gap, height = invert_for_geometry(model, float(freqs[q]), 20.0 if q == 5 else 30.0)
+        assert (r.qubit, r.target_ghz) == (f"Q_{q}", float(freqs[q]))
+        assert (r.pad_gap_um, r.pad_height_um) == (float(f"{gap:.9g}"), float(f"{height:.9g}"))
+        assert r.achieved_ghz == predict_frequency(model, r.pad_gap_um, r.pad_height_um).frequency_ghz
+        assert layout.component(f"Q_{q}").options["pad_height"] == f"{r.pad_height_um:.9g}um"
+
+
+def test_repeated_unreachable_targets_each_get_their_own_result(monkeypatch, star_arch, config):
+    layout = build_layout(star_arch, config)
+    model = fit_model(bundled_dataset(), 2)
+    calls = _count_inversions(monkeypatch)
+    targets = [9.99, 5.06, 9.99, 9.99, 5.24]
+    layout, results = optimize_layout(layout, targets, config, model)
+    assert len(calls) == 3
+    failures = [r for r in results if r.error is not None]
+    assert [r.qubit for r in failures] == ["Q_0", "Q_2", "Q_3"]
+    assert all(r.target_ghz == 9.99 and r.achieved_ghz is None for r in failures)
+    with pytest.raises(UnreachableTargetError) as exc:
+        invert_for_geometry(model, 9.99, 30.0)
+    assert {r.error for r in failures} == {str(exc.value)}
+    # the unreached transmons keep their build-time pads
+    assert layout.component("Q_2").options["pad_height"] == "90um"
+
+
+def test_optimize_layout_missing_transmon_name_is_unknown_component(star_arch, config):
+    layout = build_layout(star_arch, config)
+    layout.component("Q_3").name = "Q_x"
+    with pytest.raises(LayoutError, match="unknown component 'Q_3'"):
+        optimize_layout(layout, REFERENCE_FREQS, config, fit_model(bundled_dataset(), 2))

@@ -1,6 +1,8 @@
 """Physical layout: construction, census, geometry fidelity, updates."""
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,7 @@ from dasqa.archgen import Architecture, CouplingGraph, generate_architecture
 from dasqa.circuit import QuantumCircuit
 from dasqa.config import config_from_dict
 from dasqa.errors import LayoutError
+from dasqa.geomopt import bundled_dataset, fit_model, optimize_layout
 from dasqa.layout import (
     LayoutDocument,
     build_layout,
@@ -21,7 +24,7 @@ from dasqa.layout import (
 )
 from dasqa.resonator import resonator_length
 
-from conftest import count_overlap_calls, grid_architecture
+from conftest import count_overlap_calls, edge_case_layout, grid_architecture
 
 
 @pytest.fixture()
@@ -280,3 +283,74 @@ def test_json_round_trip_is_stable(star_layout):
     first = star_layout.to_json()
     assert json.loads(first)  # well-formed
     assert star_layout.to_json() == first
+
+
+def _reference_to_dict(doc: LayoutDocument) -> dict:
+    """The dict form ``json.dumps(indent=2)`` used to encode as layout.json."""
+
+    def num(v: float) -> float:
+        return float(f"{v:.9g}")
+
+    comps = []
+    for comp in doc.components:
+        entry: dict = {
+            "name": comp.name,
+            "kind": comp.kind,
+            "position_um": [num(comp.position[0]), num(comp.position[1])],
+            "options": dict(sorted(comp.options.items())),
+        }
+        if comp.mode is not None:
+            entry["mode"] = comp.mode
+        if comp.epsilon_eff is not None:
+            entry["epsilon_eff"] = num(comp.epsilon_eff)
+        entry["geometry"] = {
+            "rects": [[num(v) for v in rect] for rect in comp.rects],
+            "polylines": [[[num(x), num(y)] for x, y in line] for line in comp.polylines],
+        }
+        comps.append(entry)
+    return {
+        "chip": {
+            "origin_x_um": num(doc.chip[0]),
+            "origin_y_um": num(doc.chip[1]),
+            "width_um": num(doc.chip[2]),
+            "height_um": num(doc.chip[3]),
+        },
+        "components": comps,
+        "nets": [list(net) for net in doc.nets],
+    }
+
+
+def _reference_json(doc: LayoutDocument) -> str:
+    return json.dumps(_reference_to_dict(doc), indent=2) + "\n"
+
+
+def test_json_matches_reference_encoder_on_star_before_and_after_optimize(star_layout, config):
+    assert star_layout.to_json() == _reference_json(star_layout)
+    model = fit_model(bundled_dataset(), 2)
+    optimize_layout(star_layout, [5.06, 5.24, 5.08, 5.27, 9.99], config, model)
+    assert star_layout.to_json() == _reference_json(star_layout)
+
+
+@pytest.mark.parametrize("side", [3, 8])
+def test_json_matches_reference_encoder_on_seeded_grids(side):
+    # control-line ports sit in one row along the bottom edge, so 8 columns
+    # need a wider margin than the default
+    config = config_from_dict({"layout": {"margin_um": 14000}})
+    rng = np.random.default_rng(side)
+    freqs = np.round(rng.uniform(5.0, 5.5, size=side * side), 3)
+    doc = build_layout(grid_architecture(side, side, freqs), config)
+    assert doc.to_json() == _reference_json(doc)
+    optimize_layout(doc, freqs, config, fit_model(bundled_dataset(), 2))
+    assert doc.to_json() == _reference_json(doc)
+
+
+def test_json_matches_reference_encoder_on_edge_values():
+    doc = edge_case_layout()
+    text = doc.to_json()
+    assert text == _reference_json(doc)
+    # zero keeps its sign whichever of the two is seen first
+    assert '"origin_x_um": -0.0' in text and '"origin_y_um": 0.0' in text
+    for value in ("NaN", "Infinity", "-Infinity", "1e-05", "123456789000.0", "3.0"):
+        assert value in text
+    empty = LayoutDocument(chip=(0.0, 0.0, 1.0, 1.0))
+    assert empty.to_json() == _reference_json(empty)

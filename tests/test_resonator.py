@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -39,6 +40,13 @@ def test_length_scales_inverse_with_frequency():
 def test_resonator_length_rejects_bad_inputs(f, eps, mode):
     with pytest.raises(LayoutError):
         resonator_length(f, eps, mode)
+
+
+@pytest.mark.parametrize("f_ghz", [1e300, 1e-310])
+def test_resonator_length_rejects_a_frequency_with_no_finite_wavelength(f_ghz):
+    # 1e300 GHz overflows to a zero wavelength, 1e-310 GHz to an infinite one
+    with pytest.raises(LayoutError, match=re.escape(f"target frequency {f_ghz:.6g} GHz is out")):
+        resonator_length(f_ghz, 6.45, "half")
 
 
 def test_meander_straight_when_target_equals_distance():
@@ -92,3 +100,21 @@ def test_meander_turn_count_follows_formula():
     # each lobe contributes exactly two off-axis vertices
     off_axis = sum(1 for _, y in path if abs(y) > 1e-12)
     assert off_axis == 2 * expected_lobes
+
+
+@pytest.mark.parametrize("target", [math.inf, math.nan])
+def test_meander_rejects_non_finite_target(target):
+    with pytest.raises(LayoutError, match="target length must be finite"):
+        synthesize_meander((0.0, 0.0), (2.0, 0.0), target, 0.3)
+
+
+def test_meander_rejects_lobes_below_the_minimum_width_before_allocating():
+    # 8.432 over a baseline of 2 takes 11 lobes of width 2/23
+    assert synthesize_meander((0.0, 0.0), (2.0, 0.0), 8.432, 0.3, 2 / 23)
+    with pytest.raises(LayoutError, match="needs 11 lobes"):
+        synthesize_meander((0.0, 0.0), (2.0, 0.0), 8.432, 0.3, 2 / 23 + 1e-9)
+    # 10^15 lobes would not fit in memory; an infinite count is refused at any minimum
+    with pytest.raises(LayoutError, match="needs 1e\\+15 lobes"):
+        synthesize_meander((0.0, 0.0), (2.0, 0.0), 4.0, 1e-15, 1e-6)
+    with pytest.raises(LayoutError, match="needs inf lobes"):
+        synthesize_meander((0.0, 0.0), (2.0, 0.0), 1e300, 1e-300)
