@@ -61,9 +61,6 @@ CHAIN_X_OFFSET_UM = 400.0  # readout chain sits right of the qubit column
 READOUT_DROP_UM = 150.0  # capacitor center to readout meander start
 READOUT_SPAN_UM = 800.0  # readout meander baseline
 COUPLER_CLEARANCE_UM = 300.0  # pad clearance at coupling resonator ends
-# narrowest meander lobe: layout.svg prints 3 decimals at 10 um per unit, so a
-# narrower lobe collapses in the drawing
-MIN_LOBE_WIDTH_UM = 0.01
 
 _QTY_RE = re.compile(r"^\s*([0-9]*\.?[0-9]+(?:[eE][+-]?[0-9]+)?)\s*(um|mm|GHz)\s*$")
 
@@ -320,9 +317,7 @@ def _rebuild_resonator(comp: Component) -> None:
     total = length_um(comp.options["total_length"])
     amplitude = length_um(comp.options["meander_amplitude"])
     comp.rects = []
-    comp.polylines = [
-        synthesize_meander(comp.anchors[0], comp.anchors[1], total, amplitude, MIN_LOBE_WIDTH_UM)
-    ]
+    comp.polylines = [synthesize_meander(comp.anchors[0], comp.anchors[1], total, amplitude)]
 
 
 def _rebuild_capacitor(comp: Component) -> None:

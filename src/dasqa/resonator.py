@@ -13,6 +13,8 @@ import math
 from .errors import LayoutError
 
 SPEED_OF_LIGHT_M_PER_S = 2.998e8
+# far above any real layout (tens of lobes); bounds the point list before it is sized
+MAX_MEANDER_LOBES = 100_000
 
 Point = tuple[float, float]
 
@@ -51,7 +53,6 @@ def synthesize_meander(
     end: Point,
     target_length: float,
     amplitude: float,
-    min_lobe_width: float = 0.0,
 ) -> list[Point]:
     """Serpentine polyline from start to end with an exact total length.
 
@@ -60,8 +61,8 @@ def synthesize_meander(
     are spread evenly along the baseline, sides alternating, and the last
     lobe's amplitude absorbs the remainder so the summed segment length
     equals ``target_length`` up to float rounding (relative 1e-6 contract).
-    A lobe width ``d/(2n+1)`` below ``min_lobe_width``, or an unbounded lobe
-    count, is rejected before any point is made.
+    A lobe count above ``MAX_MEANDER_LOBES``, infinite included, is rejected
+    before any point is made.
     """
     if amplitude <= 0:
         raise LayoutError(f"meander amplitude must be positive, got {amplitude}")
@@ -81,15 +82,13 @@ def synthesize_meander(
 
     lobes = extra / (2 * amplitude)
     n_lobes = math.ceil(lobes) if math.isfinite(lobes) else math.inf
-    # n lobes of width w separated by gaps of width w: (2n+1) slots of w
-    w = d / (2.0 * n_lobes + 1)
-    # checked before the lobe list is sized
-    if w == 0 or w < min_lobe_width:
+    if n_lobes > MAX_MEANDER_LOBES:
         raise LayoutError(
             f"meander over a {d:.6g} baseline needs {n_lobes:.6g} lobes of amplitude "
-            f"{amplitude:.6g}; each would be {w:.3g} wide, below the minimum "
-            f"{min_lobe_width:g}"
+            f"{amplitude:.6g}, more than the {MAX_MEANDER_LOBES} allowed"
         )
+    # n lobes of width w separated by gaps of width w: (2n+1) slots of w
+    w = d / (2 * n_lobes + 1)
     ux, uy = (end[0] - start[0]) / d, (end[1] - start[1]) / d
     vx, vy = -uy, ux
 

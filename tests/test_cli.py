@@ -257,16 +257,27 @@ def test_unreadable_or_unwritable_file_reports_stage_without_traceback(tmp_path,
 
 
 # each ended in a Python traceback: the coupler span overflowed when squared,
-# and the meander sized a list of 10^12 (or an unrepresentable count of) lobes
+# and the meander sized a list of 10^12 (or an unrepresentable count of) lobes,
+# narrow ones or, on a long baseline, wide ones
 @pytest.mark.parametrize(
     "layout_config, message",
     [
         ("{pitch_um: 1e300}", "shorter than straight-line distance"),
         ("{meander_amplitude_um: 1e-9}", "needs 3.51593e+12 lobes"),
         ("{coupling_freq_lattice_ghz: [1e-300]}", "lobes of amplitude 300"),
+        (
+            "{pitch_um: 1e19, coupling_freq_lattice_ghz: [1e-18]}",
+            "needs 9.83551e+19 lobes of amplitude 300, more than the 100000 allowed",
+        ),
         ("{coupling_freq_lattice_ghz: [1e300]}", "target frequency 1e+300 GHz is out of range"),
     ],
-    ids=["huge_pitch", "tiny_meander_amplitude", "tiny_coupling_freq", "huge_coupling_freq"],
+    ids=[
+        "huge_pitch",
+        "tiny_meander_amplitude",
+        "tiny_coupling_freq",
+        "long_baseline_wide_lobes",
+        "huge_coupling_freq",
+    ],
 )
 def test_out_of_range_layout_value_reports_layout_stage_without_traceback(
     tmp_path, capsys, layout_config, message

@@ -7,6 +7,7 @@ import re
 import numpy as np
 import pytest
 
+from dasqa import resonator
 from dasqa.errors import LayoutError
 from dasqa.resonator import polyline_length, resonator_length, synthesize_meander
 
@@ -108,13 +109,19 @@ def test_meander_rejects_non_finite_target(target):
         synthesize_meander((0.0, 0.0), (2.0, 0.0), target, 0.3)
 
 
-def test_meander_rejects_lobes_below_the_minimum_width_before_allocating():
-    # 8.432 over a baseline of 2 takes 11 lobes of width 2/23
-    assert synthesize_meander((0.0, 0.0), (2.0, 0.0), 8.432, 0.3, 2 / 23)
+def test_meander_rejects_too_many_lobes_before_allocating(monkeypatch):
+    # 8.432 over a baseline of 2 takes 11 lobes
+    monkeypatch.setattr(resonator, "MAX_MEANDER_LOBES", 11)
+    assert synthesize_meander((0.0, 0.0), (2.0, 0.0), 8.432, 0.3)
+    monkeypatch.setattr(resonator, "MAX_MEANDER_LOBES", 10)
     with pytest.raises(LayoutError, match="needs 11 lobes"):
-        synthesize_meander((0.0, 0.0), (2.0, 0.0), 8.432, 0.3, 2 / 23 + 1e-9)
-    # 10^15 lobes would not fit in memory; an infinite count is refused at any minimum
+        synthesize_meander((0.0, 0.0), (2.0, 0.0), 8.432, 0.3)
+    monkeypatch.undo()
+    # 10^15 lobes would not fit in memory; an infinite count is refused too
     with pytest.raises(LayoutError, match="needs 1e\\+15 lobes"):
-        synthesize_meander((0.0, 0.0), (2.0, 0.0), 4.0, 1e-15, 1e-6)
+        synthesize_meander((0.0, 0.0), (2.0, 0.0), 4.0, 1e-15)
     with pytest.raises(LayoutError, match="needs inf lobes"):
         synthesize_meander((0.0, 0.0), (2.0, 0.0), 1e300, 1e-300)
+    # wide lobes on a long baseline are refused by count alone
+    with pytest.raises(LayoutError, match="needs 100001 lobes"):
+        synthesize_meander((0.0, 0.0), (1e9, 0.0), 1e9 + 200_001, 1.0)
