@@ -9,9 +9,12 @@ non-adjacent it evaluates every coupling edge touching either operand's
 position and applies the swap minimizing a decayed sum of coupling distances
 over the pending two-qubit gates. That single-window lookahead is what lets
 it park a hot qubit on a hub and later undo a swap instead of ping-ponging.
-The window's physical pairs are built once per swap step and each candidate
-is scored by exchanging its two sites on the fly; the live mapping keeps its
-physical -> logical inverse, so a swap updates it in O(1). If the lookahead
+A swap of physical u and v changes only the window terms of the logical
+qubits sitting there, so each candidate is scored by the change in those
+terms alone, read from a per-gate index of each qubit's terms; the live
+mapping keeps its physical -> logical inverse, so a swap updates it in O(1).
+The decay weights 0.8**k are scaled by 5**19 to the integers
+4**k * 5**(19 - k), so every score and comparison is exact. If the lookahead
 stalls, the remaining distance is walked directly: the first operand's image
 steps to its smallest-index neighbour one hop closer to the second's, read
 from the same hop table the costs use. A BFS oracle
@@ -23,8 +26,6 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from itertools import accumulate, repeat
-from operator import mul
 
 import numpy as np
 
@@ -41,11 +42,8 @@ from .errors import MappingError, OracleLimitError, RoutingError, SimulationLimi
 from .sim import SIM_MAX_QUBITS, allclose_up_to_global_phase, apply_gates, circuit_unitary
 
 LOOKAHEAD_WINDOW = 20
-LOOKAHEAD_DECAY = 0.8
-# 1, d, d*d, ...: the window weights by repeated multiplication
-_WINDOW_WEIGHTS = tuple(
-    accumulate(repeat(LOOKAHEAD_DECAY, LOOKAHEAD_WINDOW - 1), mul, initial=1.0)
-)
+# the window's decay weights 0.8**k = 4**k / 5**k, times 5**19: exact integers
+_WINDOW_WEIGHTS = tuple(4**k * 5 ** (LOOKAHEAD_WINDOW - 1 - k) for k in range(LOOKAHEAD_WINDOW))
 
 ORACLE_MAX_QUBITS = 6
 ORACLE_MAX_GATES = 10
@@ -175,15 +173,32 @@ def route(
 
     Original gate order is preserved up to the inserted SWAPs; single-qubit
     gates, measures and barriers are rewritten through the live mapping.
+
+    While the front gate's operands are not adjacent, each coupling edge
+    (u, v) at either operand's image is a candidate, in sorted order, less
+    the edge just swapped. The window is the next ``LOOKAHEAD_WINDOW``
+    two-qubit gates, the k-th weighted ``4**k * 5**(19 - k)`` (that is
+    5**19 * 0.8**k exactly). A candidate's score is the change in the
+    window cost that its swap makes: for the logical qubits ``lu``, ``lv``
+    on u and v, the sum of ``w * (hops[v][po] - hops[u][po])`` over the
+    terms of ``lu`` and the mirror over those of ``lv``, where ``po`` is
+    the image of the term's other operand. The term joining ``lu`` and
+    ``lv`` keeps its length and an empty site has no terms, so both are
+    skipped; an unreachable term costs n_phys**2 on either side, so it adds
+    nothing. The first candidate with the strictly smallest score is
+    swapped. The scores are exact integers. One swap moves each term by at
+    most one hop, so two candidates' distances for a term differ by at most
+    2, less than 5; with these weights their scores then tie only when every
+    term has the same distance under both.
     """
     coupling = _coupling_of(arch)
     if mapping is None:
         mapping = initial_mapping(interaction_graph(qc), arch)
     mapping.validate(qc.num_qubits, coupling.num_qubits)
 
-    dist = coupling.distances()
     hops = _hop_table(coupling)
     n_phys = coupling.num_qubits
+    unreachable = n_phys * n_phys
     l2p = list(mapping.log_to_phys)
     p2l = _occupants(l2p, n_phys)
 
@@ -198,7 +213,7 @@ def route(
         out.append(RoutedGate(Gate(GateKind.SWAP, (u, v)), inserted=True))
         swap_count += 1
 
-    stall_cap = n_phys + int(dist.max()) + 2
+    stall_cap = n_phys + max((d for row in hops for d in row if d < unreachable), default=0) + 2
     # coupling edges (low, high) at each physical qubit: the swap candidates
     edges_at = [[(min(p, nb), max(p, nb)) for nb in coupling.neighbors(p)] for p in range(n_phys)]
 
@@ -216,10 +231,17 @@ def route(
             continue
 
         a, b = g.qubits
-        if dist[l2p[a], l2p[b]] < 0:
+        if hops[l2p[a]][l2p[b]] >= unreachable:
             raise RoutingError(
                 f"no coupling path between the images of q{a} and q{b}"
             )
+        if hops[l2p[a]][l2p[b]] > 1:
+            # logical qubit -> (weight, other operand) of its window terms;
+            # the window stays put while this gate's swaps are chosen
+            terms: dict[int, list[tuple[int, int]]] = {}
+            for (x, y), w in zip(pending[pend_idx : pend_idx + LOOKAHEAD_WINDOW], _WINDOW_WEIGHTS):
+                terms.setdefault(x, []).append((w, y))
+                terms.setdefault(y, []).append((w, x))
         swaps_this_gate = 0
         last_edge: tuple[int, int] | None = None
         while hops[l2p[a]][l2p[b]] > 1:
@@ -235,23 +257,24 @@ def route(
             candidates = set(edges_at[l2p[a]]).union(edges_at[l2p[b]])
             if last_edge is not None and len(candidates) > 1:
                 candidates.discard(last_edge)
-            # the window's physical pairs and weights; each candidate swap
-            # is scored by exchanging u and v on the fly, and the products are
-            # added left to right from 0.0, so near-ties resolve the same way
-            window = [
-                (l2p[x], l2p[y], w)
-                for (x, y), w in zip(pending[pend_idx : pend_idx + LOOKAHEAD_WINDOW], _WINDOW_WEIGHTS)
-            ]
-            best_edge, best_score = None, None
+            # a swap moves only the terms of the qubits on u and v (an empty
+            # site has none, and the term joining them keeps its length)
+            best_edge, best_delta = None, None
             for edge in sorted(candidates):
                 u, v = edge
-                score = 0.0
-                for x, y, w in window:
-                    x = v if x == u else u if x == v else x
-                    y = v if y == u else u if y == v else y
-                    score += w * hops[x][y]
-                if best_score is None or score < best_score:
-                    best_edge, best_score = edge, score
+                lu, lv = p2l[u], p2l[v]
+                hu, hv = hops[u], hops[v]
+                delta = 0
+                for w, o in terms.get(lu, ()):
+                    if o != lv:
+                        po = l2p[o]
+                        delta += w * (hv[po] - hu[po])
+                for w, o in terms.get(lv, ()):
+                    if o != lu:
+                        po = l2p[o]
+                        delta += w * (hu[po] - hv[po])
+                if best_delta is None or delta < best_delta:
+                    best_edge, best_delta = edge, delta
             apply_swap(*best_edge)
             last_edge = best_edge
             swaps_this_gate += 1

@@ -14,6 +14,9 @@ from __future__ import annotations
 from .layout import Component, LayoutDocument
 
 SCALE = 0.1  # svg units per um
+# markup characters escaped in label text; a table, since xml.sax.saxutils
+# would import urllib.request into every CLI start
+_XML_TEXT = str.maketrans({"&": "&amp;", "<": "&lt;", ">": "&gt;"})
 
 _RECT_CLASS = {
     "transmon": "pad",
@@ -74,7 +77,7 @@ def _label(num: _Texts, comp: Component) -> str:
     x, y = comp.position
     return (
         f'  <text class="label" x="{num[x * SCALE]}" y="{num[-y * SCALE - 1.5]}" '
-        f'text-anchor="middle">{comp.name}</text>'
+        f'text-anchor="middle">{comp.name.translate(_XML_TEXT)}</text>'
     )
 
 

@@ -3,10 +3,14 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import replace
+from fractions import Fraction
+from itertools import accumulate, repeat
+from operator import mul
 
 import numpy as np
 import pytest
 
+from dasqa import router
 from dasqa.archgen import CouplingGraph, generate_architecture
 from dasqa.circuit import Gate, GateKind, QuantumCircuit, circuit_stats, interaction_graph
 from dasqa.config import config_from_dict
@@ -24,7 +28,7 @@ from dasqa.router import (
 )
 from dasqa.qasm import parse_qasm
 
-from conftest import DATA_DIR, random_circuit, random_connected_architecture
+from conftest import DATA_DIR, grid_architecture, random_circuit, random_connected_architecture
 
 
 # flowbench's pinned config for generated circuits
@@ -384,6 +388,134 @@ def test_stalled_lookahead_falls_back_to_the_smallest_index_shortest_path():
     assert check_equivalence(qc, routed)
 
 
+# the lookahead's decay weights 1, 0.8, 0.8*0.8, ... as floats, by repeated
+# multiplication
+_FLOAT_WEIGHTS = tuple(accumulate(repeat(0.8, router.LOOKAHEAD_WINDOW - 1), mul, initial=1.0))
+
+
+def _full_window_route(qc: QuantumCircuit, coupling: CouplingGraph, mapping: Mapping):
+    """Reference: the lookahead scored by re-summing every window term.
+
+    Each candidate's score adds ``w * hops[x][y]`` over the whole window with
+    the swap applied, left to right from 0.0 in float weights. Returns the
+    routed gates as (kind, qubits, inserted), the final mapping (None when a
+    gate has no coupling path), the error message or None, and counts of the
+    swaps onto an empty site and of the scored windows holding an
+    unreachable term.
+    """
+    n = coupling.num_qubits
+    dist = coupling.distances()
+    hops = [[d if d >= 0 else n * n for d in row] for row in dist.tolist()]
+    stall_cap = n + int(dist.max()) + 2
+    l2p = list(mapping.log_to_phys)
+    pending = qc.two_qubit_pairs()
+    gates = []
+    seen = {"empty_site_swaps": 0, "unreachable_windows": 0}
+
+    def swap(u, v):
+        seen["empty_site_swaps"] += u not in l2p or v not in l2p
+        l2p[:] = [v if p == u else u if p == v else p for p in l2p]
+        gates.append((GateKind.SWAP, (u, v), True))
+
+    k = 0
+    for g in qc.gates:
+        if not g.is_two_qubit:
+            gates.append((g.kind, tuple(l2p[q] for q in g.qubits), False))
+            continue
+        a, b = g.qubits
+        if dist[l2p[a], l2p[b]] < 0:
+            return gates, None, f"no coupling path between the images of q{a} and q{b}", seen
+        window = list(zip(pending[k : k + router.LOOKAHEAD_WINDOW], _FLOAT_WEIGHTS))
+        steps, last = 0, None
+        while hops[l2p[a]][l2p[b]] > 1:
+            if steps >= stall_cap:
+                pb = l2p[b]
+                while hops[l2p[a]][pb] > 1:
+                    pa = l2p[a]
+                    hop = min(nb for nb in coupling.neighbors(pa) if hops[nb][pb] < hops[pa][pb])
+                    swap(min(pa, hop), max(pa, hop))
+                break
+            if any(hops[l2p[x]][l2p[y]] == n * n for (x, y), _ in window):
+                seen["unreachable_windows"] += 1
+            candidates = {
+                (min(p, nb), max(p, nb)) for p in (l2p[a], l2p[b]) for nb in coupling.neighbors(p)
+            }
+            if last is not None and len(candidates) > 1:
+                candidates.discard(last)
+
+            def score(edge):
+                trial = [edge[1] if p == edge[0] else edge[0] if p == edge[1] else p for p in l2p]
+                total = 0.0
+                for (x, y), w in window:
+                    total += w * hops[trial[x]][trial[y]]
+                return total
+
+            last = min(sorted(candidates), key=score)
+            swap(*last)
+            steps += 1
+        gates.append((g.kind, (l2p[a], l2p[b]), False))
+        k += 1
+    return gates, tuple(l2p), None, seen
+
+
+def test_window_weights_are_exact_scaled_decay_powers():
+    weights = router._WINDOW_WEIGHTS
+    assert len(weights) == router.LOOKAHEAD_WINDOW == 20
+    for k, w in enumerate(weights):
+        assert type(w) is int
+        assert w == 4**k * 5 ** (19 - k) == Fraction(4, 5) ** k * 5**19
+
+
+def test_route_picks_the_full_window_float_scorers_swaps(monkeypatch):
+    """The term-delta scorer against the reference on square grids with spare
+    sites, random (often disconnected) couplings and the stall circuit."""
+    swaps = []
+    real_swap_sites = router._swap_sites
+
+    def recording_swap_sites(l2p, p2l, u, v):
+        swaps.append((u, v))
+        real_swap_sites(l2p, p2l, u, v)
+
+    monkeypatch.setattr(router, "_swap_sites", recording_swap_sites)
+    rng = np.random.default_rng(12)
+    cases = []
+    for trial in range(120):
+        n_log = int(rng.integers(3, 17))
+        qc = random_circuit(rng, max_qubits=n_log, min_qubits=n_log, max_gates=12 * n_log)
+        if trial % 2 == 0:  # a square grid with spare physical qubits
+            side = int(np.ceil(np.sqrt(n_log))) + 1
+            coupling = grid_architecture(side, side, [5.0] * side * side).coupling
+        else:  # a random, often disconnected coupling
+            n_phys = n_log + int(rng.integers(0, 4))
+            p = rng.uniform(0.1, 0.4)
+            edges = [(a, b) for a in range(n_phys) for b in range(a + 1, n_phys) if rng.random() < p]
+            coupling = CouplingGraph(n_phys, edges)
+        cases.append((qc, coupling))
+    stall = parse_qasm((DATA_DIR / "stall_9q.qasm").read_text(encoding="utf-8"))
+    cases.append((stall, generate_architecture(stall, config_from_dict(BENCH_CONFIG)).coupling))
+
+    empty_site_swaps = unreachable_windows = failed = 0
+    for qc, coupling in cases:
+        mapping = initial_mapping(interaction_graph(qc), coupling)
+        gates, final, error, seen = _full_window_route(qc, coupling, mapping)
+        empty_site_swaps += seen["empty_site_swaps"]
+        unreachable_windows += seen["unreachable_windows"]
+        swaps.clear()
+        if error is None:
+            routed = route(qc, coupling, mapping)
+            assert [(rg.gate.kind, rg.gate.qubits, rg.inserted) for rg in routed.gates] == gates
+            assert routed.final_mapping.log_to_phys == final
+        else:
+            failed += 1
+            with pytest.raises(RoutingError) as info:
+                route(qc, coupling, mapping)
+            assert str(info.value) == error
+            assert swaps == [qubits for _, qubits, inserted in gates if inserted]
+    assert empty_site_swaps >= 50 and unreachable_windows >= 10 and failed >= 10
+    # the last case is the stall circuit, whose swaps run into the per-gate cap
+    assert [qubits for _, qubits, inserted in gates if inserted] == STALL_SWAPS
+
+
 def _mixed_circuit(n: int, num_gates: int, seed: int) -> QuantumCircuit:
     """Seeded circuit: half CX, then RZ, other one-qubit gates and barriers, all measured."""
     rng = np.random.default_rng(seed)
@@ -411,6 +543,8 @@ PINNED_ROUTES = {
     (25, 3000): "4a2f31dedccc696a59e929df90cfabc80af0c96d5754617fee3d1d48c1aea7cd",
     (64, 640): "32dfef7ae4984994b1cac4da8efdb10c52021056630636be5e785b33fd090d18",
     "stall_9q": "5aa437fdf90f5f16eabf6f831e936b760748250ffe11542cd75a447ceb7abe83",
+    # 20 qubits on a 6x6 grid: 18 of its 388 swaps move a qubit onto an empty site
+    "grid_6x6_20q": "e77bfef795be3c7f0ba0e6b8afad2b93cc824574dc088ec71012fdfb3461d322",
 }
 
 
@@ -418,12 +552,18 @@ PINNED_ROUTES = {
     "case", list(PINNED_ROUTES), ids=lambda c: c if isinstance(c, str) else "{}q-{}".format(*c)
 )
 def test_routed_circuits_are_pinned(case):
-    """(qubits, gates) of a seeded mixed circuit, or the stall circuit's file name."""
+    """(qubits, gates) of a seeded mixed circuit, the stall circuit's file
+    name, or a seeded mixed circuit on a square grid with spare qubits."""
     if case == "stall_9q":
         qc = parse_qasm((DATA_DIR / "stall_9q.qasm").read_text(encoding="utf-8"))
+        arch = generate_architecture(qc, config_from_dict(BENCH_CONFIG))
+    elif case == "grid_6x6_20q":
+        qc = _mixed_circuit(20, 600, seed=20)
+        arch = grid_architecture(6, 6, [5.0] * 36).coupling
     else:
         qc = _mixed_circuit(*case, seed=case[0])
-    routed = route(qc, generate_architecture(qc, config_from_dict(BENCH_CONFIG)))
+        arch = generate_architecture(qc, config_from_dict(BENCH_CONFIG))
+    routed = route(qc, arch)
     digest = hashlib.sha256()
     for rg in routed.gates:
         g = rg.gate

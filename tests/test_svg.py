@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import re
+import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from dasqa.archgen import generate_architecture
 from dasqa.circuit import QuantumCircuit
 from dasqa.config import config_from_dict
 from dasqa.geomopt import bundled_dataset, fit_model, optimize_layout
-from dasqa.layout import build_layout
+from dasqa.layout import Component, LayoutDocument, build_layout
 from dasqa.svg import render_svg
 
 from conftest import edge_case_layout, grid_architecture
@@ -125,3 +126,14 @@ def test_svg_matches_reference_on_edge_values():
     svg = render_svg(layout)
     assert svg == _reference_render_svg(layout)
     assert "-0," not in svg and '"-0"' not in svg  # values that round to -0 print as 0
+
+
+def test_svg_label_escapes_markup_in_component_names():
+    name = "Q<&1>"
+    layout = LayoutDocument(
+        chip=(0.0, 0.0, 1000.0, 1000.0),
+        components=[Component(name=name, kind="transmon", position=(500.0, 500.0))],
+    )
+    root = ET.fromstring(render_svg(layout))
+    labels = [el.text for el in root.iter("{http://www.w3.org/2000/svg}text")]
+    assert labels == [name]
