@@ -300,6 +300,11 @@ def test_check_equivalence_empty_circuit():
     assert check_equivalence(qc, routed)
 
 
+def test_route_on_an_empty_coupling_graph():
+    routed = route(QuantumCircuit(0), CouplingGraph(0, []))
+    assert (routed.swap_count, routed.depth, routed.gates) == (0, 0, ())
+
+
 def test_check_equivalence_guard():
     qc = QuantumCircuit(11)
     routed = RoutedCircuit(11, (), Mapping.identity(11), Mapping.identity(11), 0, 0)
