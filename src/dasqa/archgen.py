@@ -19,11 +19,13 @@ import numpy as np
 
 from .circuit import InteractionGraph, QuantumCircuit, interaction_graph
 from .config import DesignConfig
-from .errors import ArchitectureError, DasqaError, FrequencyAllocationError, PlacementError
+from .errors import ArchitectureError, DasqaError, FrequencyAllocationError, PlacementError, read_text
 
 # Comparisons against detuning thresholds allow this slack so that gaps that
 # equal a threshold exactly (e.g. 0.07 or 0.02 GHz) survive float rounding.
 FREQ_EPS = 1e-9
+# far above any real band (the default has 31 points); bounds the lattice before it is built
+MAX_LATTICE_POINTS = 100_000
 
 EMPTY = -1
 
@@ -179,11 +181,10 @@ class Architecture:
 
 def load_coupling(path: str | Path) -> CouplingGraph:
     """Read a coupling graph from JSON: {"num_qubits": n, "edges": [[a,b],...]}."""
+    text = read_text(path, "coupling", DasqaError)
     try:
-        data = json.loads(Path(path).read_text(encoding="utf-8"))
+        data = json.loads(text)
         return CouplingGraph(int(data["num_qubits"]), [tuple(e) for e in data["edges"]])
-    except OSError as exc:
-        raise DasqaError(f"cannot read coupling file {path}: {exc.strerror}") from exc
     except (json.JSONDecodeError, KeyError, TypeError, ValueError, ArchitectureError) as exc:
         raise DasqaError(f"malformed coupling file {path}: {exc}") from exc
 
@@ -426,13 +427,20 @@ def allocate_frequencies(coupling: CouplingGraph, config: DesignConfig) -> np.nd
     ``min_adjacent_detuning`` from every assigned neighbour and
     ``min_next_detuning`` from every assigned distance-2 qubit
     (:meth:`CouplingGraph.second_neighbors`); no other qubit is checked.
+    A lattice of more than ``MAX_LATTICE_POINTS`` points is rejected before
+    it is built.
     """
     fc = config.frequency
     lo, hi, step = fc.band_lo_ghz, fc.band_hi_ghz, fc.step_ghz
     d_adj, d_nn = fc.min_adjacent_detuning_ghz, fc.min_next_detuning_ghz
     n = coupling.num_qubits
-    n_points = int((hi - lo) / step + FREQ_EPS) + 1
-    lattice = [round(lo + k * step, 9) for k in range(n_points)]
+    steps = (hi - lo) / step + FREQ_EPS  # a float, inf on an overflowing band
+    if steps >= MAX_LATTICE_POINTS:
+        raise FrequencyAllocationError(
+            f"frequency lattice [{lo}, {hi}] GHz in steps of {step} GHz has {steps + 1:.6g} "
+            f"points, more than the {MAX_LATTICE_POINTS} allowed"
+        )
+    lattice = [round(lo + k * step, 9) for k in range(int(steps) + 1)]
 
     assigned: list[float | None] = [None] * n
     order = sorted(range(n), key=lambda q: (-coupling.degree(q), q))

@@ -9,12 +9,12 @@ from __future__ import annotations
 
 import re
 import sys
-from dataclasses import dataclass, field, fields, asdict
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import yaml
 
-from .errors import ConfigError, file_error_reason
+from .errors import ConfigError, read_text
 
 
 @dataclass
@@ -104,9 +104,6 @@ class DesignConfig:
                 f"geometry.invert_mode must be 'fixed_gap' or 'free', got {geo.invert_mode!r}"
             )
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
 
 _SECTIONS = {
     "grid": GridConfig,
@@ -189,10 +186,9 @@ def load_config(path: str | Path) -> DesignConfig:
     path = Path(path)
     if not path.exists():
         raise ConfigError(f"config file not found: {path}")
+    text = read_text(path, "config", ConfigError)
     try:
-        data = yaml.load(path.read_text(encoding="utf-8"), Loader=_Loader)
-    except (OSError, UnicodeDecodeError) as exc:
-        raise ConfigError(f"cannot read config file {path}: {file_error_reason(exc)}") from exc
+        data = yaml.load(text, Loader=_Loader)
     except yaml.YAMLError as exc:
         raise ConfigError(f"malformed YAML in {path}: {exc}") from exc
     return config_from_dict(data)

@@ -4,6 +4,7 @@ Every stage raises a subclass of :class:`DasqaError` so the CLI can tag
 failures with the stage that produced them and exit nonzero without a
 traceback.
 """
+from pathlib import Path
 
 
 class DasqaError(Exception):
@@ -15,6 +16,14 @@ def file_error_reason(exc: OSError | UnicodeDecodeError) -> str:
     if isinstance(exc, UnicodeDecodeError):
         return f"not UTF-8 text ({exc.reason} at byte {exc.start})"
     return exc.strerror or str(exc)
+
+
+def read_text(path: str | Path, what: str, error: type[DasqaError]) -> str:
+    """A UTF-8 input file's text; one that cannot be read raises ``error``."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise error(f"cannot read {what} file {path}: {file_error_reason(exc)}") from exc
 
 
 class QasmError(DasqaError):

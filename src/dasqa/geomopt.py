@@ -22,8 +22,8 @@ from pathlib import Path
 import numpy as np
 
 from .config import DesignConfig
-from .errors import GeometryError, LayoutError, UnreachableTargetError, file_error_reason
-from .layout import LayoutDocument, length_um
+from .errors import GeometryError, LayoutError, UnreachableTargetError, read_text
+from .layout import LayoutDocument, fmt_um, length_um
 
 INVERT_TOL_GHZ = 1e-6
 GRID_POINTS = 101
@@ -64,10 +64,7 @@ def load_dataset(path: str | Path) -> GeometryDataset:
     path = Path(path)
     if not path.exists():
         raise GeometryError(f"dataset file not found: {path}")
-    try:
-        text = path.read_bytes().decode("utf-8")
-    except (OSError, UnicodeDecodeError) as exc:
-        raise GeometryError(f"cannot read dataset file {path}: {file_error_reason(exc)}") from exc
+    text = read_text(path, "dataset", GeometryError)
     reader = csv.reader(io.StringIO(text, newline=""))  # csv splits the lines itself
     expected = ["pad_gap_um", "pad_height_um", "frequency_ghz"]
     header = next(reader, None)
@@ -304,7 +301,7 @@ def optimize_layout(
             results.append(QubitGeometryResult(name, target, error=solution))
             continue
         gap, height, achieved = solution
-        layout.edit(comp, {"pad_gap": f"{gap:.9g}um", "pad_height": f"{height:.9g}um"})
+        layout.edit(comp, {"pad_gap": fmt_um(gap), "pad_height": fmt_um(height)})
         results.append(QubitGeometryResult(name, target, achieved, gap, height))
     return layout, results
 

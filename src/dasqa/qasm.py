@@ -21,20 +21,10 @@ import math
 import re
 
 from .circuit import Gate, GateKind, QuantumCircuit
-from .errors import CircuitError, QasmError, file_error_reason
+from .errors import CircuitError, QasmError, read_text
 
-_GATE_KINDS = {
-    "x": GateKind.X,
-    "y": GateKind.Y,
-    "z": GateKind.Z,
-    "h": GateKind.H,
-    "s": GateKind.S,
-    "t": GateKind.T,
-    "rz": GateKind.RZ,
-    "cx": GateKind.CX,
-    "cz": GateKind.CZ,
-    "swap": GateKind.SWAP,
-}
+# measure and barrier have statement syntax of their own, parsed apart
+_GATE_KINDS = {k.value: k for k in GateKind if k not in (GateKind.MEASURE, GateKind.BARRIER)}
 
 _TOKEN_RE = re.compile(
     r"""
@@ -251,13 +241,13 @@ def parse_qasm(source: str, name: str = "circuit") -> QuantumCircuit:
             else:
                 cregs[reg_name] = (n_cbits, size)
                 n_cbits += size
-        elif text == "measure":
+        elif text == GateKind.MEASURE.value:
             q = qubit_ref()
             p.expect("->")
             c = p.register_ref(cregs, "classical", "classical")
             p.expect(";")
             gates.append(Gate(GateKind.MEASURE, (q,), cbit=c))
-        elif text == "barrier":
+        elif text == GateKind.BARRIER.value:
             qs = []
             if p.peek() and p.peek()[0] != ";":
                 while True:
@@ -291,11 +281,7 @@ def parse_qasm(source: str, name: str = "circuit") -> QuantumCircuit:
 
 
 def parse_qasm_file(path: str, name: str | None = None) -> QuantumCircuit:
-    try:
-        with open(path, encoding="utf-8") as fh:
-            source = fh.read()
-    except (OSError, UnicodeDecodeError) as exc:
-        raise QasmError(f"cannot read circuit file {path}: {file_error_reason(exc)}") from exc
+    source = read_text(path, "circuit", QasmError)
     if name is None:
         name = re.sub(r"\.qasm$", "", path.replace("\\", "/").rsplit("/", 1)[-1])
     return parse_qasm(source, name=name)

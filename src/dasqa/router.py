@@ -120,21 +120,14 @@ class RoutedGate:
 
 @dataclass(frozen=True)
 class RoutedCircuit:
+    """Gates on physical qubits; :func:`validate_routing` replays the flagged SWAPs."""
+
     num_physical: int
     gates: tuple[RoutedGate, ...]
     initial_mapping: Mapping
     final_mapping: Mapping
     swap_count: int
     depth: int
-
-    def replay_mapping(self) -> Mapping:
-        """Apply the inserted SWAPs to the initial mapping."""
-        l2p = list(self.initial_mapping.log_to_phys)
-        p2l = _occupants(l2p, self.num_physical)
-        for rg in self.gates:
-            if rg.inserted:
-                _swap_sites(l2p, p2l, *rg.gate.qubits)
-        return Mapping(tuple(l2p))
 
 
 def initial_mapping(ig: InteractionGraph, arch: Architecture | CouplingGraph) -> Mapping:
@@ -294,14 +287,21 @@ def route(
 
 
 def validate_routing(routed: RoutedCircuit, arch: Architecture | CouplingGraph) -> None:
-    """Edge soundness plus mapping-replay consistency. Raises on violation."""
+    """Edge soundness, mapping replay and SWAP count in one pass. Raises on violation."""
     coupling = _coupling_of(arch)
+    l2p = list(routed.initial_mapping.log_to_phys)
+    p2l = _occupants(l2p, routed.num_physical)
+    swaps = 0
     for rg in routed.gates:
-        if rg.gate.is_two_qubit and not coupling.has_edge(*rg.gate.qubits):
-            raise RoutingError(f"gate on non-edge {rg.gate.qubits}")
-    if routed.replay_mapping().log_to_phys != routed.final_mapping.log_to_phys:
+        g = rg.gate
+        if g.is_two_qubit and not coupling.has_edge(*g.qubits):
+            raise RoutingError(f"gate on non-edge {g.qubits}")
+        if rg.inserted:
+            _swap_sites(l2p, p2l, *g.qubits)
+            swaps += 1
+    if tuple(l2p) != routed.final_mapping.log_to_phys:
         raise RoutingError("replaying SWAPs does not reproduce the final mapping")
-    if routed.swap_count != sum(1 for rg in routed.gates if rg.inserted):
+    if routed.swap_count != swaps:
         raise RoutingError("swap_count disagrees with flagged SWAPs")
 
 

@@ -10,9 +10,8 @@ matrix): it only relabels basis states and multiplies them by phases.
 pending relabeling, a basis permutation ``perm`` plus a phase vector
 ``phase`` over all 2**n indices, composed in O(2**n) per gate. The state
 columns are touched only when the relabeling is flushed (``state[perm]``
-times ``phase``), before a dense gate and once at the end. A dense one-qubit
-gate is one broadcast matmul; any dense multi-qubit matrix falls back to
-:func:`apply_gate`.
+times ``phase``), before an H and once at the end. H acts on one qubit, so
+it is one broadcast matmul.
 """
 from __future__ import annotations
 
@@ -27,16 +26,13 @@ SIM_MAX_QUBITS = 10  # dense unitaries above this size are refused
 
 _SQ2 = 1.0 / math.sqrt(2.0)
 
-_FIXED_1Q = {
+_FIXED = {
     GateKind.X: np.array([[0, 1], [1, 0]], dtype=complex),
     GateKind.Y: np.array([[0, -1j], [1j, 0]], dtype=complex),
     GateKind.Z: np.array([[1, 0], [0, -1]], dtype=complex),
     GateKind.H: np.array([[_SQ2, _SQ2], [_SQ2, -_SQ2]], dtype=complex),
     GateKind.S: np.array([[1, 0], [0, 1j]], dtype=complex),
     GateKind.T: np.array([[1, 0], [0, np.exp(1j * math.pi / 4)]], dtype=complex),
-}
-
-_FIXED_2Q = {
     # basis order |q0 q1> = |00>,|01>,|10>,|11>; q0 = first operand (control)
     GateKind.CX: np.array(
         [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex
@@ -50,33 +46,14 @@ _FIXED_2Q = {
 
 def gate_matrix(gate: Gate) -> np.ndarray | None:
     """Unitary of a gate, or None for MEASURE/BARRIER."""
-    if gate.kind in _FIXED_1Q:
-        return _FIXED_1Q[gate.kind]
-    if gate.kind in _FIXED_2Q:
-        return _FIXED_2Q[gate.kind]
+    if gate.kind in _FIXED:
+        return _FIXED[gate.kind]
     if gate.kind is GateKind.RZ:
         t = gate.angle
         return np.array(
             [[np.exp(-1j * t / 2), 0], [0, np.exp(1j * t / 2)]], dtype=complex
         )
     return None
-
-
-def apply_gate(state: np.ndarray, matrix: np.ndarray, qubits: tuple[int, ...], n: int) -> np.ndarray:
-    """Apply a k-qubit unitary to columns of ``state`` (shape (2**n, m)).
-
-    Qubit 0 is the most significant axis of the basis index.
-    """
-    m = state.shape[1]
-    k = len(qubits)
-    psi = state.reshape([2] * n + [m])
-    src = list(qubits)
-    psi = np.moveaxis(psi, src, range(k))
-    rest = psi.shape[k:]
-    psi = matrix @ psi.reshape(2**k, -1)
-    psi = psi.reshape([2] * k + list(rest))
-    psi = np.moveaxis(psi, range(k), src)
-    return psi.reshape(2**n, m)
 
 
 def _monomial_form(matrix: np.ndarray):
@@ -123,8 +100,8 @@ def apply_gates(state: np.ndarray, gates, n: int) -> np.ndarray:
     """Apply a gate list to the complex columns of ``state`` (shape (2**n, m)).
 
     Runs of monomial gates are fused into one basis relabeling (see the
-    module docstring), so only dense gates and the final flush touch
-    ``state``.
+    module docstring), so only the one-qubit dense gate H and the final
+    flush touch ``state``.
     """
     index = np.arange(2**n)
     perm = phase = None  # pending relabeling; None is the identity
@@ -144,10 +121,7 @@ def apply_gates(state: np.ndarray, gates, n: int) -> np.ndarray:
         if perm is not None:
             state = _relabel(state, perm, phase)
             perm = phase = None
-        if len(g.qubits) == 1:
-            state = _apply_dense_1q(state, mat, g.qubits[0])
-        else:
-            state = apply_gate(state, mat, g.qubits, n)
+        state = _apply_dense_1q(state, mat, g.qubits[0])
     if perm is not None:
         state = _relabel(state, perm, phase)
     return state

@@ -210,31 +210,44 @@ def _directory(path: Path) -> Path:
     return path
 
 
-# case -> (stage tag, builder returning (circuit, config, out_dir) under tmp_path)
+# case -> (stage tag, builder returning (circuit, config, out_dir, baseline or None)
+# under tmp_path)
 UNREADABLE_FILE_CASES = {
     "qasm_not_utf8": (
         "[parse]",
-        lambda tmp: (_not_utf8(tmp / "bad.qasm"), CONFIG, tmp / "out"),
+        lambda tmp: (_not_utf8(tmp / "bad.qasm"), CONFIG, tmp / "out", None),
     ),
     "config_not_utf8": (
         "[config]",
-        lambda tmp: (CIRCUIT, _not_utf8(tmp / "bad.yml"), tmp / "out"),
+        lambda tmp: (CIRCUIT, _not_utf8(tmp / "bad.yml"), tmp / "out", None),
     ),
     "config_is_directory": (
         "[config]",
-        lambda tmp: (CIRCUIT, _directory(tmp / "config.yml"), tmp / "out"),
+        lambda tmp: (CIRCUIT, _directory(tmp / "config.yml"), tmp / "out", None),
     ),
     "dataset_not_utf8": (
         "[geometry]",
-        lambda tmp: (CIRCUIT, _config_with_dataset(tmp, _not_utf8(tmp / "d.csv")), tmp / "out"),
+        lambda tmp: (
+            CIRCUIT, _config_with_dataset(tmp, _not_utf8(tmp / "d.csv")), tmp / "out", None
+        ),
     ),
     "dataset_is_directory": (
         "[geometry]",
-        lambda tmp: (CIRCUIT, _config_with_dataset(tmp, _directory(tmp / "d.csv")), tmp / "out"),
+        lambda tmp: (
+            CIRCUIT, _config_with_dataset(tmp, _directory(tmp / "d.csv")), tmp / "out", None
+        ),
+    ),
+    "baseline_not_utf8": (
+        "[baseline] cannot read coupling file",
+        lambda tmp: (CIRCUIT, CONFIG, tmp / "out", _not_utf8(tmp / "t.json")),
+    ),
+    "baseline_is_directory": (
+        "[baseline] cannot read coupling file",
+        lambda tmp: (CIRCUIT, CONFIG, tmp / "out", _directory(tmp / "t.json")),
     ),
     "out_dir_is_file": (
         "[write] cannot write",
-        lambda tmp: (CIRCUIT, CONFIG, _not_utf8(tmp / "out")),
+        lambda tmp: (CIRCUIT, CONFIG, _not_utf8(tmp / "out"), None),
     ),
 }
 
@@ -242,18 +255,49 @@ UNREADABLE_FILE_CASES = {
 @pytest.mark.parametrize("case", sorted(UNREADABLE_FILE_CASES))
 def test_unreadable_or_unwritable_file_reports_stage_without_traceback(tmp_path, capsys, case):
     tag, build = UNREADABLE_FILE_CASES[case]
-    circuit, config, out_dir = build(tmp_path)
+    circuit, config, out_dir, baseline = build(tmp_path)
     status = cli_main(
         [
             "--file-path", str(circuit),
             "--config-file-path", str(config),
             "--out-dir", str(out_dir),
         ]
+        + (["--baseline", str(baseline)] if baseline is not None else [])
     )
     assert status == 1
     err = capsys.readouterr().err
     assert err.startswith(f"dasqa: {tag}")
     assert "Traceback" not in err
+
+
+# each ended in a Python traceback, or never ended: the band lattice held
+# 3e299 points or an unrepresentable count of them
+@pytest.mark.parametrize(
+    "frequency_config, message",
+    [
+        ("{step_ghz: 1e-300}", "has 3e+299 points, more than the 100000 allowed"),
+        ("{band_lo_ghz: -1.0e308, band_hi_ghz: 1.0e308}", "has inf points"),
+    ],
+    ids=["tiny_step", "overflowing_band"],
+)
+def test_over_fine_frequency_lattice_reports_architecture_stage_without_traceback(
+    tmp_path, capsys, frequency_config, message
+):
+    config = tmp_path / "config.yml"
+    config.write_text(f"frequency: {frequency_config}\n", encoding="utf-8")
+    status = cli_main(
+        [
+            "--file-path", CIRCUIT,
+            "--config-file-path", str(config),
+            "--out-dir", str(tmp_path / "out"),
+        ]
+    )
+    assert status == 1
+    err = capsys.readouterr().err
+    assert err.startswith("dasqa: [architecture]")
+    assert message in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
 
 
 # each ended in a Python traceback: the coupler span overflowed when squared,

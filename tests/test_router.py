@@ -279,6 +279,31 @@ def test_check_equivalence_detects_wrong_phase_or_permutation(lima, mutate):
     assert not check_equivalence(qc, mutate(routed))
 
 
+@pytest.mark.parametrize(
+    "mutate, message",
+    [
+        (
+            lambda r: _mutate_first(r, GateKind.CX, lambda g: Gate(GateKind.CX, (0, 4))),
+            r"gate on non-edge \(0, 4\)",
+        ),
+        (
+            lambda r: _exchange_final(r, 0, 4),
+            "replaying SWAPs does not reproduce the final mapping",
+        ),
+        (
+            lambda r: replace(r, swap_count=r.swap_count + 1),
+            "swap_count disagrees with flagged SWAPs",
+        ),
+    ],
+    ids=["gate_on_non_edge", "final_mapping_exchanged", "swap_count_off_by_one"],
+)
+def test_validate_routing_rejects_each_broken_invariant(five_qubit_app, lima, mutate, message):
+    routed = route(five_qubit_app, lima, Mapping.identity(5))
+    validate_routing(routed, lima)
+    with pytest.raises(RoutingError, match=message):
+        validate_routing(mutate(routed), lima)
+
+
 def test_embed_matches_the_bitwise_loop():
     rng = np.random.default_rng(3)
     for n_log, n_phys in [(0, 2), (1, 1), (2, 4), (3, 3), (3, 5)]:
@@ -329,7 +354,11 @@ def test_score_architecture_matched_chain():
 
 def test_replay_mapping_matches_final(five_qubit_app, lima):
     routed = route(five_qubit_app, lima, Mapping.identity(5))
-    assert routed.replay_mapping().log_to_phys == routed.final_mapping.log_to_phys
+    l2p = list(range(5))
+    for rg in routed.gates:
+        if rg.inserted:
+            l2p = router._swapped(l2p, *rg.gate.qubits)
+    assert tuple(l2p) == routed.final_mapping.log_to_phys
 
 
 def test_random_instances_soundness_equivalence_and_oracle_bound():
@@ -368,7 +397,6 @@ def test_swaps_through_unoccupied_physical_qubits_replay_and_stay_equivalent():
     swaps = [rg.gate.qubits for rg in routed.gates if rg.inserted]
     # (0, 1) and (3, 4) each move a logical qubit onto an empty site
     assert swaps == [(0, 1), (3, 4), (1, 2), (1, 2)]
-    assert routed.replay_mapping() == routed.final_mapping
     validate_routing(routed, chain)
     assert check_equivalence(qc, routed)
 

@@ -11,7 +11,6 @@ from dasqa.circuit import Gate, GateKind, QuantumCircuit
 from dasqa.errors import SimulationLimitError
 from dasqa.sim import (
     allclose_up_to_global_phase,
-    apply_gate,
     apply_gates,
     circuit_unitary,
     gate_matrix,
@@ -26,16 +25,15 @@ def basis(n: int, index: int) -> np.ndarray:
 
 def test_cx_flips_target_when_control_set():
     # qubit 0 is the most significant bit
-    cx = gate_matrix(Gate(GateKind.CX, (0, 1)))
-    state = apply_gate(basis(2, 0b10), cx, (0, 1), 2)
+    cx = [Gate(GateKind.CX, (0, 1))]
+    state = apply_gates(basis(2, 0b10), cx, 2)
     assert np.argmax(np.abs(state)) == 0b11
-    state = apply_gate(basis(2, 0b01), cx, (0, 1), 2)
+    state = apply_gates(basis(2, 0b01), cx, 2)
     assert np.argmax(np.abs(state)) == 0b01
 
 
 def test_swap_exchanges_qubits():
-    sw = gate_matrix(Gate(GateKind.SWAP, (0, 1)))
-    state = apply_gate(basis(2, 0b10), sw, (0, 1), 2)
+    state = apply_gates(basis(2, 0b10), [Gate(GateKind.SWAP, (0, 1))], 2)
     assert np.argmax(np.abs(state)) == 0b01
 
 
@@ -188,7 +186,6 @@ def test_only_dense_gates_touch_the_full_state(monkeypatch):
 
     monkeypatch.setattr(sim, "_relabel", counted("relabel", sim._relabel))
     monkeypatch.setattr(sim, "_apply_dense_1q", counted("dense", sim._apply_dense_1q))
-    monkeypatch.setattr(sim, "apply_gate", counted("dense", sim.apply_gate))
     rng = np.random.default_rng(7)
     n = 5
     gates = random_gate_list(rng, n, 200)
