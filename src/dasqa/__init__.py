@@ -41,7 +41,7 @@ from .geomopt import (
     predict_frequency,
 )
 from .layout import Component, LayoutDocument, build_layout, update_component
-from .pipeline import FlowResult, StageInterfaces, run_flow
+from .pipeline import FlowResult, run_flow
 from .qasm import parse_qasm, parse_qasm_file
 from .resonator import polyline_length, resonator_length, synthesize_meander
 from .router import (
@@ -75,7 +75,6 @@ __all__ = [
     "Mapping",
     "QuantumCircuit",
     "RoutedCircuit",
-    "StageInterfaces",
     "allocate_frequencies",
     "build_layout",
     "bundled_dataset",

@@ -26,6 +26,8 @@ from .errors import ArchitectureError, DasqaError, FrequencyAllocationError, Pla
 FREQ_EPS = 1e-9
 # far above any real band (the default has 31 points); bounds the lattice before it is built
 MAX_LATTICE_POINTS = 100_000
+# cells x (qubits + 1): placement scans the free cells once per pick, plus once to build its tables
+MAX_PLACEMENT_WORK = 200_000
 
 EMPTY = -1
 
@@ -127,15 +129,10 @@ class Architecture:
         return self.coupling.num_qubits
 
     def positions(self) -> dict[int, tuple[int, int]]:
-        """Qubit index -> (row, col)."""
-        out = {}
-        rows, cols = self.layout.shape
-        for r in range(rows):
-            for c in range(cols):
-                q = int(self.layout[r, c])
-                if q != EMPTY:
-                    out[q] = (r, c)
-        return out
+        """Qubit index -> (row, col), in row-major order."""
+        cols = self.layout.shape[1]
+        flat = self.layout.ravel().tolist()
+        return {q: divmod(cell, cols) for cell, q in enumerate(flat) if q != EMPTY}
 
     def validate(self, config: DesignConfig | None = None) -> None:
         """Raise ArchitectureError if any structural invariant is broken."""
@@ -330,6 +327,9 @@ def place_qubits(ig: InteractionGraph, config: DesignConfig) -> np.ndarray:
     rows, cols = _grid_shape(n, config)
     if rows * cols < n:
         raise PlacementError(f"grid {rows}x{cols} too small for {n} qubit(s)")
+    if rows * cols * (n + 1) > MAX_PLACEMENT_WORK:
+        raise PlacementError(f"grid {rows}x{cols} too large to place {n} qubit(s): "
+                             f"cells x (qubits + 1) is more than the {MAX_PLACEMENT_WORK} allowed")
     cr, cc = rows // 2, cols // 2
     neighbors = _grid_neighbors(rows, cols)
     adjacency = _GridAdjacency(neighbors)

@@ -23,7 +23,7 @@ import numpy as np
 
 from .config import DesignConfig
 from .errors import GeometryError, LayoutError, UnreachableTargetError, read_text
-from .layout import LayoutDocument, fmt_um, length_um
+from .layout import LayoutDocument, fmt_um, length_um, round9
 
 INVERT_TOL_GHZ = 1e-6
 GRID_POINTS = 101
@@ -315,5 +315,5 @@ def _solve(
     except UnreachableTargetError as exc:
         return str(exc)
     # match the 9-significant-digit precision of the stored options
-    gap, height = float(f"{gap:.9g}"), float(f"{height:.9g}")
+    gap, height = round9(gap), round9(height)
     return gap, height, predict_frequency(model, gap, height).frequency_ghz

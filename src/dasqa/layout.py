@@ -29,15 +29,6 @@ from .config import DesignConfig, LayoutConfig
 from .errors import LayoutError
 from .resonator import Point, polyline_length, resonator_length, synthesize_meander
 
-KINDS = (
-    "transmon",
-    "coupling_resonator",
-    "readout_resonator",
-    "capacitor",
-    "control_line",
-    "connection",
-)
-
 # geometry options accepted by update_component, per component kind
 KNOWN_OPTIONS = {
     "transmon": ("pad_width", "pad_height", "pad_gap"),
@@ -98,6 +89,11 @@ def fmt_um(value: float) -> str:
     return f"{value:.9g}um"
 
 
+def round9(value: float) -> float:
+    """``value`` to 9 significant digits, the precision of every number written to JSON."""
+    return float(f"{value:.9g}")
+
+
 Rect = tuple[float, float, float, float]  # x_min, y_min, width, height
 
 
@@ -132,8 +128,9 @@ class LayoutDocument:
         return [c for c in self.components if c.kind == kind]
 
     def census(self) -> dict[str, int]:
-        counts = {kind: 0 for kind in KINDS}
+        counts = dict.fromkeys(KNOWN_OPTIONS, 0)
         for comp in self.components:
+            _check_kind(comp)
             counts[comp.kind] += 1
         return counts
 
@@ -149,6 +146,7 @@ class LayoutDocument:
             dup = sorted({n for n in names if names.count(n) > 1})[0]
             raise LayoutError(f"duplicate component name {dup!r}")
         for comp in self.components:
+            _check_kind(comp)
             for value in comp.options.values():
                 parse_quantity(value)
         known = set(names)
@@ -210,7 +208,7 @@ class LayoutDocument:
 
     def to_json(self) -> str:
         """The document as ``json.dumps(..., indent=2)`` lays it out, written
-        straight from the components: each number as ``float(f"{v:.9g}")``,
+        straight from the components: each number as :func:`round9` gives it,
         options in sorted order, ``mode``/``epsilon_eff`` only when set."""
         num = _NumberTexts()
         x0, y0, w, h = self.chip
@@ -242,7 +240,7 @@ class _NumberTexts(dict):
     and they hash alike, but their texts differ."""
 
     def __missing__(self, value: float) -> str:
-        text = repr(float(f"{value:.9g}"))
+        text = repr(round9(value))
         text = _JSON_NON_FINITE.get(text, text)
         if value:
             self[value] = text
@@ -349,7 +347,13 @@ _REBUILD = {
 }
 
 
+def _check_kind(comp: Component) -> None:
+    if comp.kind not in _REBUILD:
+        raise LayoutError(f"{comp.name}: unknown component kind {comp.kind!r}")
+
+
 def rebuild_geometry(comp: Component) -> None:
+    _check_kind(comp)
     _REBUILD[comp.kind](comp)
 
 
@@ -368,7 +372,7 @@ def update_component(layout: LayoutDocument, name: str, option: str, value: str)
     :meth:`LayoutDocument.edit`, so a rejected edit changes nothing.
     """
     comp = layout.component(name)
-    known = KNOWN_OPTIONS[comp.kind]
+    known = KNOWN_OPTIONS.get(comp.kind, ())
     if option not in known:
         raise LayoutError(
             f"unknown option {option!r} for {comp.kind} {name!r} "

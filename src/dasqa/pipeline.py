@@ -7,9 +7,9 @@ optimize the transmon geometries, then emit ``architecture.json``,
 ``layout.json``, ``layout.svg`` and ``report.json``. Outputs are
 deterministic: fixed inputs give byte-identical files.
 
-The architecture generator can be swapped through :class:`StageInterfaces`,
-so an alternative generator can be dropped in without touching the rest of
-the flow.
+The architecture generator is ``run_flow``'s ``architecture_generator``
+argument, so another ``(circuit, config) -> Architecture`` callable drops in
+without touching the rest of the flow; its result is checked for structure only.
 """
 from __future__ import annotations
 
@@ -18,28 +18,15 @@ import os
 import tempfile
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable
-
-import numpy as np
 
 from . import archgen, geomopt, router
 from .archgen import Architecture, load_coupling
 from .circuit import QuantumCircuit, circuit_stats
-from .config import DesignConfig, load_config
+from .config import load_config
 from .errors import DasqaError, file_error_reason
-from .layout import build_layout
+from .layout import build_layout, round9
 from .qasm import parse_qasm_file
 from .svg import render_svg
-
-ArchitectureGenerator = Callable[[QuantumCircuit, DesignConfig], Architecture]
-
-
-@dataclass
-class StageInterfaces:
-    """Pluggable architecture generator, defaulting to the bundled one."""
-
-    architecture_generator: ArchitectureGenerator = archgen.generate_architecture
-
 
 @dataclass(frozen=True)
 class FlowResult:
@@ -69,14 +56,6 @@ def _run_stage(stage: str, fn, *args):
         raise StageFailure(stage, exc) from exc
 
 
-def _jsonable(value):
-    if isinstance(value, (np.floating, float)):
-        return float(f"{float(value):.9g}")
-    if isinstance(value, (np.integer, int)):
-        return int(value)
-    return value
-
-
 def build_report(
     qc: QuantumCircuit,
     arch: Architecture,
@@ -98,7 +77,7 @@ def build_report(
             "num_qubits": arch.num_qubits,
             "grid": list(arch.layout.shape),
             "edges": [list(e) for e in arch.coupling.sorted_edges()],
-            "frequencies_ghz": [_jsonable(f) for f in arch.frequencies],
+            "frequencies_ghz": [round9(f) for f in arch.frequencies],
         },
         "routing": {
             "swap_count": routed.swap_count,
@@ -112,10 +91,10 @@ def build_report(
             "qubits": [
                 {
                     "name": r.qubit,
-                    "target_ghz": _jsonable(r.target_ghz),
-                    "achieved_ghz": _jsonable(r.achieved_ghz) if r.achieved_ghz is not None else None,
-                    "pad_gap_um": _jsonable(r.pad_gap_um) if r.pad_gap_um is not None else None,
-                    "pad_height_um": _jsonable(r.pad_height_um) if r.pad_height_um is not None else None,
+                    "target_ghz": round9(r.target_ghz),
+                    "achieved_ghz": round9(r.achieved_ghz) if r.achieved_ghz is not None else None,
+                    "pad_gap_um": round9(r.pad_gap_um) if r.pad_gap_um is not None else None,
+                    "pad_height_um": round9(r.pad_height_um) if r.pad_height_um is not None else None,
                     "error": r.error,
                 }
                 for r in geometry_results
@@ -156,9 +135,10 @@ def run_flow(
     config_path: str | Path,
     out_dir: str | Path = "out",
     baseline_path: str | Path | None = None,
-    stages: StageInterfaces | None = None,
+    architecture_generator=archgen.generate_architecture,
 ) -> FlowResult:
-    """Execute the full flow and write the four output files.
+    """Execute the full flow and write the four output files; the
+    architecture comes from ``architecture_generator(circuit, config)``.
 
     All computation happens before any file is written; each file is then
     written to a temp name and renamed, so a failed run leaves no partial
@@ -168,10 +148,9 @@ def run_flow(
     and each geometry edit checks only the transmon it changes, so no
     whole-chip check follows ``optimize_layout``.
     """
-    stages = stages or StageInterfaces()
     config = _run_stage("config", load_config, config_path)
     qc = _run_stage("parse", parse_qasm_file, str(circuit_path))
-    arch = _run_stage("architecture", stages.architecture_generator, qc, config)
+    arch = _run_stage("architecture", architecture_generator, qc, config)
     # structure only: a plugged-in generator may bring its own frequency plan
     _run_stage("architecture", arch.validate)
 

@@ -212,15 +212,8 @@ def route(
 
     for g in qc.gates:
         if not g.is_two_qubit:
-            if g.kind is GateKind.BARRIER:
-                phys = tuple(l2p[q] for q in g.qubits)
-                out.append(RoutedGate(Gate(GateKind.BARRIER, phys)))
-            else:
-                out.append(
-                    RoutedGate(
-                        Gate(g.kind, (l2p[g.qubits[0]],), angle=g.angle, cbit=g.cbit)
-                    )
-                )
+            qubits = tuple(map(l2p.__getitem__, g.qubits))
+            out.append(RoutedGate(Gate(g.kind, qubits, g.angle, g.cbit)))
             continue
 
         a, b = g.qubits

@@ -9,6 +9,8 @@ import pytest
 
 from dasqa.archgen import (
     FREQ_EPS,
+    MAX_PLACEMENT_WORK,
+    Architecture,
     CouplingGraph,
     _refined_keys,
     allocate_frequencies,
@@ -77,6 +79,21 @@ def test_grid_too_small_raises():
         place_qubits(InteractionGraph(3, {}), cfg)
 
 
+def test_grid_past_the_placement_bound_raises_before_it_is_built():
+    cfg = config_from_dict({"grid": {"rows": 100_000, "cols": 100_000}})
+    with pytest.raises(PlacementError, match=f"too large .* more than the {MAX_PLACEMENT_WORK} allowed"):
+        place_qubits(InteractionGraph(3, {}), cfg)
+
+
+def test_worked_example_places_on_a_sparse_grid_within_the_bound(five_qubit_app):
+    cfg = config_from_dict({"grid": {"rows": 100, "cols": 101}})
+    ig = interaction_graph(five_qubit_app)
+    layout = place_qubits(ig, cfg)
+    assert layout.shape == (100, 101)
+    assert sorted(layout[layout >= 0].tolist()) == [0, 1, 2, 3, 4]
+    assert realized_weight(layout, ig) == realized_weight(place_qubits(ig, DesignConfig()), ig)
+
+
 def test_derive_couplings_star(config):
     ig = star_ig()
     layout = place_qubits(ig, config)
@@ -130,6 +147,47 @@ def test_allocator_star_with_explicit_thresholds():
     freqs = allocate_frequencies(star, cfg)
     assert detuning_violations(star, freqs, 0.09, 0.02) == []
     assert all(5.0 - 1e-9 <= f <= 5.3 + 1e-9 for f in freqs)
+
+
+# chain 0-1-2: (0,1) and (1,2) adjacent, (0,2) next-nearest; thresholds 0.07 / 0.02
+@pytest.mark.parametrize(
+    "freqs, expected",
+    [
+        ([5.0, 5.06], [(0, 1, 0.06)]),
+        ([5.0, 5.1, 5.01], [(0, 2, 0.01)]),
+        # 5.1 - 5.03 and 5.02 - 5.0 fall just below 0.07 and 0.02 in floating point
+        ([5.03, 5.1], []),
+        ([5.0, 5.1, 5.02], []),
+    ],
+    ids=["adjacent_below", "next_below", "adjacent_at", "next_at"],
+)
+def test_detuning_violations_flag_gaps_below_each_threshold(freqs, expected):
+    chain = CouplingGraph(len(freqs), [(q, q + 1) for q in range(len(freqs) - 1)])
+    bad = detuning_violations(chain, freqs, 0.07, 0.02)
+    assert [(a, b) for a, b, _ in bad] == [(a, b) for a, b, _ in expected]
+    assert [gap for _, _, gap in bad] == pytest.approx([gap for _, _, gap in expected])
+
+
+def test_threshold_gaps_pass_only_through_freq_eps():
+    assert 5.1 - 5.03 < 0.07 and 5.02 - 5.0 < 0.02
+    assert 5.1 - 5.03 >= 0.07 - FREQ_EPS and 5.02 - 5.0 >= 0.02 - FREQ_EPS
+
+
+@pytest.mark.parametrize(
+    "grid, edges, freqs, config, match",
+    [
+        ([[0, -1]], [], [5.0, 5.1], None, "each qubit index exactly once"),
+        ([[0, 1]], [(0, 1)], [5.0], None, "frequency vector length"),
+        ([[0, 1]], [(0, 1)], [5.0, 5.4], {}, r"frequency of qubit 1 outside band \[5.0, 5.3\]"),
+        ([[0, 1, 2]], [(0, 1), (1, 2)], [5.0, 5.1, 5.2], {"grid": {"max_degree": 1}}, "max_degree"),
+        ([[0, 1]], [(0, 1)], [5.0, 5.05], {}, r"detuning violations: \[\(0, 1, "),
+    ],
+    ids=["missing_qubit", "frequency_count", "out_of_band", "degree", "detuning"],
+)
+def test_architecture_validate_rejections(grid, edges, freqs, config, match):
+    arch = Architecture(np.array(grid), CouplingGraph(np.size(grid), edges), np.array(freqs))
+    with pytest.raises(ArchitectureError, match=match):
+        arch.validate(None if config is None else config_from_dict(config))
 
 
 def test_reference_frequency_vector_feasible_under_defaults(config):

@@ -6,8 +6,9 @@ from pathlib import Path
 
 import pytest
 
-from dasqa import geomopt
+from dasqa import cli, geomopt
 from dasqa.cli import cli_main
+from dasqa.errors import DasqaError
 
 DATA = Path(__file__).parent / "data"
 CIRCUIT = str(DATA / "five_qubit_app.qasm")
@@ -252,6 +253,78 @@ UNREADABLE_FILE_CASES = {
 }
 
 
+# case -> (files written under tmp_path, start of the error); the flow reads
+# c.qasm and c.yml when given, else the worked example and its config
+REJECTED_INPUT_CASES = {
+    "negative_detuning": (
+        {"c.yml": "frequency: {min_next_detuning_ghz: -0.01}"},
+        "[config] detuning thresholds must be non-negative",
+    ),
+    "zero_max_degree": ({"c.yml": "grid: {max_degree: 0}"}, "[config] grid.max_degree must be >= 1"),
+    "zero_margin": ({"c.yml": "layout: {margin_um: 0}"}, "[config] layout.margin_um must be positive"),
+    "low_epsilon": ({"c.yml": "layout: {epsilon_eff: 0.5}"}, "[config] layout.epsilon_eff must be >= 1"),
+    "empty_coupling_lattice": (
+        {"c.yml": "layout: {coupling_freq_lattice_ghz: []}"},
+        "[config] layout.coupling_freq_lattice_ghz must be non-empty",
+    ),
+    "zero_coupling_freq": (
+        {"c.yml": "layout: {coupling_freq_lattice_ghz: [7.0, 0]}"},
+        "[config] layout.coupling_freq_lattice_ghz entries must be positive",
+    ),
+    "zero_meander_amplitude": (
+        {"c.yml": "layout: {meander_amplitude_um: 0}"},
+        "[config] layout.meander_amplitude_um must be positive",
+    ),
+    # 10^10 cells: rejected before the placement tables are built
+    "huge_grid": (
+        {"c.yml": "grid: {rows: 100000, cols: 100000}"},
+        "[architecture] grid 100000x100000 too large to place 5 qubit(s)",
+    ),
+    "header_only_dataset": (
+        {"c.yml": "geometry: {dataset_path: d.csv}", "d.csv": "pad_gap_um,pad_height_um,frequency_ghz\n"},
+        "[geometry] dataset is empty",
+    ),
+    "angle_division_by_zero": (
+        {"c.qasm": "OPENQASM 2.0;\nqreg q[1];\nrz(1/0) q[0];\n"},
+        "[parse] line 3, column 6: division by zero in angle",
+    ),
+    "bad_angle_term": (
+        {"c.qasm": "OPENQASM 2.0;\nqreg q[1];\nrz(q) q[0];\n"},
+        "[parse] line 3, column 4: bad angle term 'q'",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REJECTED_INPUT_CASES))
+def test_rejected_input_reports_stage_without_traceback(tmp_path, monkeypatch, capsys, case):
+    files, message = REJECTED_INPUT_CASES[case]
+    for name, text in files.items():
+        (tmp_path / name).write_text(text, encoding="utf-8")
+    monkeypatch.chdir(tmp_path)  # a relative dataset_path resolves here
+    status = cli_main(
+        [
+            "--file-path", "c.qasm" if "c.qasm" in files else CIRCUIT,
+            "--config-file-path", "c.yml" if "c.yml" in files else CONFIG,
+            "--out-dir", "out",
+        ]
+    )
+    assert status == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"dasqa: {message}")
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_untagged_flow_error_reports_flow_tag(tmp_path, monkeypatch, capsys):
+    def failing_flow(*args, **kwargs):
+        raise DasqaError("no stage claimed this")
+
+    monkeypatch.setattr(cli, "run_flow", failing_flow)
+    status = cli_main(["--file-path", CIRCUIT, "--config-file-path", CONFIG, "--out-dir", str(tmp_path)])
+    assert status == 1
+    assert capsys.readouterr().err == "dasqa: [flow] no stage claimed this\n"
+
+
 @pytest.mark.parametrize("case", sorted(UNREADABLE_FILE_CASES))
 def test_unreadable_or_unwritable_file_reports_stage_without_traceback(tmp_path, capsys, case):
     tag, build = UNREADABLE_FILE_CASES[case]
@@ -314,6 +387,7 @@ def test_over_fine_frequency_lattice_reports_architecture_stage_without_tracebac
             "needs 9.83551e+19 lobes of amplitude 300, more than the 100000 allowed",
         ),
         ("{coupling_freq_lattice_ghz: [1e300]}", "target frequency 1e+300 GHz is out of range"),
+        ("{pitch_um: 500}", "pitch 500 too small to attach coupler CR_0_4"),
     ],
     ids=[
         "huge_pitch",
@@ -321,6 +395,7 @@ def test_over_fine_frequency_lattice_reports_architecture_stage_without_tracebac
         "tiny_coupling_freq",
         "long_baseline_wide_lobes",
         "huge_coupling_freq",
+        "small_pitch",
     ],
 )
 def test_out_of_range_layout_value_reports_layout_stage_without_traceback(

@@ -8,6 +8,7 @@ import pytest
 
 from dasqa import geomopt
 from dasqa.config import config_from_dict
+from dasqa.data.make_pad_geometry import write_csv
 from dasqa.errors import GeometryError, LayoutError, UnreachableTargetError
 from dasqa.geomopt import (
     GeometryDataset,
@@ -215,6 +216,11 @@ def test_load_dataset_rejects_bad_header(tmp_path):
 
 
 BUNDLED_CSV = Path(geomopt.__file__).parent / "data" / "pad_geometry.csv"
+
+
+def test_bundled_dataset_is_what_its_generator_writes(tmp_path):
+    write_csv(tmp_path / "pad_geometry.csv")
+    assert (tmp_path / "pad_geometry.csv").read_bytes() == BUNDLED_CSV.read_bytes()
 
 
 @pytest.mark.parametrize(

@@ -13,6 +13,7 @@ from dasqa.config import config_from_dict
 from dasqa.errors import LayoutError
 from dasqa.geomopt import bundled_dataset, fit_model, optimize_layout
 from dasqa.layout import (
+    Component,
     LayoutDocument,
     build_layout,
     fmt_um,
@@ -104,6 +105,18 @@ def test_update_unknown_component(star_layout):
 def test_update_unknown_option(star_layout):
     with pytest.raises(LayoutError, match="unknown option 'flux_bias'"):
         update_component(star_layout, "Q_0", "flux_bias", "1um")
+
+
+def test_unknown_component_kind_is_a_layout_error(star_layout):
+    resistor = Component("R_0", "resistor", (0.0, 0.0), {"length": "10um"})
+    with pytest.raises(LayoutError, match="R_0: unknown component kind 'resistor'"):
+        rebuild_geometry(resistor)
+    star_layout.components.append(resistor)
+    for check in (star_layout.validate, star_layout.census):
+        with pytest.raises(LayoutError, match="R_0: unknown component kind 'resistor'"):
+            check()
+    with pytest.raises(LayoutError, match="unknown option 'length' for resistor 'R_0'"):
+        update_component(star_layout, "R_0", "length", "20um")
 
 
 def test_update_malformed_value(star_layout):

@@ -1,4 +1,4 @@
-"""Flow orchestration: file emission, determinism, stage substitution."""
+"""Flow orchestration: file emission, determinism, generator substitution."""
 from __future__ import annotations
 
 import json
@@ -11,7 +11,7 @@ import pytest
 from dasqa import cli
 from dasqa.archgen import Architecture, CouplingGraph
 from dasqa.errors import ArchitectureError, DasqaError
-from dasqa.pipeline import StageFailure, StageInterfaces, run_flow
+from dasqa.pipeline import StageFailure, run_flow
 
 DATA = Path(__file__).parent / "data"
 CIRCUIT = DATA / "five_qubit_app.qasm"
@@ -102,8 +102,7 @@ def _chain_architecture(qc, config) -> Architecture:
 
 
 def test_stub_stage_substitution_keeps_invariants(tmp_path):
-    stages = StageInterfaces(architecture_generator=_chain_architecture)
-    result = run_flow(CIRCUIT, CONFIG, out_dir=tmp_path, stages=stages)
+    result = run_flow(CIRCUIT, CONFIG, out_dir=tmp_path, architecture_generator=_chain_architecture)
     arch = result.architecture
     assert arch.coupling.sorted_edges() == [(0, 1), (1, 2), (2, 3), (3, 4)]
     assert result.equivalence_ok is True
@@ -122,16 +121,16 @@ def _skewed_chain_architecture(qc, config) -> Architecture:
 
 
 def test_invalid_generated_architecture_fails_in_architecture_stage(tmp_path, monkeypatch, capsys):
-    stages = StageInterfaces(architecture_generator=_skewed_chain_architecture)
+    skewed = partial(run_flow, architecture_generator=_skewed_chain_architecture)
     out = tmp_path / "out"
     with pytest.raises(StageFailure) as info:
-        run_flow(CIRCUIT, CONFIG, out_dir=out, stages=stages)
+        skewed(CIRCUIT, CONFIG, out_dir=out)
     assert info.value.stage == "architecture"
     assert isinstance(info.value.cause, ArchitectureError)
     assert "joins non-adjacent cells" in str(info.value)
     assert not out.exists() or not any(out.iterdir())
 
-    monkeypatch.setattr(cli, "run_flow", partial(run_flow, stages=stages))
+    monkeypatch.setattr(cli, "run_flow", skewed)
     status = cli.cli_main(
         ["--file-path", str(CIRCUIT), "--config-file-path", str(CONFIG), "--out-dir", str(out)]
     )
