@@ -200,10 +200,13 @@ def route(
     out: list[RoutedGate] = []
     swap_count = 0
 
+    # one shared SWAP gate per coupling edge (low, high): the gates are frozen
+    swap_gates = {e: RoutedGate(Gate(GateKind.SWAP, e), inserted=True) for e in coupling.edges}
+
     def apply_swap(u: int, v: int) -> None:
         nonlocal swap_count
         _swap_sites(l2p, p2l, u, v)
-        out.append(RoutedGate(Gate(GateKind.SWAP, (u, v)), inserted=True))
+        out.append(swap_gates[u, v])
         swap_count += 1
 
     stall_cap = n_phys + max((d for row in hops for d in row if d < unreachable), default=0) + 2
@@ -365,15 +368,28 @@ def optimal_swap_count(
     raise RoutingError("circuit is unroutable on this coupling graph")
 
 
+def _embedded_rows(mapping: Mapping, n_log: int, n_phys: int) -> np.ndarray:
+    """Physical basis index of each logical one; unmapped qubits stay |0>."""
+    basis = np.arange(2**n_log)
+    rows = np.zeros_like(basis)
+    for lq in range(n_log):
+        rows |= ((basis >> (n_log - 1 - lq)) & 1) << (n_phys - 1 - mapping[lq])
+    return rows
+
+
 def _embed(mapping: Mapping, columns: np.ndarray, n_log: int, n_phys: int) -> np.ndarray:
     """Lift logical state columns into the physical register; unmapped qubits stay |0>."""
-    basis = np.arange(2**n_log)
-    target = np.zeros_like(basis)
-    for lq in range(n_log):
-        target |= ((basis >> (n_log - 1 - lq)) & 1) << (n_phys - 1 - mapping[lq])
     phys = np.zeros((2**n_phys, columns.shape[1]), dtype=complex)
-    phys[target] = columns  # targets are distinct: the mapping is injective
+    # the rows are distinct: the mapping is injective
+    phys[_embedded_rows(mapping, n_log, n_phys)] = columns
     return phys
+
+
+def _embedded_identity(mapping: Mapping, n_log: int, n_phys: int) -> np.ndarray:
+    """``_embed`` of the identity: a one in each logical basis state's row."""
+    block = np.zeros((2**n_phys, 2**n_log), dtype=complex)
+    block[_embedded_rows(mapping, n_log, n_phys), np.arange(2**n_log)] = 1
+    return block
 
 
 def check_equivalence(original: QuantumCircuit, routed: RoutedCircuit) -> bool:
@@ -384,10 +400,13 @@ def check_equivalence(original: QuantumCircuit, routed: RoutedCircuit) -> bool:
     tolerance 1e-9. Unmapped physical qubits start and must effectively stay
     in |0>. MEASURE/BARRIER carry no unitary action and are skipped.
 
-    Both sides go through :func:`sim.apply_gates`, which fuses each run of
+    Both sides go through :func:`sim.apply_gates`. It fuses each run of
     permutation-and-phase gates (everything but H) into one basis
-    relabeling, so only the Hadamards and one flush per run touch the
-    2**n_phys x 2**n_log column block.
+    relabeling, composed from each gate's cached full-register action, and
+    flushes it into the 2**n_phys x 2**n_log column block only before an H
+    and at the end. ``embed(initial)`` is built directly as ones scattered
+    into a zero block and handed straight to ``apply_gates``: no caller
+    keeps a second column block alive.
     """
     n_log = original.num_qubits
     n_phys = routed.num_physical
@@ -395,10 +414,10 @@ def check_equivalence(original: QuantumCircuit, routed: RoutedCircuit) -> bool:
         raise SimulationLimitError(
             f"{max(n_log, n_phys)} qubits exceeds the simulation guard ({SIM_MAX_QUBITS})"
         )
-    # the logical unitary and the identity block are dropped once embedded
+    # the logical unitary is dropped once embedded
     rhs = _embed(routed.final_mapping, circuit_unitary(original.gates, n_log), n_log, n_phys)
     lhs = apply_gates(
-        _embed(routed.initial_mapping, np.eye(2**n_log, dtype=complex), n_log, n_phys),
+        _embedded_identity(routed.initial_mapping, n_log, n_phys),
         [rg.gate for rg in routed.gates],
         n_phys,
     )

@@ -8,10 +8,17 @@ Every supported gate except H is monomial (one nonzero per row of its
 matrix): it only relabels basis states and multiplies them by phases.
 :func:`apply_gates` therefore fuses each run of monomial gates into one
 pending relabeling, a basis permutation ``perm`` plus a phase vector
-``phase`` over all 2**n indices, composed in O(2**n) per gate. The state
-columns are touched only when the relabeling is flushed (``state[perm]``
-times ``phase``), before an H and once at the end. H acts on one qubit, so
-it is one broadcast matmul.
+``phase`` over all 2**n indices, composed in O(2**n) per gate. A gate's
+full-register action is built once per ``(kind, operands, n)`` and cached
+(the monomial form once per kind); an RZ reuses the cached index action of
+its qubit and reads only its two phases. A diagonal gate leaves ``perm``
+alone and a phase-free one (X, CX, SWAP) leaves ``phase`` alone.
+
+The state columns are touched only when the relabeling is flushed, before
+an H and once at the end. A flush gathers ``state[perm]`` only if the run
+moved basis states and multiplies by ``phase`` only if the run had a phase.
+H is real, so it is one real batched matmul on the float view of the
+columns, at about the same cost on every qubit.
 """
 from __future__ import annotations
 
@@ -65,35 +72,81 @@ def _monomial_form(matrix: np.ndarray):
     return src, matrix[np.arange(len(matrix)), src]
 
 
-def _basis_action(form, qubits: tuple[int, ...], index: np.ndarray, n: int):
-    """Full-register ``(perm, phase)`` of a monomial gate.
+def _basis_action(form, qubits: tuple[int, ...], n: int):
+    """Full-register ``(perm, phase, local)`` of a monomial gate.
 
-    The gate maps a state ``s`` to ``phase * s[perm]``. ``index`` is
-    ``arange(2**n)``; the first operand is the gate's most significant bit.
+    The gate maps a state ``s`` to ``phase * s[perm]``; ``perm`` is None for
+    a diagonal gate and ``phase`` None when every phase is 1. ``local[x]``
+    is the operands' bits of index ``x``, the first operand the most
+    significant.
     """
     src, local_phase = form
     k = len(qubits)
+    index = np.arange(2**n)
     shifts = [n - 1 - q for q in qubits]
     local = np.zeros_like(index)
     for j, shift in enumerate(shifts):
         local |= ((index >> shift) & 1) << (k - 1 - j)
     flip = local ^ src[local]
-    perm = index.copy()
-    for j, shift in enumerate(shifts):
-        perm ^= ((flip >> (k - 1 - j)) & 1) << shift
-    return perm, local_phase[local]
+    perm = None
+    if flip.any():
+        perm = index.copy()
+        for j, shift in enumerate(shifts):
+            perm ^= ((flip >> (k - 1 - j)) & 1) << shift
+    phase = None if (local_phase == 1).all() else local_phase[local]
+    local = local.astype(np.uint8)  # at most two operand bits
+    for array in (perm, phase, local):
+        if array is not None:
+            array.flags.writeable = False  # shared by every later lookup
+    return perm, phase, local
 
 
-def _relabel(state: np.ndarray, perm: np.ndarray, phase: np.ndarray) -> np.ndarray:
-    """Flush a pending relabeling: row x becomes ``phase[x] * state[perm[x]]``."""
+# Monomial form per kind (None for H) and basis action per (kind, operands,
+# n). Both keys are finite: a dozen kinds, and operands and n up to the
+# simulation guard.
+_FORMS: dict[GateKind, tuple | None] = {}
+_ACTIONS: dict[tuple, tuple | None] = {}
+
+
+def _action(gate: Gate, matrix: np.ndarray, n: int):
+    """Cached :func:`_basis_action` of a gate, or None for the dense kind H."""
+    key = (gate.kind, gate.qubits, n)
+    try:
+        return _ACTIONS[key]
+    except KeyError:
+        pass
+    if gate.kind not in _FORMS:
+        _FORMS[gate.kind] = _monomial_form(matrix)
+    form = _FORMS[gate.kind]
+    action = _ACTIONS[key] = None if form is None else _basis_action(form, gate.qubits, n)
+    return action
+
+
+def _relabel(state: np.ndarray, perm, phase) -> np.ndarray:
+    """Flush a pending relabeling: row x becomes ``phase[x] * state[perm[x]]``.
+
+    A None ``perm`` is the identity and a None ``phase`` is all ones; the
+    two are never both None.
+    """
+    if perm is None:
+        return state * phase[:, None]
     state = state[perm]
-    state *= phase[:, None]
+    if phase is not None:
+        state *= phase[:, None]
     return state
 
 
 def _apply_dense_1q(state: np.ndarray, matrix: np.ndarray, q: int) -> np.ndarray:
-    """One broadcast matmul over the (bits above q, bit q, the rest) view."""
-    return np.matmul(matrix, state.reshape(2**q, 2, -1)).reshape(state.shape)
+    """A real one-qubit matrix on qubit q of C-contiguous complex columns.
+
+    The real and imaginary parts sit side by side in the float view, so the
+    matrix acts on it directly: one real batched matmul over the (bits above
+    q, bit q, the rest) view. A complex matmul of the same view costs several
+    times more on the low qubits under a threaded BLAS.
+    """
+    flat = state.view(np.float64)
+    out = np.matmul(matrix.real, flat.reshape(2**q, 2, -1))
+    return out.reshape(flat.shape).view(complex)
 
 
 def apply_gates(state: np.ndarray, gates, n: int) -> np.ndarray:
@@ -101,28 +154,33 @@ def apply_gates(state: np.ndarray, gates, n: int) -> np.ndarray:
 
     Runs of monomial gates are fused into one basis relabeling (see the
     module docstring), so only the one-qubit dense gate H and the final
-    flush touch ``state``.
+    flush touch ``state``. ``state`` itself is never written.
     """
-    index = np.arange(2**n)
+    state = np.ascontiguousarray(state, dtype=complex)
     perm = phase = None  # pending relabeling; None is the identity
     for g in gates:
         mat = gate_matrix(g)
         if mat is None:
             continue
-        form = _monomial_form(mat)
-        if form is not None:
-            g_perm, g_phase = _basis_action(form, g.qubits, index, n)
-            if perm is None:
-                perm, phase = g_perm, g_phase
-            else:
-                phase = g_phase * phase[g_perm]
-                perm = perm[g_perm]
+        action = _action(g, mat, n)
+        if action is None:
+            if perm is not None or phase is not None:
+                state = _relabel(state, perm, phase)
+                perm = phase = None
+            # H is the one dense kind, and it is real
+            state = _apply_dense_1q(state, mat, g.qubits[0])
             continue
-        if perm is not None:
-            state = _relabel(state, perm, phase)
-            perm = phase = None
-        state = _apply_dense_1q(state, mat, g.qubits[0])
-    if perm is not None:
+        g_perm, g_phase, local = action
+        if g.kind is GateKind.RZ:
+            # diagonal at every angle: only the phases are this gate's own
+            g_phase = mat.diagonal()[local]
+        if g_perm is not None:
+            perm = g_perm if perm is None else perm[g_perm]
+            if phase is not None:
+                phase = phase[g_perm]
+        if g_phase is not None:
+            phase = g_phase if phase is None else phase * g_phase
+    if perm is not None or phase is not None:
         state = _relabel(state, perm, phase)
     return state
 
@@ -144,4 +202,6 @@ def allclose_up_to_global_phase(a: np.ndarray, b: np.ndarray, tol: float = 1e-9)
     phase = a[idx] / b[idx]
     if abs(abs(phase) - 1.0) > 1e-6:
         return False
-    return bool(np.max(np.abs(a - phase * b)) <= tol)
+    diff = phase * b  # the one full-size complex temporary
+    diff -= a
+    return bool(np.max(np.abs(diff)) <= tol)

@@ -79,92 +79,6 @@ def test_baseline_flag(tmp_path, capsys):
     assert "baseline" in report
 
 
-def test_malformed_register_size_reports_parse_stage_without_traceback(tmp_path, capsys):
-    circuit = tmp_path / "bad.qasm"
-    circuit.write_text('OPENQASM 2.0;\ninclude "qelib1.inc";\nqreg q[abc];\n', encoding="utf-8")
-    status = cli_main(
-        [
-            "--file-path", str(circuit),
-            "--config-file-path", CONFIG,
-            "--out-dir", str(tmp_path / "out"),
-        ]
-    )
-    assert status == 1
-    err = capsys.readouterr().err
-    assert err.startswith("dasqa: [parse]")
-    assert "Traceback" not in err
-
-
-def test_deeply_nested_angle_reports_parse_stage_without_traceback(tmp_path, capsys):
-    circuit = tmp_path / "nested.qasm"
-    angle = "(" * 5000 + "1" + ")" * 5000
-    circuit.write_text(
-        f'OPENQASM 2.0;\ninclude "qelib1.inc";\nqreg q[1];\nrz({angle}) q[0];\n', encoding="utf-8"
-    )
-    status = cli_main(
-        [
-            "--file-path", str(circuit),
-            "--config-file-path", CONFIG,
-            "--out-dir", str(tmp_path / "out"),
-        ]
-    )
-    assert status == 1
-    err = capsys.readouterr().err
-    assert err.startswith("dasqa: [parse] line 4, column 68: angle expression nested too deeply")
-    assert "Traceback" not in err
-
-
-def test_non_ascii_digit_reports_parse_stage_without_traceback(tmp_path, capsys):
-    circuit = tmp_path / "digits.qasm"
-    circuit.write_text('OPENQASM 2.0;\ninclude "qelib1.inc";\nqreg q[\u0663];\n', encoding="utf-8")
-    status = cli_main(
-        [
-            "--file-path", str(circuit),
-            "--config-file-path", CONFIG,
-            "--out-dir", str(tmp_path / "out"),
-        ]
-    )
-    assert status == 1
-    err = capsys.readouterr().err
-    assert err.startswith("dasqa: [parse] line 3, column 8: unexpected character '\u0663'")
-    assert "Traceback" not in err
-    assert not (tmp_path / "out").exists()
-
-
-def test_mistyped_config_value_reports_config_stage_without_traceback(tmp_path, capsys):
-    config = tmp_path / "config.yml"
-    config.write_text('grid: {rows: "3"}\n', encoding="utf-8")
-    status = cli_main(
-        [
-            "--file-path", CIRCUIT,
-            "--config-file-path", str(config),
-            "--out-dir", str(tmp_path / "out"),
-        ]
-    )
-    assert status == 1
-    err = capsys.readouterr().err
-    assert err.startswith("dasqa: [config]")
-    assert "Traceback" not in err
-
-
-def test_non_finite_config_value_reports_config_stage_without_traceback(tmp_path, capsys):
-    # a NaN threshold would fail every comparison and switch the detuning rule off
-    config = tmp_path / "config.yml"
-    config.write_text("frequency: {min_adjacent_detuning_ghz: .nan}\n", encoding="utf-8")
-    status = cli_main(
-        [
-            "--file-path", CIRCUIT,
-            "--config-file-path", str(config),
-            "--out-dir", str(tmp_path / "out"),
-        ]
-    )
-    assert status == 1
-    err = capsys.readouterr().err
-    assert err.startswith("dasqa: [config] frequency.min_adjacent_detuning_ghz must be a finite number")
-    assert "Traceback" not in err
-    assert not (tmp_path / "out").exists()
-
-
 @pytest.mark.parametrize("bad_row", ["30,abc,5.1", "30,100", "30,nan,5.1"])
 def test_malformed_geometry_dataset_reports_geometry_stage_without_traceback(
     tmp_path, capsys, bad_row
@@ -291,6 +205,27 @@ REJECTED_INPUT_CASES = {
     "bad_angle_term": (
         {"c.qasm": "OPENQASM 2.0;\nqreg q[1];\nrz(q) q[0];\n"},
         "[parse] line 3, column 4: bad angle term 'q'",
+    ),
+    "malformed_register_size": (
+        {"c.qasm": 'OPENQASM 2.0;\ninclude "qelib1.inc";\nqreg q[abc];\n'},
+        "[parse]",
+    ),
+    "deeply_nested_angle": (
+        {
+            "c.qasm": 'OPENQASM 2.0;\ninclude "qelib1.inc";\nqreg q[1];\nrz('
+            + "(" * 5000 + "1" + ")" * 5000 + ") q[0];\n"
+        },
+        "[parse] line 4, column 68: angle expression nested too deeply",
+    ),
+    "non_ascii_digit": (
+        {"c.qasm": 'OPENQASM 2.0;\ninclude "qelib1.inc";\nqreg q[\u0663];\n'},
+        "[parse] line 3, column 8: unexpected character '\u0663'",
+    ),
+    "mistyped_config_value": ({"c.yml": 'grid: {rows: "3"}\n'}, "[config]"),
+    # a NaN threshold would fail every comparison and switch the detuning rule off
+    "non_finite_config_value": (
+        {"c.yml": "frequency: {min_adjacent_detuning_ghz: .nan}\n"},
+        "[config] frequency.min_adjacent_detuning_ghz must be a finite number",
     ),
 }
 

@@ -18,6 +18,7 @@ from dasqa.errors import MappingError, OracleLimitError, RoutingError, Simulatio
 from dasqa.router import (
     Mapping,
     RoutedCircuit,
+    RoutedGate,
     _embed,
     check_equivalence,
     initial_mapping,
@@ -380,25 +381,40 @@ def test_random_instances_soundness_equivalence_and_oracle_bound():
     assert ratios, "expected at least some instances needing swaps"
 
 
+# a 3-qubit circuit on a 5-site chain, started with physical 1 and 3 empty
+CHAIN_5 = CouplingGraph(5, [(0, 1), (1, 2), (2, 3), (3, 4)])
+GAPPED_QC = QuantumCircuit(
+    3,
+    (
+        Gate(GateKind.H, (0,)),
+        Gate(GateKind.CX, (0, 1)),
+        Gate(GateKind.T, (1,)),
+        Gate(GateKind.CX, (2, 0)),
+        Gate(GateKind.CX, (1, 2)),
+    ),
+)
+GAPPED_START = Mapping((0, 4, 2))
+
+
 def test_swaps_through_unoccupied_physical_qubits_replay_and_stay_equivalent():
-    chain = CouplingGraph(5, [(0, 1), (1, 2), (2, 3), (3, 4)])
-    qc = QuantumCircuit(
-        3,
-        (
-            Gate(GateKind.H, (0,)),
-            Gate(GateKind.CX, (0, 1)),
-            Gate(GateKind.T, (1,)),
-            Gate(GateKind.CX, (2, 0)),
-            Gate(GateKind.CX, (1, 2)),
-        ),
-    )
-    start = Mapping((0, 4, 2))  # physical 1 and 3 hold no logical qubit
-    routed = route(qc, chain, start)
+    routed = route(GAPPED_QC, CHAIN_5, GAPPED_START)
     swaps = [rg.gate.qubits for rg in routed.gates if rg.inserted]
     # (0, 1) and (3, 4) each move a logical qubit onto an empty site
     assert swaps == [(0, 1), (3, 4), (1, 2), (1, 2)]
-    validate_routing(routed, chain)
-    assert check_equivalence(qc, routed)
+    validate_routing(routed, CHAIN_5)
+    assert check_equivalence(GAPPED_QC, routed)
+
+
+def test_unused_physical_qubits_must_stay_in_zero():
+    """An X on a site that holds no logical qubit breaks equivalence; a Z does not."""
+    routed = route(GAPPED_QC, CHAIN_5, GAPPED_START)
+    assert routed.final_mapping.log_to_phys == (1, 3, 2)
+    for kind, equivalent in ((GateKind.X, False), (GateKind.Z, True)):
+        # physical 1 is empty at the start, physical 4 at the end
+        before = replace(routed, gates=(RoutedGate(Gate(kind, (1,))),) + routed.gates)
+        after = replace(routed, gates=routed.gates + (RoutedGate(Gate(kind, (4,))),))
+        assert check_equivalence(GAPPED_QC, before) is equivalent
+        assert check_equivalence(GAPPED_QC, after) is equivalent
 
 
 # Swap sequence the router produced for tests/data/stall_9q.qasm; routing its

@@ -10,6 +10,7 @@ from dasqa import sim
 from dasqa.circuit import Gate, GateKind, QuantumCircuit
 from dasqa.errors import SimulationLimitError
 from dasqa.sim import (
+    SIM_MAX_QUBITS,
     allclose_up_to_global_phase,
     apply_gates,
     circuit_unitary,
@@ -171,6 +172,19 @@ def test_fused_simulation_matches_kron_reference(n):
         assert np.max(np.abs(circuit_unitary(gates, n) - ref)) <= 1e-12
         cols = rng.normal(size=(2**n, 3)) + 1j * rng.normal(size=(2**n, 3))
         assert np.max(np.abs(apply_gates(cols, gates, n) - ref @ cols)) <= 1e-12
+
+
+def test_one_qubit_gates_on_every_qubit_of_the_largest_register():
+    """H and RZ on each qubit, and a CX controlled by qubit 0, at the guard size."""
+    n = SIM_MAX_QUBITS
+    for q in range(n):
+        outer = (np.eye(2**q), np.eye(2 ** (n - q - 1)))
+        for gate in (Gate(GateKind.H, (q,)), Gate(GateKind.RZ, (q,), angle=0.9)):
+            ref = np.kron(np.kron(outer[0], gate_matrix(gate)), outer[1])
+            assert np.max(np.abs(circuit_unitary((gate,), n) - ref)) <= 1e-12
+    for target in (1, n - 1):
+        cx = (Gate(GateKind.CX, (0, target)),)
+        assert np.array_equal(circuit_unitary(cx, n), kron_unitary(cx, n))
 
 
 def test_only_dense_gates_touch_the_full_state(monkeypatch):
