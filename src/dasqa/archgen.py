@@ -12,6 +12,7 @@ architectures.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -181,23 +182,20 @@ def load_coupling(path: str | Path) -> CouplingGraph:
     text = read_text(path, "coupling", DasqaError)
     try:
         data = json.loads(text)
-        return CouplingGraph(int(data["num_qubits"]), [tuple(e) for e in data["edges"]])
+        n, edges = data["num_qubits"], [tuple(e) for e in data["edges"]]
+        for value in (n, *(q for edge in edges for q in edge)):
+            if type(value) is not int:  # a JSON integer: not true, 5.0 or "5"
+                raise ValueError(f"qubit number {json.dumps(value)} is not an integer")
+        return CouplingGraph(n, edges)
     except (json.JSONDecodeError, KeyError, TypeError, ValueError, ArchitectureError) as exc:
         raise DasqaError(f"malformed coupling file {path}: {exc}") from exc
-
-
-def default_grid(num_qubits: int) -> tuple[int, int]:
-    """Smallest square grid holding the qubits."""
-    side = 1
-    while side * side < num_qubits:
-        side += 1
-    return side, side
 
 
 def _grid_shape(num_qubits: int, config: DesignConfig) -> tuple[int, int]:
     rows, cols = config.grid.rows, config.grid.cols
     if rows is None and cols is None:
-        return default_grid(num_qubits)
+        side = math.isqrt(num_qubits - 1) + 1 if num_qubits > 1 else 1  # smallest square
+        return side, side
     if rows is None or cols is None:
         fixed = rows if rows is not None else cols
         other = -(-num_qubits // fixed)  # ceil division
@@ -398,24 +396,13 @@ def derive_couplings(
     n = ig.num_qubits
     max_degree = config.grid.max_degree
     degree = [0] * n
+    idle = config.grid.include_idle_edges
     chosen: list[tuple[int, int]] = []
-
-    def try_add(pair: tuple[int, int]) -> None:
-        a, b = pair
-        if degree[a] < max_degree and degree[b] < max_degree:
-            chosen.append(pair)
+    for neg_weight, (a, b) in sorted((-ig.weight(*p), p) for p in _adjacent_pairs(layout)):
+        if (neg_weight or idle) and degree[a] < max_degree and degree[b] < max_degree:
+            chosen.append((a, b))
             degree[a] += 1
             degree[b] += 1
-
-    adjacent = _adjacent_pairs(layout)
-    active = [p for p in adjacent if ig.weight(*p) > 0]
-    active.sort(key=lambda p: (-ig.weight(*p), p))
-    for pair in active:
-        try_add(pair)
-    if config.grid.include_idle_edges:
-        for pair in adjacent:
-            if ig.weight(*pair) == 0:
-                try_add(pair)
     return CouplingGraph(n, chosen)
 
 
@@ -468,14 +455,14 @@ def detuning_violations(
     """Pairs violating the adjacent / next-nearest detuning thresholds."""
     freqs = np.asarray(frequencies, dtype=float)
     bad = []
-    for a, b in coupling.sorted_edges():
-        gap = abs(freqs[a] - freqs[b])
-        if gap < min_adjacent_ghz - FREQ_EPS:
-            bad.append((a, b, gap))
-    for a, b in coupling.next_nearest_pairs():
-        gap = abs(freqs[a] - freqs[b])
-        if gap < min_next_ghz - FREQ_EPS:
-            bad.append((a, b, gap))
+    for pairs, threshold in (
+        (coupling.sorted_edges(), min_adjacent_ghz),
+        (coupling.next_nearest_pairs(), min_next_ghz),
+    ):
+        for a, b in pairs:
+            gap = abs(freqs[a] - freqs[b])
+            if gap < threshold - FREQ_EPS:
+                bad.append((a, b, gap))
     return bad
 
 

@@ -29,16 +29,6 @@ from .config import DesignConfig, LayoutConfig
 from .errors import LayoutError
 from .resonator import Point, polyline_length, resonator_length, synthesize_meander
 
-# geometry options accepted by update_component, per component kind
-KNOWN_OPTIONS = {
-    "transmon": ("pad_width", "pad_height", "pad_gap"),
-    "coupling_resonator": ("target_frequency", "total_length", "meander_amplitude"),
-    "readout_resonator": ("target_frequency", "total_length", "meander_amplitude"),
-    "capacitor": ("cap_width", "cap_plate_height", "cap_gap"),
-    "control_line": ("stub_length",),
-    "connection": (),
-}
-
 DEFAULT_PAD_WIDTH_UM = 455.0
 DEFAULT_PAD_HEIGHT_UM = 90.0
 DEFAULT_PAD_GAP_UM = 30.0
@@ -128,7 +118,7 @@ class LayoutDocument:
         return [c for c in self.components if c.kind == kind]
 
     def census(self) -> dict[str, int]:
-        counts = dict.fromkeys(KNOWN_OPTIONS, 0)
+        counts = dict.fromkeys(COMPONENT_KINDS, 0)
         for comp in self.components:
             _check_kind(comp)
             counts[comp.kind] += 1
@@ -337,24 +327,27 @@ def _rebuild_connection(comp: Component) -> None:
     comp.polylines = [[comp.anchors[0], comp.anchors[1]]]
 
 
-_REBUILD = {
-    "transmon": _rebuild_transmon,
-    "coupling_resonator": _rebuild_resonator,
-    "readout_resonator": _rebuild_resonator,
-    "capacitor": _rebuild_capacitor,
-    "control_line": _rebuild_control_line,
-    "connection": _rebuild_connection,
+_RESONATOR_OPTIONS = ("target_frequency", "total_length", "meander_amplitude")
+
+# component kind -> (geometry options update_component accepts, shape builder)
+COMPONENT_KINDS = {
+    "transmon": (("pad_width", "pad_height", "pad_gap"), _rebuild_transmon),
+    "coupling_resonator": (_RESONATOR_OPTIONS, _rebuild_resonator),
+    "readout_resonator": (_RESONATOR_OPTIONS, _rebuild_resonator),
+    "capacitor": (("cap_width", "cap_plate_height", "cap_gap"), _rebuild_capacitor),
+    "control_line": (("stub_length",), _rebuild_control_line),
+    "connection": ((), _rebuild_connection),
 }
 
 
 def _check_kind(comp: Component) -> None:
-    if comp.kind not in _REBUILD:
+    if comp.kind not in COMPONENT_KINDS:
         raise LayoutError(f"{comp.name}: unknown component kind {comp.kind!r}")
 
 
 def rebuild_geometry(comp: Component) -> None:
     _check_kind(comp)
-    _REBUILD[comp.kind](comp)
+    COMPONENT_KINDS[comp.kind][1](comp)
 
 
 def _resonator_options(f_ghz: float, epsilon_eff: float, mode: str) -> dict[str, str]:
@@ -372,7 +365,7 @@ def update_component(layout: LayoutDocument, name: str, option: str, value: str)
     :meth:`LayoutDocument.edit`, so a rejected edit changes nothing.
     """
     comp = layout.component(name)
-    known = KNOWN_OPTIONS.get(comp.kind, ())
+    known = COMPONENT_KINDS[comp.kind][0] if comp.kind in COMPONENT_KINDS else ()
     if option not in known:
         raise LayoutError(
             f"unknown option {option!r} for {comp.kind} {name!r} "

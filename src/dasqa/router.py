@@ -39,7 +39,7 @@ from .circuit import (
     layered_depth,
 )
 from .errors import MappingError, OracleLimitError, RoutingError, SimulationLimitError
-from .sim import SIM_MAX_QUBITS, allclose_up_to_global_phase, apply_gates, circuit_unitary
+from .sim import SIM_MAX_QUBITS, allclose_up_to_global_phase, apply_gates
 
 LOOKAHEAD_WINDOW = 20
 # the window's decay weights 0.8**k = 4**k / 5**k, times 5**19: exact integers
@@ -368,27 +368,16 @@ def optimal_swap_count(
     raise RoutingError("circuit is unroutable on this coupling graph")
 
 
-def _embedded_rows(mapping: Mapping, n_log: int, n_phys: int) -> np.ndarray:
-    """Physical basis index of each logical one; unmapped qubits stay |0>."""
+def _embedded_identity(mapping: Mapping, n_log: int, n_phys: int) -> np.ndarray:
+    """``embed(mapping)``: a one in the physical row of each logical basis
+    state, unmapped qubits in |0>; the rows are distinct as the mapping is
+    injective."""
     basis = np.arange(2**n_log)
     rows = np.zeros_like(basis)
     for lq in range(n_log):
         rows |= ((basis >> (n_log - 1 - lq)) & 1) << (n_phys - 1 - mapping[lq])
-    return rows
-
-
-def _embed(mapping: Mapping, columns: np.ndarray, n_log: int, n_phys: int) -> np.ndarray:
-    """Lift logical state columns into the physical register; unmapped qubits stay |0>."""
-    phys = np.zeros((2**n_phys, columns.shape[1]), dtype=complex)
-    # the rows are distinct: the mapping is injective
-    phys[_embedded_rows(mapping, n_log, n_phys)] = columns
-    return phys
-
-
-def _embedded_identity(mapping: Mapping, n_log: int, n_phys: int) -> np.ndarray:
-    """``_embed`` of the identity: a one in each logical basis state's row."""
     block = np.zeros((2**n_phys, 2**n_log), dtype=complex)
-    block[_embedded_rows(mapping, n_log, n_phys), np.arange(2**n_log)] = 1
+    block[rows, basis] = 1
     return block
 
 
@@ -400,13 +389,11 @@ def check_equivalence(original: QuantumCircuit, routed: RoutedCircuit) -> bool:
     tolerance 1e-9. Unmapped physical qubits start and must effectively stay
     in |0>. MEASURE/BARRIER carry no unitary action and are skipped.
 
-    Both sides go through :func:`sim.apply_gates`. It fuses each run of
-    permutation-and-phase gates (everything but H) into one basis
-    relabeling, composed from each gate's cached full-register action, and
-    flushes it into the 2**n_phys x 2**n_log column block only before an H
-    and at the end. ``embed(initial)`` is built directly as ones scattered
-    into a zero block and handed straight to ``apply_gates``: no caller
-    keeps a second column block alive.
+    Both sides are :func:`sim.apply_gates` on an embedded identity block of
+    2**n_phys x 2**n_log columns: the routed gates from ``embed(initial)``,
+    and the original gates relabelled through the final mapping from
+    ``embed(final)``. Gates relabelled onto physical qubits commute with the
+    embedding, so the second is ``embed(final) . U_original``.
     """
     n_log = original.num_qubits
     n_phys = routed.num_physical
@@ -414,8 +401,12 @@ def check_equivalence(original: QuantumCircuit, routed: RoutedCircuit) -> bool:
         raise SimulationLimitError(
             f"{max(n_log, n_phys)} qubits exceeds the simulation guard ({SIM_MAX_QUBITS})"
         )
-    # the logical unitary is dropped once embedded
-    rhs = _embed(routed.final_mapping, circuit_unitary(original.gates, n_log), n_log, n_phys)
+    final = routed.final_mapping
+    rhs = apply_gates(
+        _embedded_identity(final, n_log, n_phys),
+        [Gate(g.kind, tuple(map(final.__getitem__, g.qubits)), g.angle, g.cbit) for g in original.gates],
+        n_phys,
+    )
     lhs = apply_gates(
         _embedded_identity(routed.initial_mapping, n_log, n_phys),
         [rg.gate for rg in routed.gates],

@@ -9,10 +9,10 @@ matrix): it only relabels basis states and multiplies them by phases.
 :func:`apply_gates` therefore fuses each run of monomial gates into one
 pending relabeling, a basis permutation ``perm`` plus a phase vector
 ``phase`` over all 2**n indices, composed in O(2**n) per gate. A gate's
-full-register action is built once per ``(kind, operands, n)`` and cached
-(the monomial form once per kind); an RZ reuses the cached index action of
-its qubit and reads only its two phases. A diagonal gate leaves ``perm``
-alone and a phase-free one (X, CX, SWAP) leaves ``phase`` alone.
+full-register action is built once per ``(kind, operands, n)`` and cached;
+an RZ reuses the cached index action of its qubit and reads only its two
+phases. A diagonal gate leaves ``perm`` alone and a phase-free one (X,
+CX, SWAP) leaves ``phase`` alone.
 
 The state columns are touched only when the relabeling is flushed, before
 an H and once at the end. A flush gathers ``state[perm]`` only if the run
@@ -101,10 +101,8 @@ def _basis_action(form, qubits: tuple[int, ...], n: int):
     return perm, phase, local
 
 
-# Monomial form per kind (None for H) and basis action per (kind, operands,
-# n). Both keys are finite: a dozen kinds, and operands and n up to the
-# simulation guard.
-_FORMS: dict[GateKind, tuple | None] = {}
+# Basis action per (kind, operands, n), None for H. The key is finite: a
+# dozen kinds, and operands and n up to the simulation guard.
 _ACTIONS: dict[tuple, tuple | None] = {}
 
 
@@ -114,12 +112,9 @@ def _action(gate: Gate, matrix: np.ndarray, n: int):
     try:
         return _ACTIONS[key]
     except KeyError:
-        pass
-    if gate.kind not in _FORMS:
-        _FORMS[gate.kind] = _monomial_form(matrix)
-    form = _FORMS[gate.kind]
-    action = _ACTIONS[key] = None if form is None else _basis_action(form, gate.qubits, n)
-    return action
+        form = _monomial_form(matrix)
+        action = _ACTIONS[key] = None if form is None else _basis_action(form, gate.qubits, n)
+        return action
 
 
 def _relabel(state: np.ndarray, perm, phase) -> np.ndarray:

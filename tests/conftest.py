@@ -18,6 +18,13 @@ DATA_DIR = Path(__file__).parent / "data"
 # T-shaped 5-qubit coupling graph of the ibmq_lima device
 LIMA_EDGES = [(0, 1), (1, 2), (1, 3), (3, 4)]
 
+# flowbench's pinned config for generated circuits
+BENCH_CONFIG = {
+    "grid": {"include_idle_edges": True},
+    "frequency": {"band_lo_ghz": 5.0, "band_hi_ghz": 7.0},
+    "layout": {"margin_um": 14000},
+}
+
 
 @pytest.fixture(scope="session")
 def five_qubit_source() -> str:
@@ -69,6 +76,26 @@ def random_circuit(
             else:
                 gates.append(Gate(kind, (q,)))
     return QuantumCircuit(n, tuple(gates), name="random")
+
+
+def mixed_circuit(n: int, num_gates: int, seed: int) -> QuantumCircuit:
+    """Seeded circuit: half CX, then RZ, other one-qubit gates and barriers, all measured."""
+    rng = np.random.default_rng(seed)
+    one_qubit = [GateKind.H, GateKind.X, GateKind.S, GateKind.T]
+    gates = []
+    for _ in range(num_gates):
+        r = rng.random()
+        if r < 0.5:
+            a, b = rng.choice(n, size=2, replace=False)
+            gates.append(Gate(GateKind.CX, (int(a), int(b))))
+        elif r < 0.65:
+            gates.append(Gate(GateKind.RZ, (int(rng.integers(n)),), angle=float(rng.uniform(-np.pi, np.pi))))
+        elif r < 0.98:
+            gates.append(Gate(one_qubit[int(rng.integers(4))], (int(rng.integers(n)),)))
+        else:
+            gates.append(Gate(GateKind.BARRIER, tuple(int(q) for q in rng.choice(n, size=2, replace=False))))
+    gates += [Gate(GateKind.MEASURE, (q,), cbit=q) for q in range(n)]
+    return QuantumCircuit(n, tuple(gates))
 
 
 def random_connected_architecture(

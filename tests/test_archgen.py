@@ -73,6 +73,25 @@ def test_bad_coupling_edges_raise_architecture_error(tmp_path, edges, match):
         load_coupling(path)
 
 
+# each was read as a qubit number: 5.7 and "5" as 5, true as 1 or True
+@pytest.mark.parametrize(
+    "text, bad",
+    [
+        ('{"num_qubits": 5.7, "edges": [[0, 1]]}', "5.7"),
+        ('{"num_qubits": "5", "edges": [[0, 1]]}', '"5"'),
+        ('{"num_qubits": true, "edges": []}', "true"),
+        ('{"num_qubits": 5, "edges": [[0, 1], [true, 2]]}', "true"),
+    ],
+    ids=["float_count", "string_count", "bool_count", "bool_endpoint"],
+)
+def test_coupling_file_qubit_numbers_must_be_json_integers(tmp_path, text, bad):
+    path = tmp_path / "coupling.json"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(DasqaError) as info:
+        load_coupling(path)
+    assert str(info.value) == f"malformed coupling file {path}: qubit number {bad} is not an integer"
+
+
 def test_grid_too_small_raises():
     cfg = config_from_dict({"grid": {"rows": 1, "cols": 2}})
     with pytest.raises(PlacementError, match="too small"):

@@ -79,32 +79,6 @@ def test_baseline_flag(tmp_path, capsys):
     assert "baseline" in report
 
 
-@pytest.mark.parametrize("bad_row", ["30,abc,5.1", "30,100", "30,nan,5.1"])
-def test_malformed_geometry_dataset_reports_geometry_stage_without_traceback(
-    tmp_path, capsys, bad_row
-):
-    bundled = Path(geomopt.__file__).parent / "data" / "pad_geometry.csv"
-    dataset = tmp_path / "dataset.csv"
-    dataset.write_text(bundled.read_text(encoding="utf-8") + bad_row + "\n", encoding="utf-8")
-    config = tmp_path / "config.yml"
-    config.write_text(
-        (DATA / "config.yml").read_text(encoding="utf-8")
-        + f"geometry:\n  dataset_path: {json.dumps(str(dataset))}\n",
-        encoding="utf-8",
-    )
-    status = cli_main(
-        [
-            "--file-path", CIRCUIT,
-            "--config-file-path", str(config),
-            "--out-dir", str(tmp_path / "out"),
-        ]
-    )
-    assert status == 1
-    err = capsys.readouterr().err
-    assert err.startswith("dasqa: [geometry]")
-    assert "Traceback" not in err
-
-
 def _config_with_dataset(tmp_path: Path, dataset: Path) -> Path:
     config = tmp_path / "dataset_config.yml"
     config.write_text(
@@ -167,8 +141,13 @@ UNREADABLE_FILE_CASES = {
 }
 
 
+# the bundled geometry dataset, to which a case appends one bad row
+BUNDLED_DATASET = (Path(geomopt.__file__).parent / "data" / "pad_geometry.csv").read_text("utf-8")
+DATASET_CONFIG = (DATA / "config.yml").read_text(encoding="utf-8") + "geometry:\n  dataset_path: d.csv\n"
+
 # case -> (files written under tmp_path, start of the error); the flow reads
-# c.qasm and c.yml when given, else the worked example and its config
+# c.qasm and c.yml when given, else the worked example and its config, and
+# compares against the baseline t.json when given
 REJECTED_INPUT_CASES = {
     "negative_detuning": (
         {"c.yml": "frequency: {min_next_detuning_ghz: -0.01}"},
@@ -227,12 +206,40 @@ REJECTED_INPUT_CASES = {
         {"c.yml": "frequency: {min_adjacent_detuning_ghz: .nan}\n"},
         "[config] frequency.min_adjacent_detuning_ghz must be a finite number",
     ),
+    "dataset_row_not_numeric": (
+        {"c.yml": DATASET_CONFIG, "d.csv": BUNDLED_DATASET + "30,abc,5.1\n"},
+        "[geometry] d.csv line 123: expected three numbers, got '30,abc,5.1'",
+    ),
+    "dataset_row_too_short": (
+        {"c.yml": DATASET_CONFIG, "d.csv": BUNDLED_DATASET + "30,100\n"},
+        "[geometry] d.csv line 123: expected three numbers, got '30,100'",
+    ),
+    "dataset_row_not_finite": (
+        {"c.yml": DATASET_CONFIG, "d.csv": BUNDLED_DATASET + "30,nan,5.1\n"},
+        "[geometry] dataset values must be finite and positive",
+    ),
+    # the band lattice held 3e299 points or an unrepresentable count of them
+    "tiny_frequency_step": (
+        {"c.yml": "frequency: {step_ghz: 1e-300}\n"},
+        "[architecture] frequency lattice [5.0, 5.3] GHz in steps of 1e-300 GHz has 3e+299 points, "
+        "more than the 100000 allowed",
+    ),
+    "overflowing_frequency_band": (
+        {"c.yml": "frequency: {band_lo_ghz: -1.0e308, band_hi_ghz: 1.0e308}\n"},
+        "[architecture] frequency lattice [-1e+308, 1e+308] GHz in steps of 0.01 GHz has inf points, "
+        "more than the 100000 allowed",
+    ),
+    # reached report.json as the edge [true, 2]
+    "non_integer_baseline_qubit": (
+        {"t.json": '{"num_qubits": 5, "edges": [[0, 1], [true, 2], [1, 3], [3, 4]]}'},
+        "[baseline] malformed coupling file t.json: qubit number true is not an integer",
+    ),
 }
 
 
-@pytest.mark.parametrize("case", sorted(REJECTED_INPUT_CASES))
-def test_rejected_input_reports_stage_without_traceback(tmp_path, monkeypatch, capsys, case):
-    files, message = REJECTED_INPUT_CASES[case]
+def _assert_rejected(tmp_path, monkeypatch, capsys, files: dict[str, str], message: str) -> None:
+    """Write ``files`` under tmp_path, run the CLI there and check that it
+    fails with ``dasqa: {message}``, no traceback and no output directory."""
     for name, text in files.items():
         (tmp_path / name).write_text(text, encoding="utf-8")
     monkeypatch.chdir(tmp_path)  # a relative dataset_path resolves here
@@ -242,12 +249,18 @@ def test_rejected_input_reports_stage_without_traceback(tmp_path, monkeypatch, c
             "--config-file-path", "c.yml" if "c.yml" in files else CONFIG,
             "--out-dir", "out",
         ]
+        + (["--baseline", "t.json"] if "t.json" in files else [])
     )
     assert status == 1
     err = capsys.readouterr().err
     assert err.startswith(f"dasqa: {message}")
     assert "Traceback" not in err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("case", sorted(REJECTED_INPUT_CASES))
+def test_rejected_input_reports_stage_without_traceback(tmp_path, monkeypatch, capsys, case):
+    _assert_rejected(tmp_path, monkeypatch, capsys, *REJECTED_INPUT_CASES[case])
 
 
 def test_untagged_flow_error_reports_flow_tag(tmp_path, monkeypatch, capsys):
@@ -278,76 +291,41 @@ def test_unreadable_or_unwritable_file_reports_stage_without_traceback(tmp_path,
     assert "Traceback" not in err
 
 
-# each ended in a Python traceback, or never ended: the band lattice held
-# 3e299 points or an unrepresentable count of them
-@pytest.mark.parametrize(
-    "frequency_config, message",
-    [
-        ("{step_ghz: 1e-300}", "has 3e+299 points, more than the 100000 allowed"),
-        ("{band_lo_ghz: -1.0e308, band_hi_ghz: 1.0e308}", "has inf points"),
-    ],
-    ids=["tiny_step", "overflowing_band"],
-)
-def test_over_fine_frequency_lattice_reports_architecture_stage_without_traceback(
-    tmp_path, capsys, frequency_config, message
-):
-    config = tmp_path / "config.yml"
-    config.write_text(f"frequency: {frequency_config}\n", encoding="utf-8")
-    status = cli_main(
-        [
-            "--file-path", CIRCUIT,
-            "--config-file-path", str(config),
-            "--out-dir", str(tmp_path / "out"),
-        ]
-    )
-    assert status == 1
-    err = capsys.readouterr().err
-    assert err.startswith("dasqa: [architecture]")
-    assert message in err
-    assert "Traceback" not in err
-    assert not (tmp_path / "out").exists()
-
-
 # each ended in a Python traceback: the coupler span overflowed when squared,
 # and the meander sized a list of 10^12 (or an unrepresentable count of) lobes,
 # narrow ones or, on a long baseline, wide ones
-@pytest.mark.parametrize(
-    "layout_config, message",
-    [
-        ("{pitch_um: 1e300}", "shorter than straight-line distance"),
-        ("{meander_amplitude_um: 1e-9}", "needs 3.51593e+12 lobes"),
-        ("{coupling_freq_lattice_ghz: [1e-300]}", "lobes of amplitude 300"),
-        (
-            "{pitch_um: 1e19, coupling_freq_lattice_ghz: [1e-18]}",
-            "needs 9.83551e+19 lobes of amplitude 300, more than the 100000 allowed",
-        ),
-        ("{coupling_freq_lattice_ghz: [1e300]}", "target frequency 1e+300 GHz is out of range"),
-        ("{pitch_um: 500}", "pitch 500 too small to attach coupler CR_0_4"),
-    ],
-    ids=[
-        "huge_pitch",
-        "tiny_meander_amplitude",
-        "tiny_coupling_freq",
-        "long_baseline_wide_lobes",
-        "huge_coupling_freq",
-        "small_pitch",
-    ],
-)
+OUT_OF_RANGE_LAYOUT_CASES = {
+    "huge_pitch": (
+        "{pitch_um: 1e300}",
+        "target length 8431.87 shorter than straight-line distance 1e+300",
+    ),
+    "tiny_meander_amplitude": (
+        "{meander_amplitude_um: 1e-9}",
+        "meander over a 1400 baseline needs 3.51593e+12 lobes of amplitude 1e-09, "
+        "more than the 100000 allowed",
+    ),
+    "tiny_coupling_freq": (
+        "{coupling_freq_lattice_ghz: [1e-300]}",
+        "meander over a 1400 baseline needs 9.83718e+301 lobes of amplitude 300, "
+        "more than the 100000 allowed",
+    ),
+    "long_baseline_wide_lobes": (
+        "{pitch_um: 1e19, coupling_freq_lattice_ghz: [1e-18]}",
+        "meander over a 1e+19 baseline needs 9.83551e+19 lobes of amplitude 300, "
+        "more than the 100000 allowed",
+    ),
+    "huge_coupling_freq": (
+        "{coupling_freq_lattice_ghz: [1e300]}",
+        "target frequency 1e+300 GHz is out of range: its wavelength comes to 0 mm",
+    ),
+    "small_pitch": ("{pitch_um: 500}", "pitch 500 too small to attach coupler CR_0_4"),
+}
+
+
+@pytest.mark.parametrize("case", list(OUT_OF_RANGE_LAYOUT_CASES))
 def test_out_of_range_layout_value_reports_layout_stage_without_traceback(
-    tmp_path, capsys, layout_config, message
+    tmp_path, monkeypatch, capsys, case
 ):
-    config = tmp_path / "config.yml"
-    config.write_text(f"layout: {layout_config}\n", encoding="utf-8")
-    status = cli_main(
-        [
-            "--file-path", CIRCUIT,
-            "--config-file-path", str(config),
-            "--out-dir", str(tmp_path / "out"),
-        ]
-    )
-    assert status == 1
-    err = capsys.readouterr().err
-    assert err.startswith("dasqa: [layout]")
-    assert message in err
-    assert "Traceback" not in err
-    assert not (tmp_path / "out").exists()
+    layout_config, message = OUT_OF_RANGE_LAYOUT_CASES[case]
+    files = {"c.yml": f"layout: {layout_config}\n"}
+    _assert_rejected(tmp_path, monkeypatch, capsys, files, f"[layout] {message}")

@@ -17,6 +17,7 @@ from dasqa.layout import (
     LayoutDocument,
     build_layout,
     fmt_um,
+    frequency_ghz,
     length_um,
     measured_length_um,
     parse_quantity,
@@ -367,3 +368,30 @@ def test_json_matches_reference_encoder_on_edge_values():
         assert value in text
     empty = LayoutDocument(chip=(0.0, 0.0, 1.0, 1.0))
     assert empty.to_json() == _reference_json(empty)
+
+
+def test_validate_rejects_duplicate_names_and_dangling_nets(star_layout):
+    star_layout.components.append(star_layout.component("Q_1"))
+    with pytest.raises(LayoutError) as info:
+        star_layout.validate()
+    assert str(info.value) == "duplicate component name 'Q_1'"
+    star_layout.components.pop()
+    star_layout.nets.append(("Q_0", "Q_99", "coupling"))
+    with pytest.raises(LayoutError) as info:
+        star_layout.validate()
+    assert str(info.value) == "net endpoint 'Q_99' does not exist"
+
+
+@pytest.mark.parametrize(
+    "parse, value, message",
+    [
+        (parse_quantity, 5, "option value must be a unit string, got 5"),
+        (length_um, "5GHz", "expected a length (um/mm), got '5GHz'"),
+        (frequency_ghz, "5um", "expected a frequency in GHz, got '5um'"),
+    ],
+    ids=["not_a_string", "length_in_ghz", "frequency_in_um"],
+)
+def test_quantity_of_the_wrong_type_or_unit(parse, value, message):
+    with pytest.raises(LayoutError) as info:
+        parse(value)
+    assert str(info.value) == message

@@ -1,17 +1,24 @@
 """Flow orchestration: file emission, determinism, generator substitution."""
 from __future__ import annotations
 
+import errno
+import hashlib
 import json
+import os
 from functools import partial
 from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
 
 from dasqa import cli
 from dasqa.archgen import Architecture, CouplingGraph
+from dasqa.circuit import to_qasm
 from dasqa.errors import ArchitectureError, DasqaError
 from dasqa.pipeline import StageFailure, run_flow
+
+from conftest import BENCH_CONFIG, mixed_circuit
 
 DATA = Path(__file__).parent / "data"
 CIRCUIT = DATA / "five_qubit_app.qasm"
@@ -35,6 +42,27 @@ def test_run_flow_deterministic_bytes(tmp_path):
     run_flow(CIRCUIT, CONFIG, out_dir=tmp_path / "b")
     for name in OUTPUT_NAMES:
         assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+
+# SHA-256 over the four output files and equivalence_ok of each run_flow on a
+# seeded 9-qubit, 90-gate mixed circuit (seeds 0-5) under BENCH_CONFIG: pins
+# every stage's output on circuits other than the five-qubit golden
+SEEDED_FLOWS_DIGEST = "6ff6aa889b181a77038c153e676f8bfddf503ed6f8e1dd435d0ddbc3dcd37266"
+
+
+def test_seeded_flow_outputs_are_pinned(tmp_path):
+    config = tmp_path / "config.yml"
+    config.write_text(yaml.safe_dump(BENCH_CONFIG), encoding="utf-8")
+    digest = hashlib.sha256()
+    for seed in range(6):
+        circuit = tmp_path / f"mixed_{seed}.qasm"
+        circuit.write_text(to_qasm(mixed_circuit(9, 90, seed=seed)), encoding="utf-8")
+        result = run_flow(circuit, config, out_dir=tmp_path / f"out_{seed}")
+        assert result.equivalence_ok is True
+        for name in OUTPUT_NAMES:
+            digest.update((tmp_path / f"out_{seed}" / name).read_bytes())
+        digest.update(repr(result.equivalence_ok).encode())
+    assert digest.hexdigest() == SEEDED_FLOWS_DIGEST
 
 
 def test_report_structure(tmp_path):
@@ -81,6 +109,25 @@ def test_stage_failure_is_tagged_and_leaves_no_files(tmp_path):
     assert info.value.stage == "parse"
     assert "[parse]" in str(info.value)
     assert not out.exists() or not any(out.iterdir())
+
+
+def test_failed_rename_removes_its_temp_file(tmp_path, monkeypatch):
+    renames = []
+    real_replace = os.replace
+
+    def fail_second_replace(src, dst):
+        renames.append(dst)
+        if len(renames) == 2:
+            raise OSError(errno.EACCES, "Permission denied")
+        real_replace(src, dst)
+
+    monkeypatch.setattr(os, "replace", fail_second_replace)
+    out = tmp_path / "out"
+    with pytest.raises(StageFailure) as info:
+        run_flow(CIRCUIT, CONFIG, out_dir=out)
+    assert str(info.value) == f"[write] cannot write {out / 'layout.json'}: Permission denied"
+    # the first file was renamed into place; the second left no .*.tmp behind
+    assert sorted(p.name for p in out.iterdir()) == ["architecture.json"]
 
 
 def test_bad_config_fails_in_config_stage(tmp_path):

@@ -19,7 +19,7 @@ from dasqa.router import (
     Mapping,
     RoutedCircuit,
     RoutedGate,
-    _embed,
+    _embedded_identity,
     check_equivalence,
     initial_mapping,
     optimal_swap_count,
@@ -29,15 +29,14 @@ from dasqa.router import (
 )
 from dasqa.qasm import parse_qasm
 
-from conftest import DATA_DIR, grid_architecture, random_circuit, random_connected_architecture
-
-
-# flowbench's pinned config for generated circuits
-BENCH_CONFIG = {
-    "grid": {"include_idle_edges": True},
-    "frequency": {"band_lo_ghz": 5.0, "band_hi_ghz": 7.0},
-    "layout": {"margin_um": 14000},
-}
+from conftest import (
+    BENCH_CONFIG,
+    DATA_DIR,
+    grid_architecture,
+    mixed_circuit,
+    random_circuit,
+    random_connected_architecture,
+)
 
 
 def star_graph() -> CouplingGraph:
@@ -47,6 +46,31 @@ def star_graph() -> CouplingGraph:
 def test_mapping_rejects_non_injective():
     with pytest.raises(MappingError):
         Mapping((0, 0, 1))
+
+
+@pytest.mark.parametrize(
+    "mapping, message",
+    [
+        (Mapping((0, 1)), "mapping covers 2 qubits, circuit has 3"),
+        (Mapping((0, 1, 5)), "physical qubit 5 out of range (have 5)"),
+    ],
+    ids=["wrong_qubit_count", "physical_out_of_range"],
+)
+def test_mapping_validate_rejects(mapping, message):
+    with pytest.raises(MappingError) as info:
+        mapping.validate(3, 5)
+    assert str(info.value) == message
+
+
+def test_oracle_rejects_too_few_physical_qubits_and_unroutable_circuits():
+    qc = QuantumCircuit(3, (Gate(GateKind.CX, (0, 2)),))
+    with pytest.raises(MappingError) as info:
+        optimal_swap_count(qc, CouplingGraph(2, [(0, 1)]))
+    assert str(info.value) == "architecture has 2 qubits, circuit needs 3"
+    # q0 and q2 start in different components of the coupling graph
+    with pytest.raises(RoutingError) as info:
+        optimal_swap_count(qc, CouplingGraph(4, [(0, 1), (2, 3)]), Mapping((0, 1, 2)))
+    assert str(info.value) == "circuit is unroutable on this coupling graph"
 
 
 def test_initial_mapping_hub_to_hub():
@@ -309,15 +333,14 @@ def test_embed_matches_the_bitwise_loop():
     rng = np.random.default_rng(3)
     for n_log, n_phys in [(0, 2), (1, 1), (2, 4), (3, 3), (3, 5)]:
         mapping = Mapping(tuple(int(p) for p in rng.permutation(n_phys)[:n_log]))
-        cols = rng.normal(size=(2**n_log, 3)) + 1j * rng.normal(size=(2**n_log, 3))
-        ref = np.zeros((2**n_phys, 3), dtype=complex)
+        ref = np.zeros((2**n_phys, 2**n_log), dtype=complex)
         for basis in range(2**n_log):
             target = 0
             for lq in range(n_log):
                 if (basis >> (n_log - 1 - lq)) & 1:
                     target |= 1 << (n_phys - 1 - mapping[lq])
-            ref[target, :] += cols[basis, :]
-        assert np.array_equal(_embed(mapping, cols, n_log, n_phys), ref)
+            ref[target, basis] += 1
+        assert np.array_equal(_embedded_identity(mapping, n_log, n_phys), ref)
 
 
 def test_check_equivalence_empty_circuit():
@@ -565,26 +588,6 @@ def test_route_picks_the_full_window_float_scorers_swaps(monkeypatch):
     assert [qubits for _, qubits, inserted in gates if inserted] == STALL_SWAPS
 
 
-def _mixed_circuit(n: int, num_gates: int, seed: int) -> QuantumCircuit:
-    """Seeded circuit: half CX, then RZ, other one-qubit gates and barriers, all measured."""
-    rng = np.random.default_rng(seed)
-    one_qubit = [GateKind.H, GateKind.X, GateKind.S, GateKind.T]
-    gates = []
-    for _ in range(num_gates):
-        r = rng.random()
-        if r < 0.5:
-            a, b = rng.choice(n, size=2, replace=False)
-            gates.append(Gate(GateKind.CX, (int(a), int(b))))
-        elif r < 0.65:
-            gates.append(Gate(GateKind.RZ, (int(rng.integers(n)),), angle=float(rng.uniform(-np.pi, np.pi))))
-        elif r < 0.98:
-            gates.append(Gate(one_qubit[int(rng.integers(4))], (int(rng.integers(n)),)))
-        else:
-            gates.append(Gate(GateKind.BARRIER, tuple(int(q) for q in rng.choice(n, size=2, replace=False))))
-    gates += [Gate(GateKind.MEASURE, (q,), cbit=q) for q in range(n)]
-    return QuantumCircuit(n, tuple(gates))
-
-
 # case -> SHA-256 over (kind, qubits, angle, cbit, inserted) of every routed
 # gate plus the final mapping, routed on the generated architecture under
 # BENCH_CONFIG, so any change to which swap the lookahead picks shows here.
@@ -607,10 +610,10 @@ def test_routed_circuits_are_pinned(case):
         qc = parse_qasm((DATA_DIR / "stall_9q.qasm").read_text(encoding="utf-8"))
         arch = generate_architecture(qc, config_from_dict(BENCH_CONFIG))
     elif case == "grid_6x6_20q":
-        qc = _mixed_circuit(20, 600, seed=20)
+        qc = mixed_circuit(20, 600, seed=20)
         arch = grid_architecture(6, 6, [5.0] * 36).coupling
     else:
-        qc = _mixed_circuit(*case, seed=case[0])
+        qc = mixed_circuit(*case, seed=case[0])
         arch = generate_architecture(qc, config_from_dict(BENCH_CONFIG))
     routed = route(qc, arch)
     digest = hashlib.sha256()
@@ -635,7 +638,7 @@ PINNED_GENERATIONS = {
     "n, num_gates", sorted(PINNED_GENERATIONS), ids=["{}q-{}".format(*c) for c in sorted(PINNED_GENERATIONS)]
 )
 def test_generated_architectures_and_mappings_are_pinned(n, num_gates):
-    qc = _mixed_circuit(n, num_gates, seed=n)
+    qc = mixed_circuit(n, num_gates, seed=n)
     arch = generate_architecture(qc, config_from_dict(BENCH_CONFIG))
     mapping = initial_mapping(interaction_graph(qc), arch)
     digest = hashlib.sha256((arch.to_json() + repr(mapping.log_to_phys)).encode())

@@ -215,3 +215,12 @@ def test_only_dense_gates_touch_the_full_state(monkeypatch):
     u = circuit_unitary(monomial, n)
     assert counts == {"relabel": 1, "dense": 0}
     assert np.max(np.abs(u - kron_unitary(monomial, n))) <= 1e-12
+
+
+def test_allclose_up_to_global_phase_on_mismatched_shapes_and_zero_reference():
+    ones = np.ones((2, 2), dtype=complex)
+    assert allclose_up_to_global_phase(ones, np.ones((2, 3), dtype=complex)) is False
+    zero = np.zeros((2, 2), dtype=complex)
+    # with an all-zero reference no phase can be read off: only a zero matches
+    assert allclose_up_to_global_phase(zero + 1e-10, zero) is True
+    assert allclose_up_to_global_phase(ones, zero) is False
