@@ -29,6 +29,9 @@ FREQ_EPS = 1e-9
 MAX_LATTICE_POINTS = 100_000
 # cells x (qubits + 1): placement scans the free cells once per pick, plus once to build its tables
 MAX_PLACEMENT_WORK = 200_000
+# a coupling file's num_qubits: routing scores it with an n x n hop table; far
+# above what placement reaches (MAX_PLACEMENT_WORK stops a full grid near 450)
+MAX_COUPLING_QUBITS = 1024
 
 EMPTY = -1
 
@@ -88,9 +91,16 @@ class CouplingGraph:
         return self._dist
 
     def is_connected(self) -> bool:
+        """One search from qubit 0 reaches every qubit; no distance table is built."""
         if self.num_qubits == 0:
             return True
-        return bool((self.distances()[0] >= 0).all())
+        seen = {0}
+        stack = [0]
+        while stack:
+            for v in self._adj[stack.pop()] - seen:
+                seen.add(v)
+                stack.append(v)
+        return len(seen) == self.num_qubits
 
     def second_neighbors(self, q: int) -> set[int]:
         """Qubits at shortest-path distance exactly 2 from ``q``: neighbours' neighbours."""
@@ -178,7 +188,10 @@ class Architecture:
 
 
 def load_coupling(path: str | Path) -> CouplingGraph:
-    """Read a coupling graph from JSON: {"num_qubits": n, "edges": [[a,b],...]}."""
+    """Read a coupling graph from JSON: {"num_qubits": n, "edges": [[a,b],...]}.
+
+    ``n`` may be at most ``MAX_COUPLING_QUBITS``.
+    """
     text = read_text(path, "coupling", DasqaError)
     try:
         data = json.loads(text)
@@ -186,6 +199,8 @@ def load_coupling(path: str | Path) -> CouplingGraph:
         for value in (n, *(q for edge in edges for q in edge)):
             if type(value) is not int:  # a JSON integer: not true, 5.0 or "5"
                 raise ValueError(f"qubit number {json.dumps(value)} is not an integer")
+        if n > MAX_COUPLING_QUBITS:
+            raise ValueError(f"num_qubits {n} is more than the {MAX_COUPLING_QUBITS} allowed")
         return CouplingGraph(n, edges)
     except (json.JSONDecodeError, KeyError, TypeError, ValueError, ArchitectureError) as exc:
         raise DasqaError(f"malformed coupling file {path}: {exc}") from exc

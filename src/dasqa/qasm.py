@@ -11,9 +11,17 @@ numbers, ``pi``, parentheses (nested at most 64 deep) and ``+ - * /``.
 Anything else (gate definitions, ``if``, ``opaque``, custom gates, register
 broadcast) is rejected with a diagnostic carrying line and column.
 
-One ``finditer`` over a combined pattern splits the source into tokens that
-carry only their text, kind and source offset; line and column are computed
-from the offset when a diagnostic is raised.
+One ``finditer`` over a combined pattern splits the whole source into tokens
+before anything is parsed, so an unexpected character anywhere is reported
+first. A token carries only its text, kind and source offset; line and
+column are computed from the offset when a diagnostic is raised.
+
+The pattern's first alternative matches a whole simple gate statement,
+``name[(numeric literal)] reg[i](, reg[j])?;`` (OpenQASM 2.0, arXiv:1707.03429).
+At a statement start such a match is one token, and the parser builds its
+``Gate`` straight from the matched groups. Everywhere else, and whenever a
+register, index or gate check on the match fails, the same text is read as
+plain tokens by the one grammar below, so every diagnostic comes from there.
 """
 from __future__ import annotations
 
@@ -26,11 +34,24 @@ from .errors import CircuitError, QasmError, read_text
 # measure and barrier have statement syntax of their own, parsed apart
 _GATE_KINDS = {k.value: k for k in GateKind if k not in (GateKind.MEASURE, GateKind.BARRIER)}
 
+# A simple gate statement, ``name[(literal)] reg[i](, reg[j])?;``, is one
+# "stmt" match; its subpatterns are those of the plain tokens below, so the
+# same text read token by token splits the same way.
+_NUM = r"(?:\d+\.\d*|\.\d+|\d+)(?:[eE][+-]?\d+)?"
+_ID = r"[A-Za-z_][A-Za-z0-9_]*"
+_GATE_NAMES = "|".join(_GATE_KINDS)
 _TOKEN_RE = re.compile(
-    r"""
-    (?P<skip>\s+|//[^\n]*)
-  | (?P<num>(?:\d+\.\d*|\.\d+|\d+)(?:[eE][+-]?\d+)?)
-  | (?P<id>[A-Za-z_][A-Za-z0-9_]*)
+    rf"""
+    (?P<stmt>
+        (?P<name>{_GATE_NAMES})
+        (?: \s*\(\s*(?P<angle>[-+]?{_NUM})\s*\)\s* | \s+ )
+        (?P<reg0>{_ID})\s*\[\s*(?P<idx0>\d+)\s*\]\s*
+        (?: ,\s*(?P<reg1>{_ID})\s*\[\s*(?P<idx1>\d+)\s*\]\s* )?
+        ;
+    )
+  | (?P<skip>\s+|//[^\n]*)
+  | (?P<num>{_NUM})
+  | (?P<id>{_ID})
   | (?P<str>"[^"\n]*")
   | (?P<arrow>->)
   | (?P<punct>[;,\[\]()+\-*/])
@@ -43,7 +64,8 @@ _TOKEN_RE = re.compile(
 # the recursive-descent parser, so this stays far below the recursion limit.
 _MAX_ANGLE_DEPTH = 64
 
-_Token = tuple[str, str, int]  # text, kind, source offset
+# text, kind, source offset; a "stmt" token carries its match in place of the text
+_Token = tuple[str, str, int]
 
 
 def _line_column(source: str, pos: int) -> tuple[int, int]:
@@ -51,17 +73,38 @@ def _line_column(source: str, pos: int) -> tuple[int, int]:
     return source.count("\n", 0, pos) + 1, pos - source.rfind("\n", 0, pos)
 
 
-def _tokenize(source: str) -> list[_Token]:
+def _tokenize(source: str, start: int = 0, end: int | None = None) -> list[_Token]:
+    """Tokens of ``source[start:end]``, scanned to the end before any is parsed.
+
+    A simple gate statement right after a ``;`` (so at a statement start,
+    since a ``;`` read anywhere else is an error at once) is one "stmt"
+    token; elsewhere its text is read as plain tokens.
+    """
     tokens = []
     append = tokens.append
-    for m in _TOKEN_RE.finditer(source):
+    at_start = False  # the last token ended a statement
+    for m in _TOKEN_RE.finditer(source, start, len(source) if end is None else end):
         kind = m.lastgroup
         if kind == "skip":
             continue
+        if kind == "stmt":
+            if at_start:
+                append((m, kind, m.start()))
+            else:
+                tokens += _plain_tokens(source, m)
+                at_start = True
+            continue
         if kind == "bad":
             raise QasmError(f"unexpected character {m.group()!r}", *_line_column(source, m.start()))
-        append((m.group(), kind, m.start()))
+        text = m.group()
+        append((text, kind, m.start()))
+        at_start = text == ";"
     return tokens
+
+
+def _plain_tokens(source: str, m: re.Match) -> list[_Token]:
+    """The plain tokens of a "stmt" match: its gate name, then the rest of its text."""
+    return [(m["name"], "id", m.start()), *_tokenize(source, m.end("name"), m.end())]
 
 
 class _Parser:
@@ -173,6 +216,32 @@ class _Parser:
         return offset + idx
 
 
+def _simple_gate(m: re.Match, qregs: dict[str, tuple[int, int]]) -> Gate | None:
+    """The gate of a "stmt" match, or None when a register, index or gate check fails."""
+    name, angle, reg0, idx0, reg1, idx1 = m.group("name", "angle", "reg0", "idx0", "reg1", "idx1")
+    kind = _GATE_KINDS[name]
+    if (angle is None) is (kind is GateKind.RZ):  # only rz takes "(angle)"
+        return None
+    if angle is not None:  # the token path's float: a sign, then float() of the literal
+        angle = -float(angle[1:]) if angle[0] == "-" else float(angle)
+    offset, size = qregs.get(reg0, (0, 0))
+    i = int(idx0)
+    if i >= size:  # also an unknown register, of size 0
+        return None
+    if reg1 is None:
+        qubits = (offset + i,)
+    else:
+        offset1, size1 = qregs.get(reg1, (0, 0))
+        j = int(idx1)
+        if j >= size1:
+            return None
+        qubits = (offset + i, offset1 + j)
+    try:
+        return Gate(kind, qubits, angle=angle)
+    except CircuitError:
+        return None
+
+
 def parse_qasm(source: str, name: str = "circuit") -> QuantumCircuit:
     """Parse OpenQASM 2.0 text into a :class:`QuantumCircuit`.
 
@@ -198,7 +267,17 @@ def parse_qasm(source: str, name: str = "circuit") -> QuantumCircuit:
     def qubit_ref() -> int:
         return p.register_ref(qregs, "quantum", "operand")
 
-    while p.peek() is not None:
+    tokens = p.tokens
+    while p.pos < len(tokens):
+        tok = tokens[p.pos]
+        if tok[1] == "stmt":
+            gate = _simple_gate(tok[0], qregs)
+            if gate is not None:
+                gates.append(gate)
+                p.pos += 1
+                continue
+            # a check failed: the token path reads the statement and raises its diagnostic
+            tokens[p.pos : p.pos + 1] = _plain_tokens(source, tok[0])
         tok = p.next()
         text = tok[0]
         kind = _GATE_KINDS.get(text)

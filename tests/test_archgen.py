@@ -3,12 +3,14 @@ from __future__ import annotations
 
 import hashlib
 import itertools
+import json
 
 import numpy as np
 import pytest
 
 from dasqa.archgen import (
     FREQ_EPS,
+    MAX_COUPLING_QUBITS,
     MAX_PLACEMENT_WORK,
     Architecture,
     CouplingGraph,
@@ -90,6 +92,18 @@ def test_coupling_file_qubit_numbers_must_be_json_integers(tmp_path, text, bad):
     with pytest.raises(DasqaError) as info:
         load_coupling(path)
     assert str(info.value) == f"malformed coupling file {path}: qubit number {bad} is not an integer"
+
+
+def test_coupling_file_qubit_count_is_bounded(tmp_path):
+    """The count is checked before routing builds its n x n hop table for it."""
+    path = tmp_path / "coupling.json"
+    edges = [[0, 1], [1, 2], [1, 3], [3, 4]]
+    path.write_text(json.dumps({"num_qubits": MAX_COUPLING_QUBITS, "edges": edges}), encoding="utf-8")
+    assert load_coupling(path).num_qubits == MAX_COUPLING_QUBITS == 1024
+    path.write_text(json.dumps({"num_qubits": MAX_COUPLING_QUBITS + 1, "edges": edges}), encoding="utf-8")
+    with pytest.raises(DasqaError) as info:
+        load_coupling(path)
+    assert str(info.value) == f"malformed coupling file {path}: num_qubits 1025 is more than the 1024 allowed"
 
 
 def test_grid_too_small_raises():

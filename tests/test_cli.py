@@ -234,6 +234,11 @@ REJECTED_INPUT_CASES = {
         {"t.json": '{"num_qubits": 5, "edges": [[0, 1], [true, 2], [1, 3], [3, 4]]}'},
         "[baseline] malformed coupling file t.json: qubit number true is not an integer",
     ),
+    # routing would have built a 2000 x 2000 hop table for four edges
+    "oversized_baseline": (
+        {"t.json": '{"num_qubits": 2000, "edges": [[0, 1], [1, 2], [1, 3], [3, 4]]}'},
+        "[baseline] malformed coupling file t.json: num_qubits 2000 is more than the 1024 allowed",
+    ),
 }
 
 

@@ -4,11 +4,15 @@ from __future__ import annotations
 import math
 import re
 
+import numpy as np
 import pytest
 
-from dasqa.circuit import GateKind
+from dasqa import qasm
+from dasqa.circuit import Gate, GateKind, QuantumCircuit, to_qasm
 from dasqa.errors import QasmError
 from dasqa.qasm import parse_qasm
+
+from conftest import mixed_circuit, random_circuit
 
 HEADER = 'OPENQASM 2.0;\ninclude "qelib1.inc";\n'
 
@@ -170,3 +174,122 @@ def test_wrong_arity_rejected():
         parse_qasm(HEADER + "qreg q[3];\ncx q[0];")
     with pytest.raises(QasmError, match="expects 1 operand"):
         parse_qasm(HEADER + "qreg q[3];\nh q[0],q[1];")
+
+
+# -- simple gate statements: one match each, the same gates as token by token
+
+# a number stays whole, so a comment between two tokens never splits one
+_TEST_TOKEN_RE = re.compile(r'(?:\d+\.\d*|\.\d+|\d+)(?:[eE][+-]?\d+)?|"[^"]*"|->|\w+|[^\s\w]')
+
+
+def _statement_tokens(source: str) -> int:
+    return sum(tok[1] == "stmt" for tok in qasm._tokenize(source))
+
+
+def _gate_list(qc: QuantumCircuit) -> list[tuple]:
+    return [(g.kind, g.qubits, repr(g.angle), g.cbit) for g in qc.gates]
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_statement_matches_agree_with_the_token_path(seed):
+    """A comment between every two tokens forces the token path on every statement."""
+    rng = np.random.default_rng(seed)
+    circuits = [mixed_circuit(7, 60, seed=seed)] + [random_circuit(rng, 6, 40) for _ in range(4)]
+    for qc in circuits:
+        text = to_qasm(qc)
+        commented = " // c\n".join(_TEST_TOKEN_RE.findall(text))
+        assert _statement_tokens(commented) == 0
+        assert _statement_tokens(text) == sum(g.kind not in (GateKind.MEASURE, GateKind.BARRIER) for g in qc.gates)
+        assert _gate_list(parse_qasm(text)) == _gate_list(parse_qasm(commented)) == _gate_list(qc)
+
+
+@pytest.mark.parametrize(
+    "literal",
+    ["-0.0", "0.0", "5e-324", "-5e-324", "1e-07", ".5", "+.5", "5.", "1.7976931348623157e308",
+     "-1.7976931348623157e308"],
+)
+def test_statement_angle_is_the_token_path_float(literal):
+    fast = HEADER + f"qreg q[1];\nrz({literal}) q[0];"
+    slow = HEADER + f"qreg q[1];\nrz({literal} // c\n) q[0];"
+    assert (_statement_tokens(fast), _statement_tokens(slow)) == (1, 0)
+    # repr tells -0.0 from 0.0
+    assert repr(parse_qasm(fast).gates[0].angle) == repr(parse_qasm(slow).gates[0].angle) == repr(float(literal))
+
+
+def test_statement_matches_take_tabs_crlf_and_line_breaks():
+    source = (
+        HEADER + "qreg q[3];\r\nh\tq[0];\r\ncx q[0],\n   q[1]\n;\nrz(.5)q[2];\trz( -1e-07 )\tq[1] ;"
+        "swap\nq[2]\n,\nq[0];\r\n"
+    )
+    assert _statement_tokens(source) == 5
+    assert parse_qasm(source).gates == (
+        Gate(GateKind.H, (0,)),
+        Gate(GateKind.CX, (0, 1)),
+        Gate(GateKind.RZ, (2,), angle=0.5),
+        Gate(GateKind.RZ, (1,), angle=-1e-07),
+        Gate(GateKind.SWAP, (2, 0)),
+    )
+    with pytest.raises(QasmError, match=re.escape("operand index q[7] out of range (size 3)")) as info:
+        parse_qasm(source + "  x q[7];")
+    assert (info.value.line, info.value.column) == (12, 5)
+
+
+# Statement-shaped inputs and the outcome the token-by-token parser gives them:
+# (message, line, column), or the parsed (kind, qubits) list.
+@pytest.mark.parametrize(
+    "body,outcome",
+    [
+        ("barrier q[0], h q[1];", ("unknown quantum register 'h'", 5, 15)),
+        ("x q[0] x q[1];", ("expected ';', found 'x'", 5, 8)),
+        ("cx q[0], q[0];", ("duplicate operand q0 on two-qubit gate cx", 5, 1)),
+        ("h q[0], q[1];", ("h expects 1 operand(s), got 2", 5, 1)),
+        ("cx q[0];", ("cx expects 2 operand(s), got 1", 5, 1)),
+        ("cx q[0], q[1], q[2];", ("cx expects 2 operand(s), got 3", 5, 1)),
+        ("h(1.0) q[0];", ("unknown quantum register '('", 5, 2)),
+        ("rz q[0];", ("expected '(', found 'q'", 5, 4)),
+        ("rz(1e400) q[0];", ("rz angle must be finite, got inf", 5, 1)),
+        ("rz(-1e400) q[0];", ("rz angle must be finite, got -inf", 5, 1)),
+        ("x q[9];", ("operand index q[9] out of range (size 3)", 5, 3)),
+        ("cx r[0], q[1];", [("cx", (3, 1))]),
+        ("swap q[0], r[5];", ("operand index r[5] out of range (size 3)", 5, 12)),
+        ("qreg h q[1];", ("expected '[', found 'q'", 5, 8)),
+        # the whole source is scanned first: a later bad character wins
+        ("cx q[0], q[1]; x q[1] $", ("unexpected character '$'", 5, 23)),
+        ("h q[0]; h q[0]", ("unexpected end of input", 5, 14)),
+        ("ccx q[0], q[1];", ("unsupported gate 'ccx'", 5, 1)),
+        ("rz(1.5e) q[0];", ("expected ')', found 'e'", 5, 7)),
+    ],
+)
+def test_statement_shaped_inputs_keep_their_diagnostics(body, outcome):
+    source = HEADER + "qreg q[3];\nqreg r[3];\n" + body
+    if isinstance(outcome, list):
+        assert [(g.kind.value, g.qubits) for g in parse_qasm(source).gates] == outcome
+        return
+    message, line, column = outcome
+    with pytest.raises(QasmError) as info:
+        parse_qasm(source)
+    assert (str(info.value), info.value.line, info.value.column) == (
+        f"line {line}, column {column}: {message}", line, column
+    )
+
+
+def test_simple_gate_statements_make_no_plain_tokens(monkeypatch):
+    """Counts, not timing: of a 2000-gate program only the header and the
+    declaration are read token by token."""
+    calls = {"next": 0, "plain": 0}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        return wrapper
+
+    monkeypatch.setattr(qasm._Parser, "next", counted("next", qasm._Parser.next))
+    monkeypatch.setattr(qasm, "_plain_tokens", counted("plain", qasm._plain_tokens))
+    simple = [g for g in mixed_circuit(25, 2100, seed=3).gates if g.kind not in (GateKind.MEASURE, GateKind.BARRIER)]
+    qc = QuantumCircuit(25, tuple(simple[:2000]))
+    assert len(qc.gates) == 2000 and {g.kind for g in qc.gates} >= {GateKind.CX, GateKind.RZ, GateKind.H}
+    assert parse_qasm(to_qasm(qc)).gates == qc.gates
+    # OPENQASM 2.0 ; include "qelib1.inc" ; qreg q [ 25 ] ;
+    assert calls == {"next": 12, "plain": 0}
