@@ -88,7 +88,8 @@ class QuantumCircuit:
     def two_qubit_pairs(self) -> list[tuple[int, int]]:
         """Unordered operand pairs of the two-qubit gates, program order."""
         return [
-            (min(g.qubits), max(g.qubits)) for g in self.gates if g.is_two_qubit
+            (a, b) if a < b else (b, a)
+            for a, b in (g.qubits for g in self.gates if g.kind.is_two_qubit)
         ]
 
 
@@ -148,16 +149,19 @@ def layered_depth(gates, num_qubits: int) -> int:
     operands (all qubits when it has none) without occupying a layer.
     """
     level = [0] * num_qubits
+    barrier = GateKind.BARRIER
     for g in gates:
-        if g.kind is GateKind.BARRIER:
-            qs = g.qubits if g.qubits else tuple(range(num_qubits))
+        qs = g.qubits
+        if g.kind is barrier:
+            qs = qs or range(num_qubits)
             sync = max((level[q] for q in qs), default=0)
             for q in qs:
                 level[q] = sync
-            continue
-        layer = 1 + max(level[q] for q in g.qubits)
-        for q in g.qubits:
-            level[q] = layer
+        elif len(qs) == 1:
+            level[qs[0]] += 1
+        else:
+            a, b = qs
+            level[a] = level[b] = 1 + (level[a] if level[a] > level[b] else level[b])
     return max(level, default=0)
 
 

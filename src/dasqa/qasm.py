@@ -216,9 +216,9 @@ class _Parser:
         return offset + idx
 
 
-def _simple_gate(m: re.Match, qregs: dict[str, tuple[int, int]]) -> Gate | None:
-    """The gate of a "stmt" match, or None when a register, index or gate check fails."""
-    name, angle, reg0, idx0, reg1, idx1 = m.group("name", "angle", "reg0", "idx0", "reg1", "idx1")
+def _simple_gate(groups: tuple, qregs: dict[str, tuple[int, int]]) -> Gate | None:
+    """The gate of a "stmt" match's groups, or None when a register, index or gate check fails."""
+    name, angle, reg0, idx0, reg1, idx1 = groups
     kind = _GATE_KINDS[name]
     if (angle is None) is (kind is GateKind.RZ):  # only rz takes "(angle)"
         return None
@@ -267,12 +267,18 @@ def parse_qasm(source: str, name: str = "circuit") -> QuantumCircuit:
     def qubit_ref() -> int:
         return p.register_ref(qregs, "quantum", "operand")
 
+    # one frozen gate per angle-less simple statement text; registers are
+    # never redeclared, so its groups name the same qubits all through the parse
+    shared: dict[tuple, Gate] = {}
     tokens = p.tokens
     while p.pos < len(tokens):
         tok = tokens[p.pos]
         if tok[1] == "stmt":
-            gate = _simple_gate(tok[0], qregs)
+            groups = tok[0].group("name", "angle", "reg0", "idx0", "reg1", "idx1")
+            gate = shared.get(groups) or _simple_gate(groups, qregs)
             if gate is not None:
+                if groups[1] is None:  # no angle
+                    shared[groups] = gate
                 gates.append(gate)
                 p.pos += 1
                 continue

@@ -11,8 +11,9 @@ over the pending two-qubit gates. That single-window lookahead is what lets
 it park a hot qubit on a hub and later undo a swap instead of ping-ponging.
 A swap of physical u and v changes only the window terms of the logical
 qubits sitting there, so each candidate is scored by the change in those
-terms alone, read from a per-gate index of each qubit's terms; the live
-mapping keeps its physical -> logical inverse, so a swap updates it in O(1).
+terms alone, read from each logical qubit's sliding window of terms; the
+live mapping keeps its physical -> logical inverse, so a swap updates it in
+O(1). Routed gates without an angle or a cbit are shared, frozen objects.
 The decay weights 0.8**k are scaled by 5**19 to the integers
 4**k * 5**(19 - k), so every score and comparison is exact. If the lookahead
 stalls, the remaining distance is walked directly: the first operand's image
@@ -166,23 +167,29 @@ def route(
 
     Original gate order is preserved up to the inserted SWAPs; single-qubit
     gates, measures and barriers are rewritten through the live mapping.
+    Every routed gate without an angle or a cbit is one shared object per
+    (kind, physical operands); RZ and MEASURE are built per gate.
 
     While the front gate's operands are not adjacent, each coupling edge
     (u, v) at either operand's image is a candidate, in sorted order, less
     the edge just swapped. The window is the next ``LOOKAHEAD_WINDOW``
     two-qubit gates, the k-th weighted ``4**k * 5**(19 - k)`` (that is
-    5**19 * 0.8**k exactly). A candidate's score is the change in the
-    window cost that its swap makes: for the logical qubits ``lu``, ``lv``
-    on u and v, the sum of ``w * (hops[v][po] - hops[u][po])`` over the
-    terms of ``lu`` and the mirror over those of ``lv``, where ``po`` is
-    the image of the term's other operand. The term joining ``lu`` and
-    ``lv`` keeps its length and an empty site has no terms, so both are
-    skipped; an unreachable term costs n_phys**2 on either side, so it adds
-    nothing. The first candidate with the strictly smallest score is
-    swapped. The scores are exact integers. One swap moves each term by at
-    most one hop, so two candidates' distances for a term differ by at most
-    2, less than 5; with these weights their scores then tie only when every
-    term has the same distance under both.
+    5**19 * 0.8**k exactly). Each logical qubit keeps its window terms,
+    (pending index j, other operand), in a deque; a routed two-qubit gate
+    pops its own term off both operands and pushes the pending gate
+    ``LOOKAHEAD_WINDOW`` further on, so a term's weight is that of
+    ``j - pend_idx``. A candidate's score is the change in the window cost
+    that its swap makes: for the logical qubits ``lu``, ``lv`` on u and v,
+    the sum of ``w * (hops[v][po] - hops[u][po])`` over the terms of ``lu``
+    and the mirror over those of ``lv``, where ``po`` is the image of the
+    term's other operand. The term joining ``lu`` and ``lv`` keeps its
+    length and an empty site has no terms, so both are skipped; an
+    unreachable term costs n_phys**2 on either side, so it adds nothing.
+    The first candidate with the strictly smallest score is swapped. The
+    scores are exact integers. One swap moves each term by at most one hop,
+    so two candidates' distances for a term differ by at most 2, less than
+    5; with these weights their scores then tie only when every term has
+    the same distance under both.
     """
     coupling = _coupling_of(arch)
     if mapping is None:
@@ -196,12 +203,34 @@ def route(
     p2l = _occupants(l2p, n_phys)
 
     pending = qc.two_qubit_pairs()
+    # each logical qubit's window terms (pending index, other operand), in
+    # pending order; after each two-qubit gate the window slides by one
+    window: list[deque[tuple[int, int]]] = [deque() for _ in range(qc.num_qubits)]
+
+    def enter(j: int) -> None:
+        if j < len(pending):
+            x, y = pending[j]
+            window[x].append((j, y))
+            window[y].append((j, x))
+
+    for j in range(LOOKAHEAD_WINDOW):
+        enter(j)
     pend_idx = 0
     out: list[RoutedGate] = []
     swap_count = 0
 
-    # one shared SWAP gate per coupling edge (low, high): the gates are frozen
+    # one shared SWAP gate per coupling edge (low, high), and one shared gate
+    # per (kind, physical operands) of those without angle or cbit: all frozen
     swap_gates = {e: RoutedGate(Gate(GateKind.SWAP, e), inserted=True) for e in coupling.edges}
+    shared: dict[tuple, RoutedGate] = {}
+
+    def routed_gate(g: Gate, qubits: tuple[int, ...]) -> RoutedGate:
+        if g.angle is not None or g.cbit is not None:
+            return RoutedGate(Gate(g.kind, qubits, g.angle, g.cbit))
+        rg = shared.get((g.kind, qubits))
+        if rg is None:
+            rg = shared[g.kind, qubits] = RoutedGate(Gate(g.kind, qubits))
+        return rg
 
     def apply_swap(u: int, v: int) -> None:
         nonlocal swap_count
@@ -210,87 +239,86 @@ def route(
         swap_count += 1
 
     stall_cap = n_phys + max((d for row in hops for d in row if d < unreachable), default=0) + 2
-    # coupling edges (low, high) at each physical qubit: the swap candidates
-    edges_at = [[(min(p, nb), max(p, nb)) for nb in coupling.neighbors(p)] for p in range(n_phys)]
+    # coupling edges (low, high) at each physical qubit, sorted: the swap candidates
+    edges_at = [sorted((min(p, nb), max(p, nb)) for nb in coupling.neighbors(p)) for p in range(n_phys)]
 
     for g in qc.gates:
-        if not g.is_two_qubit:
-            qubits = tuple(map(l2p.__getitem__, g.qubits))
-            out.append(RoutedGate(Gate(g.kind, qubits, g.angle, g.cbit)))
+        if not g.kind.is_two_qubit:
+            out.append(routed_gate(g, tuple(map(l2p.__getitem__, g.qubits))))
             continue
 
         a, b = g.qubits
-        if hops[l2p[a]][l2p[b]] >= unreachable:
+        pa, pb = l2p[a], l2p[b]
+        if hops[pa][pb] >= unreachable:
             raise RoutingError(
                 f"no coupling path between the images of q{a} and q{b}"
             )
-        if hops[l2p[a]][l2p[b]] > 1:
-            # logical qubit -> (weight, other operand) of its window terms;
-            # the window stays put while this gate's swaps are chosen
-            terms: dict[int, list[tuple[int, int]]] = {}
-            for (x, y), w in zip(pending[pend_idx : pend_idx + LOOKAHEAD_WINDOW], _WINDOW_WEIGHTS):
-                terms.setdefault(x, []).append((w, y))
-                terms.setdefault(y, []).append((w, x))
         swaps_this_gate = 0
         last_edge: tuple[int, int] | None = None
-        while hops[l2p[a]][l2p[b]] > 1:
+        while hops[pa][pb] > 1:
             if swaps_this_gate >= stall_cap:
                 # lookahead stalled: step a's image along the smallest-index
                 # shortest path to b's image
-                pb = l2p[b]
-                while hops[l2p[a]][pb] > 1:
-                    pa = l2p[a]
+                while hops[pa][pb] > 1:
                     hop = min(nb for nb in coupling.neighbors(pa) if hops[nb][pb] < hops[pa][pb])
                     apply_swap(min(pa, hop), max(pa, hop))
+                    pa = l2p[a]
                 break
-            candidates = set(edges_at[l2p[a]]).union(edges_at[l2p[b]])
-            if last_edge is not None and len(candidates) > 1:
-                candidates.discard(last_edge)
+            # the operands are not adjacent, so their edge lists are disjoint
+            candidates = sorted(edges_at[pa] + edges_at[pb])
+            skip = last_edge if len(candidates) > 1 else None
             # a swap moves only the terms of the qubits on u and v (an empty
-            # site has none, and the term joining them keeps its length)
+            # site, -1, has none, and the term joining them keeps its length)
             best_edge, best_delta = None, None
-            for edge in sorted(candidates):
+            for edge in candidates:
+                if edge == skip:
+                    continue
                 u, v = edge
                 lu, lv = p2l[u], p2l[v]
                 hu, hv = hops[u], hops[v]
                 delta = 0
-                for w, o in terms.get(lu, ()):
-                    if o != lv:
-                        po = l2p[o]
-                        delta += w * (hv[po] - hu[po])
-                for w, o in terms.get(lv, ()):
-                    if o != lu:
-                        po = l2p[o]
-                        delta += w * (hu[po] - hv[po])
+                if lu >= 0:
+                    for j, o in window[lu]:
+                        if o != lv:
+                            po = l2p[o]
+                            delta += _WINDOW_WEIGHTS[j - pend_idx] * (hv[po] - hu[po])
+                if lv >= 0:
+                    for j, o in window[lv]:
+                        if o != lu:
+                            po = l2p[o]
+                            delta += _WINDOW_WEIGHTS[j - pend_idx] * (hu[po] - hv[po])
                 if best_delta is None or delta < best_delta:
                     best_edge, best_delta = edge, delta
             apply_swap(*best_edge)
             last_edge = best_edge
             swaps_this_gate += 1
-        out.append(RoutedGate(Gate(g.kind, (l2p[a], l2p[b]))))
+            pa, pb = l2p[a], l2p[b]
+        out.append(routed_gate(g, (pa, pb)))
+        window[a].popleft()  # this gate's term leaves the window
+        window[b].popleft()
+        enter(pend_idx + LOOKAHEAD_WINDOW)
         pend_idx += 1
 
-    gates = tuple(out)
-    routed = RoutedCircuit(
+    return RoutedCircuit(
         num_physical=n_phys,
-        gates=gates,
+        gates=tuple(out),
         initial_mapping=mapping,
         final_mapping=Mapping(tuple(l2p)),
         swap_count=swap_count,
-        depth=layered_depth([rg.gate for rg in gates], n_phys),
+        depth=layered_depth([rg.gate for rg in out], n_phys),
     )
-    return routed
 
 
 def validate_routing(routed: RoutedCircuit, arch: Architecture | CouplingGraph) -> None:
     """Edge soundness, mapping replay and SWAP count in one pass. Raises on violation."""
-    coupling = _coupling_of(arch)
+    edges = set(_coupling_of(arch).edges)
+    edges.update([(b, a) for a, b in edges])  # both orientations
     l2p = list(routed.initial_mapping.log_to_phys)
     p2l = _occupants(l2p, routed.num_physical)
     swaps = 0
     for rg in routed.gates:
         g = rg.gate
-        if g.is_two_qubit and not coupling.has_edge(*g.qubits):
+        if g.kind.is_two_qubit and g.qubits not in edges:
             raise RoutingError(f"gate on non-edge {g.qubits}")
         if rg.inserted:
             _swap_sites(l2p, p2l, *g.qubits)

@@ -10,6 +10,7 @@ from dasqa.circuit import (
     QuantumCircuit,
     circuit_stats,
     interaction_graph,
+    layered_depth,
     to_qasm,
 )
 from dasqa.errors import CircuitError
@@ -111,6 +112,56 @@ def test_barrier_synchronizes_without_counting():
     stats = circuit_stats(qc)
     assert stats.gate_count == 2
     assert stats.depth == 2  # barrier pushes X after H
+
+
+def _generic_layered_depth(gates, num_qubits: int) -> int:
+    """Oracle: the greedy layering with one loop for every arity."""
+    level = [0] * num_qubits
+    for g in gates:
+        if g.kind is GateKind.BARRIER:
+            qs = g.qubits if g.qubits else tuple(range(num_qubits))
+            sync = max((level[q] for q in qs), default=0)
+            for q in qs:
+                level[q] = sync
+            continue
+        layer = 1 + max(level[q] for q in g.qubits)
+        for q in g.qubits:
+            level[q] = layer
+    return max(level, default=0)
+
+
+def test_layered_depth_matches_the_generic_loop():
+    """Seeded gate lists of 1- and 2-qubit gates, measures, empty and partial barriers."""
+    rng = np.random.default_rng(7)
+    seen = {"empty_barrier": 0, "partial_barrier": 0, "measure": 0, "two_qubit": 0}
+    for _ in range(300):
+        n = int(rng.integers(1, 8))
+        gates = []
+        for _ in range(int(rng.integers(0, 40))):
+            r = rng.random()
+            q = int(rng.integers(n))
+            if r < 0.35:
+                gates.append(Gate([GateKind.H, GateKind.X, GateKind.T][int(rng.integers(3))], (q,)))
+            elif r < 0.4:
+                gates.append(Gate(GateKind.RZ, (q,), angle=0.5))
+            elif r < 0.7 and n >= 2:
+                a, b = (int(x) for x in rng.choice(n, size=2, replace=False))
+                gates.append(Gate([GateKind.CX, GateKind.CZ, GateKind.SWAP][int(rng.integers(3))], (a, b)))
+                seen["two_qubit"] += 1
+            elif r < 0.8:
+                gates.append(Gate(GateKind.MEASURE, (q,), cbit=q))
+                seen["measure"] += 1
+            elif r < 0.88:
+                gates.append(Gate(GateKind.BARRIER, ()))
+                seen["empty_barrier"] += 1
+            else:
+                k = int(rng.integers(1, n + 1))
+                gates.append(Gate(GateKind.BARRIER, tuple(int(x) for x in rng.choice(n, size=k, replace=False))))
+                seen["partial_barrier"] += 1
+        expected = _generic_layered_depth(gates, n)
+        assert layered_depth(gates, n) == expected
+        assert circuit_stats(QuantumCircuit(n, tuple(gates))).depth == expected
+    assert min(seen.values()) >= 200
 
 
 def test_qasm_round_trip_worked_example(five_qubit_app):

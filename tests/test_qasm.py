@@ -273,6 +273,20 @@ def test_statement_shaped_inputs_keep_their_diagnostics(body, outcome):
     )
 
 
+def test_angle_less_statements_with_the_same_text_share_one_gate():
+    """Counts objects, not time: each distinct angle-less simple statement
+    parses to one Gate object, however often it occurs."""
+    text = to_qasm(mixed_circuit(25, 3000, seed=25))
+    lines = text.splitlines()[4:]  # after the header, include, qreg and creg
+    parsed = parse_qasm(text)
+    assert len(lines) == len(parsed.gates)
+    by_text = {}
+    for line, gate in zip(lines, parsed.gates):
+        if not line.startswith(("rz", "measure", "barrier")):
+            assert by_text.setdefault(line, gate) is gate
+    assert len(by_text) < len(lines) // 2
+
+
 def test_simple_gate_statements_make_no_plain_tokens(monkeypatch):
     """Counts, not timing: of a 2000-gate program only the header and the
     declaration are read token by token."""

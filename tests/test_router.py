@@ -329,6 +329,35 @@ def test_validate_routing_rejects_each_broken_invariant(five_qubit_app, lima, mu
         validate_routing(mutate(routed), lima)
 
 
+def test_validate_routing_checks_edges_in_either_operand_order(lima):
+    def routed(*gates):
+        identity = Mapping.identity(5)
+        swaps = sum(rg.inserted for rg in gates)
+        return RoutedCircuit(5, gates, identity, identity, swaps, len(gates))
+
+    # (3, 1) and (4, 3) are the lima edges (1, 3) and (3, 4) written high to low
+    validate_routing(routed(RoutedGate(Gate(GateKind.CX, (3, 1))), RoutedGate(Gate(GateKind.CZ, (4, 3)))), lima)
+    validate_routing(routed(*[RoutedGate(Gate(GateKind.SWAP, (4, 3)), inserted=True)] * 2), lima)
+    for qubits in [(0, 4), (4, 0), (2, 3), (3, 2)]:
+        with pytest.raises(RoutingError, match=rf"^gate on non-edge \({qubits[0]}, {qubits[1]}\)$"):
+            validate_routing(routed(RoutedGate(Gate(GateKind.CX, qubits))), lima)
+
+
+def test_routed_gates_without_angle_or_cbit_are_shared():
+    """Counts objects, not time: one routed gate per (kind, physical
+    operands), RZ and MEASURE one each, and one SWAP object per edge."""
+    qc = mixed_circuit(25, 3000, seed=25)
+    arch = generate_architecture(qc, config_from_dict(BENCH_CONFIG))
+    routed = route(qc, arch)
+    kept = [rg for rg in routed.gates if not rg.inserted]
+    assert len(kept) == len(qc.gates)
+    keys = {(rg.gate.kind, rg.gate.qubits) for rg in kept}
+    per_gate = sum(rg.gate.kind in (GateKind.RZ, GateKind.MEASURE) for rg in kept)
+    assert len({id(rg) for rg in kept}) <= len(keys) + per_gate < len(kept) // 2
+    inserted = {id(rg) for rg in routed.gates if rg.inserted}
+    assert 0 < len(inserted) <= len(arch.coupling.edges) < routed.swap_count
+
+
 def test_embed_matches_the_bitwise_loop():
     rng = np.random.default_rng(3)
     for n_log, n_phys in [(0, 2), (1, 1), (2, 4), (3, 3), (3, 5)]:
