@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .circuit import InteractionGraph, QuantumCircuit, interaction_graph
+from .circuit import MAX_QUBITS as MAX_COUPLING_QUBITS, InteractionGraph, QuantumCircuit, interaction_graph
 from .config import DesignConfig
 from .errors import ArchitectureError, DasqaError, FrequencyAllocationError, PlacementError, read_text
 
@@ -29,9 +29,6 @@ FREQ_EPS = 1e-9
 MAX_LATTICE_POINTS = 100_000
 # cells x (qubits + 1): placement scans the free cells once per pick, plus once to build its tables
 MAX_PLACEMENT_WORK = 200_000
-# a coupling file's num_qubits: routing scores it with an n x n hop table; far
-# above what placement reaches (MAX_PLACEMENT_WORK stops a full grid near 450)
-MAX_COUPLING_QUBITS = 1024
 
 EMPTY = -1
 
@@ -151,10 +148,9 @@ class Architecture:
         vals = sorted(int(v) for v in self.layout.ravel() if v != EMPTY)
         if vals != list(range(n)):
             raise ArchitectureError("layout must contain each qubit index exactly once")
-        pos = self.positions()
+        adjacent = set(_adjacent_pairs(self.layout))
         for a, b in self.coupling.edges:
-            (ra, ca), (rb, cb) = pos[a], pos[b]
-            if abs(ra - rb) + abs(ca - cb) != 1:
+            if (a, b) not in adjacent:  # edges and pairs are both (low, high)
                 raise ArchitectureError(f"coupling edge ({a},{b}) joins non-adjacent cells")
         if len(self.frequencies) != n:
             raise ArchitectureError("frequency vector length must equal qubit count")
@@ -175,16 +171,13 @@ class Architecture:
             if bad:
                 raise ArchitectureError(f"detuning violations: {bad}")
 
-    def to_dict(self) -> dict:
-        return {
+    def to_json(self) -> str:
+        return json.dumps({
             "num_qubits": self.num_qubits,
             "layout": [[int(v) for v in row] for row in self.layout],
             "edges": [list(e) for e in self.coupling.sorted_edges()],
             "frequencies_ghz": [float(f) for f in self.frequencies],
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2) + "\n"
+        }, indent=2) + "\n"
 
 
 def load_coupling(path: str | Path) -> CouplingGraph:

@@ -15,6 +15,11 @@ from functools import cached_property
 
 from .errors import CircuitError
 
+# the most qubits a circuit may declare or a coupling file hold: routing builds
+# an n x n hop table, and a bare-register barrier one operand per qubit; far
+# above what placement reaches (archgen.MAX_PLACEMENT_WORK stops a full grid near 450)
+MAX_QUBITS = 1024
+
 
 class GateKind(Enum):
     X = "x"

@@ -144,25 +144,15 @@ class LayoutDocument:
             for endpoint in (a, b):
                 if endpoint not in known:
                     raise LayoutError(f"net endpoint {endpoint!r} does not exist")
-        pads, k = self._pads(), 0
+        transmons, k = self.by_kind("transmon"), 0
         for comp in self.components:
-            later: list[tuple[str, Rect]] = []
             if comp.kind == "transmon":
-                k += len(comp.rects)
-                later = pads[k:]
-            self._check_component(comp, later)
+                k += 1
+            self._check_component(comp, transmons[k:])
 
-    def _pads(self, skip: str | None = None) -> list[tuple[str, Rect]]:
-        """(transmon name, pad) in document order, leaving out transmon ``skip``."""
-        return [
-            (c.name, rect)
-            for c in self.components
-            if c.kind == "transmon" and c.name != skip
-            for rect in c.rects
-        ]
-
-    def _check_component(self, comp: Component, pads: list[tuple[str, Rect]]) -> None:
-        """Every shape of ``comp`` lies on the chip; transmon pads clear ``pads``."""
+    def _check_component(self, comp: Component, others: list[Component]) -> None:
+        """Every shape of ``comp`` lies on the chip; a transmon's pads clear
+        the pads of the transmons ``others``, compared pad by pad in order."""
         x0, y0, w, h = self.chip
         x1, y1 = x0 + w, y0 + h
         tol = 1e-6
@@ -177,9 +167,10 @@ class LayoutDocument:
         if comp.kind != "transmon":
             return
         for pad in comp.rects:
-            for other, rect in pads:
-                if _rects_overlap(pad, rect):
-                    raise LayoutError(f"transmon pads of {comp.name} and {other} overlap")
+            for other in others:
+                for rect in other.rects:
+                    if _rects_overlap(pad, rect):
+                        raise LayoutError(f"transmon pads of {comp.name} and {other.name} overlap")
 
     def edit(self, comp: Component, staged: dict[str, str]) -> None:
         """Set options of ``comp``, a component of this document, if the result
@@ -187,7 +178,7 @@ class LayoutDocument:
         transmon, clear every other transmon's pads. A rejected edit changes nothing."""
         candidate = replace(comp, options={**comp.options, **staged})
         rebuild_geometry(candidate)
-        others = self._pads(skip=comp.name) if comp.kind == "transmon" else []
+        others = [c for c in self.components if c.kind == "transmon" and c.name != comp.name]
         self._check_component(candidate, others)
         # commit into the live component: callers may hold it across the call
         comp.options = candidate.options
@@ -386,10 +377,6 @@ def update_component(layout: LayoutDocument, name: str, option: str, value: str)
 # -- layout construction -----------------------------------------------------
 
 
-def grid_position(row: int, col: int, pitch_um: float) -> Point:
-    return (col * pitch_um, -row * pitch_um)
-
-
 def _midpoint(a: Point, b: Point) -> Point:
     return ((a[0] + b[0]) / 2, (a[1] + b[1]) / 2)
 
@@ -433,7 +420,7 @@ def build_layout(arch: Architecture, config: DesignConfig) -> LayoutDocument:
     chip: Rect = (x0, y0, (cols - 1) * pitch + 2 * margin, (rows - 1) * pitch + 2 * margin)
     doc = LayoutDocument(chip=chip)
 
-    qubit_xy = {q: grid_position(r, c, pitch) for q, (r, c) in positions.items()}
+    qubit_xy = {q: (c * pitch, -r * pitch) for q, (r, c) in positions.items()}
 
     def add(comp: Component) -> None:
         rebuild_geometry(comp)

@@ -1,12 +1,13 @@
 """Hand-written parser for a restricted OpenQASM 2.0 subset.
 
 Accepted programs: the ``OPENQASM 2.0;`` header, an optional
-``include "qelib1.inc";``, one or more ``qreg`` declarations (flattened to
-global indices in declaration order), optional ``creg`` declarations, and
-statements built from x, y, z, h, s, t, rz(expr), cx, cz, swap, measure and
-barrier. Operands must be indexed (``q[3]``); barrier additionally accepts
-bare register names or no operands at all. Angle expressions support
-numbers, ``pi``, parentheses (nested at most 64 deep) and ``+ - * /``.
+``include "qelib1.inc";``, one or more ``qreg`` declarations of at most
+``MAX_QUBITS`` qubits in all (flattened to global indices in declaration
+order), optional ``creg`` declarations, and statements built from x, y, z, h,
+s, t, rz(expr), cx, cz, swap, measure and barrier. Operands must be indexed
+(``q[3]``); barrier additionally accepts bare register names or no operands
+at all. Angle expressions support numbers, ``pi``, parentheses (nested at
+most 64 deep) and ``+ - * /``.
 
 Anything else (gate definitions, ``if``, ``opaque``, custom gates, register
 broadcast) is rejected with a diagnostic carrying line and column.
@@ -26,9 +27,11 @@ plain tokens by the one grammar below, so every diagnostic comes from there.
 from __future__ import annotations
 
 import math
+import os
 import re
+from pathlib import Path
 
-from .circuit import Gate, GateKind, QuantumCircuit
+from .circuit import MAX_QUBITS, Gate, GateKind, QuantumCircuit
 from .errors import CircuitError, QasmError, read_text
 
 # measure and barrier have statement syntax of their own, parsed apart
@@ -222,8 +225,8 @@ def _simple_gate(groups: tuple, qregs: dict[str, tuple[int, int]]) -> Gate | Non
     kind = _GATE_KINDS[name]
     if (angle is None) is (kind is GateKind.RZ):  # only rz takes "(angle)"
         return None
-    if angle is not None:  # the token path's float: a sign, then float() of the literal
-        angle = -float(angle[1:]) if angle[0] == "-" else float(angle)
+    if angle is not None:  # float() of a signed literal is the token path's sign on float()
+        angle = float(angle)
     offset, size = qregs.get(reg0, (0, 0))
     i = int(idx0)
     if i >= size:  # also an unknown register, of size 0
@@ -318,6 +321,9 @@ def parse_qasm(source: str, name: str = "circuit") -> QuantumCircuit:
             size = p.integer("register size")
             if size <= 0:
                 raise p.error("register size must be positive", size_tok)
+            if text == "qreg" and n_qubits + size > MAX_QUBITS:
+                total = f"{n_qubits + size} qubits, more than the {MAX_QUBITS} allowed"
+                raise p.error(f"qreg size {size} takes the circuit to {total}", size_tok)
             p.expect("]")
             p.expect(";")
             if text == "qreg":
@@ -365,8 +371,13 @@ def parse_qasm(source: str, name: str = "circuit") -> QuantumCircuit:
     return QuantumCircuit(n_qubits, tuple(gates), name=name)
 
 
-def parse_qasm_file(path: str, name: str | None = None) -> QuantumCircuit:
+def parse_qasm_file(path: str | Path, name: str | None = None) -> QuantumCircuit:
+    """Parse the OpenQASM file at ``path``, a ``str`` or a ``Path``.
+
+    The circuit is named after the file, less a ``.qasm`` suffix, unless
+    ``name`` is given; both path types give the same name.
+    """
     source = read_text(path, "circuit", QasmError)
     if name is None:
-        name = re.sub(r"\.qasm$", "", path.replace("\\", "/").rsplit("/", 1)[-1])
+        name = re.sub(r"\.qasm$", "", os.fspath(path).replace("\\", "/").rsplit("/", 1)[-1])
     return parse_qasm(source, name=name)

@@ -217,7 +217,6 @@ def route(
         enter(j)
     pend_idx = 0
     out: list[RoutedGate] = []
-    swap_count = 0
 
     # one shared SWAP gate per coupling edge (low, high), and one shared gate
     # per (kind, physical operands) of those without angle or cbit: all frozen
@@ -233,10 +232,8 @@ def route(
         return rg
 
     def apply_swap(u: int, v: int) -> None:
-        nonlocal swap_count
         _swap_sites(l2p, p2l, u, v)
         out.append(swap_gates[u, v])
-        swap_count += 1
 
     stall_cap = n_phys + max((d for row in hops for d in row if d < unreachable), default=0) + 2
     # coupling edges (low, high) at each physical qubit, sorted: the swap candidates
@@ -264,14 +261,13 @@ def route(
                     apply_swap(min(pa, hop), max(pa, hop))
                     pa = l2p[a]
                 break
-            # the operands are not adjacent, so their edge lists are disjoint
+            # reachable, non-adjacent images: disjoint non-empty edge lists, so 2+ candidates
             candidates = sorted(edges_at[pa] + edges_at[pb])
-            skip = last_edge if len(candidates) > 1 else None
             # a swap moves only the terms of the qubits on u and v (an empty
             # site, -1, has none, and the term joining them keeps its length)
             best_edge, best_delta = None, None
             for edge in candidates:
-                if edge == skip:
+                if edge == last_edge:
                     continue
                 u, v = edge
                 lu, lv = p2l[u], p2l[v]
@@ -304,7 +300,7 @@ def route(
         gates=tuple(out),
         initial_mapping=mapping,
         final_mapping=Mapping(tuple(l2p)),
-        swap_count=swap_count,
+        swap_count=len(out) - len(qc.gates),  # one routed gate per input gate, plus the SWAPs
         depth=layered_depth([rg.gate for rg in out], n_phys),
     )
 

@@ -181,6 +181,13 @@ REJECTED_INPUT_CASES = {
         {"c.qasm": "OPENQASM 2.0;\nqreg q[1];\nrz(1/0) q[0];\n"},
         "[parse] line 3, column 6: division by zero in angle",
     ),
+    # a bare-register barrier would make one operand per declared qubit; the
+    # unsupported gate after the declaration stops a parse that let it through
+    "oversized_qreg": (
+        {"c.qasm": "OPENQASM 2.0;\nqreg q[100000000000];\nbad;\n"},
+        "[parse] line 2, column 8: qreg size 100000000000 takes the circuit to 100000000000 qubits, "
+        "more than the 1024 allowed",
+    ),
     "bad_angle_term": (
         {"c.qasm": "OPENQASM 2.0;\nqreg q[1];\nrz(q) q[0];\n"},
         "[parse] line 3, column 4: bad angle term 'q'",

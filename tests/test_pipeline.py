@@ -65,6 +65,22 @@ def test_seeded_flow_outputs_are_pinned(tmp_path):
     assert digest.hexdigest() == SEEDED_FLOWS_DIGEST
 
 
+def test_flow_above_the_simulation_guard_reports_no_equivalence_result(tmp_path):
+    # 16 qubits: routed and validated, but too large for the statevector check
+    config = tmp_path / "config.yml"
+    config.write_text(yaml.safe_dump(BENCH_CONFIG), encoding="utf-8")
+    circuit = tmp_path / "mixed_16.qasm"
+    circuit.write_text(to_qasm(mixed_circuit(16, 160, 3)), encoding="utf-8")
+    result = run_flow(circuit, config, out_dir=tmp_path / "a")
+    assert result.equivalence_ok is None
+    routing = json.loads(result.report_path.read_text())["routing"]
+    assert routing["equivalence_checked"] is False
+    assert routing["equivalence_ok"] is None
+    run_flow(circuit, config, out_dir=tmp_path / "b")
+    for name in OUTPUT_NAMES:
+        assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+
 def test_report_structure(tmp_path):
     result = run_flow(CIRCUIT, CONFIG, out_dir=tmp_path)
     report = json.loads(result.report_path.read_text())

@@ -8,9 +8,9 @@ import numpy as np
 import pytest
 
 from dasqa import qasm
-from dasqa.circuit import Gate, GateKind, QuantumCircuit, to_qasm
+from dasqa.circuit import MAX_QUBITS, Gate, GateKind, QuantumCircuit, to_qasm
 from dasqa.errors import QasmError
-from dasqa.qasm import parse_qasm
+from dasqa.qasm import parse_qasm, parse_qasm_file
 
 from conftest import mixed_circuit, random_circuit
 
@@ -71,12 +71,17 @@ def test_operand_index_out_of_range():
         ("qreg q[2];\nh q[\u0661];", 4, 5, "unexpected character '\u0661'"),
         ("qreg q[1];\nrz(\u0661.\u0665) q[0];", 4, 4, "unexpected character '\u0661'"),
         ("qreg q[1];\nh\u00a0q[0];", 4, 2, "unexpected character '\\xa0'"),
+        # a barrier operand is a bare register only when "," or ";" follows it
+        ("qreg q[3];\nqreg r[2];\nbarrier q[0] q[1];", 5, 14, "expected ';', found 'q'"),
+        ("qreg q[3];\nqreg r[2];\nbarrier q r;", 5, 11, "expected '[', found 'r'"),
+        ("qreg q[3];\nqreg r[2];\nbarrier q[0],;", 5, 14, "unknown quantum register ';'"),
     ],
     ids=[
         "size-word", "size-float", "size-exponent", "qubit-index", "cbit-index",
         "barrier-trailing-comma", "angle-overflow", "angle-nan", "angle-nested-too-deep",
         "size-arabic-indic-digit", "index-arabic-indic-digit", "angle-arabic-indic-digits",
-        "no-break-space",
+        "no-break-space", "barrier-missing-comma", "barrier-two-bare-registers",
+        "barrier-empty-operand",
     ],
 )
 def test_malformed_operands_raise_positioned_qasm_error(body, line, column, message):
@@ -110,11 +115,48 @@ def test_measure_maps_flattened_classical_bits():
 
 def test_barrier_forms():
     qc = parse_qasm(
-        HEADER + "qreg q[3];\nbarrier;\nbarrier q;\nbarrier q[0],q[2];"
+        HEADER + "qreg q[3];\nqreg r[2];\nbarrier;\nbarrier q;\nbarrier q[0],q[2];\nbarrier q[0], r;"
     )
     assert qc.gates[0].qubits == ()
     assert qc.gates[1].qubits == (0, 1, 2)
     assert qc.gates[2].qubits == (0, 2)
+    assert qc.gates[3].qubits == (0, 3, 4)
+
+
+def test_declared_qubits_are_bounded():
+    # classical bits are not bounded: nothing is sized by a creg
+    qc = parse_qasm(HEADER + "qreg q[1000];\ncreg c[5000];\nqreg r[24];\nbarrier q;\nh r[23];")
+    assert MAX_QUBITS == 1024
+    assert qc.num_qubits == 1024
+    assert len(qc.gates[0].qubits) == 1000
+
+
+@pytest.mark.parametrize(
+    "body, line, size, total",
+    [
+        ("qreg q[1000];\nqreg r[25];", 4, 25, 1025),
+        ("qreg q[1025];", 3, 1025, 1025),
+        ("qreg q[1];\nqreg r[100000000000];", 4, 10**11, 10**11 + 1),
+    ],
+    ids=["two-registers", "one-register", "1e11"],
+)
+def test_too_many_declared_qubits_rejected_at_the_size(body, line, size, total):
+    # an error follows the declaration, so a parse that let it through would
+    # fail on that error instead, with nothing sized by the register
+    with pytest.raises(QasmError) as info:
+        parse_qasm(HEADER + body + "\nbad;")
+    assert str(info.value) == (
+        f"line {line}, column 8: qreg size {size} takes the circuit to {total} qubits, "
+        "more than the 1024 allowed"
+    )
+
+
+def test_parse_qasm_file_takes_a_path_or_its_str(tmp_path):
+    path = tmp_path / "bell.v2.qasm"  # a pathlib.Path
+    path.write_text(HEADER + "qreg q[2];\nh q[0];\ncx q[0],q[1];\n", encoding="utf-8")
+    from_path, from_str = parse_qasm_file(path), parse_qasm_file(str(path))
+    assert from_path == from_str
+    assert from_path.name == from_str.name == "bell.v2"
 
 
 @pytest.mark.parametrize(
