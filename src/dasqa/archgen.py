@@ -136,12 +136,6 @@ class Architecture:
     def num_qubits(self) -> int:
         return self.coupling.num_qubits
 
-    def positions(self) -> dict[int, tuple[int, int]]:
-        """Qubit index -> (row, col), in row-major order."""
-        cols = self.layout.shape[1]
-        flat = self.layout.ravel().tolist()
-        return {q: divmod(cell, cols) for cell, q in enumerate(flat) if q != EMPTY}
-
     def validate(self, config: DesignConfig | None = None) -> None:
         """Raise ArchitectureError if any structural invariant is broken."""
         n = self.num_qubits

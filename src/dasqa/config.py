@@ -105,12 +105,7 @@ class DesignConfig:
             )
 
 
-_SECTIONS = {
-    "grid": GridConfig,
-    "frequency": FrequencyConfig,
-    "layout": LayoutConfig,
-    "geometry": GeometryConfig,
-}
+_SECTIONS = {f.name: f.default_factory for f in fields(DesignConfig)}
 
 
 def _is_finite_number(value) -> bool:
@@ -189,6 +184,6 @@ def load_config(path: str | Path) -> DesignConfig:
     text = read_text(path, "config", ConfigError)
     try:
         data = yaml.load(text, Loader=_Loader)
-    except yaml.YAMLError as exc:
+    except (yaml.YAMLError, ValueError) as exc:  # ValueError: an int of >4300 digits, a bad date
         raise ConfigError(f"malformed YAML in {path}: {exc}") from exc
     return config_from_dict(data)

@@ -115,12 +115,6 @@ class GeometryModel:
     height_bounds: tuple[float, float]
     residual_rms_ghz: float = 0.0
 
-    def in_bounds(self, gap_um: float, height_um: float) -> bool:
-        return (
-            self.gap_bounds[0] <= gap_um <= self.gap_bounds[1]
-            and self.height_bounds[0] <= height_um <= self.height_bounds[1]
-        )
-
     def evaluate(self, gap_um, height_um):
         gap = np.asarray(gap_um, dtype=float)
         height = np.asarray(height_um, dtype=float)
@@ -174,9 +168,10 @@ class Prediction:
 
 def predict_frequency(model: GeometryModel, gap_um: float, height_um: float) -> Prediction:
     """Evaluate the surrogate; flags evaluation outside the training box."""
+    (g_lo, g_hi), (h_lo, h_hi) = model.gap_bounds, model.height_bounds
     return Prediction(
         frequency_ghz=float(model.evaluate(gap_um, height_um)),
-        extrapolated=not model.in_bounds(gap_um, height_um),
+        extrapolated=not (g_lo <= gap_um <= g_hi and h_lo <= height_um <= h_hi),
     )
 
 

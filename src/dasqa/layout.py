@@ -24,7 +24,7 @@ import re
 from dataclasses import dataclass, field, replace
 from json.encoder import encode_basestring_ascii as _json_str
 
-from .archgen import Architecture
+from .archgen import EMPTY, Architecture
 from .config import DesignConfig, LayoutConfig
 from .errors import LayoutError
 from .resonator import Point, polyline_length, resonator_length, synthesize_meander
@@ -127,10 +127,12 @@ class LayoutDocument:
     # -- invariants --------------------------------------------------------
 
     def validate(self) -> None:
-        """Whole-chip check: names, option values and net endpoints, then each
-        component in document order, a transmon's pads against those of later
-        transmons only: each pad pair is compared once, and an overlap is
-        reported at the earlier transmon."""
+        """Whole-chip check: a finite chip rectangle, names, option values and
+        net endpoints, then each component in document order, a transmon's
+        pads against those of later transmons only: each pad pair is compared
+        once, and an overlap is reported at the earlier transmon."""
+        if not all(map(math.isfinite, self.chip)):
+            raise LayoutError(f"chip {self.chip} is not finite (margin or pitch too large)")
         names = [c.name for c in self.components]
         if len(set(names)) != len(names):
             dup = sorted({n for n in names if names.count(n) > 1})[0]
@@ -413,14 +415,14 @@ def build_layout(arch: Architecture, config: DesignConfig) -> LayoutDocument:
     lay = config.layout
     pitch, margin = lay.pitch_um, lay.margin_um
     rows, cols = arch.layout.shape
-    positions = arch.positions()
     n = arch.num_qubits
 
     x0, y0 = -margin, -(rows - 1) * pitch - margin
     chip: Rect = (x0, y0, (cols - 1) * pitch + 2 * margin, (rows - 1) * pitch + 2 * margin)
     doc = LayoutDocument(chip=chip)
 
-    qubit_xy = {q: (c * pitch, -r * pitch) for q, (r, c) in positions.items()}
+    qubit_xy = {q: (c * pitch, -r * pitch) for r, row in enumerate(arch.layout.tolist())
+                for c, q in enumerate(row) if q != EMPTY}
 
     def add(comp: Component) -> None:
         rebuild_geometry(comp)

@@ -149,7 +149,7 @@ def run_flow(
     whole-chip check follows ``optimize_layout``.
     """
     config = _run_stage("config", load_config, config_path)
-    qc = _run_stage("parse", parse_qasm_file, str(circuit_path))
+    qc = _run_stage("parse", parse_qasm_file, circuit_path)
     arch = _run_stage("architecture", architecture_generator, qc, config)
     # structure only: a plugged-in generator may bring its own frequency plan
     _run_stage("architecture", arch.validate)

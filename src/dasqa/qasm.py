@@ -70,6 +70,15 @@ _MAX_ANGLE_DEPTH = 64
 # text, kind, source offset; a "stmt" token carries its match in place of the text
 _Token = tuple[str, str, int]
 
+# digits a register size or index may have: far more than MAX_QUBITS needs, and
+# below the 640 that CPython's int() digit limit can be set to, so int() takes them
+_MAX_INT_DIGITS = 100
+
+
+def _int_literal(digits: str) -> int | None:
+    """Value of an ASCII digit run, or None when it has more than ``_MAX_INT_DIGITS`` digits."""
+    return int(digits) if len(digits) <= _MAX_INT_DIGITS else None
+
 
 def _line_column(source: str, pos: int) -> tuple[int, int]:
     """1-based line and column of the character at offset ``pos``."""
@@ -198,7 +207,11 @@ class _Parser:
         tok = self.next()
         if tok[1] != "num" or not tok[0].isdigit():
             raise self.error(f"expected integer {what}, found {tok[0]!r}", tok)
-        return int(tok[0])
+        value = _int_literal(tok[0])
+        if value is None:
+            digits = f"{len(tok[0])} digits, more than the {_MAX_INT_DIGITS} allowed"
+            raise self.error(f"integer {what} has {digits}", tok)
+        return value
 
     def register_ref(self, regs: dict[str, tuple[int, int]], register: str, index: str) -> int:
         """Consume ``name[i]`` and return its flattened index.
@@ -228,15 +241,15 @@ def _simple_gate(groups: tuple, qregs: dict[str, tuple[int, int]]) -> Gate | Non
     if angle is not None:  # float() of a signed literal is the token path's sign on float()
         angle = float(angle)
     offset, size = qregs.get(reg0, (0, 0))
-    i = int(idx0)
-    if i >= size:  # also an unknown register, of size 0
+    i = _int_literal(idx0)
+    if i is None or i >= size:  # also an unknown register, of size 0
         return None
     if reg1 is None:
         qubits = (offset + i,)
     else:
         offset1, size1 = qregs.get(reg1, (0, 0))
-        j = int(idx1)
-        if j >= size1:
+        j = _int_literal(idx1)
+        if j is None or j >= size1:
             return None
         qubits = (offset + i, offset1 + j)
     try:
@@ -371,13 +384,11 @@ def parse_qasm(source: str, name: str = "circuit") -> QuantumCircuit:
     return QuantumCircuit(n_qubits, tuple(gates), name=name)
 
 
-def parse_qasm_file(path: str | Path, name: str | None = None) -> QuantumCircuit:
+def parse_qasm_file(path: str | Path) -> QuantumCircuit:
     """Parse the OpenQASM file at ``path``, a ``str`` or a ``Path``.
 
-    The circuit is named after the file, less a ``.qasm`` suffix, unless
-    ``name`` is given; both path types give the same name.
+    The circuit is named after the file, less a ``.qasm`` suffix; both path
+    types give the same name.
     """
-    source = read_text(path, "circuit", QasmError)
-    if name is None:
-        name = re.sub(r"\.qasm$", "", os.fspath(path).replace("\\", "/").rsplit("/", 1)[-1])
-    return parse_qasm(source, name=name)
+    name = re.sub(r"\.qasm$", "", os.fspath(path).replace("\\", "/").rsplit("/", 1)[-1])
+    return parse_qasm(read_text(path, "circuit", QasmError), name=name)

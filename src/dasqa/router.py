@@ -100,9 +100,6 @@ class Mapping:
     def __getitem__(self, logical: int) -> int:
         return self.log_to_phys[logical]
 
-    def __len__(self) -> int:
-        return len(self.log_to_phys)
-
     def validate(self, num_logical: int, num_physical: int) -> None:
         if len(self.log_to_phys) != num_logical:
             raise MappingError(
@@ -152,9 +149,7 @@ def initial_mapping(ig: InteractionGraph, arch: Architecture | CouplingGraph) ->
     for lq, pq in zip(logical, physical):
         l2p[lq] = pq
 
-    used = set(l2p)
-    free = [p for p in range(n_phys) if p not in used]
-    exchange_pass(ig, range(n_log), l2p, free, _hop_table(coupling))
+    exchange_pass(ig, range(n_log), l2p, sorted(physical[n_log:]), _hop_table(coupling))
     return Mapping(tuple(l2p))
 
 

@@ -145,6 +145,9 @@ UNREADABLE_FILE_CASES = {
 BUNDLED_DATASET = (Path(geomopt.__file__).parent / "data" / "pad_geometry.csv").read_text("utf-8")
 DATASET_CONFIG = (DATA / "config.yml").read_text(encoding="utf-8") + "geometry:\n  dataset_path: d.csv\n"
 
+# int() refuses a digit string longer than 4300 digits with a ValueError
+LONG_INT = "1" * 5000
+
 # case -> (files written under tmp_path, start of the error); the flow reads
 # c.qasm and c.yml when given, else the worked example and its config, and
 # compares against the baseline t.json when given
@@ -188,6 +191,24 @@ REJECTED_INPUT_CASES = {
         "[parse] line 2, column 8: qreg size 100000000000 takes the circuit to 100000000000 qubits, "
         "more than the 1024 allowed",
     ),
+    "long_gate_index": (
+        {"c.qasm": f"OPENQASM 2.0;\nqreg q[2];\nh q[{LONG_INT}];\n"},
+        "[parse] line 3, column 5: integer index has 5000 digits, more than the 100 allowed",
+    ),
+    "long_register_size": (
+        {"c.qasm": f"OPENQASM 2.0;\nqreg q[{LONG_INT}];\n"},
+        "[parse] line 2, column 8: integer register size has 5000 digits, more than the 100 allowed",
+    ),
+    "long_measure_index": (
+        {"c.qasm": f"OPENQASM 2.0;\nqreg q[2];\ncreg c[2];\nmeasure q[0] -> c[{LONG_INT}];\n"},
+        "[parse] line 4, column 19: integer index has 5000 digits, more than the 100 allowed",
+    ),
+    "long_config_integer": ({"c.yml": f"grid: {{rows: {LONG_INT}}}\n"}, "[config] malformed YAML in c.yml: "),
+    # PyYAML's date constructor raises a ValueError of its own
+    "invalid_config_date": (
+        {"c.yml": "grid: {rows: 2020-13-45}\n"},
+        "[config] malformed YAML in c.yml: month must be in 1..12",
+    ),
     "bad_angle_term": (
         {"c.qasm": "OPENQASM 2.0;\nqreg q[1];\nrz(q) q[0];\n"},
         "[parse] line 3, column 4: bad angle term 'q'",
@@ -208,6 +229,11 @@ REJECTED_INPUT_CASES = {
         "[parse] line 3, column 8: unexpected character '\u0663'",
     ),
     "mistyped_config_value": ({"c.yml": 'grid: {rows: "3"}\n'}, "[config]"),
+    # wrote "width_um": Infinity to layout.json and an infinite SVG viewBox
+    "infinite_chip": (
+        {"c.yml": "layout: {margin_um: 1.0e308}\n"},
+        "[layout] chip (-1e+308, -1e+308, inf, inf) is not finite",
+    ),
     # a NaN threshold would fail every comparison and switch the detuning rule off
     "non_finite_config_value": (
         {"c.yml": "frequency: {min_adjacent_detuning_ghz: .nan}\n"},

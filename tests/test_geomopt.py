@@ -105,6 +105,14 @@ def test_predict_flags_extrapolation():
     model = linear_model()
     assert predict_frequency(model, 30.0, 500.0).extrapolated
     assert predict_frequency(model, 500.0, 100.0).extrapolated
+    # the training box is closed: its corners are in, the next float out is not
+    for gap in model.gap_bounds:
+        for height in model.height_bounds:
+            assert not predict_frequency(model, gap, height).extrapolated
+    (g_lo, g_hi), (h_lo, h_hi) = model.gap_bounds, model.height_bounds
+    for gap, height in [(np.nextafter(g_lo, -np.inf), h_lo), (np.nextafter(g_hi, np.inf), h_hi),
+                        (g_lo, np.nextafter(h_lo, -np.inf)), (g_hi, np.nextafter(h_hi, np.inf))]:
+        assert predict_frequency(model, float(gap), float(height)).extrapolated
 
 
 def test_invert_fixed_gap():

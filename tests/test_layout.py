@@ -383,6 +383,18 @@ def test_validate_rejects_duplicate_names_and_dangling_nets(star_layout):
 
 
 @pytest.mark.parametrize(
+    "chip",
+    [(0.0, 0.0, float("inf"), 1.0), (float("-inf"), 0.0, 1.0, 1.0), (0.0, float("nan"), 1.0, 1.0)],
+    ids=["inf_width", "inf_origin", "nan_origin"],
+)
+def test_validate_rejects_a_chip_that_is_not_finite(chip):
+    # every coordinate lies below an infinite bound, so the bounds check alone let it through
+    with pytest.raises(LayoutError) as info:
+        LayoutDocument(chip=chip).validate()
+    assert str(info.value) == f"chip {chip} is not finite (margin or pitch too large)"
+
+
+@pytest.mark.parametrize(
     "parse, value, message",
     [
         (parse_quantity, 5, "option value must be a unit string, got 5"),

@@ -13,8 +13,9 @@ import pytest
 import yaml
 
 from dasqa import cli
-from dasqa.archgen import Architecture, CouplingGraph
-from dasqa.circuit import to_qasm
+from dasqa.archgen import Architecture, CouplingGraph, detuning_violations
+from dasqa.circuit import Gate, GateKind, QuantumCircuit, to_qasm
+from dasqa.config import FrequencyConfig
 from dasqa.errors import ArchitectureError, DasqaError
 from dasqa.pipeline import StageFailure, run_flow
 
@@ -63,6 +64,53 @@ def test_seeded_flow_outputs_are_pinned(tmp_path):
             digest.update((tmp_path / f"out_{seed}" / name).read_bytes())
         digest.update(repr(result.equivalence_ok).encode())
     assert digest.hexdigest() == SEEDED_FLOWS_DIGEST
+
+
+# (stage, message start) of each way the default config fails an ordinary
+# circuit today. The list may only shrink; emptying it is the aim of making the
+# default config handle every such circuit. Adding an entry loosens this check
+# and must be stated in CHANGES.md.
+KNOWN_FAILURES = (
+    ("routing", "no coupling path between the images of"),
+    ("architecture", "no frequency in [5.0, 5.3] GHz"),
+)
+
+
+def test_default_config_sweep_succeeds_or_fails_in_a_known_way(tmp_path):
+    circuits = {
+        f"mixed_{n}_{seed}": mixed_circuit(n, 10 * n, seed)
+        for n in (3, 5, 9, 16, 25, 36, 49, 64)
+        for seed in range(3)
+    }
+    for n in (9, 16):  # GHZ star: every qubit interacts only with qubit 0
+        gates = (Gate(GateKind.H, (0,)), *(Gate(GateKind.CX, (0, q)) for q in range(1, n)))
+        circuits[f"ghz_star_{n}"] = QuantumCircuit(n, gates)
+    config = tmp_path / "empty.yml"
+    config.write_text("", encoding="utf-8")
+    freq = FrequencyConfig()
+    successes = []
+    for name, qc in circuits.items():
+        circuit = tmp_path / f"{name}.qasm"
+        circuit.write_text(to_qasm(qc), encoding="utf-8")
+        try:
+            result = run_flow(circuit, config, out_dir=tmp_path / name)
+        except StageFailure as exc:
+            cause = str(exc.cause)
+            assert any(exc.stage == stage and cause.startswith(start) for stage, start in KNOWN_FAILURES), (
+                f"{name}: {exc}"
+            )
+            continue
+        arch = result.architecture
+        violations = detuning_violations(
+            arch.coupling, arch.frequencies, freq.min_adjacent_detuning_ghz, freq.min_next_detuning_ghz
+        )
+        assert violations == [], name
+        successes.append(name)
+    assert successes
+    name = successes[-1]
+    run_flow(tmp_path / f"{name}.qasm", config, out_dir=tmp_path / "again")
+    for out in OUTPUT_NAMES:
+        assert (tmp_path / "again" / out).read_bytes() == (tmp_path / name / out).read_bytes()
 
 
 def test_flow_above_the_simulation_guard_reports_no_equivalence_result(tmp_path):

@@ -75,13 +75,21 @@ def test_operand_index_out_of_range():
         ("qreg q[3];\nqreg r[2];\nbarrier q[0] q[1];", 5, 14, "expected ';', found 'q'"),
         ("qreg q[3];\nqreg r[2];\nbarrier q r;", 5, 11, "expected '[', found 'r'"),
         ("qreg q[3];\nqreg r[2];\nbarrier q[0],;", 5, 14, "unknown quantum register ';'"),
+        # a size or index has at most 100 digits, fewer than the 640 that
+        # CPython's int() digit limit can be set to, so any setting gives these
+        ("qreg q[2];\nh q[" + "9" * 100 + "];", 4, 3, "operand index q[" + "9" * 100 + "] out of range"),
+        ("qreg q[2];\nh q[" + "9" * 101 + "];", 4, 5, "integer index has 101 digits"),
+        ("qreg q[2];\ncx q[0], q[" + "9" * 101 + "];", 4, 12, "integer index has 101 digits"),
+        ("qreg q[2];\nbarrier q[" + "9" * 101 + "];", 4, 11, "integer index has 101 digits"),
+        ("qreg q[" + "9" * 101 + "];", 3, 8, "integer register size has 101 digits"),
     ],
     ids=[
         "size-word", "size-float", "size-exponent", "qubit-index", "cbit-index",
         "barrier-trailing-comma", "angle-overflow", "angle-nan", "angle-nested-too-deep",
         "size-arabic-indic-digit", "index-arabic-indic-digit", "angle-arabic-indic-digits",
         "no-break-space", "barrier-missing-comma", "barrier-two-bare-registers",
-        "barrier-empty-operand",
+        "barrier-empty-operand", "index-100-digits", "index-101-digits", "second-index-101-digits",
+        "barrier-index-101-digits", "size-101-digits",
     ],
 )
 def test_malformed_operands_raise_positioned_qasm_error(body, line, column, message):
