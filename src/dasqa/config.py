@@ -14,7 +14,12 @@ from pathlib import Path
 
 import yaml
 
+from .circuit import MAX_QUBITS
 from .errors import ConfigError, read_text
+
+# the bundled 11 x 11 (gap, height) table fits up to degree 10; the degree is
+# also the size of each root problem that inverts the fitted surrogate
+MAX_POLY_DEGREE = 20
 
 
 @dataclass
@@ -54,7 +59,9 @@ class LayoutConfig:
 class GeometryConfig:
     dataset_path: str | None = None  # None: bundled synthetic table
     poly_degree: int = 2
-    invert_mode: str = "fixed_gap"  # "fixed_gap" | "free"
+    # "fixed_gap": keep each pad gap and solve the height; "free": also take the
+    # smallest gap of the training lattice at which some height reaches the target
+    invert_mode: str = "fixed_gap"
 
 
 @dataclass
@@ -75,8 +82,8 @@ class DesignConfig:
         g = self.grid
         for key in ("rows", "cols"):
             val = getattr(g, key)
-            if val is not None and val < 1:
-                raise ConfigError(f"grid.{key} must be >= 1")
+            if val is not None and not 1 <= val <= MAX_QUBITS:
+                raise ConfigError(f"grid.{key} must be in 1..{MAX_QUBITS}")
         if g.max_degree < 1:
             raise ConfigError("grid.max_degree must be >= 1")
         lay = self.layout
@@ -97,8 +104,8 @@ class DesignConfig:
         if lay.meander_amplitude_um <= 0:
             raise ConfigError("layout.meander_amplitude_um must be positive")
         geo = self.geometry
-        if geo.poly_degree < 0:
-            raise ConfigError("geometry.poly_degree must be >= 0")
+        if not 0 <= geo.poly_degree <= MAX_POLY_DEGREE:
+            raise ConfigError(f"geometry.poly_degree must be in 0..{MAX_POLY_DEGREE}")
         if geo.invert_mode not in ("fixed_gap", "free"):
             raise ConfigError(
                 f"geometry.invert_mode must be 'fixed_gap' or 'free', got {geo.invert_mode!r}"
@@ -185,5 +192,6 @@ def load_config(path: str | Path) -> DesignConfig:
     try:
         data = yaml.load(text, Loader=_Loader)
     except (yaml.YAMLError, ValueError) as exc:  # ValueError: an int of >4300 digits, a bad date
-        raise ConfigError(f"malformed YAML in {path}: {exc}") from exc
+        reason = str(exc).partition("; use sys.set_int_max_str_digits()")[0]  # advice for Python code
+        raise ConfigError(f"malformed YAML in {path}: {reason}") from exc
     return config_from_dict(data)

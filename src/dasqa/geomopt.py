@@ -2,10 +2,11 @@
 
 The surrogate replaces electromagnetic simulation in the loop: a polynomial
 in (pad_gap, pad_height) is least-squares fitted to a pre-collected table of
-simulated qubit frequencies, then inverted numerically to find the geometry
-that hits a target frequency. :func:`optimize_layout` applies the inverted
-geometries to the layout's transmons: one solve per distinct target, one
-checked edit per transmon.
+simulated qubit frequencies, then inverted exactly to find the geometry that
+hits a target frequency: at a fixed gap it is one polynomial in height, whose
+roots give every height where it meets the target or comes closest to it.
+:func:`optimize_layout` applies the inverted geometries to the layout's
+transmons: one solve per distinct target, one checked edit per transmon.
 
 A bundled synthetic table (``data/pad_geometry.csv``, regenerable with
 ``python -m dasqa.data.make_pad_geometry``) stands in for simulation data;
@@ -115,14 +116,6 @@ class GeometryModel:
     height_bounds: tuple[float, float]
     residual_rms_ghz: float = 0.0
 
-    def evaluate(self, gap_um, height_um):
-        gap = np.asarray(gap_um, dtype=float)
-        height = np.asarray(height_um, dtype=float)
-        total = np.zeros(np.broadcast(gap, height).shape)
-        for coeff, (i, j) in zip(self.coefficients, monomial_exponents(self.degree)):
-            total = total + coeff * gap**i * height**j
-        return total if total.shape else float(total)
-
 
 def fit_model(data: GeometryDataset, degree: int) -> GeometryModel:
     """Least-squares polynomial fit of frequency on (gap, height).
@@ -166,30 +159,21 @@ class Prediction:
     extrapolated: bool  # (gap, height) fell outside the training bounds
 
 
+def _height_polynomial(model: GeometryModel, gap_um: float) -> np.ndarray:
+    """The surrogate at a fixed gap as a polynomial in height, highest power first."""
+    poly = np.zeros(model.degree + 1)
+    for coeff, (i, j) in zip(model.coefficients, monomial_exponents(model.degree)):
+        poly[model.degree - j] += coeff * gap_um**i
+    return poly
+
+
 def predict_frequency(model: GeometryModel, gap_um: float, height_um: float) -> Prediction:
     """Evaluate the surrogate; flags evaluation outside the training box."""
     (g_lo, g_hi), (h_lo, h_hi) = model.gap_bounds, model.height_bounds
     return Prediction(
-        frequency_ghz=float(model.evaluate(gap_um, height_um)),
+        frequency_ghz=float(np.polyval(_height_polynomial(model, gap_um), height_um)),
         extrapolated=not (g_lo <= gap_um <= g_hi and h_lo <= height_um <= h_hi),
     )
-
-
-def _bisect_height(
-    model: GeometryModel, gap_um: float, f_target: float, h_lo: float, h_hi: float
-) -> float:
-    """Bisection on height for a sign change of (predict - target)."""
-    f_lo = model.evaluate(gap_um, h_lo) - f_target
-    for _ in range(200):
-        mid = 0.5 * (h_lo + h_hi)
-        f_mid = model.evaluate(gap_um, mid) - f_target
-        if abs(f_mid) <= INVERT_TOL_GHZ or (h_hi - h_lo) < 1e-12:
-            return mid
-        if (f_lo < 0) == (f_mid < 0):
-            h_lo, f_lo = mid, f_mid
-        else:
-            h_hi = mid
-    return 0.5 * (h_lo + h_hi)
 
 
 def invert_for_geometry(
@@ -197,48 +181,41 @@ def invert_for_geometry(
 ) -> tuple[float, float]:
     """Geometry (gap, height) whose predicted frequency hits the target.
 
-    With ``fixed_gap_um`` the solve is one-dimensional: bracket a sign change
-    of the residual on a height lattice inside the training bounds and
-    bisect to 1e-6 GHz. Without it, a grid search over the training box
-    picks the best (gap, height) cell and the height is refined the same
-    way. Unreachable targets raise, naming the nearest achievable frequency.
+    At a gap the surrogate is a polynomial in height, so the heights where it
+    meets the target or turns back are roots of that polynomial minus the
+    target and of its derivative. Those inside the training bounds, and the
+    bounds themselves, are the candidates; the smallest one within 1e-6 GHz
+    of the target is the height. With ``fixed_gap_um`` only that gap is
+    tried; without it, ``GRID_POINTS`` gaps across the training bounds are
+    tried in ascending order and the first that reaches the target wins.
+    Unreachable targets raise, naming the nearest candidate frequency.
     """
     if not np.isfinite(f_target_ghz):
         raise GeometryError(f"target frequency must be finite, got {f_target_ghz}")
     h_lo, h_hi = model.height_bounds
-    heights = np.linspace(h_lo, h_hi, GRID_POINTS)
-
-    if fixed_gap_um is not None:
-        gaps = np.array([fixed_gap_um])
+    if fixed_gap_um is None:
+        gaps = np.linspace(*model.gap_bounds, GRID_POINTS).tolist()
     else:
-        g_lo, g_hi = model.gap_bounds
-        gaps = np.linspace(g_lo, g_hi, GRID_POINTS)
-
-    best: tuple[float, float, float] | None = None  # (|err|, gap, height)
+        gaps = [float(fixed_gap_um)]
+    best = (np.inf, np.nan)  # (|error|, frequency) of the nearest candidate so far
     for gap in gaps:
-        values = model.evaluate(np.full_like(heights, gap), heights)
-        residual = values - f_target_ghz
-        sign_change = np.nonzero(np.diff(np.signbit(residual)))[0]
-        if sign_change.size:
-            k = int(sign_change[0])
-            height = _bisect_height(model, float(gap), f_target_ghz, heights[k], heights[k + 1])
-            err = abs(model.evaluate(float(gap), height) - f_target_ghz)
-        else:
-            k = int(np.argmin(np.abs(residual)))
-            height = float(heights[k])
-            err = float(abs(residual[k]))
-        if best is None or err < best[0]:
-            best = (err, float(gap), float(height))
-
-    err, gap, height = best
-    if err > INVERT_TOL_GHZ:
-        nearest = float(model.evaluate(gap, height))
-        raise UnreachableTargetError(
-            f"target {f_target_ghz:.6g} GHz unreachable within the training bounds; "
-            f"nearest achievable is {nearest:.6g} GHz",
-            nearest_ghz=nearest,
-        )
-    return gap, height
+        poly = _height_polynomial(model, gap)
+        at_target = np.roots(np.polysub(poly, [f_target_ghz]))
+        roots = np.concatenate([at_target, np.roots(np.polyder(poly))]).real
+        heights = np.sort(np.append(roots[(h_lo <= roots) & (roots <= h_hi)], (h_lo, h_hi)))
+        values = np.polyval(poly, heights)
+        errors = np.abs(values - f_target_ghz)
+        hits = heights[errors <= INVERT_TOL_GHZ]
+        if hits.size:
+            return gap, float(hits[0])
+        k = int(np.argmin(errors))
+        best = min(best, (float(errors[k]), float(values[k])))
+    nearest = best[1]
+    raise UnreachableTargetError(
+        f"target {f_target_ghz:.6g} GHz unreachable within the training bounds; "
+        f"nearest achievable is {nearest:.6g} GHz",
+        nearest_ghz=nearest,
+    )
 
 
 @dataclass(frozen=True)

@@ -113,7 +113,8 @@ def test_grid_too_small_raises():
 
 
 def test_grid_past_the_placement_bound_raises_before_it_is_built():
-    cfg = config_from_dict({"grid": {"rows": 100_000, "cols": 100_000}})
+    # the largest grid the config allows
+    cfg = config_from_dict({"grid": {"rows": MAX_COUPLING_QUBITS, "cols": MAX_COUPLING_QUBITS}})
     with pytest.raises(PlacementError, match=f"too large .* more than the {MAX_PLACEMENT_WORK} allowed"):
         place_qubits(InteractionGraph(3, {}), cfg)
 

@@ -171,10 +171,22 @@ REJECTED_INPUT_CASES = {
         {"c.yml": "layout: {meander_amplitude_um: 0}"},
         "[config] layout.meander_amplitude_um must be positive",
     ),
-    # 10^10 cells: rejected before the placement tables are built
+    # 2^20 cells, the largest grid the config allows: rejected before the
+    # placement tables are built
     "huge_grid": (
-        {"c.yml": "grid: {rows: 100000, cols: 100000}"},
-        "[architecture] grid 100000x100000 too large to place 5 qubit(s)",
+        {"c.yml": "grid: {rows: 1024, cols: 1024}"},
+        "[architecture] grid 1024x1024 too large to place 5 qubit(s)",
+    ),
+    # a grid side of 3000 digits was echoed in full by the placement check
+    "long_grid_rows": (
+        {"c.yml": f"grid: {{rows: {LONG_INT[:3000]}}}\n"},
+        "[config] grid.rows must be in 1..1024",
+    ),
+    # the fit's "underdetermined" message formatted a coefficient count of
+    # about 6000 digits, which str() refuses
+    "long_poly_degree": (
+        {"c.yml": f"geometry: {{poly_degree: {LONG_INT[:3000]}}}\n"},
+        "[config] geometry.poly_degree must be in 0..20",
     ),
     "header_only_dataset": (
         {"c.yml": "geometry: {dataset_path: d.csv}", "d.csv": "pad_gap_um,pad_height_um,frequency_ghz\n"},
@@ -293,6 +305,7 @@ def _assert_rejected(tmp_path, monkeypatch, capsys, files: dict[str, str], messa
     err = capsys.readouterr().err
     assert err.startswith(f"dasqa: {message}")
     assert "Traceback" not in err
+    assert "set_int_max_str_digits" not in err  # advice for Python code, not for a config author
     assert not (tmp_path / "out").exists()
 
 

@@ -11,7 +11,9 @@ from dasqa.config import config_from_dict
 from dasqa.data.make_pad_geometry import write_csv
 from dasqa.errors import GeometryError, LayoutError, UnreachableTargetError
 from dasqa.geomopt import (
+    INVERT_TOL_GHZ,
     GeometryDataset,
+    GeometryModel,
     bundled_dataset,
     fit_model,
     invert_for_geometry,
@@ -155,6 +157,53 @@ def test_invert_round_trip_property():
         gap, height = invert_for_geometry(model, target, fixed_gap_um=30.0)
         achieved = predict_frequency(model, gap, height).frequency_ghz
         assert abs(achieved - target) <= 1e-6
+
+
+def parabola_model(center_um: float):
+    """Degree-2 fit of 5 + 1e-3 (h - center)^2 GHz on a 3 x 7 (gap, height) grid."""
+    gaps, heights = np.meshgrid([10.0, 30.0, 50.0], np.arange(160.0, 281.0, 20.0))
+    gaps, heights = gaps.ravel(), heights.ravel()
+    return fit_model(GeometryDataset(gaps, heights, 5 + 1e-3 * (heights - center_um) ** 2), 2)
+
+
+def test_invert_finds_two_crossings_closer_than_a_lattice_cell():
+    # 5.0001 GHz is met at 220.6 -+ 0.316 um: two crossings 0.63 um apart,
+    # which a search for a sign change between sampled heights steps over
+    model = parabola_model(220.6)
+    gap, height = invert_for_geometry(model, 5.0001, fixed_gap_um=30.0)
+    assert abs(predict_frequency(model, gap, height).frequency_ghz - 5.0001) <= INVERT_TOL_GHZ
+    assert height == pytest.approx(220.6 - 0.1**0.5, abs=1e-6)
+
+
+def test_invert_unreachable_names_the_interior_minimum():
+    model = parabola_model(221.0)
+    with pytest.raises(UnreachableTargetError) as info:
+        invert_for_geometry(model, 4.9, fixed_gap_um=30.0)
+    assert info.value.nearest_ghz == pytest.approx(5.0, abs=1e-9)
+
+
+def test_invert_returns_the_smaller_of_two_reachable_heights():
+    model = parabola_model(220.6)
+    gap, height = invert_for_geometry(model, 5.5, fixed_gap_um=30.0)
+    assert height == pytest.approx(220.6 - 500**0.5, abs=1e-6)
+
+
+def test_invert_constant_model_reaches_its_constant_at_the_lowest_height():
+    model = GeometryModel(0, np.array([5.1]), gap_bounds=(10.0, 50.0), height_bounds=(100.0, 200.0))
+    assert invert_for_geometry(model, 5.1, fixed_gap_um=30.0) == (30.0, 100.0)
+    with pytest.raises(UnreachableTargetError) as info:
+        invert_for_geometry(model, 5.2, fixed_gap_um=30.0)
+    assert info.value.nearest_ghz == 5.1
+
+
+def test_invert_quadratic_fit_of_linear_data():
+    # the fitted h**2 coefficient is round-off, not zero: one root lands far
+    # outside the training bounds and the other on the line's solution
+    model = fit_model(linear_height_dataset(), 2)
+    assert abs(model.coefficients[-1]) < 1e-12
+    gap, height = invert_for_geometry(model, 5.5, fixed_gap_um=30.0)
+    assert abs(predict_frequency(model, gap, height).frequency_ghz - 5.5) <= INVERT_TOL_GHZ
+    assert height == pytest.approx(100.0, abs=1e-6)
 
 
 def test_bundled_dataset_recovers_ground_truth():
@@ -328,7 +377,7 @@ def test_optimize_layout_makes_one_checked_edit_per_transmon(monkeypatch, config
         assert length_um(options["pad_height"]) == pytest.approx(r.pad_height_um, rel=1e-9)
 
 
-# a free-mode inversion searches 101 gaps, so that mode gets one short column;
+# a free-mode inversion may search up to 101 gaps, so that mode gets one short column;
 # with no side-by-side pads, the column's pitch may go below the 455 um pad width
 @pytest.mark.parametrize(
     "invert_mode, rows, cols, trials, pitches",

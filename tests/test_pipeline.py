@@ -48,7 +48,7 @@ def test_run_flow_deterministic_bytes(tmp_path):
 # SHA-256 over the four output files and equivalence_ok of each run_flow on a
 # seeded 9-qubit, 90-gate mixed circuit (seeds 0-5) under BENCH_CONFIG: pins
 # every stage's output on circuits other than the five-qubit golden
-SEEDED_FLOWS_DIGEST = "6ff6aa889b181a77038c153e676f8bfddf503ed6f8e1dd435d0ddbc3dcd37266"
+SEEDED_FLOWS_DIGEST = "d34898e8b439cdf9bdd968f3b529d71e53d721dc48cac6c60887e32c7aa3e6eb"
 
 
 def test_seeded_flow_outputs_are_pinned(tmp_path):
