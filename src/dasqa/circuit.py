@@ -42,6 +42,9 @@ class GateKind(Enum):
         # required operand count; None means variadic (barrier)
         self.arity = None if value == "barrier" else 2 if self.is_two_qubit else 1
 
+    # singletons compared by identity; Enum's hash runs hash(self._name_) in Python
+    __hash__ = object.__hash__
+
 
 @dataclass(frozen=True)
 class Gate:

@@ -124,7 +124,8 @@ def fit_model(data: GeometryDataset, degree: int) -> GeometryModel:
     solve, which keeps high powers of micron-scale inputs well conditioned.
 
     Raises GeometryError when the system is underdetermined (fewer rows than
-    coefficients) or rank deficient (collinear geometry samples).
+    coefficients), when the degree reaches the number of distinct gaps or
+    heights, or when it is otherwise rank deficient (collinear samples).
     """
     if degree < 0:
         raise GeometryError("polynomial degree must be >= 0")
@@ -134,6 +135,12 @@ def fit_model(data: GeometryDataset, degree: int) -> GeometryModel:
             f"underdetermined fit: {len(data)} row(s) for {n_coeff} coefficient(s) "
             f"(degree {degree})"
         )
+    # with k distinct gaps, gap**k is a combination of lower powers on the
+    # samples (likewise heights), so no degree of k or more has full rank
+    gaps, heights = len(set(data.gap_um.tolist())), len(set(data.height_um.tolist()))
+    if degree >= min(gaps, heights):
+        raise GeometryError(f"rank-deficient fit: degree {degree} needs more than {degree} distinct "
+                            f"gaps and heights; the samples have {gaps} gap(s) and {heights} height(s)")
     design = _design_matrix(data.gap_um, data.height_um, degree)
     scale = np.linalg.norm(design, axis=0)
     scale[scale == 0] = 1.0

@@ -20,8 +20,9 @@ stalls, the remaining distance is walked directly: the first operand's image
 steps to its smallest-index neighbour one hop closer to the second's, read
 from the same hop table the costs use. A BFS oracle
 (:func:`optimal_swap_count`) provides exact minima at desk scale for testing,
-and :func:`check_equivalence` verifies routed circuits by statevector
-comparison.
+and :func:`check_equivalence` verifies routed circuits exactly, through one
+miter of both circuits kept as a permutation with phases; it simulates
+dense statevector blocks only when the miter leaves that form.
 """
 from __future__ import annotations
 
@@ -40,7 +41,7 @@ from .circuit import (
     layered_depth,
 )
 from .errors import MappingError, OracleLimitError, RoutingError, SimulationLimitError
-from .sim import SIM_MAX_QUBITS, allclose_up_to_global_phase, apply_gates
+from .sim import SIM_MAX_QUBITS, allclose_up_to_global_phase, apply_gates, monomial_miter
 
 LOOKAHEAD_WINDOW = 20
 # the window's decay weights 0.8**k = 4**k / 5**k, times 5**19: exact integers
@@ -387,16 +388,20 @@ def optimal_swap_count(
     raise RoutingError("circuit is unroutable on this coupling graph")
 
 
-def _embedded_identity(mapping: Mapping, n_log: int, n_phys: int) -> np.ndarray:
-    """``embed(mapping)``: a one in the physical row of each logical basis
-    state, unmapped qubits in |0>; the rows are distinct as the mapping is
-    injective."""
+def _embedded_rows(mapping: Mapping, n_log: int, n_phys: int) -> np.ndarray:
+    """The physical basis state of each logical one under ``mapping``,
+    unmapped qubits in |0>; distinct, as the mapping is injective."""
     basis = np.arange(2**n_log)
     rows = np.zeros_like(basis)
     for lq in range(n_log):
         rows |= ((basis >> (n_log - 1 - lq)) & 1) << (n_phys - 1 - mapping[lq])
+    return rows
+
+
+def _embedded_identity(mapping: Mapping, n_log: int, n_phys: int) -> np.ndarray:
+    """``embed(mapping)``: a one in each logical basis state's :func:`_embedded_rows` row."""
     block = np.zeros((2**n_phys, 2**n_log), dtype=complex)
-    block[rows, basis] = 1
+    block[_embedded_rows(mapping, n_log, n_phys), np.arange(2**n_log)] = 1
     return block
 
 
@@ -408,11 +413,15 @@ def check_equivalence(original: QuantumCircuit, routed: RoutedCircuit) -> bool:
     tolerance 1e-9. Unmapped physical qubits start and must effectively stay
     in |0>. MEASURE/BARRIER carry no unitary action and are skipped.
 
-    Both sides are :func:`sim.apply_gates` on an embedded identity block of
-    2**n_phys x 2**n_log columns: the routed gates from ``embed(initial)``,
-    and the original gates relabelled through the final mapping from
-    ``embed(final)``. Gates relabelled onto physical qubits commute with the
-    embedding, so the second is ``embed(final) . U_original``.
+    Relabelled through the final mapping, the original gates commute with
+    the embedding: the right side is ``U_original' . embed(final)``. For a
+    routing that keeps the gate order, the miter
+    ``M = U_original'^dagger . U_routed`` (:func:`sim.monomial_miter`) stays
+    a permutation with phases, and the check is
+    ``M . embed(initial) == c . embed(final)``: same rows, ``|c|`` within
+    1e-6 of 1, every phase within ``1e-9 - dropped`` of ``c``. Only when M
+    leaves that form are both sides :func:`sim.apply_gates` on a
+    2**n_phys x 2**n_log embedded identity block, compared amplitude-wise.
     """
     n_log = original.num_qubits
     n_phys = routed.num_physical
@@ -421,16 +430,19 @@ def check_equivalence(original: QuantumCircuit, routed: RoutedCircuit) -> bool:
             f"{max(n_log, n_phys)} qubits exceeds the simulation guard ({SIM_MAX_QUBITS})"
         )
     final = routed.final_mapping
-    rhs = apply_gates(
-        _embedded_identity(final, n_log, n_phys),
-        [Gate(g.kind, tuple(map(final.__getitem__, g.qubits)), g.angle, g.cbit) for g in original.gates],
-        n_phys,
-    )
-    lhs = apply_gates(
-        _embedded_identity(routed.initial_mapping, n_log, n_phys),
-        [rg.gate for rg in routed.gates],
-        n_phys,
-    )
+    relabelled = [Gate(g.kind, tuple(map(final.__getitem__, g.qubits)), g.angle, g.cbit) for g in original.gates]
+    routed_gates = [rg.gate for rg in routed.gates]
+    miter = monomial_miter(relabelled, routed_gates, n_phys)
+    if miter is not None:
+        perm, phase, dropped = miter
+        rows = _embedded_rows(final, n_log, n_phys)
+        if not np.array_equal(perm[rows], _embedded_rows(routed.initial_mapping, n_log, n_phys)):
+            return False
+        phase = phase[rows]
+        c = phase[0]
+        return bool(abs(abs(c) - 1.0) <= 1e-6 and np.max(np.abs(phase - c)) <= 1e-9 - dropped)
+    rhs = apply_gates(_embedded_identity(final, n_log, n_phys), relabelled, n_phys)
+    lhs = apply_gates(_embedded_identity(routed.initial_mapping, n_log, n_phys), routed_gates, n_phys)
     return allclose_up_to_global_phase(lhs, rhs, tol=1e-9)
 
 

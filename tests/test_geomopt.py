@@ -89,6 +89,21 @@ def test_collinear_data_rejected():
         fit_model(data, 1)  # constant gap column is collinear with the intercept
 
 
+@pytest.mark.parametrize("degree", [11, 14])
+def test_degree_beyond_the_distinct_sample_values_rejected(degree):
+    """The bundled 11 x 11 grid supports total degree 10 at most; the error
+    names both distinct counts instead of blaming collinear samples."""
+    data = bundled_dataset()
+    assert fit_model(data, 10).degree == 10
+    with pytest.raises(GeometryError, match=rf"degree {degree} .* 11 gap\(s\) and 11 height\(s\)$"):
+        fit_model(data, degree)
+    # samples on the line gap = height have four distinct values of each,
+    # yet the gap and height columns coincide: collinear, not too few values
+    line = np.array([10.0, 20.0, 30.0, 40.0])
+    with pytest.raises(GeometryError, match="collinear"):
+        fit_model(GeometryDataset(line, line, np.array([5.0, 5.1, 5.2, 5.3])), 1)
+
+
 def test_predict_linear_model():
     model = linear_model()
     pred = predict_frequency(model, 30.0, 100.0)

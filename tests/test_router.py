@@ -10,7 +10,7 @@ from operator import mul
 import numpy as np
 import pytest
 
-from dasqa import router
+from dasqa import router, sim
 from dasqa.archgen import CouplingGraph, generate_architecture
 from dasqa.circuit import Gate, GateKind, QuantumCircuit, circuit_stats, interaction_graph
 from dasqa.config import config_from_dict
@@ -431,6 +431,83 @@ def test_random_instances_soundness_equivalence_and_oracle_bound():
             if best > 0:
                 ratios.append(routed.swap_count / best)
     assert ratios, "expected at least some instances needing swaps"
+
+
+def _equivalence_mutants(routed: RoutedCircuit, rng: np.random.Generator) -> dict:
+    """Five seeded edits of a routed circuit: a dropped SWAP, a changed phase
+    gate, an H moved past its successor, a CX turned round, and an RZ angle
+    moved by 1e-6."""
+    gates = list(routed.gates)
+
+    def at(test):
+        picks = [k for k, rg in enumerate(gates[:-1]) if test(rg)]
+        return picks[int(rng.integers(len(picks)))]
+
+    k = at(lambda rg: rg.inserted)
+    edits = {"dropped_swap": gates[:k] + gates[k + 1 :]}
+    phase_kinds = {GateKind.S: GateKind.T, GateKind.T: GateKind.S}
+    for name, test, edit in (
+        ("changed_phase", lambda rg: rg.gate.kind in phase_kinds, lambda g: [Gate(phase_kinds[g.kind], g.qubits)]),
+        ("flipped_cx", lambda rg: rg.gate.kind is GateKind.CX, lambda g: [Gate(GateKind.CX, g.qubits[::-1])]),
+        ("rz_nudged", lambda rg: rg.gate.kind is GateKind.RZ, lambda g: [Gate(GateKind.RZ, g.qubits, angle=g.angle + 1e-6)]),
+    ):
+        k = at(test)
+        edits[name] = gates[:k] + [RoutedGate(e) for e in edit(gates[k].gate)] + gates[k + 1 :]
+    k = at(lambda rg: rg.gate.kind is GateKind.H)
+    edits["moved_h"] = gates[:k] + [gates[k + 1], gates[k]] + gates[k + 2 :]
+    return {name: replace(routed, gates=tuple(edit)) for name, edit in edits.items()}
+
+
+def test_monomial_miter_agrees_with_the_dense_check(monkeypatch):
+    """Seeded 9-qubit flows and their mutants: the miter check returns what
+    the dense comparison returns, the dense path runs only when the miter
+    leaves monomial form, and unmutated routings never touch a full state."""
+    real_miter = router.monomial_miter
+    miters = {"monomial": 0, "fallback": 0}
+
+    def counted_miter(*args):
+        miter = real_miter(*args)
+        miters["fallback" if miter is None else "monomial"] += 1
+        return miter
+
+    def dense_check(qc, routed):
+        monkeypatch.setattr(router, "monomial_miter", lambda *args: None)
+        try:
+            return check_equivalence(qc, routed)
+        finally:
+            monkeypatch.setattr(router, "monomial_miter", counted_miter)
+
+    dense_calls = {"relabel": 0, "dense": 0}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            dense_calls[name] += 1
+            return fn(*args)
+
+        return wrapper
+
+    monkeypatch.setattr(router, "monomial_miter", counted_miter)
+    monkeypatch.setattr(sim, "_relabel", counted("relabel", sim._relabel))
+    monkeypatch.setattr(sim, "_apply_dense_1q", counted("dense", sim._apply_dense_1q))
+    rng = np.random.default_rng(22)
+    mutants = []
+    for seed in range(1, 5):
+        qc = mixed_circuit(9, 90, seed=seed)
+        routed = route(qc, generate_architecture(qc, config_from_dict(BENCH_CONFIG)))
+        assert check_equivalence(qc, routed)
+        mutants += [(name, qc, m) for name, m in _equivalence_mutants(routed, rng).items()]
+    assert miters == {"monomial": 4, "fallback": 0}
+    assert dense_calls == {"relabel": 0, "dense": 0}
+    assert dense_check(qc, routed)
+
+    outcomes = set()
+    for name, qc, mutant in mutants:
+        fallbacks = miters["fallback"]
+        got = check_equivalence(qc, mutant)
+        assert got == dense_check(qc, mutant), name
+        outcomes.add((miters["fallback"] > fallbacks, got))
+    # both paths decide some mutants, and the monomial path finds both answers
+    assert {(False, False), (False, True), (True, False)} <= outcomes
 
 
 # a 3-qubit circuit on a 5-site chain, started with physical 1 and 3 empty
