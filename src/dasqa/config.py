@@ -73,6 +73,8 @@ class DesignConfig:
 
     def validate(self) -> None:
         f = self.frequency
+        if f.band_lo_ghz <= 0:
+            raise ConfigError("frequency.band_lo_ghz must be positive")
         if not f.band_lo_ghz < f.band_hi_ghz:
             raise ConfigError("frequency.band_lo_ghz must be < band_hi_ghz")
         if f.step_ghz <= 0:
@@ -93,6 +95,11 @@ class DesignConfig:
             raise ConfigError("layout.margin_um must be positive")
         if lay.epsilon_eff < 1:
             raise ConfigError("layout.epsilon_eff must be >= 1")
+        if f.band_lo_ghz + lay.readout_detuning_ghz <= 0:
+            raise ConfigError(
+                "frequency.band_lo_ghz + layout.readout_detuning_ghz must be positive: "
+                "it is the lowest readout resonator frequency"
+            )
         if lay.resonator_mode not in ("half", "quarter"):
             raise ConfigError(
                 f"layout.resonator_mode must be 'half' or 'quarter', got {lay.resonator_mode!r}"

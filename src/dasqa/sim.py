@@ -15,10 +15,10 @@ its qubit and reads only its two phases.
 :func:`monomial_miter` multiplies ``U(original)^dagger . U(routed)`` into
 one relabeling, pairing each H of one side with the next H of the other
 (Burgholzer & Wille, arXiv:2004.08420: an alternating miter stays near the
-identity). :func:`apply_gates` fuses each run of monomial gates into one
-pending relabeling and touches the state columns only to flush it, before
-an H and once at the end. H is real: one real batched matmul on the float
-view of the columns.
+identity). It is the only place that composes relabelings.
+:func:`apply_gates` is the plain dense reference behind it, used only when
+the miter leaves monomial form and by :func:`circuit_unitary`: it applies
+one gate at a time to the state columns.
 """
 from __future__ import annotations
 
@@ -123,63 +123,28 @@ def _action(gate: Gate, matrix: np.ndarray, n: int):
     return perm, phase
 
 
-def _relabel(state: np.ndarray, perm, phase) -> np.ndarray:
-    """Flush a pending relabeling: row x becomes ``phase[x] * state[perm[x]]``.
-
-    A None ``perm`` is the identity and a None ``phase`` is all ones; the
-    two are never both None.
-    """
-    if perm is None:
-        return state * phase[:, None]
-    state = state[perm]
-    if phase is not None:
-        state *= phase[:, None]
-    return state
-
-
-def _apply_dense_1q(state: np.ndarray, matrix: np.ndarray, q: int) -> np.ndarray:
-    """A real one-qubit matrix on qubit q of C-contiguous complex columns.
-
-    The real and imaginary parts sit side by side in the float view, so the
-    matrix acts on it directly: one real batched matmul over the (bits above
-    q, bit q, the rest) view. A complex matmul of the same view costs several
-    times more on the low qubits under a threaded BLAS.
-    """
-    flat = state.view(np.float64)
-    out = np.matmul(matrix.real, flat.reshape(2**q, 2, -1))
-    return out.reshape(flat.shape).view(complex)
-
-
 def apply_gates(state: np.ndarray, gates, n: int) -> np.ndarray:
     """Apply a gate list to the complex columns of ``state`` (shape (2**n, m)).
 
-    Runs of monomial gates are fused into one basis relabeling (see the
-    module docstring), so only the one-qubit dense gate H and the final
-    flush touch ``state``. ``state`` itself is never written.
+    One gate at a time, through the cached actions: a monomial gate is one
+    gather and one phase multiply, and H, the one dense kind, one matmul
+    over the (bits above its qubit, its bit, the rest) view. Every step
+    makes a new array, so ``state`` itself is never written.
     """
-    state = np.ascontiguousarray(state, dtype=complex)
-    perm = phase = None  # pending relabeling; None is the identity
+    state = np.asarray(state, dtype=complex)
     for g in gates:
         mat = gate_matrix(g)
         if mat is None:
             continue
         action = _action(g, mat, n)
         if action is None:
-            if perm is not None or phase is not None:
-                state = _relabel(state, perm, phase)
-                perm = phase = None
-            # H is the one dense kind, and it is real
-            state = _apply_dense_1q(state, mat, g.qubits[0])
+            state = np.matmul(mat, state.reshape(2 ** g.qubits[0], 2, -1)).reshape(state.shape)
             continue
-        g_perm, g_phase = action
-        if g_perm is not None:
-            perm = g_perm if perm is None else perm[g_perm]
-            if phase is not None:
-                phase = phase[g_perm]
-        if g_phase is not None:
-            phase = g_phase if phase is None else phase * g_phase
-    if perm is not None or phase is not None:
-        state = _relabel(state, perm, phase)
+        perm, phase = action
+        if perm is not None:
+            state = state[perm]
+        if phase is not None:
+            state = phase[:, None] * state
     return state
 
 
@@ -268,6 +233,4 @@ def allclose_up_to_global_phase(a: np.ndarray, b: np.ndarray, tol: float = 1e-9)
     phase = a[idx] / b[idx]
     if abs(abs(phase) - 1.0) > 1e-6:
         return False
-    diff = phase * b  # the one full-size complex temporary
-    diff -= a
-    return bool(np.max(np.abs(diff)) <= tol)
+    return bool(np.max(np.abs(phase * b - a)) <= tol)

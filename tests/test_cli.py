@@ -270,9 +270,19 @@ REJECTED_INPUT_CASES = {
         "more than the 100000 allowed",
     ),
     "overflowing_frequency_band": (
-        {"c.yml": "frequency: {band_lo_ghz: -1.0e308, band_hi_ghz: 1.0e308}\n"},
-        "[architecture] frequency lattice [-1e+308, 1e+308] GHz in steps of 0.01 GHz has inf points, "
+        {"c.yml": "frequency: {band_lo_ghz: 1.0, band_hi_ghz: 1.0e308}\n"},
+        "[architecture] frequency lattice [1.0, 1e+308] GHz in steps of 0.01 GHz has inf points, "
         "more than the 100000 allowed",
+    ),
+    # both ended in "[layout] target frequency must be positive", about a
+    # readout resonator the config never names
+    "negative_frequency_band": (
+        {"c.yml": "frequency: {band_lo_ghz: -5.0, band_hi_ghz: -4.7}\n"},
+        "[config] frequency.band_lo_ghz must be positive",
+    ),
+    "negative_readout_frequency": (
+        {"c.yml": "layout: {readout_detuning_ghz: -6.0}\n"},
+        "[config] frequency.band_lo_ghz + layout.readout_detuning_ghz must be positive",
     ),
     # reached report.json as the edge [true, 2]
     "non_integer_baseline_qubit": (

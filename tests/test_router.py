@@ -10,7 +10,7 @@ from operator import mul
 import numpy as np
 import pytest
 
-from dasqa import router, sim
+from dasqa import router
 from dasqa.archgen import CouplingGraph, generate_architecture
 from dasqa.circuit import Gate, GateKind, QuantumCircuit, circuit_stats, interaction_graph
 from dasqa.config import config_from_dict
@@ -477,18 +477,16 @@ def test_monomial_miter_agrees_with_the_dense_check(monkeypatch):
         finally:
             monkeypatch.setattr(router, "monomial_miter", counted_miter)
 
-    dense_calls = {"relabel": 0, "dense": 0}
+    dense_calls = 0
+    real_apply = router.apply_gates
 
-    def counted(name, fn):
-        def wrapper(*args):
-            dense_calls[name] += 1
-            return fn(*args)
-
-        return wrapper
+    def counted_apply(*args):
+        nonlocal dense_calls
+        dense_calls += 1
+        return real_apply(*args)
 
     monkeypatch.setattr(router, "monomial_miter", counted_miter)
-    monkeypatch.setattr(sim, "_relabel", counted("relabel", sim._relabel))
-    monkeypatch.setattr(sim, "_apply_dense_1q", counted("dense", sim._apply_dense_1q))
+    monkeypatch.setattr(router, "apply_gates", counted_apply)
     rng = np.random.default_rng(22)
     mutants = []
     for seed in range(1, 5):
@@ -497,7 +495,7 @@ def test_monomial_miter_agrees_with_the_dense_check(monkeypatch):
         assert check_equivalence(qc, routed)
         mutants += [(name, qc, m) for name, m in _equivalence_mutants(routed, rng).items()]
     assert miters == {"monomial": 4, "fallback": 0}
-    assert dense_calls == {"relabel": 0, "dense": 0}
+    assert dense_calls == 0
     assert dense_check(qc, routed)
 
     outcomes = set()
