@@ -193,8 +193,6 @@ _Loader.add_implicit_resolver(
 def load_config(path: str | Path) -> DesignConfig:
     """Read a YAML config file, apply defaults, reject unknown keys."""
     path = Path(path)
-    if not path.exists():
-        raise ConfigError(f"config file not found: {path}")
     text = read_text(path, "config", ConfigError)
     try:
         data = yaml.load(text, Loader=_Loader)

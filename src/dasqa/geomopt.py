@@ -63,8 +63,6 @@ class GeometryDataset:
 def load_dataset(path: str | Path) -> GeometryDataset:
     """Read a CSV with header pad_gap_um,pad_height_um,frequency_ghz."""
     path = Path(path)
-    if not path.exists():
-        raise GeometryError(f"dataset file not found: {path}")
     text = read_text(path, "dataset", GeometryError)
     reader = csv.reader(io.StringIO(text, newline=""))  # csv splits the lines itself
     expected = ["pad_gap_um", "pad_height_um", "frequency_ghz"]

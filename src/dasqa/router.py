@@ -20,9 +20,9 @@ stalls, the remaining distance is walked directly: the first operand's image
 steps to its smallest-index neighbour one hop closer to the second's, read
 from the same hop table the costs use. A BFS oracle
 (:func:`optimal_swap_count`) provides exact minima at desk scale for testing,
-and :func:`check_equivalence` verifies routed circuits exactly, through one
-miter of both circuits kept as a permutation with phases; it simulates
-dense statevector blocks only when the miter leaves that form.
+and :func:`check_equivalence` verifies routed circuits exactly: it replays
+the routed gates through a live mapping that only SWAPs change, and
+simulates dense statevector blocks only when that replay fails.
 """
 from __future__ import annotations
 
@@ -41,7 +41,7 @@ from .circuit import (
     layered_depth,
 )
 from .errors import MappingError, OracleLimitError, RoutingError, SimulationLimitError
-from .sim import SIM_MAX_QUBITS, allclose_up_to_global_phase, apply_gates, monomial_miter
+from .sim import SIM_MAX_QUBITS, allclose_up_to_global_phase, apply_gates
 
 LOOKAHEAD_WINDOW = 20
 # the window's decay weights 0.8**k = 4**k / 5**k, times 5**19: exact integers
@@ -302,7 +302,7 @@ def route(
 
 
 def validate_routing(routed: RoutedCircuit, arch: Architecture | CouplingGraph) -> None:
-    """Edge soundness, mapping replay and SWAP count in one pass. Raises on violation."""
+    """Edge soundness, inserted SWAPs, mapping replay and SWAP count in one pass. Raises on violation."""
     edges = set(_coupling_of(arch).edges)
     edges.update([(b, a) for a, b in edges])  # both orientations
     l2p = list(routed.initial_mapping.log_to_phys)
@@ -313,6 +313,8 @@ def validate_routing(routed: RoutedCircuit, arch: Architecture | CouplingGraph) 
         if g.kind.is_two_qubit and g.qubits not in edges:
             raise RoutingError(f"gate on non-edge {g.qubits}")
         if rg.inserted:
+            if g.kind is not GateKind.SWAP:
+                raise RoutingError(f"inserted gate {g.kind.value} {g.qubits} is not a SWAP")
             _swap_sites(l2p, p2l, *g.qubits)
             swaps += 1
     if tuple(l2p) != routed.final_mapping.log_to_phys:
@@ -388,21 +390,46 @@ def optimal_swap_count(
     raise RoutingError("circuit is unroutable on this coupling graph")
 
 
-def _embedded_rows(mapping: Mapping, n_log: int, n_phys: int) -> np.ndarray:
-    """The physical basis state of each logical one under ``mapping``,
-    unmapped qubits in |0>; distinct, as the mapping is injective."""
+def _embedded_identity(mapping: Mapping, n_log: int, n_phys: int) -> np.ndarray:
+    """``embed(mapping)``: column b holds a one in the physical basis state
+    of logical basis state b, unmapped qubits in |0>."""
     basis = np.arange(2**n_log)
     rows = np.zeros_like(basis)
     for lq in range(n_log):
         rows |= ((basis >> (n_log - 1 - lq)) & 1) << (n_phys - 1 - mapping[lq])
-    return rows
-
-
-def _embedded_identity(mapping: Mapping, n_log: int, n_phys: int) -> np.ndarray:
-    """``embed(mapping)``: a one in each logical basis state's :func:`_embedded_rows` row."""
     block = np.zeros((2**n_phys, 2**n_log), dtype=complex)
-    block[_embedded_rows(mapping, n_log, n_phys), np.arange(2**n_log)] = 1
+    block[rows, basis] = 1
     return block
+
+
+def _replays(original: QuantumCircuit, routed: RoutedCircuit) -> bool:
+    """Whether the routed gates are the original ones in order, read through
+    a live mapping that only the SWAPs between them change.
+
+    Each routed gate either equals the next original gate (kind, angle,
+    cbit, and operands under the live images), which it consumes, or is a
+    SWAP, which exchanges whatever sits on its two sites. The walk passes
+    when every original gate is consumed and the mapping ends at
+    ``final_mapping``. Each step keeps
+    ``U_routed . embed(initial) == embed(live) . U_original`` on the prefixes,
+    empty sites in |0>, so a pass proves the circuits equivalent exactly.
+    """
+    l2p = list(routed.initial_mapping.log_to_phys)
+    p2l = _occupants(l2p, routed.num_physical)
+    gates = original.gates
+    k = 0
+    for rg in routed.gates:
+        g = rg.gate
+        if k < len(gates):
+            o = gates[k]
+            images = tuple(map(l2p.__getitem__, o.qubits))
+            if (g.kind, g.qubits, g.angle, g.cbit) == (o.kind, images, o.angle, o.cbit):
+                k += 1
+                continue
+        if g.kind is not GateKind.SWAP:
+            return False
+        _swap_sites(l2p, p2l, *g.qubits)
+    return k == len(gates) and tuple(l2p) == routed.final_mapping.log_to_phys
 
 
 def check_equivalence(original: QuantumCircuit, routed: RoutedCircuit) -> bool:
@@ -413,15 +440,12 @@ def check_equivalence(original: QuantumCircuit, routed: RoutedCircuit) -> bool:
     tolerance 1e-9. Unmapped physical qubits start and must effectively stay
     in |0>. MEASURE/BARRIER carry no unitary action and are skipped.
 
-    Relabelled through the final mapping, the original gates commute with
-    the embedding: the right side is ``U_original' . embed(final)``. For a
-    routing that keeps the gate order, the miter
-    ``M = U_original'^dagger . U_routed`` (:func:`sim.monomial_miter`) stays
-    a permutation with phases, and the check is
-    ``M . embed(initial) == c . embed(final)``: same rows, ``|c|`` within
-    1e-6 of 1, every phase within ``1e-9 - dropped`` of ``c``. Only when M
-    leaves that form are both sides :func:`sim.apply_gates` on a
-    2**n_phys x 2**n_log embedded identity block, compared amplitude-wise.
+    A routing that keeps the gate order and only adds SWAPs passes
+    :func:`_replays`, which proves the equality exactly. Any other routing
+    is decided densely: the original gates, relabelled through the final
+    mapping, run from ``embed(final)`` and the routed gates from
+    ``embed(initial)``, both through :func:`sim.apply_gates` on a
+    2**n_phys x 2**n_log block, compared amplitude-wise.
     """
     n_log = original.num_qubits
     n_phys = routed.num_physical
@@ -429,18 +453,11 @@ def check_equivalence(original: QuantumCircuit, routed: RoutedCircuit) -> bool:
         raise SimulationLimitError(
             f"{max(n_log, n_phys)} qubits exceeds the simulation guard ({SIM_MAX_QUBITS})"
         )
+    if _replays(original, routed):
+        return True
     final = routed.final_mapping
     relabelled = [Gate(g.kind, tuple(map(final.__getitem__, g.qubits)), g.angle, g.cbit) for g in original.gates]
     routed_gates = [rg.gate for rg in routed.gates]
-    miter = monomial_miter(relabelled, routed_gates, n_phys)
-    if miter is not None:
-        perm, phase, dropped = miter
-        rows = _embedded_rows(final, n_log, n_phys)
-        if not np.array_equal(perm[rows], _embedded_rows(routed.initial_mapping, n_log, n_phys)):
-            return False
-        phase = phase[rows]
-        c = phase[0]
-        return bool(abs(abs(c) - 1.0) <= 1e-6 and np.max(np.abs(phase - c)) <= 1e-9 - dropped)
     rhs = apply_gates(_embedded_identity(final, n_log, n_phys), relabelled, n_phys)
     lhs = apply_gates(_embedded_identity(routed.initial_mapping, n_log, n_phys), routed_gates, n_phys)
     return allclose_up_to_global_phase(lhs, rhs, tol=1e-9)

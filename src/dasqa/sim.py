@@ -1,24 +1,17 @@
-"""Dense statevector simulation and the monomial miter for desk-scale verification.
+"""Dense statevector simulation for desk-scale verification.
 
 Only what the equivalence checker needs: apply a gate list to a batch of
-state columns, build small unitaries, and multiply two gate lists into one
-miter. Measurements and barriers carry no unitary action and are skipped.
+state columns and build small unitaries. Measurements and barriers carry no
+unitary action and are skipped.
 
 Every supported gate except H is monomial (one nonzero per row of its
-matrix): it only relabels basis states and multiplies them by phases, and
-its permutation is its own inverse. A relabeling, a basis permutation
-``perm`` plus a phase vector ``phase`` over all 2**n indices, composes in
-O(2**n) per gate. A gate's full-register action is built once per
+matrix): it only relabels basis states and multiplies them by phases. A
+gate's full-register action, a basis permutation ``perm`` plus a phase
+vector ``phase`` over all 2**n indices, is built once per
 ``(kind, operands, n)`` and cached; an RZ reuses the cached index action of
-its qubit and reads only its two phases.
-
-:func:`monomial_miter` multiplies ``U(original)^dagger . U(routed)`` into
-one relabeling, pairing each H of one side with the next H of the other
-(Burgholzer & Wille, arXiv:2004.08420: an alternating miter stays near the
-identity). It is the only place that composes relabelings.
-:func:`apply_gates` is the plain dense reference behind it, used only when
-the miter leaves monomial form and by :func:`circuit_unitary`: it applies
-one gate at a time to the state columns.
+its qubit and reads only its two phases. :func:`apply_gates` applies one
+gate at a time to the state columns: a gather and a phase multiply per
+monomial gate, one small matmul per H.
 """
 from __future__ import annotations
 
@@ -146,74 +139,6 @@ def apply_gates(state: np.ndarray, gates, n: int) -> np.ndarray:
         if phase is not None:
             state = phase[:, None] * state
     return state
-
-
-def _runs(gates, n: int) -> list:
-    """``(relabelings, H qubit)`` per run of a gate list cut at each H, last
-    gate first; the last run's qubit is None."""
-    runs, run = [], []
-    for g in reversed(gates):
-        mat = gate_matrix(g)
-        if mat is None:
-            continue
-        action = _action(g, mat, n)
-        if action is None:
-            runs.append((run, g.qubits[0]))
-            run = []
-        else:
-            run.append(action)
-    runs.append((run, None))
-    return runs
-
-
-def monomial_miter(original, routed, n: int):
-    """The miter ``M = U(original)^dagger . U(routed)`` as a relabeling, or None.
-
-    Returns ``(perm, phase, dropped)``: M maps a state ``s`` to
-    ``phase * s[perm]``, and ``dropped``, the summed magnitude of the
-    entries neglected, bounds the error of every column. M is built from
-    the last gates inward, each routed gate on the right and each original
-    gate's inverse on the left; an H waits for the other side's next H, and
-    the pair is one step ``H_a . M . H_b``. None means M left monomial form:
-    the sides' H counts differ, M does not map a flip of bit b to a flip of
-    bit a, or a step would drop an entry above 1e-12.
-    """
-    left, right = _runs(original, n), _runs(routed, n)
-    if len(left) != len(right):
-        return None
-    index = np.arange(2**n)
-    perm, phase, dropped = index, np.ones(2**n, dtype=complex), 0.0
-    for (l_run, a), (r_run, b) in zip(left, right):
-        for g_perm, g_phase in r_run:  # M . G: x -> phase[x] g_phase[perm[x]]
-            if g_phase is not None:
-                phase = phase * g_phase[perm]
-            if g_perm is not None:
-                perm = g_perm[perm]
-        for g_perm, g_phase in l_run:  # G^dagger . M, G's permutation its own inverse
-            if g_phase is not None:
-                phase = phase * g_phase.conj()
-            if g_perm is not None:
-                perm, phase = perm[g_perm], phase[g_perm]
-        if a is None:
-            return perm, phase, dropped
-        bit_a, bit_b = 1 << (n - 1 - a), 1 << (n - 1 - b)
-        partner = index ^ bit_a
-        if not np.array_equal(perm[partner], perm ^ bit_b):
-            return None
-        # row x of H_a . M . H_b holds sign * stay in column perm[x] and
-        # sign_a * flip in perm[x] ^ bit_b, with twin row x ^ bit_a's phase
-        # times sign = (-1) ** (bit a of x + bit b of perm[x])
-        sign_a = 1 - 2 * ((index & bit_a) != 0)
-        sign = sign_a * (1 - 2 * ((perm & bit_b) != 0))
-        twin = sign * phase[partner]
-        stay, flip = (phase + twin) / 2, (phase - twin) / 2
-        keep = np.abs(stay) >= np.abs(flip)
-        small = np.where(keep, np.abs(flip), np.abs(stay))
-        if small.max() > 1e-12:
-            return None
-        dropped += float(small.sum())
-        phase = np.where(keep, sign * stay, sign_a * flip)
-        perm = np.where(keep, perm, perm ^ bit_b)
 
 
 def circuit_unitary(gates, n: int) -> np.ndarray:

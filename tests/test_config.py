@@ -93,7 +93,9 @@ def test_exponent_floats_load_without_a_dot(tmp_path):
 
 
 def test_missing_file():
-    with pytest.raises(ConfigError, match="not found"):
+    with pytest.raises(
+        ConfigError, match=r"^cannot read config file /nonexistent/config\.yml: No such file or directory$"
+    ):
         load_config("/nonexistent/config.yml")
 
 

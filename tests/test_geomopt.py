@@ -283,7 +283,7 @@ def test_load_dataset_rejects_bad_header(tmp_path):
     bad.write_text("gap,height,f\n10,50,5.0\n", encoding="utf-8")
     with pytest.raises(GeometryError, match="header"):
         load_dataset(bad)
-    with pytest.raises(GeometryError, match="not found"):
+    with pytest.raises(GeometryError, match=r"^cannot read dataset file .*missing\.csv: No such file or directory$"):
         load_dataset(tmp_path / "missing.csv")
 
 

@@ -261,10 +261,10 @@ def test_check_equivalence_detects_dropped_swap(five_qubit_app, lima):
     assert not check_equivalence(five_qubit_app, broken)
 
 
-def _mutate_first(routed: RoutedCircuit, kind: GateKind, make) -> RoutedCircuit:
+def _mutate_first(routed: RoutedCircuit, kind: GateKind, make=lambda g: g, **flags) -> RoutedCircuit:
     k = next(k for k, rg in enumerate(routed.gates) if rg.gate.kind is kind)
     gates = list(routed.gates)
-    gates[k] = replace(gates[k], gate=make(gates[k].gate))
+    gates[k] = replace(gates[k], gate=make(gates[k].gate), **flags)
     return replace(routed, gates=tuple(gates))
 
 
@@ -319,8 +319,22 @@ def test_check_equivalence_detects_wrong_phase_or_permutation(lima, mutate):
             lambda r: replace(r, swap_count=r.swap_count + 1),
             "swap_count disagrees with flagged SWAPs",
         ),
+        (
+            lambda r: _mutate_first(r, GateKind.H, inserted=True),
+            r"^inserted gate h \(\d,\) is not a SWAP$",
+        ),
+        (
+            lambda r: _mutate_first(r, GateKind.CX, inserted=True),
+            r"^inserted gate cx \(\d, \d\) is not a SWAP$",
+        ),
     ],
-    ids=["gate_on_non_edge", "final_mapping_exchanged", "swap_count_off_by_one"],
+    ids=[
+        "gate_on_non_edge",
+        "final_mapping_exchanged",
+        "swap_count_off_by_one",
+        "one_qubit_gate_flagged_inserted",
+        "cx_flagged_inserted",
+    ],
 )
 def test_validate_routing_rejects_each_broken_invariant(five_qubit_app, lima, mutate, message):
     routed = route(five_qubit_app, lima, Mapping.identity(5))
@@ -458,54 +472,60 @@ def _equivalence_mutants(routed: RoutedCircuit, rng: np.random.Generator) -> dic
     return {name: replace(routed, gates=tuple(edit)) for name, edit in edits.items()}
 
 
-def test_monomial_miter_agrees_with_the_dense_check(monkeypatch):
-    """Seeded 9-qubit flows and their mutants: the miter check returns what
-    the dense comparison returns, the dense path runs only when the miter
-    leaves monomial form, and unmutated routings never touch a full state."""
-    real_miter = router.monomial_miter
-    miters = {"monomial": 0, "fallback": 0}
+class _DenseCounter:
+    """Counts the dense ``apply_gates`` calls of :func:`check_equivalence`;
+    :meth:`check` decides a routing densely, with the replay made to fail."""
 
-    def counted_miter(*args):
-        miter = real_miter(*args)
-        miters["fallback" if miter is None else "monomial"] += 1
-        return miter
+    def __init__(self, monkeypatch):
+        self.calls = 0
+        real_apply = router.apply_gates
 
-    def dense_check(qc, routed):
-        monkeypatch.setattr(router, "monomial_miter", lambda *args: None)
-        try:
+        def counted_apply(*args):
+            self.calls += 1
+            return real_apply(*args)
+
+        monkeypatch.setattr(router, "apply_gates", counted_apply)
+
+    def check(self, qc: QuantumCircuit, routed: RoutedCircuit) -> bool:
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(router, "_replays", lambda *args: False)
             return check_equivalence(qc, routed)
-        finally:
-            monkeypatch.setattr(router, "monomial_miter", counted_miter)
 
-    dense_calls = 0
-    real_apply = router.apply_gates
 
-    def counted_apply(*args):
-        nonlocal dense_calls
-        dense_calls += 1
-        return real_apply(*args)
+@pytest.fixture
+def dense(monkeypatch) -> _DenseCounter:
+    return _DenseCounter(monkeypatch)
 
-    monkeypatch.setattr(router, "monomial_miter", counted_miter)
-    monkeypatch.setattr(router, "apply_gates", counted_apply)
+
+def _flip_inserted(routed: RoutedCircuit) -> RoutedCircuit:
+    return replace(routed, gates=tuple(replace(rg, inserted=not rg.inserted) for rg in routed.gates))
+
+
+def test_replay_agrees_with_the_dense_check(dense):
+    """Seeded 9-qubit flows and their mutants: the replay check returns what
+    the dense comparison returns, and the unmutated routings, with their
+    ``inserted`` flags as routed or all flipped, never touch a full state."""
     rng = np.random.default_rng(22)
     mutants = []
     for seed in range(1, 5):
         qc = mixed_circuit(9, 90, seed=seed)
         routed = route(qc, generate_architecture(qc, config_from_dict(BENCH_CONFIG)))
         assert check_equivalence(qc, routed)
+        assert check_equivalence(qc, _flip_inserted(routed))
         mutants += [(name, qc, m) for name, m in _equivalence_mutants(routed, rng).items()]
-    assert miters == {"monomial": 4, "fallback": 0}
-    assert dense_calls == 0
-    assert dense_check(qc, routed)
+    assert dense.calls == 0
+    assert dense.check(qc, routed)
 
     outcomes = set()
     for name, qc, mutant in mutants:
-        fallbacks = miters["fallback"]
+        calls = dense.calls
         got = check_equivalence(qc, mutant)
-        assert got == dense_check(qc, mutant), name
-        outcomes.add((miters["fallback"] > fallbacks, got))
-    # both paths decide some mutants, and the monomial path finds both answers
-    assert {(False, False), (False, True), (True, False)} <= outcomes
+        outcomes.add((dense.calls > calls, got))
+        assert got == dense.check(qc, mutant), name
+    # the replay proves a mutant that keeps the order (an H moved past a SWAP
+    # on other sites) and leaves the others to the dense path, which finds
+    # both answers; a failed replay alone never decides False
+    assert outcomes == {(False, True), (True, False), (True, True)}
 
 
 # a 3-qubit circuit on a 5-site chain, started with physical 1 and 3 empty
@@ -530,6 +550,73 @@ def test_swaps_through_unoccupied_physical_qubits_replay_and_stay_equivalent():
     assert swaps == [(0, 1), (3, 4), (1, 2), (1, 2)]
     validate_routing(routed, CHAIN_5)
     assert check_equivalence(GAPPED_QC, routed)
+
+
+def test_replay_proves_swaps_measures_and_barriers_through_empty_sites(dense):
+    qc = QuantumCircuit(
+        3,
+        (
+            Gate(GateKind.H, (0,)),
+            Gate(GateKind.SWAP, (0, 2)),
+            Gate(GateKind.MEASURE, (0,), cbit=0),
+            Gate(GateKind.CX, (1, 2)),
+            Gate(GateKind.BARRIER, (0, 1, 2)),
+            Gate(GateKind.RZ, (2,), angle=0.3),
+            Gate(GateKind.SWAP, (1, 0)),
+            Gate(GateKind.MEASURE, (2,), cbit=1),
+        ),
+    )
+    routed = route(qc, CHAIN_5, GAPPED_START)
+    # (0, 1) and (3, 4) each move a logical qubit onto an empty site, and
+    # (1, 2) comes just before the original SWAP of q1 and q0
+    assert [rg.gate.qubits for rg in routed.gates if rg.inserted] == [(0, 1), (3, 4), (1, 2)]
+    assert check_equivalence(qc, routed)
+    assert dense.calls == 0
+    assert dense.check(qc, routed)
+
+
+# an original SWAP then X(0), routed by hand on one edge from the identity
+_SWAP_X = QuantumCircuit(2, (Gate(GateKind.SWAP, (0, 1)), Gate(GateKind.X, (0,))))
+
+
+@pytest.mark.parametrize(
+    "gates, final, equivalent",
+    [
+        # a routing SWAP, then the original SWAP and X through the exchanged images
+        ([(GateKind.SWAP, (0, 1)), (GateKind.SWAP, (1, 0)), (GateKind.X, (1,))], (1, 0), True),
+        # the same SWAP read as the original one
+        ([(GateKind.SWAP, (0, 1)), (GateKind.X, (0,))], (0, 1), True),
+        # a routing SWAP with the original SWAP left out
+        ([(GateKind.SWAP, (0, 1)), (GateKind.X, (1,))], (1, 0), False),
+        # the original SWAP with its operands reversed: the same unitary
+        ([(GateKind.SWAP, (1, 0)), (GateKind.X, (0,))], (0, 1), True),
+        # the SWAP alone, with the X left out
+        ([(GateKind.SWAP, (0, 1))], (0, 1), False),
+        # a CX where the routing SWAP belongs: it relabels nothing
+        ([(GateKind.CX, (0, 1)), (GateKind.SWAP, (1, 0)), (GateKind.X, (1,))], (1, 0), False),
+    ],
+    ids=[
+        "routing_then_original",
+        "original_only",
+        "original_dropped",
+        "operands_reversed",
+        "x_dropped",
+        "cx_for_routing_swap",
+    ],
+)
+def test_hand_routings_of_a_swap_get_the_dense_answer(dense, gates, final, equivalent):
+    """The first routed gate is a SWAP equal to the original SWAP under the
+    live images, or stands where one would be."""
+    routed = RoutedCircuit(
+        2,
+        tuple(RoutedGate(Gate(kind, qubits)) for kind, qubits in gates),
+        Mapping.identity(2),
+        Mapping(final),
+        0,
+        len(gates),
+    )
+    assert check_equivalence(_SWAP_X, routed) is equivalent
+    assert dense.check(_SWAP_X, routed) is equivalent
 
 
 def test_unused_physical_qubits_must_stay_in_zero():

@@ -211,63 +211,7 @@ def test_allclose_up_to_global_phase_on_mismatched_shapes_and_zero_reference():
     assert allclose_up_to_global_phase(ones, zero) is False
 
 
-def test_monomial_miter_is_the_exact_product_whenever_it_returns_one():
-    """Routing-shaped pairs: the routed list swaps qubits, runs the original
-    relabelled, and swaps them back; odd trials add one stray gate. Where the
-    miter stays monomial it equals U(original)^dagger . U(routed)."""
-    rng = np.random.default_rng(11)
-    n = 4
-    stray_kinds = (GateKind.X, GateKind.Y, GateKind.Z, GateKind.S, GateKind.CZ, GateKind.CX)
-    outcomes = {"identity": 0, "monomial": 0, "broken": 0}
-    for trial in range(80):
-        original = random_gate_list(rng, n, 30)
-        swaps = [Gate(GateKind.SWAP, tuple(int(q) for q in rng.choice(n, 2, replace=False))) for _ in range(3)]
-        l2p = list(range(n))
-        for g in swaps:
-            a, b = g.qubits
-            l2p = [b if p == a else a if p == b else p for p in l2p]
-        routed = swaps + [Gate(g.kind, tuple(l2p[q] for q in g.qubits), g.angle, g.cbit) for g in original]
-        routed += swaps[::-1]
-        if trial % 2:
-            kind = stray_kinds[int(rng.integers(len(stray_kinds)))]
-            qubits = tuple(int(q) for q in rng.choice(n, 2 if kind.is_two_qubit else 1, replace=False))
-            routed.insert(int(rng.integers(len(routed) + 1)), Gate(kind, qubits))
-        miter = sim.monomial_miter(original, routed, n)
-        if miter is None:
-            assert trial % 2  # a faithful routing never leaves monomial form
-            outcomes["broken"] += 1
-            continue
-        perm, phase, dropped = miter
-        product = np.zeros((2**n, 2**n), dtype=complex)
-        product[np.arange(2**n), perm] = phase
-        ref = kron_unitary(original, n).conj().T @ kron_unitary(routed, n)
-        assert np.max(np.abs(product - ref)) <= 1e-12 + dropped
-        outcomes["identity" if np.allclose(ref, np.eye(2**n)) else "monomial"] += 1
-    assert outcomes["identity"] == 40 and outcomes["monomial"] >= 10 and outcomes["broken"] >= 1, outcomes
-
-    # a stray entry of 5e-7 is kept and breaks the form; one of 5e-15 is dropped and counted
-    def h_rz_h(angle):
-        return [Gate(GateKind.H, (0,)), Gate(GateKind.RZ, (0,), angle=angle), Gate(GateKind.H, (0,))]
-
-    assert sim.monomial_miter(h_rz_h(0.5), h_rz_h(0.5 + 1e-6), 1) is None
-    assert 0 < sim.monomial_miter(h_rz_h(0.5), h_rz_h(0.5 + 1e-14), 1)[2] <= 1e-13
-
-
-def test_every_fixed_kind_but_h_is_monomial_with_involutive_permutations():
-    """The miter keeps a permutation with phases between H gates, and applies
-    an original gate's inverse through the gate's own cached permutation."""
+def test_every_fixed_kind_but_h_is_monomial():
+    """apply_gates gathers and multiplies every kind but H, its one dense branch."""
     for kind, matrix in sim._FIXED.items():
         assert (sim._monomial_form(matrix) is None) is (kind is GateKind.H)
-    n = 4
-    gates = [Gate(GateKind.RZ, (q,), angle=0.3) for q in range(n)]
-    gates += [Gate(kind, (q,)) for kind in ONE_QUBIT_KINDS if kind is not GateKind.RZ for q in range(n)]
-    gates += [Gate(kind, (a, b)) for kind in TWO_QUBIT_KINDS for a in range(n) for b in range(n) if a != b]
-    perms = 0
-    for g in gates:
-        action = sim._action(g, gate_matrix(g), n)
-        if g.kind is GateKind.H:
-            assert action is None
-        elif action[0] is not None:
-            perms += 1
-            assert np.array_equal(action[0][action[0]], np.arange(2**n))
-    assert perms == 2 * n + 2 * n * (n - 1)  # X and Y on each qubit, every CX and SWAP
