@@ -13,6 +13,8 @@ from __future__ import annotations
 
 import json
 import math
+from collections import Counter
+from itertools import accumulate
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -27,7 +29,8 @@ from .errors import ArchitectureError, DasqaError, FrequencyAllocationError, Pla
 FREQ_EPS = 1e-9
 # far above any real band (the default has 31 points); bounds the lattice before it is built
 MAX_LATTICE_POINTS = 100_000
-# cells x (qubits + 1): placement scans the free cells once per pick, plus once to build its tables
+# cells x (qubits + 1): a pick next to no placed qubit scans the free cells, and the
+# exchange pass keeps tables of cells x qubits
 MAX_PLACEMENT_WORK = 200_000
 
 EMPTY = -1
@@ -211,29 +214,31 @@ def _dense_ranks(keys: list) -> list[int]:
     return [index[key] for key in keys]
 
 
-def _refined_keys(ig: InteractionGraph, seed: dict[int, int]) -> list[int]:
-    """Label-independent qubit signatures as integer ranks (three sharpening rounds).
+def _refined_keys(ig: InteractionGraph, seed: dict[int, int]):
+    """Label-independent qubit signatures as integer ranks, one list per round.
 
     Ranks start from a per-qubit seed color (the placement rank of placed
-    qubits, -1 for the others) plus the weighted degree. Each round keys a
-    qubit by its rank and the sorted (edge weight, neighbour rank) pairs and
-    relabels the keys to dense ranks in sorted order (Weisfeiler-Leman colour
-    refinement), which keeps order and ties: ranks compare as the nested
-    tuples of all rounds would. Qubits that differ structurally - or relate
-    differently to the seeded ones - get different ranks even when their
-    weighted degrees tie, keeping placement stable under relabeling.
+    qubits, -1 for the others) plus the weighted degree. Each of up to three
+    rounds keys a qubit by its rank and the sorted (edge weight, neighbour
+    rank) pairs and relabels the keys to dense ranks in sorted order
+    (Weisfeiler-Leman colour refinement): ranks compare as the nested tuples
+    of all rounds so far would, so a round only splits classes, and once one
+    splits none the rest are skipped. Qubits that differ structurally - or
+    relate differently to the seeded ones - get different ranks even when
+    their weighted degrees tie, keeping placement stable under relabeling.
     """
     n, incident = ig.num_qubits, ig.incident
     rank = _dense_ranks([(seed.get(q, -1), ig.weighted_degree(q)) for q in range(n)])
+    yield rank
     for _ in range(3):
         # w*n + rank sorts as (w, rank) does, since every rank is below n
         refined = _dense_ranks(
             [(rank[q], tuple(sorted([w * n + rank[u] for w, u in incident[q]]))) for q in range(n)]
         )
-        if refined == rank:  # no class split, so later rounds change nothing either
-            break
+        if refined == rank:
+            return
         rank = refined
-    return rank
+        yield rank
 
 
 def _grid_neighbors(rows: int, cols: int) -> list[list[int]]:
@@ -265,42 +270,66 @@ def exchange_pass(ig: InteractionGraph, order, slot, free: list, cost) -> bool:
     """One pass of pairwise exchange lowering ``sum(w * cost[slot[a]][slot[b]])``.
 
     The sum runs over the weighted edges of ``ig``; ``slot`` maps every
-    item to its slot and ``cost`` is a symmetric table indexed by slot, of
-    which the pass reads only the rows of slots that hold an item. Each item
-    of ``order`` tries a swap with every later item, then a move to every
-    slot in ``free``, and takes each move that lowers the objective
-    strictly. A move is scored from the moved items' ``ig.incident`` lists
-    alone; a swap leaves out the edge between the two items it exchanges,
-    whose cost it does not change. ``slot`` and ``free`` are updated in
-    place: a move to ``free[k]`` leaves the vacated slot at ``free[k]``, so
-    the scan order of the other free slots never changes. Returns whether
-    any move was taken.
+    item to its slot and ``cost`` is a table indexed by slot, symmetric with
+    a zero diagonal, of which the pass reads only the rows of slots that
+    hold an item. Each item of ``order`` tries a swap with every later item,
+    then a move to every slot in ``free``, and takes each one that lowers
+    the objective strictly. ``slot`` and ``free`` are updated in place: a
+    move to ``free[k]`` leaves the vacated slot at ``free[k]``, so the scan
+    order of the other free slots never changes. Returns whether any was taken.
+
+    A trial costs O(1), by the gain-table form of pairwise interchange
+    (Taillard, 1991). With ``phi_x(s) = sum(w * cost[slot[u]][s])`` over
+    ``ig.incident[x]`` and ``H_x = phi_x(slot[x])``, a move of ``a`` to
+    ``s`` changes the objective by ``phi_a(s) - H_a``, a swap of ``a`` and
+    ``b`` on slots ``sa``, ``sb`` by ``phi_a(sb) - H_a + phi_b(sa) - H_b +
+    2 * w_ab * cost[sa][sb]``. ``H``, ``phi_a`` and the column ``phi_x(sa)``
+    are exact integers, rebuilt only after a swap or move is taken, from the
+    cost rows of the items' slots: no table is larger than items x slots.
     """
     incident = ig.incident
+    n = len(incident)
+    # every item's pairs end to end, each led by a zero-weight pair: one reduceat sums all
+    bounds = np.array(list(accumulate((1 + len(pairs) for pairs in incident), initial=0)), dtype=np.intp)
+    weights, partners = np.array([p for pairs in incident for p in ((0, 0), *pairs)], dtype=np.int64).reshape(-1, 2).T
+    slots = np.array([slot[x] for x in range(n)], dtype=np.intp)
+    table = np.array([cost[slot[x]] for x in range(n)], dtype=np.int64)
+
+    def phi(a: int) -> list[int]:  # phi_a over all slots
+        run = slice(bounds[a] + 1, bounds[a + 1])
+        return (weights[run] @ table[partners[run]]).tolist()
+
+    def column(a: int) -> list[int]:  # phi_x(slot[a]) over all items x, by symmetry
+        return np.add.reduceat(weights * table[a][slots[partners]], bounds[:-1]).tolist()
+
+    home = [sum([w * cost[slot[x]][slot[u]] for w, u in pairs]) for x, pairs in enumerate(incident)]  # H
+
+    def move(y: int, s: int) -> None:
+        old, slot[y], slots[y], table[y] = slot[y], s, s, cost[s]
+        for w, x in incident[y]:
+            here = cost[slot[x]]
+            home[x] += w * (here[s] - here[old])
+        home[y] = sum([w * cost[s][slot[u]] for w, u in incident[y]])
+
     improved = False
     for i, a in enumerate(order):
-        # (weight, neighbour, its cost row); rebuilt after a swap, which may move a neighbour
-        nbrs = [(w, u, cost[slot[u]]) for w, u in incident[a]]
+        weight = {u: w for w, u in incident[a]}
+        phi_a, phi_at_a = phi(a), column(a)
         for b in order[i + 1 :]:
             sa, sb = slot[a], slot[b]
-            delta = 0
-            for w, u, row in nbrs:
-                if u != b:
-                    delta += w * (row[sb] - row[sa])
-            for w, u in incident[b]:
-                if u != a:
-                    row = cost[slot[u]]
-                    delta += w * (row[sa] - row[sb])
+            delta = phi_a[sb] - home[a] + phi_at_a[b] - home[b]
+            if b in weight:
+                delta += 2 * weight[b] * cost[sa][sb]
             if delta < 0:
-                slot[a], slot[b] = sb, sa
-                nbrs = [(w, u, cost[slot[u]]) for w, u in incident[a]]
-                improved = True
-        here = sum(w * row[slot[a]] for w, _, row in nbrs)
+                move(a, sb)
+                move(b, sa)
+                if b in weight:  # phi_a counts b, which moved
+                    phi_a = phi(a)
+                improved, phi_at_a = True, column(a)
         for k, s in enumerate(free):
-            there = sum(w * row[s] for w, _, row in nbrs)
-            if there < here:
-                slot[a], free[k] = s, slot[a]
-                here = there
+            if phi_a[s] < home[a]:
+                free[k] = slot[a]
+                move(a, s)
                 improved = True
     return improved
 
@@ -309,19 +338,21 @@ def place_qubits(ig: InteractionGraph, config: DesignConfig) -> np.ndarray:
     """Greedy grid placement maximizing realized interaction weight.
 
     Each pick is the unplaced qubit with the largest weight to the placed
-    ones; only when several tie there are they told apart, by refined
-    structural keys seeded with the placement order, then by smaller index.
+    ones; a tie keeps its top class under each round of refined structural
+    keys seeded with the placement order, stopping once one qubit is left
+    (the weighted-degree round settles most), then takes the smaller index.
     The pick goes on the free cell with the largest weight to its placed
-    grid neighbours. Cell ties prefer more free neighbours, then smaller
-    Manhattan distance to the center, then row-major order; so the first
-    qubit lands on the center, the only cell at distance 0 and one with the
-    most in-grid neighbours. Cells are integers ``r*cols + c``. ``pos``
-    (qubit -> cell, in placement order), the free-cell set and the running
-    weight to the placed set are the whole state. :func:`exchange_pass`
-    with the grid adjacency table (-1 for adjacent cells) then repeats over
-    the qubits in placement order and the free cells in row-major order
-    until no swap or move raises the realized weight. Deterministic
-    throughout.
+    grid neighbours; that weight is positive exactly next to them, so only
+    those cells are scanned when there are any. Cell ties prefer more free
+    neighbours, then smaller Manhattan distance to the center, then
+    row-major order; so the first qubit lands on the center, the only cell
+    at distance 0 and one with the most in-grid neighbours. Cells are
+    integers ``r*cols + c``. ``pos`` (qubit -> cell, in placement order),
+    the free-cell set and the running weight to the placed set are the
+    whole state. :func:`exchange_pass` with the grid adjacency table (-1
+    for adjacent cells) then repeats over the qubits in placement order and
+    the free cells in row-major order until no swap or move raises the
+    realized weight. Deterministic throughout.
     """
     n = ig.num_qubits
     rows, cols = _grid_shape(n, config)
@@ -332,15 +363,14 @@ def place_qubits(ig: InteractionGraph, config: DesignConfig) -> np.ndarray:
                              f"cells x (qubits + 1) is more than the {MAX_PLACEMENT_WORK} allowed")
     cr, cc = rows // 2, cols // 2
     neighbors = _grid_neighbors(rows, cols)
-    adjacency = _GridAdjacency(neighbors)
     pos: dict[int, int] = {}
     free = set(range(rows * cols))
     to_placed = [0] * n  # each qubit's total weight to the placed ones
 
-    def cell_pick_key(placed_nbrs: list, cell: int):
+    def cell_pick_key(cell: int):
         r, c = divmod(cell, cols)
         return (
-            -sum(w * adjacency[nb_cell][cell] for w, nb_cell in placed_nbrs),
+            gain[cell],
             sum(1 for nb in neighbors[cell] if nb in free),
             -(abs(r - cr) + abs(c - cc)),
             -cell,
@@ -349,18 +379,23 @@ def place_qubits(ig: InteractionGraph, config: DesignConfig) -> np.ndarray:
     while len(pos) < n:
         top = max(to_placed[q] for q in range(n) if q not in pos)
         tied = [q for q in range(n) if q not in pos and to_placed[q] == top]
-        best_q = tied[0]
         if len(tied) > 1:
-            keys = _refined_keys(ig, seed={q: rank for rank, q in enumerate(pos)})
-            best_q = max(tied, key=lambda q: (keys[q], -q))
-        placed_nbrs = [(w, pos[u]) for w, u in ig.incident[best_q] if u in pos]
-        best_cell = max(free, key=lambda cell: cell_pick_key(placed_nbrs, cell))
+            for keys in _refined_keys(ig, seed={q: rank for rank, q in enumerate(pos)}):
+                best = max(keys[q] for q in tied)
+                if len(tied := [q for q in tied if keys[q] == best]) == 1:
+                    break
+        best_q = tied[0]
+        gain = Counter()  # free cell -> the pick's weight to placed qubits next to it
+        for w, u in ig.incident[best_q]:
+            if u in pos:
+                gain.update(dict.fromkeys(free.intersection(neighbors[pos[u]]), w))
+        best_cell = max(gain or free, key=cell_pick_key)
         pos[best_q] = best_cell
         free.remove(best_cell)
         for w, u in ig.incident[best_q]:
             to_placed[u] += w
 
-    order, free_cells = list(pos), sorted(free)
+    order, free_cells, adjacency = list(pos), sorted(free), _GridAdjacency(neighbors)
     for _ in range(n * n + 4):  # the weight rises strictly, so this bound is never reached
         if not exchange_pass(ig, order, pos, free_cells, adjacency):
             break

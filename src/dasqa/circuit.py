@@ -15,9 +15,9 @@ from functools import cached_property
 
 from .errors import CircuitError
 
-# the most qubits a circuit may declare or a coupling file hold: routing builds
-# an n x n hop table, and a bare-register barrier one operand per qubit; far
-# above what placement reaches (archgen.MAX_PLACEMENT_WORK stops a full grid near 450)
+# the most qubits a circuit may declare or a coupling file hold: routing builds an n x n
+# hop table (its exchange pass an int64 copy), and a bare-register barrier one operand
+# per qubit; far above placement's reach (archgen.MAX_PLACEMENT_WORK stops a full grid near 450)
 MAX_QUBITS = 1024
 
 
@@ -124,8 +124,12 @@ class InteractionGraph:
             incident[b].append((w, a))
         return tuple(map(tuple, incident))
 
+    @cached_property
+    def weighted_degrees(self) -> tuple[int, ...]:
+        return tuple(sum(w for w, _ in pairs) for pairs in self.incident)
+
     def weighted_degree(self, q: int) -> int:
-        return sum(w for w, _ in self.incident[q])
+        return self.weighted_degrees[q]
 
     def neighbors(self, q: int) -> set[int]:
         return {u for _, u in self.incident[q]}

@@ -8,16 +8,20 @@ import json
 import numpy as np
 import pytest
 
+from dasqa import archgen
 from dasqa.archgen import (
     FREQ_EPS,
     MAX_COUPLING_QUBITS,
     MAX_PLACEMENT_WORK,
     Architecture,
     CouplingGraph,
+    _grid_neighbors,
+    _GridAdjacency,
     _refined_keys,
     allocate_frequencies,
     derive_couplings,
     detuning_violations,
+    exchange_pass,
     generate_architecture,
     load_coupling,
     place_qubits,
@@ -26,7 +30,7 @@ from dasqa.archgen import (
 from dasqa.circuit import Gate, GateKind, InteractionGraph, QuantumCircuit, interaction_graph
 from dasqa.config import DesignConfig, config_from_dict
 from dasqa.errors import ArchitectureError, DasqaError, FrequencyAllocationError, PlacementError
-from dasqa.router import route
+from dasqa.router import _hop_table, route
 
 from conftest import random_circuit
 
@@ -560,7 +564,7 @@ def test_integer_rank_keys_order_as_nested_reference_keys():
         n = ig.num_qubits
         for placed in (0, 1, n // 2, n - 1):
             seed = {int(q): rank for rank, q in enumerate(rng.permutation(n)[:placed])}
-            ref, got = _reference_refined_keys(ig, seed), _refined_keys(ig, seed)
+            ref, got = _reference_refined_keys(ig, seed), list(_refined_keys(ig, seed))[-1]
             assert sorted(set(got)) == list(range(len(set(got))))  # dense ranks
             for p, q in itertools.product(range(n), repeat=2):
                 assert _sign(got[p], got[q]) == _sign(ref[p], ref[q])
@@ -573,6 +577,93 @@ def test_placement_matches_reference_that_refines_before_every_pick(grid):
     for ig in _seeded_graphs(rng):
         layout = place_qubits(ig, config)
         assert np.array_equal(layout, _reference_place(ig, *layout.shape))
+
+
+def _exchange_cases(rng: np.random.Generator):
+    """(graph, order, slot, free, cost table) on grid adjacency and on hop tables.
+
+    Grid cases place the items on random cells of a grid with spare cells,
+    as placement does (``slot`` a dict). Hop cases map them onto a random,
+    often disconnected coupling graph with spare physical qubits, as the
+    router does (``slot`` a list; unreachable pairs cost n_phys**2); some
+    add items with no edge at all.
+    """
+    for ig in _seeded_graphs(rng):
+        n = ig.num_qubits
+        order = [int(q) for q in rng.permutation(n)]
+        rows = int(rng.integers(1, n + 1))
+        cols = -(-(n + int(rng.integers(0, 6))) // rows)  # n plus up to five spare cells
+        cells = [int(c) for c in rng.permutation(rows * cols)]
+        slot = dict(zip(order, cells))
+        yield ig, order, slot, cells[n:], _GridAdjacency(_grid_neighbors(rows, cols))
+
+        isolated = int(rng.integers(0, 3))
+        ig = InteractionGraph(n + isolated, dict(ig.weights))
+        n_phys = n + isolated + int(rng.integers(0, 5))
+        pairs = list(itertools.combinations(range(n_phys), 2))
+        keep = rng.random(len(pairs)) < rng.uniform(0.05, 0.5)
+        coupling = CouplingGraph(n_phys, [p for p, k in zip(pairs, keep) if k])
+        physical = [int(p) for p in rng.permutation(n_phys)]
+        yield ig, list(range(ig.num_qubits)), physical[: ig.num_qubits], physical[ig.num_qubits :], _hop_table(coupling)
+
+
+def test_exchange_pass_matches_reference_on_grids_and_hop_tables():
+    """Pass after pass, the gain-table pass takes the reference's moves:
+    equal slots, free lists and return values."""
+    rng = np.random.default_rng(94)
+    for ig, order, slot, free, table in _exchange_cases(rng):
+        ref_slot, ref_free = type(slot)(slot), list(free)
+        for _ in range(ig.num_qubits ** 2 + 4):
+            improved = exchange_pass(ig, order, slot, free, table)
+            assert improved == _reference_exchange_pass(ig, order, ref_slot, ref_free, lambda s, t: table[s][t])
+            assert (slot, free) == (ref_slot, ref_free)
+            if not improved:
+                break
+
+
+def _record_tie_breaks(monkeypatch) -> list[list]:
+    """Per tie-break of ``place_qubits``: [its seed, rank rounds computed]."""
+    ties: list[list] = []
+    dense_ranks, refined_keys = archgen._dense_ranks, archgen._refined_keys
+
+    def counted_ranks(keys):
+        ties[-1][1] += 1
+        return dense_ranks(keys)
+
+    def counted_keys(ig, seed):
+        ties.append([seed, 0])
+        yield from refined_keys(ig, seed)
+
+    monkeypatch.setattr(archgen, "_dense_ranks", counted_ranks)
+    monkeypatch.setattr(archgen, "_refined_keys", counted_keys)
+    return ties
+
+
+def test_tie_break_needs_no_refinement_when_weighted_degrees_decide(monkeypatch):
+    """A broom with distinct weighted degrees: every tie is settled by the
+    first ranks, so no sharpening round runs."""
+    broom = InteractionGraph(9, {(0, 1): 1, (0, 2): 1, (0, 3): 1, (0, 4): 1,
+                                 (1, 5): 10, (2, 6): 20, (3, 7): 30, (4, 8): 40})
+    assert len(set(broom.weighted_degrees)) == broom.num_qubits
+    ties = _record_tie_breaks(monkeypatch)
+    layout = place_qubits(broom, DesignConfig())
+    assert len(ties) >= 3 and all(rounds == 1 for _, rounds in ties)
+    assert np.array_equal(layout, _reference_place(broom, *layout.shape))
+
+
+def test_tie_break_on_a_ring_stops_after_the_round_that_splits_nothing(monkeypatch):
+    """On a relabelled unit ring every qubit ties at first, and the first
+    sharpening round splits no class: the first pick stops after it and
+    takes the smallest index. The second pick, between the placed qubit's
+    two mirror-image neighbours, stays tied through all three rounds; every
+    later tie is settled by the first sharpening round."""
+    perm = [int(q) for q in np.random.default_rng(95).permutation(12)]
+    ring = InteractionGraph(12, {tuple(sorted((perm[q], perm[(q + 1) % 12]))): 1 for q in range(12)})
+    ties = _record_tie_breaks(monkeypatch)
+    layout = place_qubits(ring, DesignConfig())
+    assert [rounds for _, rounds in ties] == [2, 4] + [2] * (len(ties) - 2)
+    assert ties[1][0] == {0: 0}  # qubit 0 was the first pick
+    assert np.array_equal(layout, _reference_place(ring, *layout.shape))
 
 
 def _reference_allocate(coupling: CouplingGraph, config: DesignConfig) -> np.ndarray:

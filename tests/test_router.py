@@ -822,6 +822,7 @@ PINNED_GENERATIONS = {
     (9, 90): "5cfb2ea798d01f278d4e7262561c8f1ea86067c3ba67d85ec9cda4ade227426f",
     (64, 640): "0a3e7abfe1d847d8cfe0a5d6aebbde7c4d2f983f9dbba204eb044e1bcb8673f9",
     (144, 1440): "df7e4b22f165ac71e414b412a326c2a8472662164434962a883eb50ba8f6791f",
+    (256, 2560): "e72087595fb0a93c68f95117ad5dea517f1854553defdc9c4d9ebcd801239c27",
 }
 
 
