@@ -338,9 +338,9 @@ def place_qubits(ig: InteractionGraph, config: DesignConfig) -> np.ndarray:
     """Greedy grid placement maximizing realized interaction weight.
 
     Each pick is the unplaced qubit with the largest weight to the placed
-    ones; a tie keeps its top class under each round of refined structural
-    keys seeded with the placement order, stopping once one qubit is left
-    (the weighted-degree round settles most), then takes the smaller index.
+    ones; a tie keeps its largest weighted degrees, then its top class under
+    each round of refined structural keys seeded with the placement order,
+    stopping once one qubit is left; then it takes the smaller index.
     The pick goes on the free cell with the largest weight to its placed
     grid neighbours; that weight is positive exactly next to them, so only
     those cells are scanned when there are any. Cell ties prefer more free
@@ -380,10 +380,14 @@ def place_qubits(ig: InteractionGraph, config: DesignConfig) -> np.ndarray:
         top = max(to_placed[q] for q in range(n) if q not in pos)
         tied = [q for q in range(n) if q not in pos and to_placed[q] == top]
         if len(tied) > 1:
-            for keys in _refined_keys(ig, seed={q: rank for rank, q in enumerate(pos)}):
-                best = max(keys[q] for q in tied)
-                if len(tied := [q for q in tied if keys[q] == best]) == 1:
-                    break
+            # unplaced, so the first round of keys ranks them by weighted degree alone
+            degrees = ig.weighted_degrees
+            best = max(degrees[q] for q in tied)
+            if len(tied := [q for q in tied if degrees[q] == best]) > 1:
+                for keys in _refined_keys(ig, seed={q: rank for rank, q in enumerate(pos)}):
+                    best = max(keys[q] for q in tied)
+                    if len(tied := [q for q in tied if keys[q] == best]) == 1:
+                        break
         best_q = tied[0]
         gain = Counter()  # free cell -> the pick's weight to placed qubits next to it
         for w, u in ig.incident[best_q]:

@@ -17,12 +17,19 @@ before anything is parsed, so an unexpected character anywhere is reported
 first. A token carries only its text, kind and source offset; line and
 column are computed from the offset when a diagnostic is raised.
 
-The pattern's first alternative matches a whole simple gate statement,
-``name[(numeric literal)] reg[i](, reg[j])?;`` (OpenQASM 2.0, arXiv:1707.03429).
-At a statement start such a match is one token, and the parser builds its
-``Gate`` straight from the matched groups. Everywhere else, and whenever a
-register, index or gate check on the match fails, the same text is read as
-plain tokens by the one grammar below, so every diagnostic comes from there.
+The pattern's first alternative matches a run of up to ``_MAX_RUN`` simple
+gate statements, ``name[(numeric literal)] reg[i](, reg[j])?;`` (OpenQASM
+2.0, arXiv:1707.03429), with only whitespace between them. At a statement
+start such a run is one token. The parser splits it at its ``;``s and looks
+each statement's text, less leading whitespace, up in a per-parse memo; a
+text it has not seen is matched by the one-statement pattern and its
+``Gate`` built straight from the groups, once. Registers are never
+redeclared, so a text names the same qubits all through the parse. A run
+elsewhere, or one in which a register, index or gate check fails, is read
+whole as plain tokens by the one grammar below, none of its gates kept, so
+every diagnostic comes from there. The run is bounded because the regex
+engine keeps backtracking state for every repetition it has taken: parsing
+10 000 gates in one unbounded run peaks at 13.5 MB, in runs of 64 at 0.6 MB.
 """
 from __future__ import annotations
 
@@ -37,37 +44,39 @@ from .errors import CircuitError, QasmError, read_text
 # measure and barrier have statement syntax of their own, parsed apart
 _GATE_KINDS = {k.value: k for k in GateKind if k not in (GateKind.MEASURE, GateKind.BARRIER)}
 
-# A simple gate statement, ``name[(literal)] reg[i](, reg[j])?;``, is one
-# "stmt" match; its subpatterns are those of the plain tokens below, so the
-# same text read token by token splits the same way.
+# A simple gate statement, ``name[(literal)] reg[i](, reg[j])?``, less its
+# ";"; its subpatterns are those of the plain tokens, so the same text read
+# token by token splits the same way.
 _NUM = r"(?:\d+\.\d*|\.\d+|\d+)(?:[eE][+-]?\d+)?"
 _ID = r"[A-Za-z_][A-Za-z0-9_]*"
 _GATE_NAMES = "|".join(_GATE_KINDS)
-_TOKEN_RE = re.compile(
-    rf"""
-    (?P<stmt>
-        (?P<name>{_GATE_NAMES})
-        (?: \s*\(\s*(?P<angle>[-+]?{_NUM})\s*\)\s* | \s+ )
-        (?P<reg0>{_ID})\s*\[\s*(?P<idx0>\d+)\s*\]\s*
-        (?: ,\s*(?P<reg1>{_ID})\s*\[\s*(?P<idx1>\d+)\s*\]\s* )?
-        ;
-    )
-  | (?P<skip>\s+|//[^\n]*)
+_STMT = rf"""
+    (?P<name>{_GATE_NAMES})
+    (?: \s*\(\s*(?P<angle>[-+]?{_NUM})\s*\)\s* | \s+ )
+    (?P<reg0>{_ID})\s*\[\s*(?P<idx0>\d+)\s*\]\s*
+    (?: ,\s*(?P<reg1>{_ID})\s*\[\s*(?P<idx1>\d+)\s*\]\s* )?
+"""
+_PLAIN = rf"""
+    (?P<skip>\s+|//[^\n]*)
   | (?P<num>{_NUM})
   | (?P<id>{_ID})
   | (?P<str>"[^"\n]*")
   | (?P<arrow>->)
   | (?P<punct>[;,\[\]()+\-*/])
   | (?P<bad>.)
-    """,
-    re.VERBOSE | re.DOTALL | re.ASCII,  # OpenQASM digits and spaces are ASCII
-)
+"""
+_MAX_RUN = 64  # statements one "stmt" token may hold
+_FLAGS = re.VERBOSE | re.DOTALL | re.ASCII  # OpenQASM digits and spaces are ASCII
+_STMT_RE = re.compile(_STMT, _FLAGS)
+_PLAIN_RE = re.compile(_PLAIN, _FLAGS)
+_RUN_STMT = re.sub(r"\(\?P<\w+>", "(?:", _STMT)  # a repeat cannot hold named groups
+_TOKEN_RE = re.compile(rf"(?P<stmt> {_RUN_STMT}; (?: \s* {_RUN_STMT}; ){{0,{_MAX_RUN - 1}}} ) | {_PLAIN}", _FLAGS)
 
 # Parentheses an angle expression may nest; each level costs three frames of
 # the recursive-descent parser, so this stays far below the recursion limit.
 _MAX_ANGLE_DEPTH = 64
 
-# text, kind, source offset; a "stmt" token carries its match in place of the text
+# text, kind, source offset; a "stmt" token's text is its run of statements
 _Token = tuple[str, str, int]
 
 # digits a register size or index may have: far more than MAX_QUBITS needs, and
@@ -85,25 +94,25 @@ def _line_column(source: str, pos: int) -> tuple[int, int]:
     return source.count("\n", 0, pos) + 1, pos - source.rfind("\n", 0, pos)
 
 
-def _tokenize(source: str, start: int = 0, end: int | None = None) -> list[_Token]:
-    """Tokens of ``source[start:end]``, scanned to the end before any is parsed.
+def _tokenize(source: str) -> list[_Token]:
+    """Tokens of ``source``, scanned to the end before any is parsed.
 
-    A simple gate statement right after a ``;`` (so at a statement start,
-    since a ``;`` read anywhere else is an error at once) is one "stmt"
-    token; elsewhere its text is read as plain tokens.
+    A run of simple gate statements right after a ``;`` (so at a statement
+    start, since a ``;`` read anywhere else is an error at once) is one
+    "stmt" token; elsewhere its text is read as plain tokens.
     """
     tokens = []
     append = tokens.append
     at_start = False  # the last token ended a statement
-    for m in _TOKEN_RE.finditer(source, start, len(source) if end is None else end):
+    for m in _TOKEN_RE.finditer(source):
         kind = m.lastgroup
         if kind == "skip":
             continue
         if kind == "stmt":
             if at_start:
-                append((m, kind, m.start()))
+                append((m.group(), kind, m.start()))
             else:
-                tokens += _plain_tokens(source, m)
+                tokens += _plain_tokens(source, m.start(), m.end())
                 at_start = True
             continue
         if kind == "bad":
@@ -114,9 +123,10 @@ def _tokenize(source: str, start: int = 0, end: int | None = None) -> list[_Toke
     return tokens
 
 
-def _plain_tokens(source: str, m: re.Match) -> list[_Token]:
-    """The plain tokens of a "stmt" match: its gate name, then the rest of its text."""
-    return [(m["name"], "id", m.start()), *_tokenize(source, m.end("name"), m.end())]
+def _plain_tokens(source: str, start: int, end: int) -> list[_Token]:
+    """The plain tokens of a run of statements, ``source[start:end]``."""
+    matches = _PLAIN_RE.finditer(source, start, end)
+    return [(m.group(), m.lastgroup, m.start()) for m in matches if m.lastgroup != "skip"]
 
 
 class _Parser:
@@ -233,7 +243,7 @@ class _Parser:
 
 
 def _simple_gate(groups: tuple, qregs: dict[str, tuple[int, int]]) -> Gate | None:
-    """The gate of a "stmt" match's groups, or None when a register, index or gate check fails."""
+    """The gate of a statement's groups, or None when a register, index or gate check fails."""
     name, angle, reg0, idx0, reg1, idx1 = groups
     kind = _GATE_KINDS[name]
     if (angle is None) is (kind is GateKind.RZ):  # only rz takes "(angle)"
@@ -283,23 +293,27 @@ def parse_qasm(source: str, name: str = "circuit") -> QuantumCircuit:
     def qubit_ref() -> int:
         return p.register_ref(qregs, "quantum", "operand")
 
-    # one frozen gate per angle-less simple statement text; registers are
-    # never redeclared, so its groups name the same qubits all through the parse
-    shared: dict[tuple, Gate] = {}
+    # one frozen gate per simple statement text
+    memo: dict[str, Gate] = {}
     tokens = p.tokens
     while p.pos < len(tokens):
         tok = tokens[p.pos]
         if tok[1] == "stmt":
-            groups = tok[0].group("name", "angle", "reg0", "idx0", "reg1", "idx1")
-            gate = shared.get(groups) or _simple_gate(groups, qregs)
-            if gate is not None:
-                if groups[1] is None:  # no angle
-                    shared[groups] = gate
-                gates.append(gate)
+            run = []
+            for text in map(str.lstrip, tok[0].split(";")[:-1]):
+                gate = memo.get(text)
+                if gate is None:
+                    gate = _simple_gate(_STMT_RE.fullmatch(text).groups(), qregs)
+                    if gate is None:
+                        break
+                    memo[text] = gate
+                run.append(gate)
+            else:
+                gates += run
                 p.pos += 1
                 continue
-            # a check failed: the token path reads the statement and raises its diagnostic
-            tokens[p.pos : p.pos + 1] = _plain_tokens(source, tok[0])
+            # a check failed: the token path reads the run and raises its diagnostic
+            tokens[p.pos : p.pos + 1] = _plain_tokens(source, tok[2], tok[2] + len(tok[0]))
         tok = p.next()
         text = tok[0]
         kind = _GATE_KINDS.get(text)

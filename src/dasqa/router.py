@@ -15,7 +15,10 @@ terms alone, read from each logical qubit's sliding window of terms; the
 live mapping keeps its physical -> logical inverse, so a swap updates it in
 O(1). Routed gates without an angle or a cbit are shared, frozen objects.
 The decay weights 0.8**k are scaled by 5**19 to the integers
-4**k * 5**(19 - k), so every score and comparison is exact. If the lookahead
+4**k * 5**(19 - k), and the scores are exact integers held in floats: a
+swap on a coupling edge moves each term by -1, 0 or +1 hops, so every
+partial sum is an integer of magnitude at most twice the weights' sum,
+below 2**53, and every score and comparison is exact. If the lookahead
 stalls, the remaining distance is walked directly: the first operand's image
 steps to its smallest-index neighbour one hop closer to the second's, read
 from the same hop table the costs use. A BFS oracle
@@ -182,10 +185,14 @@ def route(
     length and an empty site has no terms, so both are skipped; an
     unreachable term costs n_phys**2 on either side, so it adds nothing.
     The first candidate with the strictly smallest score is swapped. The
-    scores are exact integers. One swap moves each term by at most one hop,
-    so two candidates' distances for a term differ by at most 2, less than
-    5; with these weights their scores then tie only when every term has
-    the same distance under both.
+    scores are exact integers held in floats: u and v are adjacent, so each
+    term's ``hops[v][po] - hops[u][po]`` is -1, 0 or +1 (0 when ``po`` is
+    unreachable), each weight is at most 5**19 < 2**53, and a score sums
+    at most ``2 * LOOKAHEAD_WINDOW`` terms, so every partial sum is an
+    integer below ``2 * sum(_WINDOW_WEIGHTS)`` < 2**53 in magnitude. One
+    swap moves each term by at most one hop, so two candidates' distances
+    for a term differ by at most 2, less than 5; with these weights their
+    scores then tie only when every term has the same distance under both.
     """
     coupling = _coupling_of(arch)
     if mapping is None:
@@ -195,22 +202,23 @@ def route(
     hops = _hop_table(coupling)
     n_phys = coupling.num_qubits
     unreachable = n_phys * n_phys
+    longest = int(coupling.distances().max(initial=0))  # unreachable reads -1 there
+    # the scores read float rows that share one float per distance, so the
+    # table holds pointers only; the int rows steer the loop
+    as_float = {d: float(d) for d in (*range(longest + 1), unreachable)}
+    fhops = [list(map(as_float.__getitem__, row)) for row in hops]
+    weights = tuple(map(float, _WINDOW_WEIGHTS))
     l2p = list(mapping.log_to_phys)
     p2l = _occupants(l2p, n_phys)
 
     pending = qc.two_qubit_pairs()
+    n_pending = len(pending)
     # each logical qubit's window terms (pending index, other operand), in
     # pending order; after each two-qubit gate the window slides by one
     window: list[deque[tuple[int, int]]] = [deque() for _ in range(qc.num_qubits)]
-
-    def enter(j: int) -> None:
-        if j < len(pending):
-            x, y = pending[j]
-            window[x].append((j, y))
-            window[y].append((j, x))
-
-    for j in range(LOOKAHEAD_WINDOW):
-        enter(j)
+    for j, (x, y) in enumerate(pending[:LOOKAHEAD_WINDOW]):
+        window[x].append((j, y))
+        window[y].append((j, x))
     pend_idx = 0
     out: list[RoutedGate] = []
 
@@ -219,77 +227,78 @@ def route(
     swap_gates = {e: RoutedGate(Gate(GateKind.SWAP, e), inserted=True) for e in coupling.edges}
     shared: dict[tuple, RoutedGate] = {}
 
-    def routed_gate(g: Gate, qubits: tuple[int, ...]) -> RoutedGate:
-        if g.angle is not None or g.cbit is not None:
-            return RoutedGate(Gate(g.kind, qubits, g.angle, g.cbit))
-        rg = shared.get((g.kind, qubits))
-        if rg is None:
-            rg = shared[g.kind, qubits] = RoutedGate(Gate(g.kind, qubits))
-        return rg
-
-    def apply_swap(u: int, v: int) -> None:
-        _swap_sites(l2p, p2l, u, v)
-        out.append(swap_gates[u, v])
-
-    stall_cap = n_phys + max((d for row in hops for d in row if d < unreachable), default=0) + 2
+    stall_cap = n_phys + longest + 2
     # coupling edges (low, high) at each physical qubit, sorted: the swap candidates
     edges_at = [sorted((min(p, nb), max(p, nb)) for nb in coupling.neighbors(p)) for p in range(n_phys)]
 
     for g in qc.gates:
         if not g.kind.is_two_qubit:
-            out.append(routed_gate(g, tuple(map(l2p.__getitem__, g.qubits))))
-            continue
-
-        a, b = g.qubits
-        pa, pb = l2p[a], l2p[b]
-        if hops[pa][pb] >= unreachable:
-            raise RoutingError(
-                f"no coupling path between the images of q{a} and q{b}"
-            )
-        swaps_this_gate = 0
-        last_edge: tuple[int, int] | None = None
-        while hops[pa][pb] > 1:
-            if swaps_this_gate >= stall_cap:
-                # lookahead stalled: step a's image along the smallest-index
-                # shortest path to b's image
-                while hops[pa][pb] > 1:
-                    hop = min(nb for nb in coupling.neighbors(pa) if hops[nb][pb] < hops[pa][pb])
-                    apply_swap(min(pa, hop), max(pa, hop))
-                    pa = l2p[a]
-                break
-            # reachable, non-adjacent images: disjoint non-empty edge lists, so 2+ candidates
-            candidates = sorted(edges_at[pa] + edges_at[pb])
-            # a swap moves only the terms of the qubits on u and v (an empty
-            # site, -1, has none, and the term joining them keeps its length)
-            best_edge, best_delta = None, None
-            for edge in candidates:
-                if edge == last_edge:
-                    continue
-                u, v = edge
-                lu, lv = p2l[u], p2l[v]
-                hu, hv = hops[u], hops[v]
-                delta = 0
-                if lu >= 0:
-                    for j, o in window[lu]:
-                        if o != lv:
-                            po = l2p[o]
-                            delta += _WINDOW_WEIGHTS[j - pend_idx] * (hv[po] - hu[po])
-                if lv >= 0:
-                    for j, o in window[lv]:
-                        if o != lu:
-                            po = l2p[o]
-                            delta += _WINDOW_WEIGHTS[j - pend_idx] * (hu[po] - hv[po])
-                if best_delta is None or delta < best_delta:
-                    best_edge, best_delta = edge, delta
-            apply_swap(*best_edge)
-            last_edge = best_edge
-            swaps_this_gate += 1
+            qubits = tuple(map(l2p.__getitem__, g.qubits))
+        else:
+            a, b = g.qubits
             pa, pb = l2p[a], l2p[b]
-        out.append(routed_gate(g, (pa, pb)))
-        window[a].popleft()  # this gate's term leaves the window
-        window[b].popleft()
-        enter(pend_idx + LOOKAHEAD_WINDOW)
-        pend_idx += 1
+            if hops[pa][pb] >= unreachable:
+                raise RoutingError(
+                    f"no coupling path between the images of q{a} and q{b}"
+                )
+            swaps_this_gate = 0
+            last_edge: tuple[int, int] | None = None
+            while hops[pa][pb] > 1:
+                if swaps_this_gate >= stall_cap:
+                    # lookahead stalled: step a's image along the smallest-index
+                    # shortest path to b's image
+                    while hops[pa][pb] > 1:
+                        hop = min(nb for nb in coupling.neighbors(pa) if hops[nb][pb] < hops[pa][pb])
+                        edge = (min(pa, hop), max(pa, hop))
+                        _swap_sites(l2p, p2l, *edge)
+                        out.append(swap_gates[edge])
+                        pa = l2p[a]
+                    break
+                # reachable, non-adjacent images: disjoint non-empty edge lists, so 2+ candidates
+                candidates = sorted(edges_at[pa] + edges_at[pb])
+                # a swap moves only the terms of the qubits on u and v (an empty
+                # site, -1, has none, and the term joining them keeps its length)
+                best_edge, best_delta = None, None
+                for edge in candidates:
+                    if edge == last_edge:
+                        continue
+                    u, v = edge
+                    lu, lv = p2l[u], p2l[v]
+                    hu, hv = fhops[u], fhops[v]
+                    delta = 0.0
+                    if lu >= 0:
+                        for j, o in window[lu]:
+                            if o != lv:
+                                po = l2p[o]
+                                delta += weights[j - pend_idx] * (hv[po] - hu[po])
+                    if lv >= 0:
+                        for j, o in window[lv]:
+                            if o != lu:
+                                po = l2p[o]
+                                delta += weights[j - pend_idx] * (hu[po] - hv[po])
+                    if best_delta is None or delta < best_delta:
+                        best_edge, best_delta = edge, delta
+                _swap_sites(l2p, p2l, *best_edge)
+                out.append(swap_gates[best_edge])
+                last_edge = best_edge
+                swaps_this_gate += 1
+                pa, pb = l2p[a], l2p[b]
+            qubits = (pa, pb)
+            window[a].popleft()  # this gate's term leaves the window
+            window[b].popleft()
+            j = pend_idx + LOOKAHEAD_WINDOW
+            if j < n_pending:
+                x, y = pending[j]
+                window[x].append((j, y))
+                window[y].append((j, x))
+            pend_idx += 1
+        if g.angle is not None or g.cbit is not None:
+            out.append(RoutedGate(Gate(g.kind, qubits, g.angle, g.cbit)))
+            continue
+        rg = shared.get((g.kind, qubits))
+        if rg is None:
+            rg = shared[g.kind, qubits] = RoutedGate(Gate(g.kind, qubits))
+        out.append(rg)
 
     return RoutedCircuit(
         num_physical=n_phys,

@@ -233,7 +233,8 @@ _TEST_TOKEN_RE = re.compile(r'(?:\d+\.\d*|\.\d+|\d+)(?:[eE][+-]?\d+)?|"[^"]*"|->
 
 
 def _statement_tokens(source: str) -> int:
-    return sum(tok[1] == "stmt" for tok in qasm._tokenize(source))
+    """Simple statements read as run tokens: the ``;``s of every "stmt" token."""
+    return sum(tok[0].count(";") for tok in qasm._tokenize(source) if tok[1] == "stmt")
 
 
 def _gate_list(qc: QuantumCircuit) -> list[tuple]:
@@ -308,6 +309,7 @@ def test_statement_matches_take_tabs_crlf_and_line_breaks():
         ("h q[0]; h q[0]", ("unexpected end of input", 5, 14)),
         ("ccx q[0], q[1];", ("unsupported gate 'ccx'", 5, 1)),
         ("rz(1.5e) q[0];", ("expected ')', found 'e'", 5, 7)),
+        ("x q[9]; h q[0]; $", ("unexpected character '$'", 5, 17)),  # after a failing run
     ],
 )
 def test_statement_shaped_inputs_keep_their_diagnostics(body, outcome):
@@ -335,6 +337,64 @@ def test_angle_less_statements_with_the_same_text_share_one_gate():
         if not line.startswith(("rz", "measure", "barrier")):
             assert by_text.setdefault(line, gate) is gate
     assert len(by_text) < len(lines) // 2
+
+
+def _run_statement(i: int) -> str:
+    """Statement i of a 200-statement run whose statement 150 indexes out of range."""
+    if i == 149:
+        return "x q[9];"
+    return [f"h q[{i % 5}];", f"cx q[{i % 2}],q[{2 + i % 3}];", f"rz(0.{i}) q[{i % 5}];"][i % 3]
+
+
+@pytest.mark.parametrize("sep,line,column", [("\n", 153, 3), (" ", 4, 1851)])
+def test_a_failing_statement_deep_in_a_run_keeps_its_diagnostic(sep, line, column):
+    """The line and column are those the token-by-token parser gave."""
+    source = HEADER + "qreg q[5];\n" + sep.join(map(_run_statement, range(200))) + "\n"
+    with pytest.raises(QasmError) as info:
+        parse_qasm(source)
+    message = "operand index q[9] out of range (size 5)"
+    assert (str(info.value), info.value.line, info.value.column) == (
+        f"line {line}, column {column}: {message}", line, column
+    )
+
+
+def test_runs_of_any_length_and_break_parse_as_the_token_path():
+    """Runs past the bound, and runs broken by comments, measures, barriers
+    and CRLF line ends, give the gates of the comment-separated text."""
+    simple = QuantumCircuit(9, tuple(
+        g for g in mixed_circuit(9, 400, seed=5).gates if g.kind not in (GateKind.MEASURE, GateKind.BARRIER)
+    ))
+    mixed = mixed_circuit(9, 400, seed=6)
+    assert {GateKind.MEASURE, GateKind.BARRIER} <= {g.kind for g in mixed.gates}
+    lines = to_qasm(simple).splitlines()
+    commented = "\n".join(line + ("\n// k" if k % 50 == 0 else "") for k, line in enumerate(lines))
+    # text -> (circuit, the longest run the text makes: the bound, or what breaks it sooner)
+    cases = {
+        to_qasm(simple): (simple, qasm._MAX_RUN),
+        " ".join(lines): (simple, qasm._MAX_RUN),
+        commented: (simple, 50),
+        commented.replace("\n", "\r\n"): (simple, 50),
+        to_qasm(mixed): (mixed, None),
+    }
+    for text, (qc, longest) in cases.items():
+        runs = [tok[0].count(";") for tok in qasm._tokenize(text) if tok[1] == "stmt"]
+        assert max(runs) == (longest or max(runs)) <= qasm._MAX_RUN
+        token_path = " // c\n".join(_TEST_TOKEN_RE.findall(to_qasm(qc)))
+        assert _statement_tokens(token_path) == 0
+        assert _gate_list(parse_qasm(text)) == _gate_list(parse_qasm(token_path)) == _gate_list(qc)
+
+
+def test_each_distinct_statement_text_is_built_once(monkeypatch):
+    """Counts calls, not time: 5000 statements over 40 distinct texts."""
+    texts = [f"h q[{i}];" for i in range(20)] + [f"cx q[{i}],q[{i + 1}];" for i in range(19)] + ["rz(0.5) q[3];"]
+    calls = []
+    simple_gate = qasm._simple_gate
+    monkeypatch.setattr(qasm, "_simple_gate", lambda *args: calls.append(args) or simple_gate(*args))
+    seps = ["\n", "\r\n", "\t", "  "]
+    body = "".join(texts[k % 40] + seps[k % 4] for k in range(5000))
+    parsed = parse_qasm(HEADER + "qreg q[20];\n" + body)
+    assert len(parsed.gates) == 5000 and len(calls) == 40
+    assert parsed.gates[:40] == parse_qasm(HEADER + "qreg q[20];\n" + "".join(texts)).gates
 
 
 def test_simple_gate_statements_make_no_plain_tokens(monkeypatch):

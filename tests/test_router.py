@@ -727,6 +727,11 @@ def test_window_weights_are_exact_scaled_decay_powers():
     for k, w in enumerate(weights):
         assert type(w) is int
         assert w == 4**k * 5 ** (19 - k) == Fraction(4, 5) ** k * 5**19
+    # route sums the weights, each times -1, 0 or +1, over at most two windows'
+    # terms in floats: every partial sum must be an integer a double holds
+    # exactly, or ties and comparisons could pick other swaps
+    assert 2 * sum(weights) < 2**53
+    assert all(float(w) == w for w in weights)
 
 
 def test_route_picks_the_full_window_float_scorers_swaps(monkeypatch):
