@@ -93,6 +93,14 @@ class QuantumCircuit:
                         f"operand index q{q} out of range for {self.num_qubits} qubit(s)"
                     )
 
+    @cached_property
+    def interactions(self) -> InteractionGraph:
+        """The :func:`interaction_graph` of this circuit, built on first use."""
+        weights: dict[tuple[int, int], int] = {}
+        for a, b in self.two_qubit_pairs():
+            weights[(a, b)] = weights.get((a, b), 0) + 1
+        return InteractionGraph(self.num_qubits, weights)
+
     def two_qubit_pairs(self) -> list[tuple[int, int]]:
         """Unordered operand pairs of the two-qubit gates, program order."""
         return [
@@ -140,11 +148,9 @@ class InteractionGraph:
 
 
 def interaction_graph(qc: QuantumCircuit) -> InteractionGraph:
-    """Count two-qubit gates per unordered qubit pair."""
-    weights: dict[tuple[int, int], int] = {}
-    for a, b in qc.two_qubit_pairs():
-        weights[(a, b)] = weights.get((a, b), 0) + 1
-    return InteractionGraph(qc.num_qubits, weights)
+    """Count two-qubit gates per unordered qubit pair. A circuit is immutable,
+    so it keeps its graph: every caller gets the one built first."""
+    return qc.interactions
 
 
 @dataclass(frozen=True)

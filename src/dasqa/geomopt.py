@@ -6,7 +6,12 @@ simulated qubit frequencies, then inverted exactly to find the geometry that
 hits a target frequency: at a fixed gap it is one polynomial in height, whose
 roots give every height where it meets the target or comes closest to it.
 :func:`optimize_layout` applies the inverted geometries to the layout's
-transmons: one solve per distinct target, one checked edit per transmon.
+transmons: one checked edit per transmon, and one batched solve per pad gap.
+``np.roots`` finds roots as the eigenvalues of a companion matrix (Edelman &
+Murakami, *Polynomial roots from companion matrix eigenvalues*, 1995), so all
+the distinct targets at one gap go through one ``eigvals`` call on stacked
+companion matrices built as ``np.roots`` builds them, with bit-identical
+roots; :func:`invert_for_geometry` is that batch with one target.
 
 A bundled synthetic table (``data/pad_geometry.csv``, regenerable with
 ``python -m dasqa.data.make_pad_geometry``) stands in for simulation data;
@@ -23,8 +28,8 @@ from pathlib import Path
 import numpy as np
 
 from .config import DesignConfig
-from .errors import GeometryError, LayoutError, UnreachableTargetError, read_text
-from .layout import LayoutDocument, fmt_um, length_um, round9
+from .errors import DasqaError, GeometryError, LayoutError, UnreachableTargetError, read_text
+from .layout import Component, LayoutDocument, fmt_um, length_um, round9
 
 INVERT_TOL_GHZ = 1e-6
 GRID_POINTS = 101
@@ -181,6 +186,121 @@ def predict_frequency(model: GeometryModel, gap_um: float, height_um: float) -> 
     )
 
 
+def _real_roots(polys: np.ndarray) -> np.ndarray:
+    """Real parts of the roots of each row of ``polys`` (highest power first),
+    found as :func:`np.roots` finds them, with one ``eigvals`` call per
+    stripped shape: leading zeros are dropped, each trailing zero is a root
+    at 0, and the rest are the eigenvalues of the companion matrix whose first
+    row is ``-p[1:] / p[0]``. A row with fewer than ``n - 1`` roots is padded
+    with nan."""
+    rows, n = polys.shape
+    out = np.full((rows, max(n - 1, 0)), np.nan)
+    if n < 2:
+        return out
+    nonzero = polys != 0
+    first = nonzero.argmax(axis=1)
+    last = n - 1 - nonzero[:, ::-1].argmax(axis=1)
+    for lo, hi in set(zip(first.tolist(), last.tolist())):
+        sel = (first == lo) & (last == hi) & nonzero[:, lo]  # an all-zero row has no roots
+        if not sel.any():
+            continue
+        m = hi - lo
+        if m:
+            p = polys[sel, lo:hi + 1]
+            companion = np.zeros((len(p), m, m))
+            companion[:, 1:, :-1] = np.eye(m - 1)
+            companion[:, 0, :] = -p[:, 1:] / p[:, :1]
+            out[sel, :m] = np.linalg.eigvals(companion).real
+        out[sel, m:n - 1 - lo] = 0.0
+    return out
+
+
+def _invert(
+    model: GeometryModel, targets: list[float], fixed_gap_um: float | None
+) -> list[tuple[float, float] | float | Exception]:
+    """Per finite target: (gap, height), the nearest candidate frequency when
+    no gap reaches it, or the exception its solve raised at some gap before
+    it was reached, returned so the caller raises it in turn.
+
+    At each gap the targets still open are solved together: the crossings of
+    every target are the roots of the height polynomial minus that target,
+    one batch, and the turning points are the roots of its derivative, once.
+    Per target, the crossings and turning points inside the training bounds
+    and the bounds themselves are the candidates, in ascending order; the
+    first within ``INVERT_TOL_GHZ`` is the height, and otherwise the candidate
+    of least error (the lowest on ties) competes for the nearest frequency,
+    on (error, frequency), with those of the earlier gaps.
+    """
+    if fixed_gap_um is None:
+        gaps = np.linspace(*model.gap_bounds, GRID_POINTS).tolist()
+    else:
+        gaps = [float(fixed_gap_um)]
+    h_lo, h_hi = model.height_bounds
+    outcomes: list = [None] * len(targets)
+    wanted = np.array(targets, dtype=float)
+    best_err, best_val = np.full(len(targets), np.inf), np.full(len(targets), np.nan)
+    pending = np.arange(len(targets))
+    for gap in gaps:
+        if not pending.size:
+            break
+        k = len(pending)
+        try:
+            poly = _height_polynomial(model, gap)
+            n = len(poly)
+            # rows 0..k-1 are the polynomial minus each target, as np.polysub
+            # gives them; row k is its derivative behind a leading zero, which
+            # the root finder strips as np.roots does
+            polys = np.empty((k + 1, n))
+            polys[:k] = poly
+            polys[:k, -1] = poly[-1] - wanted[pending]
+            polys[k, 0] = 0.0
+            polys[k, 1:] = np.polyder(poly)
+            roots = _real_roots(polys)
+            candidates = np.empty((k, 2 * n))
+            candidates[:, :n - 1] = roots[:k]
+            candidates[:, n - 1:-2] = roots[k]
+            candidates[:, -2:] = h_lo, h_hi
+            inside = (h_lo <= candidates) & (candidates <= h_hi)
+            inside[:, -2:] = True  # the bounds are always candidates
+            heights = np.sort(np.where(inside, candidates, np.inf), axis=1)
+            live = np.arange(2 * n) < inside.sum(axis=1, keepdims=True)
+            values = np.polyval(poly, np.where(live, heights, h_lo))
+            errors = np.abs(values - wanted[pending, None])
+            errors[~live] = np.inf
+        except (ArithmeticError, np.linalg.LinAlgError) as exc:  # the polynomial overflows or is not finite
+            for i in pending.tolist():
+                outcomes[i] = exc
+            return outcomes
+        hit = errors <= INVERT_TOL_GHZ
+        reached = hit.any(axis=1)
+        rows = np.arange(k)
+        first_hit = heights[rows, hit.argmax(axis=1)]
+        for i, height in zip(pending[reached].tolist(), first_hit[reached].tolist()):
+            outcomes[i] = (gap, height)
+        k = errors.argmin(axis=1)
+        err, val = errors[rows, k], values[rows, k]
+        closer = (err < best_err[pending]) | ((err == best_err[pending]) & (val < best_val[pending]))
+        best_err[pending[closer]], best_val[pending[closer]] = err[closer], val[closer]
+        pending = pending[~reached]
+    for i in pending.tolist():
+        outcomes[i] = float(best_val[i])
+    return outcomes
+
+
+def _unreachable(f_target_ghz: float, nearest_ghz: float) -> UnreachableTargetError:
+    return UnreachableTargetError(
+        f"target {f_target_ghz:.6g} GHz unreachable within the training bounds; "
+        f"nearest achievable is {nearest_ghz:.6g} GHz",
+        nearest_ghz=nearest_ghz,
+    )
+
+
+def _finite_target(f_target_ghz: float) -> float:
+    if not np.isfinite(f_target_ghz):
+        raise GeometryError(f"target frequency must be finite, got {f_target_ghz}")
+    return f_target_ghz
+
+
 def invert_for_geometry(
     model: GeometryModel, f_target_ghz: float, fixed_gap_um: float | None = None
 ) -> tuple[float, float]:
@@ -194,33 +314,14 @@ def invert_for_geometry(
     tried; without it, ``GRID_POINTS`` gaps across the training bounds are
     tried in ascending order and the first that reaches the target wins.
     Unreachable targets raise, naming the nearest candidate frequency.
+    This is :func:`optimize_layout`'s batched solve with one target.
     """
-    if not np.isfinite(f_target_ghz):
-        raise GeometryError(f"target frequency must be finite, got {f_target_ghz}")
-    h_lo, h_hi = model.height_bounds
-    if fixed_gap_um is None:
-        gaps = np.linspace(*model.gap_bounds, GRID_POINTS).tolist()
-    else:
-        gaps = [float(fixed_gap_um)]
-    best = (np.inf, np.nan)  # (|error|, frequency) of the nearest candidate so far
-    for gap in gaps:
-        poly = _height_polynomial(model, gap)
-        at_target = np.roots(np.polysub(poly, [f_target_ghz]))
-        roots = np.concatenate([at_target, np.roots(np.polyder(poly))]).real
-        heights = np.sort(np.append(roots[(h_lo <= roots) & (roots <= h_hi)], (h_lo, h_hi)))
-        values = np.polyval(poly, heights)
-        errors = np.abs(values - f_target_ghz)
-        hits = heights[errors <= INVERT_TOL_GHZ]
-        if hits.size:
-            return gap, float(hits[0])
-        k = int(np.argmin(errors))
-        best = min(best, (float(errors[k]), float(values[k])))
-    nearest = best[1]
-    raise UnreachableTargetError(
-        f"target {f_target_ghz:.6g} GHz unreachable within the training bounds; "
-        f"nearest achievable is {nearest:.6g} GHz",
-        nearest_ghz=nearest,
-    )
+    (outcome,) = _invert(model, [_finite_target(f_target_ghz)], fixed_gap_um)
+    if isinstance(outcome, Exception):
+        raise outcome
+    if isinstance(outcome, float):
+        raise _unreachable(f_target_ghz, outcome)
+    return outcome
 
 
 @dataclass(frozen=True)
@@ -246,12 +347,15 @@ def optimize_layout(
     searches both. Unreachable targets are reported and skipped; the rest of
     the layout is still updated.
 
-    Each distinct ``(target, fixed gap)`` is solved once per call, and every
-    transmon that shares it gets the same geometry or the same unreachable
-    message. Each transmon still gets its own :meth:`LayoutDocument.edit`,
-    which sets ``pad_gap`` and ``pad_height`` together and checks the rebuilt
-    pads against the chip and every other transmon, so the result needs no
-    whole-chip check.
+    Each distinct ``(target, fixed gap)`` is solved once per call, and all
+    the targets at one gap are solved in one batch. Every transmon that
+    shares a solve gets the same geometry or the same nearest frequency.
+    Each transmon still gets its own :meth:`LayoutDocument.edit`, which sets
+    ``pad_gap`` and ``pad_height`` together and checks the rebuilt pads
+    against the chip and every other transmon, so the result needs no
+    whole-chip check. Errors are raised in transmon order: the solves run
+    first, but an error is raised only once the transmons before it are
+    edited.
     """
     freqs = np.asarray(frequencies, dtype=float)
     transmons = layout.by_kind("transmon")
@@ -260,37 +364,58 @@ def optimize_layout(
             f"layout has {len(transmons)} transmon(s), got {len(freqs)} frequencies"
         )
     by_name = {comp.name: comp for comp in transmons}
-    # (target, fixed gap) -> (gap, height, achieved), or the unreachable-target message
-    solved: dict[tuple[float, float | None], tuple[float, float, float] | str] = {}
-    results: list[QubitGeometryResult] = []
     fixed = config.geometry.invert_mode == "fixed_gap"
+    plan: list[tuple[Component, float, float | None]] = []
+    stop: Exception | None = None  # raised at the transmon after the planned ones
     for q, f_target in enumerate(freqs):
-        name = f"Q_{q}"
-        comp = by_name.get(name)
-        if comp is None:
-            raise LayoutError(f"unknown component {name!r}")
-        target = float(f_target)
-        key = (target, length_um(comp.options["pad_gap"]) if fixed else None)
-        if key not in solved or not target:  # 0.0 == -0.0, but their messages differ
-            solved[key] = _solve(model, *key)
-        solution = solved[key]
-        if isinstance(solution, str):
-            results.append(QubitGeometryResult(name, target, error=solution))
+        try:
+            comp = by_name.get(f"Q_{q}")
+            if comp is None:
+                raise LayoutError(f"unknown component 'Q_{q}'")
+            target = float(f_target)
+            gap = length_um(comp.options["pad_gap"]) if fixed else None
+            plan.append((comp, _finite_target(target), gap))
+        except (DasqaError, KeyError) as exc:  # a missing pad_gap option is a KeyError
+            stop = exc
+            break
+    # fixed gap (None in free mode) -> its distinct targets, in first-seen order
+    by_gap: dict[float | None, dict[float, None]] = {}
+    for _, target, gap in plan:
+        by_gap.setdefault(gap, {})[target] = None
+    solved = {
+        (target, gap): outcome
+        for gap, targets in by_gap.items()
+        for target, outcome in zip(targets, _solve(model, list(targets), gap))
+    }
+    results: list[QubitGeometryResult] = []
+    for comp, target, gap in plan:
+        outcome = solved[target, gap]
+        if isinstance(outcome, Exception):
+            raise outcome
+        if isinstance(outcome, float):
+            results.append(QubitGeometryResult(comp.name, target, error=str(_unreachable(target, outcome))))
             continue
-        gap, height, achieved = solution
+        gap, height, achieved = outcome
         layout.edit(comp, {"pad_gap": fmt_um(gap), "pad_height": fmt_um(height)})
-        results.append(QubitGeometryResult(name, target, achieved, gap, height))
+        results.append(QubitGeometryResult(comp.name, target, achieved, gap, height))
+    if stop is not None:
+        raise stop
     return layout, results
 
 
 def _solve(
-    model: GeometryModel, target: float, fixed_gap: float | None
-) -> tuple[float, float, float] | str:
-    """(gap, height, achieved frequency) for one target, or why it is unreachable."""
-    try:
-        gap, height = invert_for_geometry(model, target, fixed_gap)
-    except UnreachableTargetError as exc:
-        return str(exc)
-    # match the 9-significant-digit precision of the stored options
-    gap, height = round9(gap), round9(height)
-    return gap, height, predict_frequency(model, gap, height).frequency_ghz
+    model: GeometryModel, targets: list[float], fixed_gap: float | None
+) -> list[tuple[float, float, float] | float | Exception]:
+    """:func:`_invert`, with each (gap, height) rounded to the 9 significant
+    digits of the stored options and the frequency predicted there added."""
+    outcomes = _invert(model, targets, fixed_gap)
+    at_gap: dict[float, list[int]] = {}
+    for i, outcome in enumerate(outcomes):
+        if isinstance(outcome, tuple):
+            at_gap.setdefault(round9(outcome[0]), []).append(i)
+    for gap, rows in at_gap.items():
+        heights = [round9(outcomes[i][1]) for i in rows]
+        achieved = np.polyval(_height_polynomial(model, gap), heights).tolist()
+        for i, height, frequency in zip(rows, heights, achieved):
+            outcomes[i] = (gap, height, frequency)
+    return outcomes

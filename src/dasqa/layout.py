@@ -11,7 +11,11 @@ Checks run once: :func:`build_layout` ends with the whole-chip
 :meth:`LayoutDocument.validate`, and every later change is a single-writer
 :meth:`LayoutDocument.edit` that checks only the rebuilt copy of the edited
 component before committing it. A document changed only through edits needs
-no second whole-chip check.
+no second whole-chip check. Both find overlapping transmon pads through a
+uniform-grid index of the pads (a broad phase, as in Ericson, *Real-Time
+Collision Detection*, ch. 7), so a pad is compared only with the pads that
+share a grid cell with it; the verdict and the first error are those of a
+scan of every pad pair.
 
 :meth:`LayoutDocument.to_json` writes the text straight from the components
 and formats each distinct number once per call; the bytes are those of
@@ -102,17 +106,118 @@ class Component:
     polylines: list[list[Point]] = field(default_factory=list)
 
 
+_PAD_CELL_UM = 1000.0  # side of a pad index cell
+_MAX_PAD_CELLS = 64  # a pad over more cells than this is compared with every pad
+
+
+def _pad_cells(rect: Rect) -> list[tuple[int, int]] | None:
+    """The index cells that the closed rectangle touches, or None when it
+    cannot be bucketed: a non-finite value, a negative extent, or more than
+    ``_MAX_PAD_CELLS`` cells. Two rectangles that :func:`_rects_overlap`
+    share a point of both closed extents, and so a cell."""
+    x, y, w, h = rect
+    x1, y1 = x + w, y + h
+    if not (w >= 0 and h >= 0 and -math.inf < x and x1 < math.inf and -math.inf < y and y1 < math.inf):
+        return None  # with w, h >= 0, this leaves x, y, x1 and y1 finite
+    i0, i1 = math.floor(x / _PAD_CELL_UM), math.floor(x1 / _PAD_CELL_UM)
+    j0, j1 = math.floor(y / _PAD_CELL_UM), math.floor(y1 / _PAD_CELL_UM)
+    if (i1 - i0 + 1) * (j1 - j0 + 1) > _MAX_PAD_CELLS:
+        return None
+    return [(i, j) for i in range(i0, i1 + 1) for j in range(j0, j1 + 1)]
+
+
+class _PadIndex:
+    """The name table and the transmon pads of a document, bucketed by cell.
+
+    Transmons are numbered in document order. Each cell holds the numbers of
+    the transmons with a pad touching it; a transmon with a pad that cannot
+    be bucketed is *loose* and is a candidate for every pad. ``shapes`` holds
+    a copy of each transmon's rects as indexed, so a shape written straight
+    into a component shows as a difference.
+    """
+
+    def __init__(self, components: list[Component]):
+        self.size = len(components)
+        self.names = {c.name: c for c in reversed(components)}  # the first of a name wins
+        self.transmons = [c for c in components if c.kind == "transmon"]
+        self.number = {id(c): k for k, c in enumerate(self.transmons)}
+        self.shapes = [list(c.rects) for c in self.transmons]
+        self.cells: dict[tuple[int, int], set[int]] = {}
+        self.loose: set[int] = set()
+        self.placed: list[set[tuple[int, int]] | None] = [None] * len(self.transmons)
+        for k in range(len(self.transmons)):
+            self._place(k)
+
+    def stale(self) -> bool:
+        return [c.rects for c in self.transmons] != self.shapes
+
+    def _place(self, k: int) -> None:
+        touched = [_pad_cells(rect) for rect in self.shapes[k]]
+        if None in touched:
+            self.loose.add(k)
+            return
+        self.placed[k] = {cell for cells in touched for cell in cells}
+        for cell in self.placed[k]:
+            if cell in self.cells:
+                self.cells[cell].add(k)
+            else:
+                self.cells[cell] = {k}
+
+    def move(self, comp: Component) -> None:
+        """Re-bucket ``comp`` after an edit changed its rects."""
+        k = self.number.get(id(comp))
+        if k is None:
+            return
+        self.loose.discard(k)
+        for cell in self.placed[k] or ():
+            self.cells[cell].discard(k)
+        self.placed[k] = None
+        self.shapes[k] = list(comp.rects)
+        self._place(k)
+
+    def near(self, pad: Rect) -> list[int]:
+        """Ascending numbers of the transmons whose pads may overlap ``pad``."""
+        cells = _pad_cells(pad)
+        if cells is None:
+            return list(range(len(self.transmons)))
+        found = set(self.loose)
+        for cell in cells:
+            found.update(self.cells.get(cell, ()))
+        return sorted(found)
+
+
 @dataclass
 class LayoutDocument:
+    """A chip, its components and its nets.
+
+    The document keeps a :class:`_PadIndex`: :meth:`validate` rebuilds it,
+    and :meth:`edit` and :meth:`component` use it. Shapes written straight
+    into components, components added or removed, and renames are noticed
+    at the next edit or lookup, which rebuilds the index. A component made a
+    transmon outside :meth:`edit` is indexed at the next :meth:`validate`.
+    """
+
     chip: Rect  # origin_x, origin_y, width, height
     components: list[Component] = field(default_factory=list)
     nets: list[tuple[str, str, str]] = field(default_factory=list)
+    _index: _PadIndex | None = field(default=None, init=False, repr=False, compare=False)
+
+    def _fresh_index(self) -> _PadIndex:
+        """The index, rebuilt if the component count changed or any
+        transmon's rects differ from those indexed."""
+        index = self._index
+        if index is None or index.size != len(self.components) or index.stale():
+            index = self._index = _PadIndex(self.components)
+        return index
 
     def component(self, name: str) -> Component:
-        for comp in self.components:
-            if comp.name == name:
-                return comp
-        raise LayoutError(f"unknown component {name!r}")
+        comp = self._fresh_index().names.get(name)
+        if comp is None or comp.name != name:  # added or renamed since indexed
+            self._index = _PadIndex(self.components)
+            comp = self._index.names.get(name)
+        if comp is None:
+            raise LayoutError(f"unknown component {name!r}")
+        return comp
 
     def by_kind(self, kind: str) -> list[Component]:
         return [c for c in self.components if c.kind == kind]
@@ -130,7 +235,8 @@ class LayoutDocument:
         """Whole-chip check: a finite chip rectangle, names, option values and
         net endpoints, then each component in document order, a transmon's
         pads against those of later transmons only: each pad pair is compared
-        once, and an overlap is reported at the earlier transmon."""
+        at most once, and an overlap is reported at the earlier transmon.
+        The pad index is rebuilt for the component checks."""
         if not all(map(math.isfinite, self.chip)):
             raise LayoutError(f"chip {self.chip} is not finite (margin or pitch too large)")
         names = [c.name for c in self.components]
@@ -146,15 +252,15 @@ class LayoutDocument:
             for endpoint in (a, b):
                 if endpoint not in known:
                     raise LayoutError(f"net endpoint {endpoint!r} does not exist")
-        transmons, k = self.by_kind("transmon"), 0
+        index = self._index = _PadIndex(self.components)
         for comp in self.components:
-            if comp.kind == "transmon":
-                k += 1
-            self._check_component(comp, transmons[k:])
+            self._check_component(comp, index.number.get(id(comp), -1))
 
-    def _check_component(self, comp: Component, others: list[Component]) -> None:
+    def _check_component(self, comp: Component, after: int) -> None:
         """Every shape of ``comp`` lies on the chip; a transmon's pads clear
-        the pads of the transmons ``others``, compared pad by pad in order."""
+        the pads of the indexed transmons numbered above ``after``, other
+        than those named like ``comp``. The first overlap in pad order, then
+        in document order, is reported."""
         x0, y0, w, h = self.chip
         x1, y1 = x0 + w, y0 + h
         tol = 1e-6
@@ -168,8 +274,12 @@ class LayoutDocument:
                     raise LayoutError(f"{comp.name}: path {outside}")
         if comp.kind != "transmon":
             return
+        index = self._index
         for pad in comp.rects:
-            for other in others:
+            for k in index.near(pad):
+                other = index.transmons[k]
+                if k <= after or other.kind != "transmon" or other.name == comp.name:
+                    continue
                 for rect in other.rects:
                     if _rects_overlap(pad, rect):
                         raise LayoutError(f"transmon pads of {comp.name} and {other.name} overlap")
@@ -177,15 +287,17 @@ class LayoutDocument:
     def edit(self, comp: Component, staged: dict[str, str]) -> None:
         """Set options of ``comp``, a component of this document, if the result
         passes: the copy it is rebuilt on must lie on the chip and, for a
-        transmon, clear every other transmon's pads. A rejected edit changes nothing."""
+        transmon, clear every other transmon's pads, found through the pad
+        index. A rejected edit changes nothing."""
         candidate = replace(comp, options={**comp.options, **staged})
         rebuild_geometry(candidate)
-        others = [c for c in self.components if c.kind == "transmon" and c.name != comp.name]
-        self._check_component(candidate, others)
+        index = self._fresh_index()
+        self._check_component(candidate, -1)
         # commit into the live component: callers may hold it across the call
         comp.options = candidate.options
         comp.rects = candidate.rects
         comp.polylines = candidate.polylines
+        index.move(comp)
 
     # -- serialization -----------------------------------------------------
 

@@ -146,7 +146,9 @@ def run_flow(
 
     The layout is checked once: ``build_layout`` validates the whole chip,
     and each geometry edit checks only the transmon it changes, so no
-    whole-chip check follows ``optimize_layout``.
+    whole-chip check follows ``optimize_layout``. The interaction graph is
+    built once: the circuit keeps it, so the generator, the router and the
+    baseline scoring share it.
     """
     config = _run_stage("config", load_config, config_path)
     qc = _run_stage("parse", parse_qasm_file, circuit_path)

@@ -9,7 +9,7 @@ import pytest
 from dasqa import geomopt
 from dasqa.config import config_from_dict
 from dasqa.data.make_pad_geometry import write_csv
-from dasqa.errors import GeometryError, LayoutError, UnreachableTargetError
+from dasqa.errors import DasqaError, GeometryError, LayoutError, UnreachableTargetError
 from dasqa.geomopt import (
     INVERT_TOL_GHZ,
     GeometryDataset,
@@ -22,7 +22,7 @@ from dasqa.geomopt import (
     optimize_layout,
     predict_frequency,
 )
-from dasqa.layout import LayoutDocument, build_layout, length_um
+from dasqa.layout import LayoutDocument, build_layout, length_um, rebuild_geometry
 
 from conftest import count_overlap_calls, grid_architecture
 
@@ -367,12 +367,15 @@ def test_optimize_layout_frequency_count_mismatch(star_arch, config):
         optimize_layout(layout, [5.0, 5.1], config, model)
 
 
-def test_optimize_layout_makes_one_checked_edit_per_transmon(monkeypatch, config):
-    # pad_gap and pad_height go in together: one check, and so one scan of the
-    # other transmons' pads, per transmon
-    n = 36
+def test_optimize_layout_makes_one_checked_edit_per_transmon(monkeypatch):
+    # pad_gap and pad_height go in together: one check per transmon, and each
+    # check compares the transmon's pads with the pads near it only: on a
+    # 16x16 grid at a 500 um pitch, at most 64 comparisons per transmon where
+    # a scan of every other transmon makes 4 * (n - 1)
+    n = 256
     freqs = np.resize(REFERENCE_FREQS, n)
-    layout = build_layout(grid_architecture(6, 6, freqs), config)
+    config = config_from_dict({"layout": {"pitch_um": 500, "margin_um": 40000}})
+    layout = build_layout(grid_architecture(16, 16, freqs, coupled=False), config)
     model = fit_model(bundled_dataset(), 2)
     checked = []
     real_check = LayoutDocument._check_component
@@ -386,7 +389,7 @@ def test_optimize_layout_makes_one_checked_edit_per_transmon(monkeypatch, config
     layout, results = optimize_layout(layout, freqs, config, model)
     assert all(r.error is None for r in results)
     assert sorted(checked) == sorted(f"Q_{q}" for q in range(n))
-    assert len(overlaps) == 4 * n * (n - 1)
+    assert 0 < len(overlaps) <= 64 * n
     for q, r in enumerate(results):
         options = layout.component(f"Q_{q}").options
         assert length_um(options["pad_height"]) == pytest.approx(r.pad_height_um, rel=1e-9)
@@ -426,31 +429,38 @@ def test_optimized_layout_passes_whole_chip_check_or_is_rejected(
 
 
 def _count_inversions(monkeypatch) -> list:
+    """Record (targets, fixed gap) of each batched solve from here on."""
     calls = []
-    real_invert = geomopt.invert_for_geometry
+    real_invert = geomopt._invert
 
-    def counting_invert(model, target, fixed_gap=None):
-        calls.append((target, fixed_gap))
-        return real_invert(model, target, fixed_gap)
+    def counting_invert(model, targets, fixed_gap):
+        calls.append((tuple(targets), fixed_gap))
+        return real_invert(model, targets, fixed_gap)
 
-    monkeypatch.setattr(geomopt, "invert_for_geometry", counting_invert)
+    monkeypatch.setattr(geomopt, "_invert", counting_invert)
     return calls
 
 
+def _solved_pairs(calls) -> list:
+    return sorted((target, gap) for targets, gap in calls for target in targets)
+
+
 def test_optimize_layout_solves_each_distinct_target_once(monkeypatch, config):
+    # each distinct (target, gap) is solved exactly once, in one batch per gap
     n = 36
     freqs = np.resize(REFERENCE_FREQS, n)
     layout = build_layout(grid_architecture(6, 6, freqs), config)
     model = fit_model(bundled_dataset(), 2)
     calls = _count_inversions(monkeypatch)
     layout, results = optimize_layout(layout, freqs, config, model)
-    assert len(calls) == len(REFERENCE_FREQS)
+    assert calls == [(tuple(REFERENCE_FREQS), 30.0)]
     # a transmon whose fixed gap differs shares no solve with its target's others
     layout = build_layout(grid_architecture(6, 6, freqs), config)
     layout.component("Q_5").options["pad_gap"] = "20um"
     calls.clear()
     layout, results = optimize_layout(layout, freqs, config, model)
-    assert len(calls) == len(REFERENCE_FREQS) + 1
+    assert sorted(gap for _, gap in calls) == [20.0, 30.0]
+    assert _solved_pairs(calls) == sorted([(f, 30.0) for f in REFERENCE_FREQS] + [(float(freqs[5]), 20.0)])
     # every transmon still gets the geometry its own solve gives
     for q, r in enumerate(results):
         gap, height = invert_for_geometry(model, float(freqs[q]), 20.0 if q == 5 else 30.0)
@@ -466,7 +476,7 @@ def test_repeated_unreachable_targets_each_get_their_own_result(monkeypatch, sta
     calls = _count_inversions(monkeypatch)
     targets = [9.99, 5.06, 9.99, 9.99, 5.24]
     layout, results = optimize_layout(layout, targets, config, model)
-    assert len(calls) == 3
+    assert calls == [((9.99, 5.06, 5.24), 30.0)]
     failures = [r for r in results if r.error is not None]
     assert [r.qubit for r in failures] == ["Q_0", "Q_2", "Q_3"]
     assert all(r.target_ghz == 9.99 and r.achieved_ghz is None for r in failures)
@@ -482,3 +492,136 @@ def test_optimize_layout_missing_transmon_name_is_unknown_component(star_arch, c
     layout.component("Q_3").name = "Q_x"
     with pytest.raises(LayoutError, match="unknown component 'Q_3'"):
         optimize_layout(layout, REFERENCE_FREQS, config, fit_model(bundled_dataset(), 2))
+
+
+def _reference_solve(model: GeometryModel, target: float, fixed_gap: float | None):
+    """One target through per-target ``np.roots`` calls, rounded and predicted
+    as ``optimize_layout`` stores it: (gap, height, achieved), or the
+    unreachable message and nearest frequency."""
+    h_lo, h_hi = model.height_bounds
+    if fixed_gap is None:
+        gaps = np.linspace(*model.gap_bounds, geomopt.GRID_POINTS).tolist()
+    else:
+        gaps = [float(fixed_gap)]
+    best = (np.inf, np.nan)
+    for gap in gaps:
+        poly = geomopt._height_polynomial(model, gap)
+        at_target = np.roots(np.polysub(poly, [target]))
+        roots = np.concatenate([at_target, np.roots(np.polyder(poly))]).real
+        heights = np.sort(np.append(roots[(h_lo <= roots) & (roots <= h_hi)], (h_lo, h_hi)))
+        values = np.polyval(poly, heights)
+        errors = np.abs(values - target)
+        hits = heights[errors <= INVERT_TOL_GHZ]
+        if hits.size:
+            gap, height = float(f"{gap:.9g}"), float(f"{float(hits[0]):.9g}")
+            return gap, height, predict_frequency(model, gap, height).frequency_ghz
+        k = int(np.argmin(errors))
+        best = min(best, (float(errors[k]), float(values[k])))
+    return (f"target {target:.6g} GHz unreachable within the training bounds; "
+            f"nearest achievable is {best[1]:.6g} GHz", best[1])
+
+
+def _batched_solve(model: GeometryModel, targets: list[float], fixed_gap: float | None) -> list:
+    """The same, through the batched solve ``optimize_layout`` uses."""
+    return [
+        (str(err := geomopt._unreachable(target, outcome)), err.nearest_ghz)
+        if isinstance(outcome, float) else outcome
+        for target, outcome in zip(targets, geomopt._solve(model, targets, fixed_gap))
+    ]
+
+
+def _random_model(rng: np.random.Generator, degree: int, zero_top: bool) -> GeometryModel:
+    """A degree-``degree`` surrogate whose terms stay near 0.5 GHz on its box;
+    ``zero_top`` zeroes the top height power, a leading zero coefficient."""
+    h_bounds = (float(rng.uniform(50, 150)), float(rng.uniform(200, 400)))
+    g_bounds = (float(rng.uniform(5, 20)), float(rng.uniform(30, 60)))
+    exps = monomial_exponents(degree)
+    coeffs = np.array([rng.normal() * 0.5 / (g_bounds[1] ** i * h_bounds[1] ** j) for i, j in exps])
+    coeffs[0] += 5.0
+    if zero_top:
+        coeffs[[k for k, (_, j) in enumerate(exps) if j == degree]] = 0.0
+    return GeometryModel(degree, coeffs, g_bounds, h_bounds)
+
+
+@pytest.mark.parametrize("degree", range(7))
+def test_batched_solve_matches_per_target_roots_bit_for_bit(degree):
+    # targets met inside the box (one or several crossings), targets beyond
+    # it, the constant term itself, zero of both signs and a repeat; complex
+    # crossings come with the higher degrees; every value is compared by repr
+    rng = np.random.default_rng(100 + degree)
+    kinds = set()
+    for trial in range(24):
+        model = _random_model(rng, degree, zero_top=degree > 0 and trial % 4 == 1)
+        fixed_gap = None if trial % 6 == 0 else float(rng.uniform(*model.gap_bounds))
+        poly = geomopt._height_polynomial(model, fixed_gap or model.gap_bounds[0])
+        targets = [float(np.polyval(poly, rng.uniform(*model.height_bounds))) for _ in range(4)]
+        targets += [float(poly[-1]), float(rng.uniform(3.0, 7.0)), 0.0, -0.0, targets[0]]
+        targets = list(dict.fromkeys(targets))  # 0.0 == -0.0: one of them stays
+        batched = _batched_solve(model, targets, fixed_gap)
+        for target, outcome in zip(targets, batched):
+            assert repr(outcome) == repr(_reference_solve(model, target, fixed_gap))
+            kinds.add("unreached" if isinstance(outcome[0], str) else "met")
+        kinds.update("complex" for target in targets if np.iscomplexobj(np.roots(poly - target)))
+    # met and unreached targets, and for degree 2 up, complex crossings
+    assert kinds >= {"met", "unreached", *(["complex"] if degree >= 2 else [])}
+
+
+def test_batched_solve_keeps_zero_targets_apart_and_rejects_non_finite_ones():
+    model = parabola_model(221.0)
+    assert _batched_solve(model, [0.0], 30.0) == [_reference_solve(model, 0.0, 30.0)]
+    assert _batched_solve(model, [-0.0], 30.0) == [_reference_solve(model, -0.0, 30.0)]
+    assert "target -0 GHz" in _reference_solve(model, -0.0, 30.0)[0]
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(GeometryError, match="must be finite"):
+            invert_for_geometry(model, bad, 30.0)
+    # with 0 inside the height bounds, the root at 0 that a target equal to the
+    # constant term leaves (np.roots appends it for the stripped trailing zero)
+    # is a candidate: here it is the height
+    straddle = GeometryModel(2, model.coefficients, model.gap_bounds, (-50.0, 50.0))
+    constant = float(geomopt._height_polynomial(straddle, 30.0)[-1])
+    for target in (constant, constant + 1e-3):
+        assert repr(_batched_solve(straddle, [target], 30.0)) == repr([_reference_solve(straddle, target, 30.0)])
+    assert invert_for_geometry(straddle, constant, 30.0) == (30.0, 0.0)
+    # bounds given high first leave no root inside, yet both stay candidates
+    swapped = GeometryModel(2, model.coefficients, model.gap_bounds, model.height_bounds[::-1])
+    for target in (5.0001, 5.2, 4.9):
+        assert repr(_batched_solve(swapped, [target], 30.0)) == repr([_reference_solve(swapped, target, 30.0)])
+
+
+@pytest.mark.parametrize("invert_mode", ["fixed_gap", "free"])
+def test_optimize_layout_matches_per_target_solves(invert_mode, config):
+    model = fit_model(bundled_dataset(), 2)
+    targets = [5.06, 5.24, 9.99, 5.06, 4.0, 5.27, -0.0, 0.0, 5.17]
+    layout = build_layout(grid_architecture(3, 3, np.full(9, 5.0)), config)
+    cfg = config_from_dict({"geometry": {"invert_mode": invert_mode}})
+    layout, results = optimize_layout(layout, targets, cfg, model)
+    for target, r in zip(targets, results):
+        expected = _reference_solve(model, target, 30.0 if invert_mode == "fixed_gap" else None)
+        if isinstance(expected[0], str):
+            assert (r.error, r.achieved_ghz) == (expected[0], None)
+        else:
+            assert repr((r.pad_gap_um, r.pad_height_um, r.achieved_ghz)) == repr(expected)
+
+
+def test_optimize_layout_raises_errors_in_transmon_order(config):
+    # Q_1's edit is rejected, so a bad target or a missing transmon after it
+    # is never reached; before it, they are raised first
+    model = fit_model(bundled_dataset(), 2)
+
+    def run(targets, rename=None):
+        layout = build_layout(grid_architecture(1, 6, np.full(6, 5.0), coupled=False), config)
+        wide = layout.component("Q_2")  # written straight in: Q_2's pads reach Q_1's
+        wide.options["pad_width"] = "4000um"
+        rebuild_geometry(wide)
+        if rename is not None:
+            layout.component(rename).name = "Q_x"
+        with pytest.raises(DasqaError) as info:
+            optimize_layout(layout, targets, config, model)
+        return str(info.value)
+
+    freqs = [5.06, 5.24, 5.08, 5.27, 5.17, 5.1]
+    overlap = "transmon pads of Q_1 and Q_2 overlap"
+    assert run(freqs[:5] + [float("nan")]) == overlap
+    assert run(freqs, rename="Q_4") == overlap
+    assert run([5.06, float("inf")] + freqs[2:]) == "target frequency must be finite, got inf"
+    assert run(freqs, rename="Q_0") == "unknown component 'Q_0'"

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -188,53 +189,80 @@ def test_random_update_sequences_keep_invariants(star_layout):
     assert accepted > 0 and rejected > 0
 
 
-def test_transmon_edit_checks_only_its_own_pads(monkeypatch, config):
-    # 6x6 grid of 36 transmons: an edit compares the edited transmon's two
-    # pads with the two pads of each other transmon, never all pairs
-    n = 36
-    doc = build_layout(grid_architecture(6, 6, np.full(n, 5.0)), config)
+def _tight_grid_layout(rows: int, cols: int, pitch: float = 500.0) -> LayoutDocument:
+    """Uncoupled transmons at a pitch where neighbouring pads share index
+    cells; the wide margin leaves every control-line stub room."""
+    n = rows * cols
+    cfg = config_from_dict({"layout": {"pitch_um": pitch, "margin_um": 40000}})
+    return build_layout(grid_architecture(rows, cols, np.full(n, 5.0), coupled=False), cfg)
+
+
+def test_transmon_edit_checks_only_its_own_pads(monkeypatch):
+    # 16x16 grid of 256 transmons at a 500 um pitch: an edit compares the
+    # edited transmon's two pads with the pads near it only, a number that
+    # does not grow with the grid (a scan of every transmon makes 4 * 255)
+    doc = _tight_grid_layout(16, 16)
     calls = count_overlap_calls(monkeypatch)
-    update_component(doc, "Q_14", "pad_height", "120um")
-    assert 0 < len(calls) <= 4 * (n - 1)
-    assert doc.component("Q_14").options["pad_height"] == "120um"
+    update_component(doc, "Q_135", "pad_height", "120um")
+    assert 0 < len(calls) <= 64
+    assert doc.component("Q_135").options["pad_height"] == "120um"
 
 
-def test_whole_chip_check_compares_each_pad_pair_once(monkeypatch, config):
-    # two pads per transmon: n(n-1)/2 transmon pairs of 4 pad pairs each
-    n = 36
-    doc = build_layout(grid_architecture(6, 6, np.full(n, 5.0)), config)
+def test_whole_chip_check_compares_each_pad_pair_once(monkeypatch):
+    # 256 transmons of two pads each: at most 32 comparisons per transmon,
+    # where every pair of transmons makes 2 * n * (n - 1); no pad pair is
+    # compared in both orders
+    n = 256
+    doc = _tight_grid_layout(16, 16)
     calls = count_overlap_calls(monkeypatch)
     doc.validate()
-    assert len(calls) == 2 * n * (n - 1)
+    assert 0 < len(calls) <= 32 * n
     assert len({(a, b) for a, b in calls} | {(b, a) for a, b in calls}) == 2 * len(calls)
+
+
+_OUTSIDE = "outside chip bounds (chip too small for the configured pitch/margin)"
+
+
+def _reference_shape_error(doc: LayoutDocument, comp: Component, others) -> str | None:
+    """First shape error of ``comp``: bounds first, then, for a transmon, its
+    pads against every rect of ``others`` in order."""
+    x0, y0, w, h = doc.chip
+    x1, y1 = x0 + w, y0 + h
+    tol = 1e-6
+    for rx, ry, rw, rh in comp.rects:
+        if rx < x0 - tol or ry < y0 - tol or rx + rw > x1 + tol or ry + rh > y1 + tol:
+            return f"{comp.name}: rectangle {_OUTSIDE}"
+    for line in comp.polylines:
+        for px, py in line:
+            if px < x0 - tol or py < y0 - tol or px > x1 + tol or py > y1 + tol:
+                return f"{comp.name}: path {_OUTSIDE}"
+    if comp.kind == "transmon":
+        for pad in comp.rects:
+            for other in others:
+                for rect in other.rects:
+                    if layout_module._rects_overlap(pad, rect):
+                        return f"transmon pads of {comp.name} and {other.name} overlap"
+    return None
 
 
 def _reference_check_shapes(doc: LayoutDocument) -> None:
     """Shape part of the whole-chip check as a both-sides scan: each component
     in document order, bounds first, then a transmon's pads against the pads
     of every other transmon."""
-    x0, y0, w, h = doc.chip
-    x1, y1 = x0 + w, y0 + h
-    tol = 1e-6
-    outside = "outside chip bounds (chip too small for the configured pitch/margin)"
     transmons = doc.by_kind("transmon")
     for comp in doc.components:
-        for rx, ry, rw, rh in comp.rects:
-            if rx < x0 - tol or ry < y0 - tol or rx + rw > x1 + tol or ry + rh > y1 + tol:
-                raise LayoutError(f"{comp.name}: rectangle {outside}")
-        for line in comp.polylines:
-            for px, py in line:
-                if px < x0 - tol or py < y0 - tol or px > x1 + tol or py > y1 + tol:
-                    raise LayoutError(f"{comp.name}: path {outside}")
-        if comp.kind != "transmon":
-            continue
-        for pad in comp.rects:
-            for other in transmons:
-                if other is comp:
-                    continue
-                for rect in other.rects:
-                    if layout_module._rects_overlap(pad, rect):
-                        raise LayoutError(f"transmon pads of {comp.name} and {other.name} overlap")
+        error = _reference_shape_error(doc, comp, [t for t in transmons if t is not comp])
+        if error is not None:
+            raise LayoutError(error)
+
+
+def _reference_edit(doc: LayoutDocument, comp: Component, staged: dict[str, str]) -> str | None:
+    """First error of ``doc.edit(comp, staged)`` as a scan of every component
+    finds it, or None when the edit passes."""
+    candidate = replace(comp, options={**comp.options, **staged})
+    rebuild_geometry(candidate)
+    others = [c for c in doc.components if c.kind == "transmon" and c.name != comp.name]
+    return _reference_shape_error(doc, candidate, others)
 
 
 def _first_error(check) -> str | None:
@@ -272,6 +300,99 @@ def test_whole_chip_check_reports_the_same_first_error_as_both_sides_scan(config
         assert _first_error(doc.validate) == expected
         seen.add("clean" if expected is None else expected.split()[-1])
     assert seen == {"clean", "overlap", "pitch/margin)"}
+
+
+# pad options on lattices that make pads touch or overlap their neighbours,
+# reach across index cells, or leave the chip; 1e5 um spans over 64 cells
+_PAD_VALUES = {
+    "pad_width": (455.0, 500.0, 545.0, 1000.0, 2000.0, 1e5),
+    "pad_height": (90.0, 200.0, 235.0, 250.0, 485.0),
+    "pad_gap": (5.0, 30.0, 100.0),
+}
+_ODD = (float("nan"), float("inf"), float("-inf"))
+
+
+def _write_shape_directly(rng: np.random.Generator, doc: LayoutDocument) -> None:
+    """Change one transmon's shapes past edit(): new options rebuilt, a move,
+    or one rect replaced in place by a touching, cell-aligned, non-finite or
+    negative-extent rect."""
+    transmons = doc.by_kind("transmon")
+    comp = transmons[int(rng.integers(len(transmons)))]
+    how = int(rng.integers(3))
+    if how == 0:
+        option = ("pad_width", "pad_height", "pad_gap")[int(rng.integers(3))]
+        comp.options[option] = fmt_um(float(rng.choice(_PAD_VALUES[option])))
+        rebuild_geometry(comp)
+    elif how == 1:
+        comp.position = (comp.position[0] + float(rng.choice([-500.0, 250.0, 1000.0])), comp.position[1])
+        rebuild_geometry(comp)
+    else:
+        x, y, w, h = comp.rects[int(rng.integers(2))]
+        other = transmons[int(rng.integers(len(transmons)))]
+        ox, oy, ow, oh = other.rects[int(rng.integers(2))]
+        odd = [x, y, w, h]
+        odd[int(rng.integers(4))] = float(rng.choice(_ODD))
+        choices = [
+            (ox + ow, oy, w, h),  # touches the other pad's right edge
+            (1000.0 * round(x / 1000), y, 1000.0, h),  # edges on index cell lines
+            (ox + ow / 2, oy + oh / 2, -1.0, 1.0),  # negative extents inside the
+            (ox + ow / 2, oy + oh / 2, 1.0, -1.0),  # other pad overlap it
+            (x, y, -w, h),
+            tuple(odd),
+        ]
+        rect = choices[int(rng.integers(len(choices)))]
+        comp.rects[int(rng.integers(2))] = rect
+
+
+def test_pad_index_gives_the_verdicts_of_a_full_scan():
+    # random documents: edits through the index, shapes written straight into
+    # components between them, and whole-chip checks; each verdict and first
+    # error must be what a scan of every component gives
+    rng = np.random.default_rng(2718)
+    seen = set()
+    for _ in range(40):
+        rows, cols = (int(v) for v in rng.integers(1, 5, size=2))
+        pitch = float(rng.choice([500.0, 750.0, 1000.0]))
+        cfg = config_from_dict({"layout": {"pitch_um": pitch, "margin_um": 3000}})
+        doc = build_layout(grid_architecture(rows, cols, np.full(rows * cols, 5.0), coupled=False), cfg)
+        for _ in range(30):
+            roll = rng.random()
+            if roll < 0.25:
+                _write_shape_directly(rng, doc)
+                continue
+            if roll < 0.35:
+                expected = _first_error(lambda: _reference_check_shapes(doc))
+                assert _first_error(doc.validate) == expected
+                seen.add(("validate", expected is None))
+                continue
+            comp = doc.component(f"Q_{int(rng.integers(rows * cols))}")
+            option = ("pad_width", "pad_height", "pad_gap")[int(rng.integers(3))]
+            staged = {option: fmt_um(float(rng.choice(_PAD_VALUES[option])))}
+            expected = _reference_edit(doc, comp, staged)
+            before = doc.to_json()
+            assert _first_error(lambda: doc.edit(comp, staged)) == expected
+            if expected is None:
+                assert comp.options[option] == staged[option]
+            else:
+                assert doc.to_json() == before
+            seen.add(("edit", "ok" if expected is None else expected.split()[-1]))
+    assert seen == {("validate", True), ("validate", False),
+                    ("edit", "ok"), ("edit", "overlap"), ("edit", "pitch/margin)")}
+
+
+def test_component_lookup_follows_renames_and_additions(star_layout):
+    comp = star_layout.component("Q_3")
+    comp.name = "Q_x"
+    with pytest.raises(LayoutError, match="unknown component 'Q_3'"):
+        star_layout.component("Q_3")
+    assert star_layout.component("Q_x") is comp
+    extra = Component(name="Q_3", kind="capacitor", position=(0.0, 0.0),
+                      options={"cap_width": "10um", "cap_plate_height": "10um", "cap_gap": "10um"})
+    star_layout.components.append(extra)
+    assert star_layout.component("Q_3") is extra
+    comp.name = "Q_3"  # now two components share the name
+    with pytest.raises(LayoutError, match="duplicate component name 'Q_3'"):
+        star_layout.validate()
 
 
 def test_nets_reference_existing_components(star_layout):

@@ -14,7 +14,7 @@ import yaml
 
 from dasqa import cli
 from dasqa.archgen import Architecture, CouplingGraph, detuning_violations
-from dasqa.circuit import Gate, GateKind, QuantumCircuit, to_qasm
+from dasqa.circuit import Gate, GateKind, InteractionGraph, QuantumCircuit, to_qasm
 from dasqa.config import FrequencyConfig
 from dasqa.errors import ArchitectureError, DasqaError
 from dasqa.pipeline import StageFailure, run_flow
@@ -64,6 +64,48 @@ def test_seeded_flow_outputs_are_pinned(tmp_path):
             digest.update((tmp_path / f"out_{seed}" / name).read_bytes())
         digest.update(repr(result.equivalence_ok).encode())
     assert digest.hexdigest() == SEEDED_FLOWS_DIGEST
+
+
+# SHA-256 over the four output files of each run_flow in free invert mode:
+# the worked example under its config, then seeded 9-qubit, 90-gate mixed
+# circuits (seeds 0-2) under BENCH_CONFIG; pins the search over pad gaps,
+# which no other pinned flow takes
+FREE_MODE_DIGEST = "5d18c7b189729485edc257cc8912e35286808ec279752b16bad14b4b353e5679"
+
+
+def test_free_mode_flow_outputs_are_pinned(tmp_path):
+    free = {"geometry": {"invert_mode": "free"}}
+    example = tmp_path / "example.yml"
+    example.write_text(yaml.safe_dump({**yaml.safe_load(CONFIG.read_text()), **free}), encoding="utf-8")
+    bench = tmp_path / "bench.yml"
+    bench.write_text(yaml.safe_dump({**BENCH_CONFIG, **free}), encoding="utf-8")
+    runs = [(CIRCUIT, example)]
+    for seed in range(3):
+        circuit = tmp_path / f"mixed_{seed}.qasm"
+        circuit.write_text(to_qasm(mixed_circuit(9, 90, seed=seed)), encoding="utf-8")
+        runs.append((circuit, bench))
+    digest = hashlib.sha256()
+    for k, (circuit, config) in enumerate(runs):
+        result = run_flow(circuit, config, out_dir=tmp_path / f"out_{k}")
+        assert all(r.error is None for r in result.geometry_results)
+        for name in OUTPUT_NAMES:
+            digest.update((tmp_path / f"out_{k}" / name).read_bytes())
+    assert digest.hexdigest() == FREE_MODE_DIGEST
+
+
+def test_run_flow_builds_the_interaction_graph_once(monkeypatch, tmp_path):
+    # the generator, the router's initial mapping and the baseline scoring
+    # all read the circuit's one graph
+    built = []
+    real_init = InteractionGraph.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(args)
+        real_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(InteractionGraph, "__init__", counting_init)
+    run_flow(CIRCUIT, CONFIG, out_dir=tmp_path / "out", baseline_path=BASELINE)
+    assert len(built) == 1
 
 
 # (stage, message start) of each way the default config fails an ordinary
