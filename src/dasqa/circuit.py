@@ -93,14 +93,6 @@ class QuantumCircuit:
                         f"operand index q{q} out of range for {self.num_qubits} qubit(s)"
                     )
 
-    @cached_property
-    def interactions(self) -> InteractionGraph:
-        """The :func:`interaction_graph` of this circuit, built on first use."""
-        weights: dict[tuple[int, int], int] = {}
-        for a, b in self.two_qubit_pairs():
-            weights[(a, b)] = weights.get((a, b), 0) + 1
-        return InteractionGraph(self.num_qubits, weights)
-
     def two_qubit_pairs(self) -> list[tuple[int, int]]:
         """Unordered operand pairs of the two-qubit gates, program order."""
         return [
@@ -149,8 +141,16 @@ class InteractionGraph:
 
 def interaction_graph(qc: QuantumCircuit) -> InteractionGraph:
     """Count two-qubit gates per unordered qubit pair. A circuit is immutable,
-    so it keeps its graph: every caller gets the one built first."""
-    return qc.interactions
+    so the graph is built on the first call and kept on the circuit: every
+    later call gets the same one."""
+    graph = qc.__dict__.get("_interaction_graph")
+    if graph is None:
+        weights: dict[tuple[int, int], int] = {}
+        for a, b in qc.two_qubit_pairs():
+            weights[(a, b)] = weights.get((a, b), 0) + 1
+        graph = InteractionGraph(qc.num_qubits, weights)
+        object.__setattr__(qc, "_interaction_graph", graph)  # the dataclass is frozen
+    return graph
 
 
 @dataclass(frozen=True)

@@ -409,13 +409,8 @@ def _solve(
     """:func:`_invert`, with each (gap, height) rounded to the 9 significant
     digits of the stored options and the frequency predicted there added."""
     outcomes = _invert(model, targets, fixed_gap)
-    at_gap: dict[float, list[int]] = {}
     for i, outcome in enumerate(outcomes):
         if isinstance(outcome, tuple):
-            at_gap.setdefault(round9(outcome[0]), []).append(i)
-    for gap, rows in at_gap.items():
-        heights = [round9(outcomes[i][1]) for i in rows]
-        achieved = np.polyval(_height_polynomial(model, gap), heights).tolist()
-        for i, height, frequency in zip(rows, heights, achieved):
-            outcomes[i] = (gap, height, frequency)
+            gap, height = round9(outcome[0]), round9(outcome[1])
+            outcomes[i] = (gap, height, predict_frequency(model, gap, height).frequency_ghz)
     return outcomes

@@ -24,6 +24,7 @@ and formats each distinct number once per call; the bytes are those of
 from __future__ import annotations
 
 import math
+import operator
 import re
 from dataclasses import dataclass, field, replace
 from json.encoder import encode_basestring_ascii as _json_str
@@ -127,7 +128,7 @@ def _pad_cells(rect: Rect) -> list[tuple[int, int]] | None:
 
 
 class _PadIndex:
-    """The name table and the transmon pads of a document, bucketed by cell.
+    """The transmon pads of a document, bucketed by cell.
 
     Transmons are numbered in document order. Each cell holds the numbers of
     the transmons with a pad touching it; a transmon with a pad that cannot
@@ -137,8 +138,6 @@ class _PadIndex:
     """
 
     def __init__(self, components: list[Component]):
-        self.size = len(components)
-        self.names = {c.name: c for c in reversed(components)}  # the first of a name wins
         self.transmons = [c for c in components if c.kind == "transmon"]
         self.number = {id(c): k for k, c in enumerate(self.transmons)}
         self.shapes = [list(c.rects) for c in self.transmons]
@@ -148,8 +147,16 @@ class _PadIndex:
         for k in range(len(self.transmons)):
             self._place(k)
 
-    def stale(self) -> bool:
-        return [c.rects for c in self.transmons] != self.shapes
+    def stale(self, components: list[Component]) -> bool:
+        """Whether ``components`` now hold other transmons, or other transmon
+        shapes, than those indexed: a list entry replaced, a component added,
+        removed or given another kind, or rects written straight in."""
+        transmons = [c for c in components if c.kind == "transmon"]
+        return (
+            len(transmons) != len(self.transmons)
+            or not all(map(operator.is_, transmons, self.transmons))
+            or [c.rects for c in transmons] != self.shapes
+        )
 
     def _place(self, k: int) -> None:
         touched = [_pad_cells(rect) for rect in self.shapes[k]]
@@ -191,10 +198,9 @@ class LayoutDocument:
     """A chip, its components and its nets.
 
     The document keeps a :class:`_PadIndex`: :meth:`validate` rebuilds it,
-    and :meth:`edit` and :meth:`component` use it. Shapes written straight
-    into components, components added or removed, and renames are noticed
-    at the next edit or lookup, which rebuilds the index. A component made a
-    transmon outside :meth:`edit` is indexed at the next :meth:`validate`.
+    and :meth:`edit` uses it. Components replaced, added, removed or given
+    another kind, and shapes written straight into them, are noticed at the
+    next edit, which rebuilds the index.
     """
 
     chip: Rect  # origin_x, origin_y, width, height
@@ -203,21 +209,17 @@ class LayoutDocument:
     _index: _PadIndex | None = field(default=None, init=False, repr=False, compare=False)
 
     def _fresh_index(self) -> _PadIndex:
-        """The index, rebuilt if the component count changed or any
-        transmon's rects differ from those indexed."""
+        """The index, rebuilt if it is stale."""
         index = self._index
-        if index is None or index.size != len(self.components) or index.stale():
+        if index is None or index.stale(self.components):
             index = self._index = _PadIndex(self.components)
         return index
 
     def component(self, name: str) -> Component:
-        comp = self._fresh_index().names.get(name)
-        if comp is None or comp.name != name:  # added or renamed since indexed
-            self._index = _PadIndex(self.components)
-            comp = self._index.names.get(name)
-        if comp is None:
-            raise LayoutError(f"unknown component {name!r}")
-        return comp
+        for comp in self.components:
+            if comp.name == name:
+                return comp
+        raise LayoutError(f"unknown component {name!r}")
 
     def by_kind(self, kind: str) -> list[Component]:
         return [c for c in self.components if c.kind == kind]
@@ -278,7 +280,7 @@ class LayoutDocument:
         for pad in comp.rects:
             for k in index.near(pad):
                 other = index.transmons[k]
-                if k <= after or other.kind != "transmon" or other.name == comp.name:
+                if k <= after or other.name == comp.name:
                     continue
                 for rect in other.rects:
                     if _rects_overlap(pad, rect):
