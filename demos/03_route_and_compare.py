@@ -9,6 +9,7 @@ confirms the routed circuits still compute the same unitary.
 from dasqa import (
     CouplingGraph,
     DesignConfig,
+    GateKind,
     Mapping,
     check_equivalence,
     generate_architecture,
@@ -51,9 +52,10 @@ for label, arch in (("T-shaped baseline", baseline), ("generated star", star)):
         f"equivalent = {ok}"
     )
 
+# the circuit holds no SWAP of its own, so every routed SWAP is an inserted one
 print("\ninserted SWAPs on the star, in order:")
 routed = route(qc, star, identity)
-for rg in routed.gates:
-    if rg.inserted:
-        print(f"  SWAP on physical pair {rg.gate.qubits}")
+for g in routed.gates:
+    if g.kind is GateKind.SWAP:
+        print(f"  SWAP on physical pair {g.qubits}")
 print(f"final mapping (logical -> physical): {routed.final_mapping.log_to_phys}")

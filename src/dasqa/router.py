@@ -22,10 +22,15 @@ below 2**53, and every score and comparison is exact. If the lookahead
 stalls, the remaining distance is walked directly: the first operand's image
 steps to its smallest-index neighbour one hop closer to the second's, read
 from the same hop table the costs use. A BFS oracle
-(:func:`optimal_swap_count`) provides exact minima at desk scale for testing,
-and :func:`check_equivalence` verifies routed circuits exactly: it replays
-the routed gates through a live mapping that only SWAPs change, and
-simulates dense statevector blocks only when that replay fails.
+(:func:`optimal_swap_count`) provides exact minima at desk scale for testing.
+
+A routing is checked by one walk, at every size: the routed gates are
+replayed against the circuit through a live mapping that only SWAPs change,
+each routed gate being either the next circuit gate under the live images or
+a SWAP. A walk that passes proves the routing equivalent to the circuit
+exactly. :func:`validate_routing` is that walk plus the edge check of every
+routed two-qubit gate; :func:`check_equivalence` is the walk alone, and
+simulates dense statevector blocks only when it fails.
 """
 from __future__ import annotations
 
@@ -115,21 +120,25 @@ class Mapping:
 
 
 @dataclass(frozen=True)
-class RoutedGate:
-    gate: Gate  # operands are physical qubits
-    inserted: bool = False  # True for routing SWAPs
-
-
-@dataclass(frozen=True)
 class RoutedCircuit:
-    """Gates on physical qubits; :func:`validate_routing` replays the flagged SWAPs."""
+    """A circuit's gates on physical qubits, with the routing SWAPs between them.
 
+    ``gates`` holds every circuit gate in order, its operands the live
+    images of its logical qubits, and the SWAPs that change those images;
+    :func:`validate_routing` replays them against ``circuit``.
+    """
+
+    circuit: QuantumCircuit
     num_physical: int
-    gates: tuple[RoutedGate, ...]
+    gates: tuple[Gate, ...]
     initial_mapping: Mapping
     final_mapping: Mapping
-    swap_count: int
     depth: int
+
+    @property
+    def swap_count(self) -> int:
+        """Routing SWAPs: one routed gate per circuit gate, plus the SWAPs."""
+        return len(self.gates) - len(self.circuit.gates)
 
 
 def initial_mapping(ig: InteractionGraph, arch: Architecture | CouplingGraph) -> Mapping:
@@ -220,12 +229,12 @@ def route(
         window[x].append((j, y))
         window[y].append((j, x))
     pend_idx = 0
-    out: list[RoutedGate] = []
+    out: list[Gate] = []
 
     # one shared SWAP gate per coupling edge (low, high), and one shared gate
     # per (kind, physical operands) of those without angle or cbit: all frozen
-    swap_gates = {e: RoutedGate(Gate(GateKind.SWAP, e), inserted=True) for e in coupling.edges}
-    shared: dict[tuple, RoutedGate] = {}
+    swap_gates = {e: Gate(GateKind.SWAP, e) for e in coupling.edges}
+    shared: dict[tuple, Gate] = {}
 
     stall_cap = n_phys + longest + 2
     # coupling edges (low, high) at each physical qubit, sorted: the swap candidates
@@ -293,43 +302,72 @@ def route(
                 window[y].append((j, x))
             pend_idx += 1
         if g.angle is not None or g.cbit is not None:
-            out.append(RoutedGate(Gate(g.kind, qubits, g.angle, g.cbit)))
+            out.append(Gate(g.kind, qubits, g.angle, g.cbit))
             continue
         rg = shared.get((g.kind, qubits))
         if rg is None:
-            rg = shared[g.kind, qubits] = RoutedGate(Gate(g.kind, qubits))
+            rg = shared[g.kind, qubits] = Gate(g.kind, qubits)
         out.append(rg)
 
     return RoutedCircuit(
+        circuit=qc,
         num_physical=n_phys,
         gates=tuple(out),
         initial_mapping=mapping,
         final_mapping=Mapping(tuple(l2p)),
-        swap_count=len(out) - len(qc.gates),  # one routed gate per input gate, plus the SWAPs
-        depth=layered_depth([rg.gate for rg in out], n_phys),
+        depth=layered_depth(out, n_phys),
     )
 
 
-def validate_routing(routed: RoutedCircuit, arch: Architecture | CouplingGraph) -> None:
-    """Edge soundness, inserted SWAPs, mapping replay and SWAP count in one pass. Raises on violation."""
-    edges = set(_coupling_of(arch).edges)
-    edges.update([(b, a) for a, b in edges])  # both orientations
+def _replay(circuit: QuantumCircuit, routed: RoutedCircuit, edges: set | None = None) -> None:
+    """Replay the routed gates against ``circuit`` through a live mapping.
+
+    Each routed gate either equals the next circuit gate (kind, angle, cbit,
+    and operands under the live images), which it consumes, or is a SWAP,
+    which exchanges whatever sits on its two sites. Every circuit gate must
+    be consumed and the mapping must end at ``final_mapping``. Each step
+    keeps ``U_routed . embed(initial) == embed(live) . U_circuit`` on the
+    prefixes, empty sites in |0>, so a replay that passes proves the two
+    equivalent exactly. With ``edges`` (both orientations of each coupling
+    edge), every routed two-qubit gate must also lie on one. Raises
+    :class:`RoutingError` at the first rule broken.
+    """
     l2p = list(routed.initial_mapping.log_to_phys)
     p2l = _occupants(l2p, routed.num_physical)
-    swaps = 0
-    for rg in routed.gates:
-        g = rg.gate
-        if g.kind.is_two_qubit and g.qubits not in edges:
+    image = l2p.__getitem__
+    swap = GateKind.SWAP
+    pending = iter(circuit.gates)
+    o = next(pending, None)  # the next circuit gate, None once all are consumed
+    for g in routed.gates:
+        kind = g.kind
+        if edges is not None and kind.is_two_qubit and g.qubits not in edges:
             raise RoutingError(f"gate on non-edge {g.qubits}")
-        if rg.inserted:
-            if g.kind is not GateKind.SWAP:
-                raise RoutingError(f"inserted gate {g.kind.value} {g.qubits} is not a SWAP")
-            _swap_sites(l2p, p2l, *g.qubits)
-            swaps += 1
+        if (
+            o is not None
+            and kind is o.kind
+            and g.qubits == tuple(map(image, o.qubits))
+            and g.angle == o.angle
+            and g.cbit == o.cbit
+        ):
+            o = next(pending, None)
+            continue
+        if kind is not swap:
+            raise RoutingError(f"{kind.value} {g.qubits} is neither the next circuit gate nor a SWAP")
+        u, v = g.qubits  # positional: a call through *g.qubits took a quarter of the walk
+        _swap_sites(l2p, p2l, u, v)
+    if o is not None:
+        left = 1 + sum(1 for _ in pending)
+        raise RoutingError(f"{left} circuit gate(s) left over after the routed gates")
     if tuple(l2p) != routed.final_mapping.log_to_phys:
         raise RoutingError("replaying SWAPs does not reproduce the final mapping")
-    if routed.swap_count != swaps:
-        raise RoutingError("swap_count disagrees with flagged SWAPs")
+
+
+def validate_routing(routed: RoutedCircuit, arch: Architecture | CouplingGraph) -> None:
+    """Every routed two-qubit gate on a coupling edge, and the routed gates
+    the circuit's own plus SWAPs (:func:`_replay`). Raises on violation."""
+    edges = set(_coupling_of(arch).edges)
+    edges.update([(b, a) for a, b in edges])  # both orientations
+    _replay(routed.circuit, routed, edges)
 
 
 def optimal_swap_count(
@@ -411,36 +449,6 @@ def _embedded_identity(mapping: Mapping, n_log: int, n_phys: int) -> np.ndarray:
     return block
 
 
-def _replays(original: QuantumCircuit, routed: RoutedCircuit) -> bool:
-    """Whether the routed gates are the original ones in order, read through
-    a live mapping that only the SWAPs between them change.
-
-    Each routed gate either equals the next original gate (kind, angle,
-    cbit, and operands under the live images), which it consumes, or is a
-    SWAP, which exchanges whatever sits on its two sites. The walk passes
-    when every original gate is consumed and the mapping ends at
-    ``final_mapping``. Each step keeps
-    ``U_routed . embed(initial) == embed(live) . U_original`` on the prefixes,
-    empty sites in |0>, so a pass proves the circuits equivalent exactly.
-    """
-    l2p = list(routed.initial_mapping.log_to_phys)
-    p2l = _occupants(l2p, routed.num_physical)
-    gates = original.gates
-    k = 0
-    for rg in routed.gates:
-        g = rg.gate
-        if k < len(gates):
-            o = gates[k]
-            images = tuple(map(l2p.__getitem__, o.qubits))
-            if (g.kind, g.qubits, g.angle, g.cbit) == (o.kind, images, o.angle, o.cbit):
-                k += 1
-                continue
-        if g.kind is not GateKind.SWAP:
-            return False
-        _swap_sites(l2p, p2l, *g.qubits)
-    return k == len(gates) and tuple(l2p) == routed.final_mapping.log_to_phys
-
-
 def check_equivalence(original: QuantumCircuit, routed: RoutedCircuit) -> bool:
     """Statevector equivalence of the routed circuit against the original.
 
@@ -450,11 +458,12 @@ def check_equivalence(original: QuantumCircuit, routed: RoutedCircuit) -> bool:
     in |0>. MEASURE/BARRIER carry no unitary action and are skipped.
 
     A routing that keeps the gate order and only adds SWAPs passes
-    :func:`_replays`, which proves the equality exactly. Any other routing
-    is decided densely: the original gates, relabelled through the final
-    mapping, run from ``embed(final)`` and the routed gates from
-    ``embed(initial)``, both through :func:`sim.apply_gates` on a
-    2**n_phys x 2**n_log block, compared amplitude-wise.
+    :func:`_replay` (without the edge check), which proves the equality
+    exactly. Any other routing is decided densely: the original gates,
+    relabelled through the final mapping, run from ``embed(final)`` and the
+    routed gates from ``embed(initial)``, both through
+    :func:`sim.apply_gates` on a 2**n_phys x 2**n_log block, compared
+    amplitude-wise.
     """
     n_log = original.num_qubits
     n_phys = routed.num_physical
@@ -462,13 +471,15 @@ def check_equivalence(original: QuantumCircuit, routed: RoutedCircuit) -> bool:
         raise SimulationLimitError(
             f"{max(n_log, n_phys)} qubits exceeds the simulation guard ({SIM_MAX_QUBITS})"
         )
-    if _replays(original, routed):
+    try:
+        _replay(original, routed)
         return True
+    except RoutingError:
+        pass
     final = routed.final_mapping
     relabelled = [Gate(g.kind, tuple(map(final.__getitem__, g.qubits)), g.angle, g.cbit) for g in original.gates]
-    routed_gates = [rg.gate for rg in routed.gates]
     rhs = apply_gates(_embedded_identity(final, n_log, n_phys), relabelled, n_phys)
-    lhs = apply_gates(_embedded_identity(routed.initial_mapping, n_log, n_phys), routed_gates, n_phys)
+    lhs = apply_gates(_embedded_identity(routed.initial_mapping, n_log, n_phys), routed.gates, n_phys)
     return allclose_up_to_global_phase(lhs, rhs, tol=1e-9)
 
 

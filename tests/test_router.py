@@ -18,7 +18,6 @@ from dasqa.errors import MappingError, OracleLimitError, RoutingError, Simulatio
 from dasqa.router import (
     Mapping,
     RoutedCircuit,
-    RoutedGate,
     _embedded_identity,
     check_equivalence,
     initial_mapping,
@@ -171,7 +170,7 @@ def test_route_adjacent_circuit_unchanged(lima):
     )
     routed = route(qc, lima, Mapping.identity(5))
     assert routed.swap_count == 0
-    assert [rg.gate for rg in routed.gates] == list(qc.gates)
+    assert routed.gates == qc.gates
     assert routed.final_mapping.log_to_phys == (0, 1, 2, 3, 4)
 
 
@@ -213,7 +212,7 @@ def test_measure_and_barrier_follow_the_live_mapping(lima):
     )
     routed = route(qc, lima, Mapping.identity(5))
     assert routed.swap_count > 0
-    measure = next(rg.gate for rg in routed.gates if rg.gate.kind is GateKind.MEASURE)
+    measure = next(g for g in routed.gates if g.kind is GateKind.MEASURE)
     assert measure.qubits == (routed.final_mapping[0],)
     assert measure.cbit == 0
 
@@ -244,28 +243,18 @@ def test_oracle_guards():
 def test_check_equivalence_detects_dropped_swap(five_qubit_app, lima):
     routed = route(five_qubit_app, lima, Mapping.identity(5))
     assert routed.swap_count >= 1
-    pruned = None
-    for k, rg in enumerate(routed.gates):
-        if rg.inserted:
-            pruned = routed.gates[:k] + routed.gates[k + 1 :]
-            break
-    broken = RoutedCircuit(
-        num_physical=routed.num_physical,
-        gates=pruned,
-        initial_mapping=routed.initial_mapping,
-        final_mapping=routed.final_mapping,
-        swap_count=routed.swap_count - 1,
-        depth=routed.depth,
-    )
+    assert not any(g.kind is GateKind.SWAP for g in five_qubit_app.gates)
+    k = next(k for k, g in enumerate(routed.gates) if g.kind is GateKind.SWAP)
+    broken = replace(routed, gates=routed.gates[:k] + routed.gates[k + 1 :])
     assert check_equivalence(five_qubit_app, routed)
     assert not check_equivalence(five_qubit_app, broken)
 
 
-def _mutate_first(routed: RoutedCircuit, kind: GateKind, make=lambda g: g, **flags) -> RoutedCircuit:
-    k = next(k for k, rg in enumerate(routed.gates) if rg.gate.kind is kind)
-    gates = list(routed.gates)
-    gates[k] = replace(gates[k], gate=make(gates[k].gate), **flags)
-    return replace(routed, gates=tuple(gates))
+def _mutate_first(routed: RoutedCircuit, kind: GateKind, make) -> RoutedCircuit:
+    """The routing with its first gate of ``kind`` replaced by ``make(gate)``,
+    a list of gates."""
+    k = next(k for k, g in enumerate(routed.gates) if g.kind is kind)
+    return replace(routed, gates=routed.gates[:k] + tuple(make(routed.gates[k])) + routed.gates[k + 1 :])
 
 
 def _exchange_final(routed: RoutedCircuit, a: int, b: int) -> RoutedCircuit:
@@ -277,9 +266,9 @@ def _exchange_final(routed: RoutedCircuit, a: int, b: int) -> RoutedCircuit:
 @pytest.mark.parametrize(
     "mutate",
     [
-        lambda r: _mutate_first(r, GateKind.T, lambda g: Gate(GateKind.S, g.qubits)),
+        lambda r: _mutate_first(r, GateKind.T, lambda g: [Gate(GateKind.S, g.qubits)]),
         lambda r: _mutate_first(
-            r, GateKind.RZ, lambda g: Gate(GateKind.RZ, g.qubits, angle=-g.angle)
+            r, GateKind.RZ, lambda g: [Gate(GateKind.RZ, g.qubits, angle=-g.angle)]
         ),
         lambda r: _exchange_final(r, 0, 4),
     ],
@@ -308,7 +297,7 @@ def test_check_equivalence_detects_wrong_phase_or_permutation(lima, mutate):
     "mutate, message",
     [
         (
-            lambda r: _mutate_first(r, GateKind.CX, lambda g: Gate(GateKind.CX, (0, 4))),
+            lambda r: _mutate_first(r, GateKind.CX, lambda g: [Gate(GateKind.CX, (0, 4))]),
             r"gate on non-edge \(0, 4\)",
         ),
         (
@@ -316,24 +305,30 @@ def test_check_equivalence_detects_wrong_phase_or_permutation(lima, mutate):
             "replaying SWAPs does not reproduce the final mapping",
         ),
         (
-            lambda r: replace(r, swap_count=r.swap_count + 1),
-            "swap_count disagrees with flagged SWAPs",
+            # one routed gate too many, so swap_count reads one too high
+            lambda r: _mutate_first(r, GateKind.X, lambda g: [g, g]),
+            r"^x \(\d,\) is neither the next circuit gate nor a SWAP$",
         ),
         (
-            lambda r: _mutate_first(r, GateKind.H, inserted=True),
-            r"^inserted gate h \(\d,\) is not a SWAP$",
+            lambda r: _mutate_first(r, GateKind.SWAP, lambda g: [Gate(GateKind.H, g.qubits[:1])]),
+            r"^h \(\d,\) is neither the next circuit gate nor a SWAP$",
         ),
         (
-            lambda r: _mutate_first(r, GateKind.CX, inserted=True),
-            r"^inserted gate cx \(\d, \d\) is not a SWAP$",
+            lambda r: _mutate_first(r, GateKind.SWAP, lambda g: [Gate(GateKind.CX, g.qubits)]),
+            r"^cx \(\d, \d\) is neither the next circuit gate nor a SWAP$",
+        ),
+        (
+            lambda r: replace(r, gates=r.gates[:-1]),
+            r"^1 circuit gate\(s\) left over after the routed gates$",
         ),
     ],
     ids=[
         "gate_on_non_edge",
         "final_mapping_exchanged",
         "swap_count_off_by_one",
-        "one_qubit_gate_flagged_inserted",
-        "cx_flagged_inserted",
+        "one_qubit_gate_for_a_swap",
+        "cx_for_a_swap",
+        "circuit_gate_dropped",
     ],
 )
 def test_validate_routing_rejects_each_broken_invariant(five_qubit_app, lima, mutate, message):
@@ -344,31 +339,83 @@ def test_validate_routing_rejects_each_broken_invariant(five_qubit_app, lima, mu
 
 
 def test_validate_routing_checks_edges_in_either_operand_order(lima):
-    def routed(*gates):
+    def routed(circuit_gates, gates):
+        """``gates`` as the routing of ``circuit_gates`` from and to the identity."""
         identity = Mapping.identity(5)
-        swaps = sum(rg.inserted for rg in gates)
-        return RoutedCircuit(5, gates, identity, identity, swaps, len(gates))
+        return RoutedCircuit(QuantumCircuit(5, tuple(circuit_gates)), 5, tuple(gates), identity, identity, len(gates))
 
     # (3, 1) and (4, 3) are the lima edges (1, 3) and (3, 4) written high to low
-    validate_routing(routed(RoutedGate(Gate(GateKind.CX, (3, 1))), RoutedGate(Gate(GateKind.CZ, (4, 3)))), lima)
-    validate_routing(routed(*[RoutedGate(Gate(GateKind.SWAP, (4, 3)), inserted=True)] * 2), lima)
+    cx_cz = [Gate(GateKind.CX, (3, 1)), Gate(GateKind.CZ, (4, 3))]
+    validate_routing(routed(cx_cz, cx_cz), lima)
+    validate_routing(routed([], [Gate(GateKind.SWAP, (4, 3))] * 2), lima)
     for qubits in [(0, 4), (4, 0), (2, 3), (3, 2)]:
+        cx = [Gate(GateKind.CX, qubits)]
         with pytest.raises(RoutingError, match=rf"^gate on non-edge \({qubits[0]}, {qubits[1]}\)$"):
-            validate_routing(routed(RoutedGate(Gate(GateKind.CX, qubits))), lima)
+            validate_routing(routed(cx, cx), lima)
 
 
-def test_routed_gates_without_angle_or_cbit_are_shared():
-    """Counts objects, not time: one routed gate per (kind, physical
-    operands), RZ and MEASURE one each, and one SWAP object per edge."""
+@pytest.fixture(scope="module")
+def routed_25q():
+    """A 25-qubit routing, above the simulation guard, and its architecture."""
     qc = mixed_circuit(25, 3000, seed=25)
     arch = generate_architecture(qc, config_from_dict(BENCH_CONFIG))
-    routed = route(qc, arch)
-    kept = [rg for rg in routed.gates if not rg.inserted]
+    return route(qc, arch), arch
+
+
+@pytest.mark.parametrize(
+    "mutate, kind",
+    [
+        (lambda r: _mutate_first(r, GateKind.T, lambda g: [Gate(GateKind.S, g.qubits)]), "s"),
+        (lambda r: _mutate_first(r, GateKind.H, lambda g: [Gate(GateKind.H, ((g.qubits[0] + 1) % 25,))]), "h"),
+        (lambda r: _mutate_first(r, GateKind.CX, lambda g: [Gate(GateKind.CX, g.qubits[::-1])]), "cx"),
+        (lambda r: _mutate_first(r, GateKind.RZ, lambda g: [Gate(GateKind.RZ, g.qubits, angle=g.angle + 1e-6)]), "rz"),
+        # the SWAP after the dropped H is then replayed as a routing SWAP, and
+        # the CX after it meets the H
+        (lambda r: _mutate_first(r, GateKind.H, lambda g: []), "cx"),
+    ],
+    ids=["t_becomes_s", "h_moved", "cx_turned_round", "rz_nudged", "h_dropped"],
+)
+def test_validate_routing_rejects_mutants_above_the_sim_guard(routed_25q, mutate, kind):
+    """Edits that keep every gate on an edge and every SWAP in place: only a
+    replay against the circuit sees them, and no dense check runs at 25 qubits."""
+    routed, arch = routed_25q
+    validate_routing(routed, arch)
+    mutant = mutate(routed)
+    with pytest.raises(RoutingError, match=rf"^{kind} \([\d, ]+\) is neither the next circuit gate nor a SWAP$"):
+        validate_routing(mutant, arch)
+    with pytest.raises(SimulationLimitError):
+        check_equivalence(routed.circuit, mutant)
+
+
+def test_circuits_with_swaps_of_their_own_replay_without_a_dense_check(lima, dense):
+    """A routed SWAP equal to the next circuit gate under the live images is
+    that circuit gate, so these routings replay and count only inserted SWAPs."""
+    rng = np.random.default_rng(28)
+    counts = []
+    while len(counts) < 12:
+        qc = random_circuit(rng, max_qubits=5, min_qubits=5, max_gates=24)
+        if not any(g.kind is GateKind.SWAP for g in qc.gates):
+            continue
+        routed = route(qc, lima, Mapping.identity(5))
+        validate_routing(routed, lima)
+        assert check_equivalence(qc, routed)
+        counts.append(routed.swap_count)
+    assert counts == [5, 3, 5, 5, 3, 3, 3, 1, 2, 8, 4, 5]
+    assert dense.calls == 0
+
+
+def test_routed_gates_without_angle_or_cbit_are_shared(routed_25q):
+    """Counts objects, not time: one routed gate per (kind, physical
+    operands), RZ and MEASURE one each, and one SWAP object per edge."""
+    routed, arch = routed_25q
+    qc = routed.circuit
+    assert not any(g.kind is GateKind.SWAP for g in qc.gates)  # every routed SWAP is inserted
+    kept = [g for g in routed.gates if g.kind is not GateKind.SWAP]
     assert len(kept) == len(qc.gates)
-    keys = {(rg.gate.kind, rg.gate.qubits) for rg in kept}
-    per_gate = sum(rg.gate.kind in (GateKind.RZ, GateKind.MEASURE) for rg in kept)
-    assert len({id(rg) for rg in kept}) <= len(keys) + per_gate < len(kept) // 2
-    inserted = {id(rg) for rg in routed.gates if rg.inserted}
+    keys = {(g.kind, g.qubits) for g in kept}
+    per_gate = sum(g.kind in (GateKind.RZ, GateKind.MEASURE) for g in kept)
+    assert len({id(g) for g in kept}) <= len(keys) + per_gate < len(kept) // 2
+    inserted = {id(g) for g in routed.gates if g.kind is GateKind.SWAP}
     assert 0 < len(inserted) <= len(arch.coupling.edges) < routed.swap_count
 
 
@@ -399,7 +446,7 @@ def test_route_on_an_empty_coupling_graph():
 
 def test_check_equivalence_guard():
     qc = QuantumCircuit(11)
-    routed = RoutedCircuit(11, (), Mapping.identity(11), Mapping.identity(11), 0, 0)
+    routed = RoutedCircuit(qc, 11, (), Mapping.identity(11), Mapping.identity(11), 0)
     with pytest.raises(SimulationLimitError):
         check_equivalence(qc, routed)
 
@@ -422,9 +469,9 @@ def test_score_architecture_matched_chain():
 def test_replay_mapping_matches_final(five_qubit_app, lima):
     routed = route(five_qubit_app, lima, Mapping.identity(5))
     l2p = list(range(5))
-    for rg in routed.gates:
-        if rg.inserted:
-            l2p = router._swapped(l2p, *rg.gate.qubits)
+    for g in routed.gates:
+        if g.kind is GateKind.SWAP:  # the worked example holds no SWAP of its own
+            l2p = router._swapped(l2p, *g.qubits)
     assert tuple(l2p) == routed.final_mapping.log_to_phys
 
 
@@ -454,20 +501,20 @@ def _equivalence_mutants(routed: RoutedCircuit, rng: np.random.Generator) -> dic
     gates = list(routed.gates)
 
     def at(test):
-        picks = [k for k, rg in enumerate(gates[:-1]) if test(rg)]
+        picks = [k for k, g in enumerate(gates[:-1]) if test(g)]
         return picks[int(rng.integers(len(picks)))]
 
-    k = at(lambda rg: rg.inserted)
+    k = at(lambda g: g.kind is GateKind.SWAP)  # the circuits hold no SWAP of their own
     edits = {"dropped_swap": gates[:k] + gates[k + 1 :]}
     phase_kinds = {GateKind.S: GateKind.T, GateKind.T: GateKind.S}
     for name, test, edit in (
-        ("changed_phase", lambda rg: rg.gate.kind in phase_kinds, lambda g: [Gate(phase_kinds[g.kind], g.qubits)]),
-        ("flipped_cx", lambda rg: rg.gate.kind is GateKind.CX, lambda g: [Gate(GateKind.CX, g.qubits[::-1])]),
-        ("rz_nudged", lambda rg: rg.gate.kind is GateKind.RZ, lambda g: [Gate(GateKind.RZ, g.qubits, angle=g.angle + 1e-6)]),
+        ("changed_phase", lambda g: g.kind in phase_kinds, lambda g: [Gate(phase_kinds[g.kind], g.qubits)]),
+        ("flipped_cx", lambda g: g.kind is GateKind.CX, lambda g: [Gate(GateKind.CX, g.qubits[::-1])]),
+        ("rz_nudged", lambda g: g.kind is GateKind.RZ, lambda g: [Gate(GateKind.RZ, g.qubits, angle=g.angle + 1e-6)]),
     ):
         k = at(test)
-        edits[name] = gates[:k] + [RoutedGate(e) for e in edit(gates[k].gate)] + gates[k + 1 :]
-    k = at(lambda rg: rg.gate.kind is GateKind.H)
+        edits[name] = gates[:k] + edit(gates[k]) + gates[k + 1 :]
+    k = at(lambda g: g.kind is GateKind.H)
     edits["moved_h"] = gates[:k] + [gates[k + 1], gates[k]] + gates[k + 2 :]
     return {name: replace(routed, gates=tuple(edit)) for name, edit in edits.items()}
 
@@ -487,8 +534,11 @@ class _DenseCounter:
         monkeypatch.setattr(router, "apply_gates", counted_apply)
 
     def check(self, qc: QuantumCircuit, routed: RoutedCircuit) -> bool:
+        def replay_fails(*args):
+            raise RoutingError("replay skipped")
+
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(router, "_replays", lambda *args: False)
+            patch.setattr(router, "_replay", replay_fails)
             return check_equivalence(qc, routed)
 
 
@@ -497,21 +547,16 @@ def dense(monkeypatch) -> _DenseCounter:
     return _DenseCounter(monkeypatch)
 
 
-def _flip_inserted(routed: RoutedCircuit) -> RoutedCircuit:
-    return replace(routed, gates=tuple(replace(rg, inserted=not rg.inserted) for rg in routed.gates))
-
-
 def test_replay_agrees_with_the_dense_check(dense):
     """Seeded 9-qubit flows and their mutants: the replay check returns what
-    the dense comparison returns, and the unmutated routings, with their
-    ``inserted`` flags as routed or all flipped, never touch a full state."""
+    the dense comparison returns, and the unmutated routings never touch a
+    full state."""
     rng = np.random.default_rng(22)
     mutants = []
     for seed in range(1, 5):
         qc = mixed_circuit(9, 90, seed=seed)
         routed = route(qc, generate_architecture(qc, config_from_dict(BENCH_CONFIG)))
         assert check_equivalence(qc, routed)
-        assert check_equivalence(qc, _flip_inserted(routed))
         mutants += [(name, qc, m) for name, m in _equivalence_mutants(routed, rng).items()]
     assert dense.calls == 0
     assert dense.check(qc, routed)
@@ -521,7 +566,8 @@ def test_replay_agrees_with_the_dense_check(dense):
         calls = dense.calls
         got = check_equivalence(qc, mutant)
         outcomes.add((dense.calls > calls, got))
-        assert got == dense.check(qc, mutant), name
+        if dense.calls == calls:  # else ``got`` is already the dense answer
+            assert got == dense.check(qc, mutant), name
     # the replay proves a mutant that keeps the order (an H moved past a SWAP
     # on other sites) and leaves the others to the dense path, which finds
     # both answers; a failed replay alone never decides False
@@ -545,7 +591,7 @@ GAPPED_START = Mapping((0, 4, 2))
 
 def test_swaps_through_unoccupied_physical_qubits_replay_and_stay_equivalent():
     routed = route(GAPPED_QC, CHAIN_5, GAPPED_START)
-    swaps = [rg.gate.qubits for rg in routed.gates if rg.inserted]
+    swaps = [g.qubits for g in routed.gates if g.kind is GateKind.SWAP]
     # (0, 1) and (3, 4) each move a logical qubit onto an empty site
     assert swaps == [(0, 1), (3, 4), (1, 2), (1, 2)]
     validate_routing(routed, CHAIN_5)
@@ -567,9 +613,23 @@ def test_replay_proves_swaps_measures_and_barriers_through_empty_sites(dense):
         ),
     )
     routed = route(qc, CHAIN_5, GAPPED_START)
-    # (0, 1) and (3, 4) each move a logical qubit onto an empty site, and
-    # (1, 2) comes just before the original SWAP of q1 and q0
-    assert [rg.gate.qubits for rg in routed.gates if rg.inserted] == [(0, 1), (3, 4), (1, 2)]
+    # the inserted SWAPs (0, 1) and (3, 4) each move a logical qubit onto an
+    # empty site, and (1, 2) comes just before the original SWAP of q1 and q0
+    assert [(g.kind, g.qubits) for g in routed.gates] == [
+        (GateKind.H, (0,)),
+        (GateKind.SWAP, (0, 1)),  # inserted
+        (GateKind.SWAP, (1, 2)),
+        (GateKind.MEASURE, (1,)),
+        (GateKind.SWAP, (3, 4)),  # inserted
+        (GateKind.CX, (3, 2)),
+        (GateKind.BARRIER, (1, 3, 2)),
+        (GateKind.RZ, (2,)),
+        (GateKind.SWAP, (1, 2)),  # inserted
+        (GateKind.SWAP, (3, 2)),
+        (GateKind.MEASURE, (1,)),
+    ]
+    assert routed.swap_count == 3
+    validate_routing(routed, CHAIN_5)
     assert check_equivalence(qc, routed)
     assert dense.calls == 0
     assert dense.check(qc, routed)
@@ -608,11 +668,11 @@ def test_hand_routings_of_a_swap_get_the_dense_answer(dense, gates, final, equiv
     """The first routed gate is a SWAP equal to the original SWAP under the
     live images, or stands where one would be."""
     routed = RoutedCircuit(
+        _SWAP_X,
         2,
-        tuple(RoutedGate(Gate(kind, qubits)) for kind, qubits in gates),
+        tuple(Gate(kind, qubits) for kind, qubits in gates),
         Mapping.identity(2),
         Mapping(final),
-        0,
         len(gates),
     )
     assert check_equivalence(_SWAP_X, routed) is equivalent
@@ -625,8 +685,8 @@ def test_unused_physical_qubits_must_stay_in_zero():
     assert routed.final_mapping.log_to_phys == (1, 3, 2)
     for kind, equivalent in ((GateKind.X, False), (GateKind.Z, True)):
         # physical 1 is empty at the start, physical 4 at the end
-        before = replace(routed, gates=(RoutedGate(Gate(kind, (1,))),) + routed.gates)
-        after = replace(routed, gates=routed.gates + (RoutedGate(Gate(kind, (4,))),))
+        before = replace(routed, gates=(Gate(kind, (1,)),) + routed.gates)
+        after = replace(routed, gates=routed.gates + (Gate(kind, (4,)),))
         assert check_equivalence(GAPPED_QC, before) is equivalent
         assert check_equivalence(GAPPED_QC, after) is equivalent
 
@@ -646,7 +706,8 @@ def test_stalled_lookahead_falls_back_to_the_smallest_index_shortest_path():
     qc = parse_qasm((DATA_DIR / "stall_9q.qasm").read_text(encoding="utf-8"))
     arch = generate_architecture(qc, config_from_dict(BENCH_CONFIG))
     routed = route(qc, arch)
-    assert [rg.gate.qubits for rg in routed.gates if rg.inserted] == STALL_SWAPS
+    assert not any(g.kind is GateKind.SWAP for g in qc.gates)
+    assert [g.qubits for g in routed.gates if g.kind is GateKind.SWAP] == STALL_SWAPS
     validate_routing(routed, arch)
     assert check_equivalence(qc, routed)
 
@@ -771,14 +832,15 @@ def test_route_picks_the_full_window_float_scorers_swaps(monkeypatch):
         swaps.clear()
         if error is None:
             routed = route(qc, coupling, mapping)
-            assert [(rg.gate.kind, rg.gate.qubits, rg.inserted) for rg in routed.gates] == gates
+            assert [(g.kind, g.qubits) for g in routed.gates] == [(kind, qubits) for kind, qubits, _ in gates]
             assert routed.final_mapping.log_to_phys == final
         else:
             failed += 1
             with pytest.raises(RoutingError) as info:
                 route(qc, coupling, mapping)
             assert str(info.value) == error
-            assert swaps == [qubits for _, qubits, inserted in gates if inserted]
+        # the circuits hold SWAPs of their own: the inserted ones are those route makes
+        assert swaps == [qubits for _, qubits, inserted in gates if inserted]
     assert empty_site_swaps >= 50 and unreachable_windows >= 10 and failed >= 10
     # the last case is the stall circuit, whose swaps run into the per-gate cap
     assert [qubits for _, qubits, inserted in gates if inserted] == STALL_SWAPS
@@ -787,6 +849,8 @@ def test_route_picks_the_full_window_float_scorers_swaps(monkeypatch):
 # case -> SHA-256 over (kind, qubits, angle, cbit, inserted) of every routed
 # gate plus the final mapping, routed on the generated architecture under
 # BENCH_CONFIG, so any change to which swap the lookahead picks shows here.
+# None of the circuits holds a SWAP of its own, so a routed gate is inserted
+# exactly when it is a SWAP.
 PINNED_ROUTES = {
     (25, 3000): "4a2f31dedccc696a59e929df90cfabc80af0c96d5754617fee3d1d48c1aea7cd",
     (64, 640): "32dfef7ae4984994b1cac4da8efdb10c52021056630636be5e785b33fd090d18",
@@ -811,11 +875,11 @@ def test_routed_circuits_are_pinned(case):
     else:
         qc = mixed_circuit(*case, seed=case[0])
         arch = generate_architecture(qc, config_from_dict(BENCH_CONFIG))
+    assert not any(g.kind is GateKind.SWAP for g in qc.gates)
     routed = route(qc, arch)
     digest = hashlib.sha256()
-    for rg in routed.gates:
-        g = rg.gate
-        digest.update(repr((g.kind.value, g.qubits, g.angle, g.cbit, rg.inserted)).encode())
+    for g in routed.gates:
+        digest.update(repr((g.kind.value, g.qubits, g.angle, g.cbit, g.kind is GateKind.SWAP)).encode())
     digest.update(repr(routed.final_mapping.log_to_phys).encode())
     assert digest.hexdigest() == PINNED_ROUTES[case]
 

@@ -6,7 +6,6 @@ from functools import reduce
 import numpy as np
 import pytest
 
-from dasqa import sim
 from dasqa.circuit import Gate, GateKind, QuantumCircuit
 from dasqa.errors import SimulationLimitError
 from dasqa.sim import (
@@ -209,9 +208,3 @@ def test_allclose_up_to_global_phase_on_mismatched_shapes_and_zero_reference():
     # with an all-zero reference no phase can be read off: only a zero matches
     assert allclose_up_to_global_phase(zero + 1e-10, zero) is True
     assert allclose_up_to_global_phase(ones, zero) is False
-
-
-def test_every_fixed_kind_but_h_is_monomial():
-    """apply_gates gathers and multiplies every kind but H, its one dense branch."""
-    for kind, matrix in sim._FIXED.items():
-        assert (sim._monomial_form(matrix) is None) is (kind is GateKind.H)
