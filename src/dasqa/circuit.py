@@ -46,6 +46,11 @@ class GateKind(Enum):
     __hash__ = object.__hash__
 
 
+# the members the per-gate paths test, bound once: a read through the class
+# costs an attribute lookup on the enum type per gate
+_RZ, _MEASURE, _BARRIER = GateKind.RZ, GateKind.MEASURE, GateKind.BARRIER
+
+
 @dataclass(frozen=True)
 class Gate:
     kind: GateKind
@@ -69,7 +74,7 @@ class Gate:
                 f"duplicate operand q{qubits[0]} on two-qubit gate {kind.value}"
             )
         if angle is None:
-            if kind is GateKind.RZ:
+            if kind is _RZ:
                 raise CircuitError("rz requires an angle")
         elif not math.isfinite(angle):
             raise CircuitError(f"{kind.value} angle must be finite, got {angle}")
@@ -167,10 +172,9 @@ def layered_depth(gates, num_qubits: int) -> int:
     operands (all qubits when it has none) without occupying a layer.
     """
     level = [0] * num_qubits
-    barrier = GateKind.BARRIER
     for g in gates:
         qs = g.qubits
-        if g.kind is barrier:
+        if g.kind is _BARRIER:
             qs = qs or range(num_qubits)
             sync = max((level[q] for q in qs), default=0)
             for q in qs:
@@ -185,7 +189,7 @@ def layered_depth(gates, num_qubits: int) -> int:
 
 def circuit_stats(qc: QuantumCircuit) -> CircuitStats:
     """Gate counts plus :func:`layered_depth`; BARRIER is not a gate."""
-    gates = [g for g in qc.gates if g.kind is not GateKind.BARRIER]
+    gates = [g for g in qc.gates if g.kind is not _BARRIER]
     two_qubit = sum(1 for g in gates if g.is_two_qubit)
     return CircuitStats(len(gates), two_qubit, layered_depth(qc.gates, qc.num_qubits))
 
@@ -203,12 +207,12 @@ def to_qasm(qc: QuantumCircuit) -> str:
     if n_cbits > 0:
         lines.append(f"creg c[{n_cbits}];")
     for g in qc.gates:
-        if g.kind is GateKind.MEASURE:
+        if g.kind is _MEASURE:
             lines.append(f"measure q[{g.qubits[0]}] -> c[{g.cbit}];")
-        elif g.kind is GateKind.BARRIER:
+        elif g.kind is _BARRIER:
             ops = ",".join(f"q[{q}]" for q in g.qubits)
             lines.append(f"barrier {ops};" if ops else "barrier;")
-        elif g.kind is GateKind.RZ:
+        elif g.kind is _RZ:
             lines.append(f"rz({g.angle!r}) q[{g.qubits[0]}];")
         else:
             ops = ",".join(f"q[{q}]" for q in g.qubits)

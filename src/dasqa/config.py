@@ -4,9 +4,18 @@ One YAML file drives the whole flow; every stage receives the same
 :class:`DesignConfig`. Missing keys take the documented defaults below,
 unknown keys are rejected (typo protection), and value types and invariants
 are checked at load time so stage code can trust the values.
+
+The config dataclasses are frozen, so one loaded config can be shared.
+:func:`load_config` reads its file on every call and keeps the validated
+config of each (file text, path) it has loaded, for the life of the process
+and at most ``CONFIG_MEMO_SIZE`` of them, the least recently used going
+first. A rewritten file is a new text, so it is loaded anew; a file that
+fails to load keeps nothing.
 """
 from __future__ import annotations
 
+import functools
+import math
 import re
 import sys
 from dataclasses import dataclass, field, fields
@@ -21,8 +30,11 @@ from .errors import ConfigError, read_text
 # also the size of each root problem that inverts the fitted surrogate
 MAX_POLY_DEGREE = 20
 
+# configs kept by load_config, one per (file text, path)
+CONFIG_MEMO_SIZE = 16
 
-@dataclass
+
+@dataclass(frozen=True)
 class GridConfig:
     rows: int | None = None  # None: smallest square grid that fits
     cols: int | None = None
@@ -30,7 +42,7 @@ class GridConfig:
     include_idle_edges: bool = False
 
 
-@dataclass
+@dataclass(frozen=True)
 class FrequencyConfig:
     band_lo_ghz: float = 5.00
     band_hi_ghz: float = 5.30
@@ -42,20 +54,18 @@ class FrequencyConfig:
     min_next_detuning_ghz: float = 0.02
 
 
-@dataclass
+@dataclass(frozen=True)
 class LayoutConfig:
     pitch_um: float = 2000.0
     margin_um: float = 2000.0
     epsilon_eff: float = 6.45
     resonator_mode: str = "half"  # "half" | "quarter" for coupling resonators
     readout_detuning_ghz: float = 1.0
-    coupling_freq_lattice_ghz: list[float] = field(
-        default_factory=lambda: [7.0, 7.1, 7.2, 7.3]
-    )
+    coupling_freq_lattice_ghz: tuple[float, ...] = (7.0, 7.1, 7.2, 7.3)
     meander_amplitude_um: float = 300.0
 
 
-@dataclass
+@dataclass(frozen=True)
 class GeometryConfig:
     dataset_path: str | None = None  # None: bundled synthetic table
     poly_degree: int = 2
@@ -64,7 +74,7 @@ class GeometryConfig:
     invert_mode: str = "fixed_gap"
 
 
-@dataclass
+@dataclass(frozen=True)
 class DesignConfig:
     grid: GridConfig = field(default_factory=GridConfig)
     frequency: FrequencyConfig = field(default_factory=FrequencyConfig)
@@ -86,13 +96,22 @@ class DesignConfig:
             val = getattr(g, key)
             if val is not None and not 1 <= val <= MAX_QUBITS:
                 raise ConfigError(f"grid.{key} must be in 1..{MAX_QUBITS}")
-        if g.max_degree < 1:
-            raise ConfigError("grid.max_degree must be >= 1")
+        if not 1 <= g.max_degree <= MAX_QUBITS:
+            raise ConfigError(f"grid.max_degree must be in 1..{MAX_QUBITS}")
         lay = self.layout
         if lay.pitch_um <= 0:
             raise ConfigError("layout.pitch_um must be positive")
         if lay.margin_um <= 0:
             raise ConfigError("layout.margin_um must be positive")
+        # build_layout's chip side is (cells - 1) * pitch + 2 * margin, and a
+        # grid side reaches MAX_QUBITS cells
+        if not math.isfinite(2 * lay.margin_um):
+            raise ConfigError("layout.margin_um is too large: the chip size is not finite")
+        if not math.isfinite((MAX_QUBITS - 1) * lay.pitch_um + 2 * lay.margin_um):
+            raise ConfigError(
+                f"layout.pitch_um is too large: a grid side of {MAX_QUBITS} cells "
+                "gives a chip size that is not finite"
+            )
         if lay.epsilon_eff < 1:
             raise ConfigError("layout.epsilon_eff must be >= 1")
         if f.band_lo_ghz + lay.readout_detuning_ghz <= 0:
@@ -134,8 +153,8 @@ _TYPE_CHECKS = {
     "float": (_is_finite_number, "a finite number"),
     "bool": (lambda v: isinstance(v, bool), "true or false"),
     "str": (lambda v: isinstance(v, str), "a string"),
-    "list[float]": (
-        lambda v: isinstance(v, list) and all(_is_finite_number(x) for x in v),
+    "tuple[float, ...]": (
+        lambda v: isinstance(v, (list, tuple)) and all(_is_finite_number(x) for x in v),
         "a list of finite numbers",
     ),
 }
@@ -154,7 +173,8 @@ def _build_section(cls, data: dict, section: str):
         accepts, expected = _TYPE_CHECKS[kind]
         if not accepts(value):
             raise ConfigError(f"{section}.{key} must be {expected}, got {value!r}")
-    return cls(**data)
+    # YAML gives a list; the frozen config keeps it as a tuple
+    return cls(**{key: tuple(v) if isinstance(v, list) else v for key, v in data.items()})
 
 
 def config_from_dict(data: dict | None) -> DesignConfig:
@@ -191,9 +211,17 @@ _Loader.add_implicit_resolver(
 
 
 def load_config(path: str | Path) -> DesignConfig:
-    """Read a YAML config file, apply defaults, reject unknown keys."""
+    """Read a YAML config file, apply defaults, reject unknown keys.
+
+    The file is read on every call; its validated config is kept per text
+    (see the module docstring), so a rewritten file is loaded anew.
+    """
     path = Path(path)
-    text = read_text(path, "config", ConfigError)
+    return _config_from_text(read_text(path, "config", ConfigError), path)
+
+
+@functools.lru_cache(maxsize=CONFIG_MEMO_SIZE)  # keeps no result of a call that raises
+def _config_from_text(text: str, path: Path) -> DesignConfig:
     try:
         data = yaml.load(text, Loader=_Loader)
     except (yaml.YAMLError, ValueError) as exc:  # ValueError: an int of >4300 digits, a bad date

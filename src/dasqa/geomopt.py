@@ -16,34 +16,66 @@ roots; :func:`invert_for_geometry` is that batch with one target.
 A bundled synthetic table (``data/pad_geometry.csv``, regenerable with
 ``python -m dasqa.data.make_pad_geometry``) stands in for simulation data;
 its ground truth is ``f = 7.2 - 0.012*h - 0.004*g + 1.5e-5*h**2`` GHz.
+
+Work that depends only on the dataset and the config is kept for the life of
+the process, with the object that owns it, so a batch of flows redoes only
+the work of each circuit:
+- :func:`bundled_dataset` parses the bundled table once, and
+  :func:`load_dataset` reads its file on every call but keeps the dataset of
+  each (file text, path), at most ``DATASET_MEMO_SIZE``, the least recently
+  used going first;
+- a dataset keeps its :func:`fit_model` result for each degree up to
+  ``MAX_POLY_DEGREE``;
+- a model keeps the outcome of each ``(target, fixed gap)`` that
+  :func:`optimize_layout` solved, at most ``SOLVE_MEMO_SIZE``, the oldest
+  going first. A solve that raised keeps nothing.
+
+Dataset and model arrays are read-only, so a shared object cannot change
+under a kept result.
 """
 from __future__ import annotations
 
 import csv
+import functools
 import importlib.resources
 import io
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from .config import DesignConfig
+from .config import MAX_POLY_DEGREE, DesignConfig
 from .errors import DasqaError, GeometryError, LayoutError, UnreachableTargetError, read_text
 from .layout import Component, LayoutDocument, fmt_um, length_um, round9
 
 INVERT_TOL_GHZ = 1e-6
 GRID_POINTS = 101
+# datasets kept by load_dataset, one per (file text, path)
+DATASET_MEMO_SIZE = 4
+# (target, fixed gap) outcomes kept by each model
+SOLVE_MEMO_SIZE = 4096
+
+
+def _read_only(values) -> np.ndarray:
+    """A float copy of ``values`` that cannot be written."""
+    out = np.array(values, dtype=float)
+    out.flags.writeable = False
+    return out
 
 
 @dataclass(frozen=True)
 class GeometryDataset:
-    """Rows of (pad_gap um, pad_height um, frequency GHz)."""
+    """Rows of (pad_gap um, pad_height um, frequency GHz), kept as read-only copies."""
 
     gap_um: np.ndarray
     height_um: np.ndarray
     frequency_ghz: np.ndarray
+    # degree -> fit_model's result
+    _fits: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        for name in ("gap_um", "height_um", "frequency_ghz"):
+            object.__setattr__(self, name, _read_only(getattr(self, name)))
         n = len(self.gap_um)
         if n == 0:
             raise GeometryError("dataset is empty")
@@ -66,9 +98,17 @@ class GeometryDataset:
 
 
 def load_dataset(path: str | Path) -> GeometryDataset:
-    """Read a CSV with header pad_gap_um,pad_height_um,frequency_ghz."""
+    """Read a CSV with header pad_gap_um,pad_height_um,frequency_ghz.
+
+    The file is read on every call; its dataset is kept per text (see the
+    module docstring), so a rewritten file is loaded anew.
+    """
     path = Path(path)
-    text = read_text(path, "dataset", GeometryError)
+    return _dataset_from_text(read_text(path, "dataset", GeometryError), path)
+
+
+@functools.lru_cache(maxsize=DATASET_MEMO_SIZE)  # keeps no result of a call that raises
+def _dataset_from_text(text: str, path: Path) -> GeometryDataset:
     reader = csv.reader(io.StringIO(text, newline=""))  # csv splits the lines itself
     expected = ["pad_gap_um", "pad_height_um", "frequency_ghz"]
     header = next(reader, None)
@@ -88,9 +128,10 @@ def load_dataset(path: str | Path) -> GeometryDataset:
         gaps.append(gap)
         heights.append(height)
         freqs.append(freq)
-    return GeometryDataset(np.array(gaps), np.array(heights), np.array(freqs))
+    return GeometryDataset(gaps, heights, freqs)
 
 
+@functools.cache
 def bundled_dataset() -> GeometryDataset:
     ref = importlib.resources.files("dasqa.data") / "pad_geometry.csv"
     with importlib.resources.as_file(ref) as path:
@@ -114,10 +155,15 @@ def _design_matrix(gap: np.ndarray, height: np.ndarray, degree: int) -> np.ndarr
 @dataclass(frozen=True)
 class GeometryModel:
     degree: int
-    coefficients: np.ndarray  # over monomial_exponents(degree)
+    coefficients: np.ndarray  # over monomial_exponents(degree), kept as a read-only copy
     gap_bounds: tuple[float, float]
     height_bounds: tuple[float, float]
     residual_rms_ghz: float = 0.0
+    # (target, fixed gap) -> _solve's outcome, for optimize_layout
+    _solves: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "coefficients", _read_only(self.coefficients))
 
 
 def fit_model(data: GeometryDataset, degree: int) -> GeometryModel:
@@ -129,7 +175,13 @@ def fit_model(data: GeometryDataset, degree: int) -> GeometryModel:
     Raises GeometryError when the system is underdetermined (fewer rows than
     coefficients), when the degree reaches the number of distinct gaps or
     heights, or when it is otherwise rank deficient (collinear samples).
+
+    The dataset keeps the model of each degree up to ``MAX_POLY_DEGREE``, so
+    a second call with that degree returns the same model.
     """
+    kept = data._fits.get(degree)
+    if kept is not None:
+        return kept
     if degree < 0:
         raise GeometryError("polynomial degree must be >= 0")
     n_coeff = (degree + 1) * (degree + 2) // 2  # len(monomial_exponents(degree))
@@ -154,13 +206,16 @@ def fit_model(data: GeometryDataset, degree: int) -> GeometryModel:
         )
     coeffs = solution / scale
     residuals = design @ coeffs - data.frequency_ghz
-    return GeometryModel(
+    model = GeometryModel(
         degree=degree,
         coefficients=coeffs,
         gap_bounds=(float(data.gap_um.min()), float(data.gap_um.max())),
         height_bounds=(float(data.height_um.min()), float(data.height_um.max())),
         residual_rms_ghz=float(np.sqrt(np.mean(residuals**2))),
     )
+    if degree <= MAX_POLY_DEGREE:
+        data._fits[degree] = model
+    return model
 
 
 @dataclass(frozen=True)
@@ -347,9 +402,11 @@ def optimize_layout(
     searches both. Unreachable targets are reported and skipped; the rest of
     the layout is still updated.
 
-    Each distinct ``(target, fixed gap)`` is solved once per call, and all
-    the targets at one gap are solved in one batch. Every transmon that
-    shares a solve gets the same geometry or the same nearest frequency.
+    Each distinct ``(target, fixed gap)`` is solved once per model, which
+    keeps the outcome for later calls (see the module docstring); the
+    targets at one gap that it has not solved yet go in one batch. Every
+    transmon that shares a solve gets the same geometry or the same nearest
+    frequency.
     Each transmon still gets its own :meth:`LayoutDocument.edit`, which sets
     ``pad_gap`` and ``pad_height`` together and checks the rebuilt pads
     against the chip and every other transmon, so the result needs no
@@ -407,10 +464,24 @@ def _solve(
     model: GeometryModel, targets: list[float], fixed_gap: float | None
 ) -> list[tuple[float, float, float] | float | Exception]:
     """:func:`_invert`, with each (gap, height) rounded to the 9 significant
-    digits of the stored options and the frequency predicted there added."""
-    outcomes = _invert(model, targets, fixed_gap)
-    for i, outcome in enumerate(outcomes):
+    digits of the stored options and the frequency predicted there added.
+
+    Only the targets the model has not kept at this gap are inverted, in one
+    batch; a target's outcome does not depend on the batch, since every
+    companion matrix's eigenvalues are found on their own. The new outcomes
+    are kept, except exceptions: a kept one would grow its traceback at every
+    re-raise."""
+    kept = model._solves
+    new = [target for target in targets if (target, fixed_gap) not in kept]
+    solved = dict(zip(new, _invert(model, new, fixed_gap))) if new else {}
+    for target, outcome in solved.items():
         if isinstance(outcome, tuple):
             gap, height = round9(outcome[0]), round9(outcome[1])
-            outcomes[i] = (gap, height, predict_frequency(model, gap, height).frequency_ghz)
+            solved[target] = (gap, height, predict_frequency(model, gap, height).frequency_ghz)
+    outcomes = [solved[t] if t in solved else kept[t, fixed_gap] for t in targets]
+    for target, outcome in solved.items():
+        if not isinstance(outcome, Exception):
+            if len(kept) >= SOLVE_MEMO_SIZE:
+                del kept[next(iter(kept))]  # the oldest goes first
+            kept[target, fixed_gap] = outcome
     return outcomes

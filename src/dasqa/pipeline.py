@@ -10,6 +10,15 @@ deterministic: fixed inputs give byte-identical files.
 The architecture generator is ``run_flow``'s ``architecture_generator``
 argument, so another ``(circuit, config) -> Architecture`` callable drops in
 without touching the rest of the flow; its result is checked for structure only.
+
+A batch of flows in one process redoes only the work of each circuit. What
+depends only on the config and the dataset is kept, for the life of the
+process, by the object that owns it: ``load_config`` keeps the config of each
+config text, the dataset keeps its fitted surrogate, and the surrogate keeps
+its geometry solves (see :mod:`dasqa.config` and :mod:`dasqa.geomopt` for the
+bounds). A rewritten config or dataset file is a new text and is loaded
+anew, and a stage that fails keeps nothing, so a flow's outputs do not
+depend on what the process designed before it.
 """
 from __future__ import annotations
 
@@ -148,7 +157,8 @@ def run_flow(
     and each geometry edit checks only the transmon it changes, so no
     whole-chip check follows ``optimize_layout``. The interaction graph is
     built once: the circuit keeps it, so the generator, the router and the
-    baseline scoring share it.
+    baseline scoring share it. The config, the fitted surrogate and its
+    solves may come from an earlier flow of the process (module docstring).
     """
     config = _run_stage("config", load_config, config_path)
     qc = _run_stage("parse", parse_qasm_file, circuit_path)

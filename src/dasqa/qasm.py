@@ -41,8 +41,9 @@ from pathlib import Path
 from .circuit import MAX_QUBITS, Gate, GateKind, QuantumCircuit
 from .errors import CircuitError, QasmError, read_text
 
+_RZ, _MEASURE, _BARRIER = GateKind.RZ, GateKind.MEASURE, GateKind.BARRIER  # bound once: read per statement
 # measure and barrier have statement syntax of their own, parsed apart
-_GATE_KINDS = {k.value: k for k in GateKind if k not in (GateKind.MEASURE, GateKind.BARRIER)}
+_GATE_KINDS = {k.value: k for k in GateKind if k not in (_MEASURE, _BARRIER)}
 
 # A simple gate statement, ``name[(literal)] reg[i](, reg[j])?``, less its
 # ";"; its subpatterns are those of the plain tokens, so the same text read
@@ -246,7 +247,7 @@ def _simple_gate(groups: tuple, qregs: dict[str, tuple[int, int]]) -> Gate | Non
     """The gate of a statement's groups, or None when a register, index or gate check fails."""
     name, angle, reg0, idx0, reg1, idx1 = groups
     kind = _GATE_KINDS[name]
-    if (angle is None) is (kind is GateKind.RZ):  # only rz takes "(angle)"
+    if (angle is None) is (kind is _RZ):  # only rz takes "(angle)"
         return None
     if angle is not None:  # float() of a signed literal is the token path's sign on float()
         angle = float(angle)
@@ -319,7 +320,7 @@ def parse_qasm(source: str, name: str = "circuit") -> QuantumCircuit:
         kind = _GATE_KINDS.get(text)
         if kind is not None:
             angle = None
-            if kind is GateKind.RZ:
+            if kind is _RZ:
                 p.expect("(")
                 angle = p.expr()
                 p.expect(")")
@@ -359,13 +360,13 @@ def parse_qasm(source: str, name: str = "circuit") -> QuantumCircuit:
             else:
                 cregs[reg_name] = (n_cbits, size)
                 n_cbits += size
-        elif text == GateKind.MEASURE.value:
+        elif text == _MEASURE.value:
             q = qubit_ref()
             p.expect("->")
             c = p.register_ref(cregs, "classical", "classical")
             p.expect(";")
-            gates.append(Gate(GateKind.MEASURE, (q,), cbit=c))
-        elif text == GateKind.BARRIER.value:
+            gates.append(Gate(_MEASURE, (q,), cbit=c))
+        elif text == _BARRIER.value:
             qs = []
             if p.peek() and p.peek()[0] != ";":
                 while True:
@@ -387,7 +388,7 @@ def parse_qasm(source: str, name: str = "circuit") -> QuantumCircuit:
                     if not p.accept(","):
                         break
             p.expect(";")
-            gates.append(Gate(GateKind.BARRIER, tuple(qs)))
+            gates.append(Gate(_BARRIER, tuple(qs)))
         elif tok[1] == "id":
             raise p.error(f"unsupported gate {text!r}", tok)
         else:

@@ -156,7 +156,12 @@ REJECTED_INPUT_CASES = {
         {"c.yml": "frequency: {min_next_detuning_ghz: -0.01}"},
         "[config] detuning thresholds must be non-negative",
     ),
-    "zero_max_degree": ({"c.yml": "grid: {max_degree: 0}"}, "[config] grid.max_degree must be >= 1"),
+    "zero_max_degree": ({"c.yml": "grid: {max_degree: 0}"}, "[config] grid.max_degree must be in 1..1024"),
+    # 10^50 designed without complaint
+    "huge_max_degree": (
+        {"c.yml": "grid: {max_degree: 100000000000000000000000000000000000000000000000000}"},
+        "[config] grid.max_degree must be in 1..1024",
+    ),
     "zero_margin": ({"c.yml": "layout: {margin_um: 0}"}, "[config] layout.margin_um must be positive"),
     "low_epsilon": ({"c.yml": "layout: {epsilon_eff: 0.5}"}, "[config] layout.epsilon_eff must be >= 1"),
     "empty_coupling_lattice": (
@@ -241,10 +246,18 @@ REJECTED_INPUT_CASES = {
         "[parse] line 3, column 8: unexpected character '\u0663'",
     ),
     "mistyped_config_value": ({"c.yml": 'grid: {rows: "3"}\n'}, "[config]"),
-    # wrote "width_um": Infinity to layout.json and an infinite SVG viewBox
+    # wrote "width_um": Infinity to layout.json and an infinite SVG viewBox,
+    # then was reported by the layout stage
     "infinite_chip": (
         {"c.yml": "layout: {margin_um: 1.0e308}\n"},
-        "[layout] chip (-1e+308, -1e+308, inf, inf) is not finite",
+        "[config] layout.margin_um is too large: the chip size is not finite",
+    ),
+    # a 1024-cell grid side at this pitch overflows the chip size, though the
+    # five-qubit grid would fit
+    "infinite_chip_on_a_large_grid": (
+        {"c.yml": "layout: {pitch_um: 1.0e306}\n"},
+        "[config] layout.pitch_um is too large: a grid side of 1024 cells "
+        "gives a chip size that is not finite",
     ),
     # a NaN threshold would fail every comparison and switch the detuning rule off
     "non_finite_config_value": (

@@ -1,11 +1,12 @@
 """Configuration loading: defaults, overrides, rejection of unknowns."""
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import pytest
 
-from dasqa.config import DesignConfig, config_from_dict, load_config
+from dasqa.config import DesignConfig, GridConfig, config_from_dict, load_config
 from dasqa.errors import ConfigError
 
 
@@ -112,3 +113,33 @@ def test_non_mapping_root_rejected(tmp_path):
     with pytest.raises(ConfigError, match="mapping"):
         load_config(path)
 
+
+
+def test_a_loaded_config_is_frozen_and_kept_per_text(tmp_path):
+    path = tmp_path / "c.yml"
+    path.write_text("layout: {coupling_freq_lattice_ghz: [7.0, 7.2]}\n", encoding="utf-8")
+    cfg = load_config(path)
+    assert cfg.layout.coupling_freq_lattice_ghz == (7.0, 7.2)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        cfg.layout.pitch_um = 1.0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        cfg.grid = GridConfig(rows=2)
+    assert load_config(path) is cfg
+    path.write_text("layout: {coupling_freq_lattice_ghz: [7.1]}\n", encoding="utf-8")
+    assert load_config(path).layout.coupling_freq_lattice_ghz == (7.1,)
+
+
+@pytest.mark.parametrize(
+    "bad", ["grid: {rows: [\n", "grid: {max_degree: 0}\n"], ids=["malformed_yaml", "out_of_range"]
+)
+def test_a_config_fixed_in_place_loads_on_the_next_call(tmp_path, bad):
+    path = tmp_path / "c.yml"
+    path.write_text(bad, encoding="utf-8")
+    with pytest.raises(ConfigError):
+        load_config(path)
+    path.write_text("grid: {max_degree: 3}\n", encoding="utf-8")
+    assert load_config(path).grid.max_degree == 3
+    # and broken again: the kept config of the good text is not returned
+    path.write_text(bad, encoding="utf-8")
+    with pytest.raises(ConfigError):
+        load_config(path)

@@ -1,6 +1,7 @@
 """Geometry surrogate: fitting, prediction, inversion, layout optimization."""
 from __future__ import annotations
 
+import dataclasses
 from pathlib import Path
 
 import numpy as np
@@ -441,26 +442,35 @@ def _count_inversions(monkeypatch) -> list:
     return calls
 
 
-def _solved_pairs(calls) -> list:
-    return sorted((target, gap) for targets, gap in calls for target in targets)
+def fresh_model() -> GeometryModel:
+    """The bundled degree-2 fit as a new model, which has solved nothing yet."""
+    return dataclasses.replace(fit_model(bundled_dataset(), 2))
 
 
 def test_optimize_layout_solves_each_distinct_target_once(monkeypatch, config):
-    # each distinct (target, gap) is solved exactly once, in one batch per gap
+    # each distinct (target, gap) is solved exactly once per model, in one
+    # batch per gap
     n = 36
     freqs = np.resize(REFERENCE_FREQS, n)
     layout = build_layout(grid_architecture(6, 6, freqs), config)
-    model = fit_model(bundled_dataset(), 2)
+    model = fresh_model()
     calls = _count_inversions(monkeypatch)
     layout, results = optimize_layout(layout, freqs, config, model)
     assert calls == [(tuple(REFERENCE_FREQS), 30.0)]
-    # a transmon whose fixed gap differs shares no solve with its target's others
+    # a transmon whose fixed gap differs shares no solve with its target's
+    # others; the model solves only that new pair
     layout = build_layout(grid_architecture(6, 6, freqs), config)
     layout.component("Q_5").options["pad_gap"] = "20um"
     calls.clear()
     layout, results = optimize_layout(layout, freqs, config, model)
-    assert sorted(gap for _, gap in calls) == [20.0, 30.0]
-    assert _solved_pairs(calls) == sorted([(f, 30.0) for f in REFERENCE_FREQS] + [(float(freqs[5]), 20.0)])
+    assert calls == [((float(freqs[5]),), 20.0)]
+    # a fresh model solves every pair again
+    layout = build_layout(grid_architecture(6, 6, freqs), config)
+    layout.component("Q_5").options["pad_gap"] = "20um"
+    calls.clear()
+    layout, again = optimize_layout(layout, freqs, config, fresh_model())
+    assert calls == [(tuple(REFERENCE_FREQS), 30.0), ((float(freqs[5]),), 20.0)]
+    assert again == results
     # every transmon still gets the geometry its own solve gives
     for q, r in enumerate(results):
         gap, height = invert_for_geometry(model, float(freqs[q]), 20.0 if q == 5 else 30.0)
@@ -470,9 +480,40 @@ def test_optimize_layout_solves_each_distinct_target_once(monkeypatch, config):
         assert layout.component(f"Q_{q}").options["pad_height"] == f"{r.pad_height_um:.9g}um"
 
 
+def test_a_solve_that_raises_is_not_kept(monkeypatch, star_arch, config):
+    # the surrogate overflows at this gap; each call solves and raises anew
+    model = fresh_model()
+    calls = _count_inversions(monkeypatch)
+    raised = []
+    for _ in range(2):
+        layout = build_layout(star_arch, config)
+        layout.component("Q_0").options["pad_gap"] = "1e200um"
+        with pytest.raises(OverflowError) as info:
+            optimize_layout(layout, REFERENCE_FREQS, config, model)
+        raised.append(info.value)
+    at_huge_gap = ((REFERENCE_FREQS[0],), 1e200)
+    assert calls == [at_huge_gap, (tuple(REFERENCE_FREQS[1:]), 30.0), at_huge_gap]
+    assert raised[0] is not raised[1]
+    assert sorted(model._solves) == sorted((f, 30.0) for f in REFERENCE_FREQS[1:])
+
+
+def test_dataset_and_model_arrays_are_read_only_copies():
+    data = bundled_dataset()
+    model = fit_model(data, 2)
+    assert fit_model(data, 2) is model  # the dataset keeps its fit
+    for array in (data.gap_um, data.height_um, data.frequency_ghz, model.coefficients):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 1.0
+    # the caller's arrays are copied, and stay writable
+    heights = np.linspace(50.0, 150.0, 20)
+    copy = GeometryDataset(np.tile([10.0, 25.0, 40.0, 55.0], 5), heights, 6.5 - 0.01 * heights)
+    heights[0] = 1.0
+    assert copy.height_um[0] == 50.0
+
+
 def test_repeated_unreachable_targets_each_get_their_own_result(monkeypatch, star_arch, config):
     layout = build_layout(star_arch, config)
-    model = fit_model(bundled_dataset(), 2)
+    model = fresh_model()
     calls = _count_inversions(monkeypatch)
     targets = [9.99, 5.06, 9.99, 9.99, 5.24]
     layout, results = optimize_layout(layout, targets, config, model)

@@ -5,6 +5,8 @@ import errno
 import hashlib
 import json
 import os
+import subprocess
+import sys
 from functools import partial
 from pathlib import Path
 
@@ -12,7 +14,7 @@ import numpy as np
 import pytest
 import yaml
 
-from dasqa import cli
+from dasqa import cli, geomopt
 from dasqa.archgen import Architecture, CouplingGraph, detuning_violations
 from dasqa.circuit import Gate, GateKind, InteractionGraph, QuantumCircuit, to_qasm
 from dasqa.config import FrequencyConfig
@@ -21,7 +23,9 @@ from dasqa.pipeline import StageFailure, run_flow
 
 from conftest import BENCH_CONFIG, mixed_circuit
 
+ROOT = Path(__file__).resolve().parent.parent
 DATA = Path(__file__).parent / "data"
+GOLDEN = Path(__file__).parent / "golden" / "five_qubit_app"
 CIRCUIT = DATA / "five_qubit_app.qasm"
 CONFIG = DATA / "config.yml"
 BASELINE = DATA / "baseline_t.json"
@@ -91,6 +95,97 @@ def test_free_mode_flow_outputs_are_pinned(tmp_path):
         for name in OUTPUT_NAMES:
             digest.update((tmp_path / f"out_{k}" / name).read_bytes())
     assert digest.hexdigest() == FREE_MODE_DIGEST
+
+
+def _outputs(out: Path) -> dict[str, bytes]:
+    return {name: (out / name).read_bytes() for name in OUTPUT_NAMES}
+
+
+def test_rewriting_the_config_between_flows_gives_the_new_design(tmp_path):
+    config = tmp_path / "c.yml"
+    config.write_text(CONFIG.read_text(encoding="utf-8"), encoding="utf-8")
+    run_flow(CIRCUIT, config, out_dir=tmp_path / "old")
+    # another pitch and adjacent threshold move the layout and the frequencies
+    base = yaml.safe_load(CONFIG.read_text(encoding="utf-8"))
+    new = {
+        "frequency": {**base["frequency"], "min_adjacent_detuning_ghz": 0.05},
+        "layout": {**base["layout"], "pitch_um": 2500},
+    }
+    config.write_text(yaml.safe_dump(new), encoding="utf-8")
+    run_flow(CIRCUIT, config, out_dir=tmp_path / "new")
+    fresh = tmp_path / "fresh.yml"
+    fresh.write_text(yaml.safe_dump(new), encoding="utf-8")
+    run_flow(CIRCUIT, fresh, out_dir=tmp_path / "fresh")
+    assert _outputs(tmp_path / "new") == _outputs(tmp_path / "fresh")
+    old, rewritten = _outputs(tmp_path / "old"), _outputs(tmp_path / "new")
+    assert all(old[name] != rewritten[name] for name in ("architecture.json", "layout.json", "report.json"))
+
+
+def test_rewriting_the_dataset_between_flows_refits_the_surrogate(tmp_path, monkeypatch):
+    fits = []
+    real_design_matrix = geomopt._design_matrix  # built once per fit
+
+    def counting_design_matrix(*args):
+        fits.append(args[2])
+        return real_design_matrix(*args)
+
+    monkeypatch.setattr(geomopt, "_design_matrix", counting_design_matrix)
+    monkeypatch.chdir(tmp_path)  # the relative dataset_path resolves here
+    config = tmp_path / "c.yml"
+    config.write_text(CONFIG.read_text(encoding="utf-8") + "geometry: {dataset_path: d.csv}\n", encoding="utf-8")
+    bundled = (Path(geomopt.__file__).parent / "data" / "pad_geometry.csv").read_text(encoding="utf-8")
+    dataset = tmp_path / "d.csv"
+    dataset.write_text(bundled, encoding="utf-8")
+    run_flow(CIRCUIT, config, out_dir="first")
+    run_flow(CIRCUIT, config, out_dir="second")
+    assert fits == [2]  # the same text is fitted once
+    # every frequency 10 MHz higher: the pads must grow to reach the same targets
+    header, *rows = bundled.splitlines()
+    shifted = [header] + [f"{g},{h},{float(f) + 0.01!r}" for g, h, f in (row.split(",") for row in rows)]
+    dataset.write_text("\n".join(shifted) + "\n", encoding="utf-8")
+    run_flow(CIRCUIT, config, out_dir="rewritten")
+    assert fits == [2, 2]
+    assert _outputs(tmp_path / "second") == _outputs(tmp_path / "first")
+    assert _outputs(tmp_path / "rewritten")["layout.json"] != _outputs(tmp_path / "first")["layout.json"]
+    # the same as a flow whose dataset and fit are new to the process
+    (tmp_path / "e.csv").write_text(dataset.read_text(encoding="utf-8"), encoding="utf-8")
+    fresh = tmp_path / "fresh.yml"
+    fresh.write_text(config.read_text(encoding="utf-8").replace("d.csv", "e.csv"), encoding="utf-8")
+    run_flow(CIRCUIT, fresh, out_dir="fresh")
+    assert fits == [2, 2, 2]
+    assert _outputs(tmp_path / "fresh") == _outputs(tmp_path / "rewritten")
+
+
+# run in a fresh interpreter: the worked example designs first, in a process
+# that has kept nothing, then in free mode on the same kept model, then again
+FIRST_FLOWS_SCRIPT = """
+import sys
+from dasqa import geomopt
+from dasqa.pipeline import run_flow
+
+circuit, config, free, out = sys.argv[1:]
+for name, path in (("first", config), ("free", free), ("again", config)):
+    run_flow(circuit, path, out_dir=f"{out}/{name}")
+model = geomopt.fit_model(geomopt.bundled_dataset(), 2)
+print(sorted({str(gap) for _, gap in model._solves}))
+"""
+
+
+def test_worked_example_designs_to_the_golden_bytes_first_and_after_a_free_mode_flow(tmp_path):
+    free = tmp_path / "free.yml"
+    free.write_text(CONFIG.read_text(encoding="utf-8") + "geometry: {invert_mode: free}\n", encoding="utf-8")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-c", FIRST_FLOWS_SCRIPT, str(CIRCUIT), str(CONFIG), str(free), str(tmp_path)],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "['30.0', 'None']"  # both modes solved on one model
+    for name in ("first", "again"):
+        assert _outputs(tmp_path / name) == _outputs(GOLDEN)
+    run_flow(CIRCUIT, free, out_dir=tmp_path / "free_here")
+    assert _outputs(tmp_path / "free") == _outputs(tmp_path / "free_here")
 
 
 def test_run_flow_builds_the_interaction_graph_once(monkeypatch, tmp_path):
