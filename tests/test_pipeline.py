@@ -132,14 +132,15 @@ def test_rewriting_the_dataset_between_flows_refits_the_surrogate(tmp_path, monk
     monkeypatch.setattr(geomopt, "_design_matrix", counting_design_matrix)
     monkeypatch.chdir(tmp_path)  # the relative dataset_path resolves here
     config = tmp_path / "c.yml"
-    config.write_text(CONFIG.read_text(encoding="utf-8") + "geometry: {dataset_path: d.csv}\n", encoding="utf-8")
+    dataset_config = CONFIG.read_text(encoding="utf-8") + "geometry: {dataset_path: d.csv}\n"
+    config.write_text(dataset_config, encoding="utf-8")
     bundled = (Path(geomopt.__file__).parent / "data" / "pad_geometry.csv").read_text(encoding="utf-8")
     dataset = tmp_path / "d.csv"
     dataset.write_text(bundled, encoding="utf-8")
     run_flow(CIRCUIT, config, out_dir="first")
     run_flow(CIRCUIT, config, out_dir="second")
     assert fits == [2]  # the same text is fitted once
-    # every frequency 10 MHz higher: the pads must grow to reach the same targets
+    # every frequency 10 MHz higher: the same targets need other pad heights
     header, *rows = bundled.splitlines()
     shifted = [header] + [f"{g},{h},{float(f) + 0.01!r}" for g, h, f in (row.split(",") for row in rows)]
     dataset.write_text("\n".join(shifted) + "\n", encoding="utf-8")
