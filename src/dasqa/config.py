@@ -7,14 +7,15 @@ are checked at load time so stage code can trust the values.
 
 The config dataclasses are frozen, so one loaded config can be shared.
 :func:`load_config` reads its file on every call and keeps the validated
-config of each (file text, path) it has loaded, for the life of the process
-and at most ``CONFIG_MEMO_SIZE`` of them, the least recently used going
-first. A rewritten file is a new text, so it is loaded anew; a file that
-fails to load keeps nothing.
+config of each file text it has loaded, for the life of the process and at
+most ``CONFIG_MEMO_SIZE`` of them, the least recently used going first (see
+:func:`dasqa.errors.keep_parsed`). A rewritten file is a new text, so it is
+loaded anew; a file that fails to load keeps nothing. This pays off only
+when one process runs several flows under one config (a batch through
+:func:`dasqa.run_flow`); the ``dasqa`` command runs one flow per process.
 """
 from __future__ import annotations
 
-import functools
 import math
 import re
 import sys
@@ -24,13 +25,14 @@ from pathlib import Path
 import yaml
 
 from .circuit import MAX_QUBITS
-from .errors import ConfigError, read_text
+from .errors import ConfigError, keep_parsed, read_text
 
 # the bundled 11 x 11 (gap, height) table fits up to degree 10; the degree is
 # also the size of each root problem that inverts the fitted surrogate
 MAX_POLY_DEGREE = 20
 
-# configs kept by load_config, one per (file text, path)
+# configs kept by load_config, one per file text: a kept config takes about
+# 3 KB (tracemalloc, the worked example's), so the table holds at most ~50 KB
 CONFIG_MEMO_SIZE = 16
 
 
@@ -105,12 +107,10 @@ class DesignConfig:
             raise ConfigError("layout.margin_um must be positive")
         # build_layout's chip side is (cells - 1) * pitch + 2 * margin, and a
         # grid side reaches MAX_QUBITS cells
-        if not math.isfinite(2 * lay.margin_um):
-            raise ConfigError("layout.margin_um is too large: the chip size is not finite")
         if not math.isfinite((MAX_QUBITS - 1) * lay.pitch_um + 2 * lay.margin_um):
             raise ConfigError(
-                f"layout.pitch_um is too large: a grid side of {MAX_QUBITS} cells "
-                "gives a chip size that is not finite"
+                "layout.pitch_um and layout.margin_um give a chip size that is not "
+                f"finite for a grid side of {MAX_QUBITS} cells"
             )
         if lay.epsilon_eff < 1:
             raise ConfigError("layout.epsilon_eff must be >= 1")
@@ -220,7 +220,7 @@ def load_config(path: str | Path) -> DesignConfig:
     return _config_from_text(read_text(path, "config", ConfigError), path)
 
 
-@functools.lru_cache(maxsize=CONFIG_MEMO_SIZE)  # keeps no result of a call that raises
+@keep_parsed(CONFIG_MEMO_SIZE)
 def _config_from_text(text: str, path: Path) -> DesignConfig:
     try:
         data = yaml.load(text, Loader=_Loader)

@@ -20,15 +20,17 @@ its ground truth is ``f = 7.2 - 0.012*h - 0.004*g + 1.5e-5*h**2`` GHz.
 Work that depends only on the dataset and the config is kept for the life of
 the process, with the object that owns it, so a batch of flows redoes only
 the work of each circuit:
-- :func:`bundled_dataset` parses the bundled table once, and
-  :func:`load_dataset` reads its file on every call but keeps the dataset of
-  each (file text, path), at most ``DATASET_MEMO_SIZE``, the least recently
-  used going first;
+- :func:`load_dataset` (and so :func:`bundled_dataset`) reads its file on
+  every call but keeps the dataset of each file text, at most
+  ``DATASET_MEMO_SIZE``, the least recently used going first (see
+  :func:`dasqa.errors.keep_parsed`);
 - a dataset keeps its :func:`fit_model` result for each degree up to
   ``MAX_POLY_DEGREE``;
 - a model keeps the outcome of each ``(target, fixed gap)`` that
   :func:`optimize_layout` solved, at most ``SOLVE_MEMO_SIZE``, the oldest
   going first. A solve that raised keeps nothing.
+
+Only a process that runs several flows on one dataset gains from this.
 
 Dataset and model arrays are read-only, so a shared object cannot change
 under a kept result.
@@ -36,7 +38,6 @@ under a kept result.
 from __future__ import annotations
 
 import csv
-import functools
 import importlib.resources
 import io
 from dataclasses import dataclass, field
@@ -44,16 +45,28 @@ from pathlib import Path
 
 import numpy as np
 
+from .circuit import MAX_QUBITS
 from .config import MAX_POLY_DEGREE, DesignConfig
-from .errors import DasqaError, GeometryError, LayoutError, UnreachableTargetError, read_text
+from .errors import (
+    DasqaError,
+    GeometryError,
+    LayoutError,
+    UnreachableTargetError,
+    keep_parsed,
+    read_text,
+)
 from .layout import Component, LayoutDocument, fmt_um, length_um, round9
 
 INVERT_TOL_GHZ = 1e-6
 GRID_POINTS = 101
-# datasets kept by load_dataset, one per (file text, path)
+# datasets kept by load_dataset, one per file text: a kept dataset takes 24
+# bytes a row (its three float columns) plus its fits, so the bundled table
+# and up to three user tables can alternate in a batch without a re-read
 DATASET_MEMO_SIZE = 4
-# (target, fixed gap) outcomes kept by each model
-SOLVE_MEMO_SIZE = 4096
+# (target, fixed gap) outcomes kept by each model: a flow asks at most one
+# per transmon, so this keeps every solve of the largest flow, at about 120
+# bytes an entry (tracemalloc)
+SOLVE_MEMO_SIZE = MAX_QUBITS
 
 
 def _read_only(values) -> np.ndarray:
@@ -107,7 +120,7 @@ def load_dataset(path: str | Path) -> GeometryDataset:
     return _dataset_from_text(read_text(path, "dataset", GeometryError), path)
 
 
-@functools.lru_cache(maxsize=DATASET_MEMO_SIZE)  # keeps no result of a call that raises
+@keep_parsed(DATASET_MEMO_SIZE)
 def _dataset_from_text(text: str, path: Path) -> GeometryDataset:
     reader = csv.reader(io.StringIO(text, newline=""))  # csv splits the lines itself
     expected = ["pad_gap_um", "pad_height_um", "frequency_ghz"]
@@ -131,7 +144,6 @@ def _dataset_from_text(text: str, path: Path) -> GeometryDataset:
     return GeometryDataset(gaps, heights, freqs)
 
 
-@functools.cache
 def bundled_dataset() -> GeometryDataset:
     ref = importlib.resources.files("dasqa.data") / "pad_geometry.csv"
     with importlib.resources.as_file(ref) as path:

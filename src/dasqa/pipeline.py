@@ -11,14 +11,16 @@ The architecture generator is ``run_flow``'s ``architecture_generator``
 argument, so another ``(circuit, config) -> Architecture`` callable drops in
 without touching the rest of the flow; its result is checked for structure only.
 
-A batch of flows in one process redoes only the work of each circuit. What
-depends only on the config and the dataset is kept, for the life of the
-process, by the object that owns it: ``load_config`` keeps the config of each
-config text, the dataset keeps its fitted surrogate, and the surrogate keeps
-its geometry solves (see :mod:`dasqa.config` and :mod:`dasqa.geomopt` for the
-bounds). A rewritten config or dataset file is a new text and is loaded
-anew, and a stage that fails keeps nothing, so a flow's outputs do not
-depend on what the process designed before it.
+A batch of flows in one process (several ``run_flow`` calls under one
+config) redoes only the work of each circuit. What depends only on the
+config and the dataset is kept, for the life of the process, by the object
+that owns it: ``load_config`` keeps the config of each config text, the
+dataset keeps its fitted surrogate, and the surrogate keeps its geometry
+solves (see :mod:`dasqa.config` and :mod:`dasqa.geomopt` for the bounds).
+The ``dasqa`` command runs one flow per process, so there every table
+starts empty and nothing is reused. A rewritten config or dataset file is a
+new text and is loaded anew, and a stage that fails keeps nothing, so a
+flow's outputs do not depend on what the process designed before it.
 """
 from __future__ import annotations
 

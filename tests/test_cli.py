@@ -250,14 +250,15 @@ REJECTED_INPUT_CASES = {
     # then was reported by the layout stage
     "infinite_chip": (
         {"c.yml": "layout: {margin_um: 1.0e308}\n"},
-        "[config] layout.margin_um is too large: the chip size is not finite",
+        "[config] layout.pitch_um and layout.margin_um give a chip size that is not "
+        "finite for a grid side of 1024 cells",
     ),
     # a 1024-cell grid side at this pitch overflows the chip size, though the
     # five-qubit grid would fit
     "infinite_chip_on_a_large_grid": (
         {"c.yml": "layout: {pitch_um: 1.0e306}\n"},
-        "[config] layout.pitch_um is too large: a grid side of 1024 cells "
-        "gives a chip size that is not finite",
+        "[config] layout.pitch_um and layout.margin_um give a chip size that is not "
+        "finite for a grid side of 1024 cells",
     ),
     # a NaN threshold would fail every comparison and switch the detuning rule off
     "non_finite_config_value": (

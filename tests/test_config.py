@@ -6,7 +6,13 @@ import math
 
 import pytest
 
-from dasqa.config import DesignConfig, GridConfig, config_from_dict, load_config
+from dasqa.config import (
+    CONFIG_MEMO_SIZE,
+    DesignConfig,
+    GridConfig,
+    config_from_dict,
+    load_config,
+)
 from dasqa.errors import ConfigError
 
 
@@ -114,7 +120,6 @@ def test_non_mapping_root_rejected(tmp_path):
         load_config(path)
 
 
-
 def test_a_loaded_config_is_frozen_and_kept_per_text(tmp_path):
     path = tmp_path / "c.yml"
     path.write_text("layout: {coupling_freq_lattice_ghz: [7.0, 7.2]}\n", encoding="utf-8")
@@ -143,3 +148,19 @@ def test_a_config_fixed_in_place_loads_on_the_next_call(tmp_path, bad):
     path.write_text(bad, encoding="utf-8")
     with pytest.raises(ConfigError):
         load_config(path)
+
+
+def test_kept_configs_are_keyed_by_text_and_bounded(tmp_path):
+    first = tmp_path / "c.yml"
+    first.write_text("grid: {max_degree: 1}\n", encoding="utf-8")
+    cfg = load_config(first)
+    copy = tmp_path / "copy.yml"
+    copy.write_text(first.read_text(encoding="utf-8"), encoding="utf-8")
+    assert load_config(copy) is cfg
+    for degree in range(2, CONFIG_MEMO_SIZE + 2):
+        other = tmp_path / f"c{degree}.yml"
+        other.write_text(f"grid: {{max_degree: {degree}}}\n", encoding="utf-8")
+        load_config(other)
+    # the oldest text went out of the full table, so it is loaded anew
+    again = load_config(first)
+    assert again is not cfg and again == cfg

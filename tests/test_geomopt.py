@@ -631,7 +631,7 @@ def test_batched_solve_keeps_zero_targets_apart_and_rejects_non_finite_ones():
 
 @pytest.mark.parametrize("invert_mode", ["fixed_gap", "free"])
 def test_optimize_layout_matches_per_target_solves(invert_mode, config):
-    model = fit_model(bundled_dataset(), 2)
+    model = fresh_model()
     targets = [5.06, 5.24, 9.99, 5.06, 4.0, 5.27, -0.0, 0.0, 5.17]
     layout = build_layout(grid_architecture(3, 3, np.full(9, 5.0)), config)
     cfg = config_from_dict({"geometry": {"invert_mode": invert_mode}})
@@ -647,7 +647,7 @@ def test_optimize_layout_matches_per_target_solves(invert_mode, config):
 def test_optimize_layout_raises_errors_in_transmon_order(config):
     # Q_1's edit is rejected, so a bad target or a missing transmon after it
     # is never reached; before it, they are raised first
-    model = fit_model(bundled_dataset(), 2)
+    model = fresh_model()
 
     def run(targets, rename=None):
         layout = build_layout(grid_architecture(1, 6, np.full(6, 5.0), coupled=False), config)
