@@ -7,15 +7,16 @@ are checked at load time so stage code can trust the values.
 
 The config dataclasses are frozen, so one loaded config can be shared.
 :func:`load_config` reads its file on every call and keeps the validated
-config of each file text it has loaded, for the life of the process and at
-most ``CONFIG_MEMO_SIZE`` of them, the least recently used going first (see
-:func:`dasqa.errors.keep_parsed`). A rewritten file is a new text, so it is
-loaded anew; a file that fails to load keeps nothing. This pays off only
+config of each (file text, path) it has loaded, for the life of the process
+and at most ``CONFIG_MEMO_SIZE`` of them, the least recently used going
+first. A rewritten file is a new text, so it is loaded anew; a file that
+fails to load keeps nothing. This pays off only
 when one process runs several flows under one config (a batch through
 :func:`dasqa.run_flow`); the ``dasqa`` command runs one flow per process.
 """
 from __future__ import annotations
 
+import functools
 import math
 import re
 import sys
@@ -25,14 +26,15 @@ from pathlib import Path
 import yaml
 
 from .circuit import MAX_QUBITS
-from .errors import ConfigError, keep_parsed, read_text
+from .errors import ConfigError, read_text
 
 # the bundled 11 x 11 (gap, height) table fits up to degree 10; the degree is
 # also the size of each root problem that inverts the fitted surrogate
 MAX_POLY_DEGREE = 20
 
-# configs kept by load_config, one per file text: a kept config takes about
-# 3 KB (tracemalloc, the worked example's), so the table holds at most ~50 KB
+# configs kept by load_config, one per (file text, path): an entry holds the
+# text and its config, about 3 KB for the worked example's (tracemalloc), so
+# the table holds some 50 KB for config files of that size
 CONFIG_MEMO_SIZE = 16
 
 
@@ -220,7 +222,7 @@ def load_config(path: str | Path) -> DesignConfig:
     return _config_from_text(read_text(path, "config", ConfigError), path)
 
 
-@keep_parsed(CONFIG_MEMO_SIZE)
+@functools.lru_cache(maxsize=CONFIG_MEMO_SIZE)  # keeps no result of a call that raises
 def _config_from_text(text: str, path: Path) -> DesignConfig:
     try:
         data = yaml.load(text, Loader=_Loader)

@@ -4,8 +4,6 @@ Every stage raises a subclass of :class:`DasqaError` so the CLI can tag
 failures with the stage that produced them and exit nonzero without a
 traceback.
 """
-import functools
-import hashlib
 from pathlib import Path
 
 
@@ -26,35 +24,6 @@ def read_text(path: str | Path, what: str, error: type[DasqaError]) -> str:
         return Path(path).read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
         raise error(f"cannot read {what} file {path}: {file_error_reason(exc)}") from exc
-
-
-def keep_parsed(size: int):
-    """Decorate ``parse(text, path)`` to keep its results for the life of the
-    process: at most ``size`` of them, the least recently used going first.
-
-    A result is keyed by its text's SHA-256 digest, so the table holds no
-    text, only what ``parse`` returned. The path is not part of the key: it
-    only names the file in an error, and a parse that raises keeps nothing,
-    so a file fixed in place is parsed anew on the next call.
-    """
-
-    def decorate(parse):
-        kept = {}  # digest -> result, the most recently used last
-
-        @functools.wraps(parse)
-        def parsed(text: str, path: Path):
-            key = hashlib.sha256(text.encode()).digest()
-            result = kept.pop(key, None)
-            if result is None:
-                result = parse(text, path)
-                if len(kept) >= size:
-                    del kept[next(iter(kept))]
-            kept[key] = result
-            return result
-
-        return parsed
-
-    return decorate
 
 
 class QasmError(DasqaError):

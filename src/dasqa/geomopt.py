@@ -21,9 +21,8 @@ Work that depends only on the dataset and the config is kept for the life of
 the process, with the object that owns it, so a batch of flows redoes only
 the work of each circuit:
 - :func:`load_dataset` (and so :func:`bundled_dataset`) reads its file on
-  every call but keeps the dataset of each file text, at most
-  ``DATASET_MEMO_SIZE``, the least recently used going first (see
-  :func:`dasqa.errors.keep_parsed`);
+  every call but keeps the dataset of each (file text, path), at most
+  ``DATASET_MEMO_SIZE``, the least recently used going first;
 - a dataset keeps its :func:`fit_model` result for each degree up to
   ``MAX_POLY_DEGREE``;
 - a model keeps the outcome of each ``(target, fixed gap)`` that
@@ -38,6 +37,7 @@ under a kept result.
 from __future__ import annotations
 
 import csv
+import functools
 import importlib.resources
 import io
 from dataclasses import dataclass, field
@@ -47,22 +47,16 @@ import numpy as np
 
 from .circuit import MAX_QUBITS
 from .config import MAX_POLY_DEGREE, DesignConfig
-from .errors import (
-    DasqaError,
-    GeometryError,
-    LayoutError,
-    UnreachableTargetError,
-    keep_parsed,
-    read_text,
-)
+from .errors import DasqaError, GeometryError, LayoutError, UnreachableTargetError, read_text
 from .layout import Component, LayoutDocument, fmt_um, length_um, round9
 
 INVERT_TOL_GHZ = 1e-6
 GRID_POINTS = 101
-# datasets kept by load_dataset, one per file text: a kept dataset takes 24
-# bytes a row (its three float columns) plus its fits, so the bundled table
-# and up to three user tables can alternate in a batch without a re-read
-DATASET_MEMO_SIZE = 4
+# datasets kept by load_dataset, one per (file text, path). An entry holds
+# the text and three float columns, about twice the file's size, plus its
+# fits. A batch shares one dataset, and two entries let a user table
+# alternate with the bundled one
+DATASET_MEMO_SIZE = 2
 # (target, fixed gap) outcomes kept by each model: a flow asks at most one
 # per transmon, so this keeps every solve of the largest flow, at about 120
 # bytes an entry (tracemalloc)
@@ -120,7 +114,7 @@ def load_dataset(path: str | Path) -> GeometryDataset:
     return _dataset_from_text(read_text(path, "dataset", GeometryError), path)
 
 
-@keep_parsed(DATASET_MEMO_SIZE)
+@functools.lru_cache(maxsize=DATASET_MEMO_SIZE)  # keeps no result of a call that raises
 def _dataset_from_text(text: str, path: Path) -> GeometryDataset:
     reader = csv.reader(io.StringIO(text, newline=""))  # csv splits the lines itself
     expected = ["pad_gap_um", "pad_height_um", "frequency_ghz"]

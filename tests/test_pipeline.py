@@ -135,38 +135,25 @@ def test_rewriting_the_dataset_between_flows_refits_the_surrogate(tmp_path, monk
     dataset_config = CONFIG.read_text(encoding="utf-8") + "geometry: {dataset_path: d.csv}\n"
     config.write_text(dataset_config, encoding="utf-8")
     bundled = (Path(geomopt.__file__).parent / "data" / "pad_geometry.csv").read_text(encoding="utf-8")
-    header, *rows = bundled.splitlines()
-
-    def shifted(ghz):  # the bundled rows with every frequency ghz higher
-        lines = [f"{g},{h},{float(f) + ghz!r}" for g, h, f in (row.split(",") for row in rows)]
-        return "\n".join([header, *lines]) + "\n"
-
-    # datasets are kept by text, so this one starts from a text that no
-    # other flow of the process has read
     dataset = tmp_path / "d.csv"
-    dataset.write_text(shifted(0.003), encoding="utf-8")
+    dataset.write_text(bundled, encoding="utf-8")
     run_flow(CIRCUIT, config, out_dir="first")
     run_flow(CIRCUIT, config, out_dir="second")
     assert fits == [2]  # the same text is fitted once
     # every frequency 10 MHz higher: the same targets need other pad heights
-    dataset.write_text(shifted(0.013), encoding="utf-8")
+    header, *rows = bundled.splitlines()
+    shifted = [header] + [f"{g},{h},{float(f) + 0.01!r}" for g, h, f in (row.split(",") for row in rows)]
+    dataset.write_text("\n".join(shifted) + "\n", encoding="utf-8")
     run_flow(CIRCUIT, config, out_dir="rewritten")
     assert fits == [2, 2]
     assert _outputs(tmp_path / "second") == _outputs(tmp_path / "first")
     assert _outputs(tmp_path / "rewritten")["layout.json"] != _outputs(tmp_path / "first")["layout.json"]
-    # the same text at another path shares the kept dataset and its fit
-    copy = tmp_path / "e.csv"
-    copy.write_text(dataset.read_text(encoding="utf-8"), encoding="utf-8")
-    other = tmp_path / "other.yml"
-    other.write_text(config.read_text(encoding="utf-8").replace("d.csv", "e.csv"), encoding="utf-8")
-    run_flow(CIRCUIT, other, out_dir="copy")
-    assert fits == [2, 2]
-    # the same as a flow whose dataset and fit are new to the process: a
-    # trailing blank line makes a new text of the same rows
-    copy.write_text(dataset.read_text(encoding="utf-8") + "\n", encoding="utf-8")
-    run_flow(CIRCUIT, other, out_dir="fresh")
+    # the same as a flow whose dataset and fit are new to the process
+    (tmp_path / "e.csv").write_text(dataset.read_text(encoding="utf-8"), encoding="utf-8")
+    fresh = tmp_path / "fresh.yml"
+    fresh.write_text(config.read_text(encoding="utf-8").replace("d.csv", "e.csv"), encoding="utf-8")
+    run_flow(CIRCUIT, fresh, out_dir="fresh")
     assert fits == [2, 2, 2]
-    assert _outputs(tmp_path / "copy") == _outputs(tmp_path / "rewritten")
     assert _outputs(tmp_path / "fresh") == _outputs(tmp_path / "rewritten")
 
 
