@@ -10,9 +10,9 @@ The config dataclasses are frozen, so one loaded config can be shared.
 config of each (file text, path) it has loaded, for the life of the process
 and at most ``CONFIG_MEMO_SIZE`` of them, the least recently used going
 first. A rewritten file is a new text, so it is loaded anew; a file that
-fails to load keeps nothing. This pays off only
-when one process runs several flows under one config (a batch through
-:func:`dasqa.run_flow`); the ``dasqa`` command runs one flow per process.
+fails to load keeps nothing. This pays off only when one process runs
+several flows under one config (a batch through :func:`dasqa.run_flow`);
+the ``dasqa`` command runs one flow per process.
 """
 from __future__ import annotations
 
