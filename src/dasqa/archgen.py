@@ -21,14 +21,9 @@ from pathlib import Path
 import numpy as np
 
 from .circuit import MAX_QUBITS as MAX_COUPLING_QUBITS, InteractionGraph, QuantumCircuit, interaction_graph
-from .config import DesignConfig
+from .config import FREQ_EPS, DesignConfig
 from .errors import ArchitectureError, DasqaError, FrequencyAllocationError, PlacementError, read_text
 
-# Comparisons against detuning thresholds allow this slack so that gaps that
-# equal a threshold exactly (e.g. 0.07 or 0.02 GHz) survive float rounding.
-FREQ_EPS = 1e-9
-# far above any real band (the default has 31 points); bounds the lattice before it is built
-MAX_LATTICE_POINTS = 100_000
 # cells x (qubits + 1): a pick next to no placed qubit scans the free cells, and the
 # exchange pass keeps tables of cells x qubits
 MAX_PLACEMENT_WORK = 200_000
@@ -455,20 +450,14 @@ def allocate_frequencies(coupling: CouplingGraph, config: DesignConfig) -> np.nd
     ``min_adjacent_detuning`` from every assigned neighbour and
     ``min_next_detuning`` from every assigned distance-2 qubit
     (:meth:`CouplingGraph.second_neighbors`); no other qubit is checked.
-    A lattice of more than ``MAX_LATTICE_POINTS`` points is rejected before
-    it is built.
+    The lattice size is checked at load; it is checked again here, before
+    the lattice is built, for a config made without ``DesignConfig.validate``.
     """
     fc = config.frequency
     lo, hi, step = fc.band_lo_ghz, fc.band_hi_ghz, fc.step_ghz
     d_adj, d_nn = fc.min_adjacent_detuning_ghz, fc.min_next_detuning_ghz
     n = coupling.num_qubits
-    steps = (hi - lo) / step + FREQ_EPS  # a float, inf on an overflowing band
-    if steps >= MAX_LATTICE_POINTS:
-        raise FrequencyAllocationError(
-            f"frequency lattice [{lo}, {hi}] GHz in steps of {step} GHz has {steps + 1:.6g} "
-            f"points, more than the {MAX_LATTICE_POINTS} allowed"
-        )
-    lattice = [round(lo + k * step, 9) for k in range(int(steps) + 1)]
+    lattice = [round(lo + k * step, 9) for k in range(int(fc.lattice_steps()) + 1)]
 
     assigned: list[float | None] = [None] * n
     order = sorted(range(n), key=lambda q: (-coupling.degree(q), q))

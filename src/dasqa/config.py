@@ -32,6 +32,12 @@ from .errors import ConfigError, read_text
 # also the size of each root problem that inverts the fitted surrogate
 MAX_POLY_DEGREE = 20
 
+# Comparisons against detuning thresholds allow this slack so that gaps that
+# equal a threshold exactly (e.g. 0.07 or 0.02 GHz) survive float rounding.
+FREQ_EPS = 1e-9
+# far above any real band (the default has 31 points); bounds the lattice before it is built
+MAX_LATTICE_POINTS = 100_000
+
 # configs kept by load_config, one per (file text, path): an entry holds the
 # text and its config, about 3 KB for the worked example's (tracemalloc), so
 # the table holds some 50 KB for config files of that size
@@ -56,6 +62,19 @@ class FrequencyConfig:
     # exactly 0.07, min next-nearest gap exactly 0.02.
     min_adjacent_detuning_ghz: float = 0.07
     min_next_detuning_ghz: float = 0.02
+
+    def lattice_steps(self) -> float:
+        """Steps of the band lattice ``band_lo + k*step`` up to ``band_hi``,
+        which has ``int(steps) + 1`` points; a lattice of more than
+        ``MAX_LATTICE_POINTS`` points (inf on an overflowing band) is rejected."""
+        lo, hi, step = self.band_lo_ghz, self.band_hi_ghz, self.step_ghz
+        steps = (hi - lo) / step + FREQ_EPS
+        if steps >= MAX_LATTICE_POINTS:
+            raise ConfigError(
+                f"frequency lattice [{lo}, {hi}] GHz in steps of {step} GHz has {steps + 1:.6g} "
+                f"points, more than the {MAX_LATTICE_POINTS} allowed"
+            )
+        return steps
 
 
 @dataclass(frozen=True)
@@ -93,6 +112,7 @@ class DesignConfig:
             raise ConfigError("frequency.band_lo_ghz must be < band_hi_ghz")
         if f.step_ghz <= 0:
             raise ConfigError("frequency.step_ghz must be positive")
+        f.lattice_steps()
         if f.min_adjacent_detuning_ghz < 0 or f.min_next_detuning_ghz < 0:
             raise ConfigError("detuning thresholds must be non-negative")
         g = self.grid

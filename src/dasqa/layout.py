@@ -5,7 +5,10 @@ grid cell centers, one coupling resonator per coupling edge (meandered to
 its wavelength-derived length), and a readout chain per qubit (capacitor,
 quarter-wave readout resonator, control-line port at the chip edge) with the
 connecting nets. All coordinates are micrometers; option values are strings
-with explicit units so they survive serialization unambiguously.
+with explicit units so they survive serialization unambiguously. Each option
+text is parsed once per process: :func:`parse_quantity` keeps the split of
+each text it has read (``QUANTITY_MEMO_SIZE``), so the shape rebuild and the
+checks that read a text again find it split.
 
 Checks run once: :func:`build_layout` ends with the whole-chip
 :meth:`LayoutDocument.validate`, and every later change is a single-writer
@@ -15,18 +18,21 @@ no second whole-chip check. Both find overlapping transmon pads through a
 uniform-grid index of the pads (a broad phase, as in Ericson, *Real-Time
 Collision Detection*, ch. 7), so a pad is compared only with the pads that
 share a grid cell with it; the verdict and the first error are those of a
-scan of every pad pair.
+scan of every pad pair. Shapes are checked against the chip's bounds, grown
+by the tolerance once per component, in one walk over their points.
 
-:meth:`LayoutDocument.to_json` writes the text straight from the components
-and formats each distinct number once per call; the bytes are those of
-``json.dumps(..., indent=2)`` on the document's dict form.
+:meth:`LayoutDocument.to_json` writes the text straight from the components,
+each component from one template, and formats each distinct number once per
+call; the bytes are those of ``json.dumps(..., indent=2)`` on the document's
+dict form.
 """
 from __future__ import annotations
 
+import functools
 import math
 import operator
 import re
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii as _json_str
 
 from .archgen import EMPTY, Architecture
@@ -52,11 +58,24 @@ _QTY_RE = re.compile(r"^\s*([0-9]*\.?[0-9]+(?:[eE][+-]?[0-9]+)?)\s*(um|mm|GHz)\s
 
 _UM_PER_UNIT = {"um": 1.0, "mm": 1000.0}
 
+# option texts kept split by parse_quantity. Qubit frequencies lie on the band
+# lattice, so a flow's distinct texts are a few shared ones ("455um") plus
+# about three per lattice frequency in use (tuned pad height, readout
+# frequency and length): six 64-qubit flows read 102 texts in all, and the
+# table holds some 300 frequencies' worth, at about 270 bytes an entry
+# (tracemalloc), some 280 KB; a text evicted is only parsed again
+QUANTITY_MEMO_SIZE = 1024
+
 
 def parse_quantity(value: str) -> tuple[float, str]:
     """Split a unit-bearing option value into (magnitude, unit)."""
     if not isinstance(value, str):
         raise LayoutError(f"option value must be a unit string, got {value!r}")
+    return _split_quantity(str.__str__(value))  # its plain text: a str subclass may not hash
+
+
+@functools.lru_cache(maxsize=QUANTITY_MEMO_SIZE)  # keeps no result of a call that raises
+def _split_quantity(value: str) -> tuple[float, str]:
     m = _QTY_RE.match(value)
     if not m:
         raise LayoutError(f"malformed unit value {value!r} (expected e.g. '10um', '7.0GHz')")
@@ -264,15 +283,15 @@ class LayoutDocument:
         than those named like ``comp``. The first overlap in pad order, then
         in document order, is reported."""
         x0, y0, w, h = self.chip
-        x1, y1 = x0 + w, y0 + h
         tol = 1e-6
+        lo_x, lo_y, hi_x, hi_y = x0 - tol, y0 - tol, (x0 + w) + tol, (y0 + h) + tol
         outside = "outside chip bounds (chip too small for the configured pitch/margin)"
         for rx, ry, rw, rh in comp.rects:
-            if rx < x0 - tol or ry < y0 - tol or rx + rw > x1 + tol or ry + rh > y1 + tol:
+            if rx < lo_x or ry < lo_y or rx + rw > hi_x or ry + rh > hi_y:
                 raise LayoutError(f"{comp.name}: rectangle {outside}")
         for line in comp.polylines:
             for px, py in line:
-                if px < x0 - tol or py < y0 - tol or px > x1 + tol or py > y1 + tol:
+                if px < lo_x or py < lo_y or px > hi_x or py > hi_y:
                     raise LayoutError(f"{comp.name}: path {outside}")
         if comp.kind != "transmon":
             return
@@ -291,7 +310,10 @@ class LayoutDocument:
         passes: the copy it is rebuilt on must lie on the chip and, for a
         transmon, clear every other transmon's pads, found through the pad
         index. A rejected edit changes nothing."""
-        candidate = replace(comp, options={**comp.options, **staged})
+        candidate = Component(
+            comp.name, comp.kind, comp.position, {**comp.options, **staged},
+            comp.mode, comp.epsilon_eff, comp.anchors,
+        )
         rebuild_geometry(candidate)
         index = self._fresh_index()
         self._check_component(candidate, -1)
@@ -309,77 +331,61 @@ class LayoutDocument:
         options in sorted order, ``mode``/``epsilon_eff`` only when set."""
         num = _NumberTexts()
         x0, y0, w, h = self.chip
-        chip = _block("{", [
-            f'"origin_x_um": {num[x0]}',
-            f'"origin_y_um": {num[y0]}',
-            f'"width_um": {num[w]}',
-            f'"height_um": {num[h]}',
-        ], "}", 1)
-        comps = [_component_json(comp, num) for comp in self.components]
-        nets = [_block("[", [_json_str(end) for end in net], "]", 2) for net in self.nets]
-        return _block("{", [
-            f'"chip": {chip}',
-            f'"components": {_block("[", comps, "]", 1)}',
-            f'"nets": {_block("[", nets, "]", 1)}',
-        ], "}", 0) + "\n"
+        comps = _SEP[2].join([_component_json(comp, num) for comp in self.components])
+        nets = _SEP[2].join([f"[{_IN[3]}{_SEP[3].join(map(_json_str, net))}{_IN[2]}]" for net in self.nets])
+        return (
+            f'{{{_IN[1]}"chip": {{{_IN[2]}"origin_x_um": {num[x0]},{_IN[2]}"origin_y_um": {num[y0]},'
+            f'{_IN[2]}"width_um": {num[w]},{_IN[2]}"height_um": {num[h]}{_IN[1]}}},'
+            f'{_IN[1]}"components": {f"[{_IN[2]}{comps}{_IN[1]}]" if comps else "[]"},'
+            f'{_IN[1]}"nets": {f"[{_IN[2]}{nets}{_IN[1]}]" if nets else "[]"}\n}}\n'
+        )
 
 
 _JSON_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
-# a newline and the indent of each nesting depth of layout.json
-_NEWLINE_INDENT = tuple("\n" + "  " * depth for depth in range(8))
-_POINT_INDENT, _COORD_INDENT = _NEWLINE_INDENT[6], _NEWLINE_INDENT[7]
+# a newline and the indent of each nesting depth of layout.json, and a comma before it
+_IN = tuple("\n" + "  " * depth for depth in range(8))
+_SEP = tuple("," + indent for indent in _IN)
 
 
 class _NumberTexts(dict):
     """Number -> its layout.json text, filled as it is read, so each distinct
     value is formatted once per document. Zero is never stored: ``0.0 == -0.0``
-    and they hash alike, but their texts differ."""
+    and they hash alike, but their texts differ; both texts are constants."""
 
     def __missing__(self, value: float) -> str:
+        if not value:
+            return "-0.0" if math.copysign(1.0, value) < 0 else "0.0"
         text = repr(round9(value))
-        text = _JSON_NON_FINITE.get(text, text)
-        if value:
-            self[value] = text
+        self[value] = text = _JSON_NON_FINITE.get(text, text)
         return text
 
 
-def _block(open_: str, items: list[str], close: str, depth: int) -> str:
-    """Encoded ``items`` as ``json.dumps(indent=2)`` lays out a list or an
-    object at nesting ``depth``."""
-    if not items:
-        return open_ + close
-    inner = _NEWLINE_INDENT[depth + 1]
-    return open_ + inner + ("," + inner).join(items) + _NEWLINE_INDENT[depth] + close
-
-
 def _component_json(comp: Component, num: _NumberTexts) -> str:
-    options = [
+    """``comp`` as ``json.dumps(indent=2)`` lays out an object at nesting depth 2."""
+    i3, i4, i5, i6, i7 = _IN[3:8]
+    x, y = comp.position
+    options = _SEP[4].join([
         f"{_json_str(key)}: {_json_str(value)}" for key, value in sorted(comp.options.items())
-    ]
-    fields = [
-        f'"name": {_json_str(comp.name)}',
-        f'"kind": {_json_str(comp.kind)}',
-        f'"position_um": {_block("[", [num[comp.position[0]], num[comp.position[1]]], "]", 3)}',
-        f'"options": {_block("{", options, "}", 3)}',
-    ]
-    if comp.mode is not None:
-        fields.append(f'"mode": {_json_str(comp.mode)}')
+    ])
+    meta = f'{_SEP[3]}"mode": {_json_str(comp.mode)}' if comp.mode is not None else ""
     if comp.epsilon_eff is not None:
-        fields.append(f'"epsilon_eff": {num[comp.epsilon_eff]}')
-    rects = [_block("[", [num[v] for v in rect], "]", 5) for rect in comp.rects]
-    lines = [
-        _block("[", [
-            f"[{_COORD_INDENT}{num[x]},{_COORD_INDENT}{num[y]}{_POINT_INDENT}]" for x, y in line
-        ], "]", 5)
+        meta += f'{_SEP[3]}"epsilon_eff": {num[comp.epsilon_eff]}'
+    rects = _SEP[5].join([
+        f"[{i6}{num[a]},{i6}{num[b]},{i6}{num[c]},{i6}{num[d]}{i5}]" for a, b, c, d in comp.rects
+    ])
+    lines = _SEP[5].join([
+        f"[{i6}" + _SEP[6].join([f"[{i7}{num[px]},{i7}{num[py]}{i6}]" for px, py in line]) + f"{i5}]"
+        if line else "[]"
         for line in comp.polylines
-    ]
-    geometry = _block("{", [
-        f'"rects": {_block("[", rects, "]", 4)}',
-        f'"polylines": {_block("[", lines, "]", 4)}',
-    ], "}", 3)
-    fields.append(f'"geometry": {geometry}')
-    return _block("{", fields, "}", 2)
+    ])
+    return (
+        f'{{{i3}"name": {_json_str(comp.name)},{i3}"kind": {_json_str(comp.kind)},'
+        f'{i3}"position_um": [{i4}{num[x]},{i4}{num[y]}{i3}],'
+        f'{i3}"options": {f"{{{i4}{options}{i3}}}" if options else "{}"}{meta},'
+        f'{i3}"geometry": {{{i4}"rects": {f"[{i5}{rects}{i4}]" if rects else "[]"},'
+        f'{i4}"polylines": {f"[{i5}{lines}{i4}]" if lines else "[]"}{i3}}}{_IN[2]}}}'
+    )
 
 
 def _rects_overlap(a: Rect, b: Rect) -> bool:
@@ -394,7 +400,8 @@ def _rects_overlap(a: Rect, b: Rect) -> bool:
 def _rebuild_plates(comp: Component, width: str, height: str, gap: str) -> float:
     """Two plates centred on ``comp`` above and below a gap; returns the gap."""
     x, y = comp.position
-    w, h, g = (length_um(comp.options[key]) for key in (width, height, gap))
+    options = comp.options
+    w, h, g = length_um(options[width]), length_um(options[height]), length_um(options[gap])
     comp.rects = [(x - w / 2, y + g / 2, w, h), (x - w / 2, y - g / 2 - h, w, h)]
     return g
 
@@ -515,6 +522,20 @@ def _resonator(
     )
 
 
+# the option texts every transmon, capacitor and control line starts from
+_PAD_OPTIONS = {
+    "pad_width": fmt_um(DEFAULT_PAD_WIDTH_UM),
+    "pad_height": fmt_um(DEFAULT_PAD_HEIGHT_UM),
+    "pad_gap": fmt_um(DEFAULT_PAD_GAP_UM),
+}
+_CAP_OPTIONS = {
+    "cap_width": fmt_um(DEFAULT_CAP_WIDTH_UM),
+    "cap_plate_height": fmt_um(DEFAULT_CAP_PLATE_HEIGHT_UM),
+    "cap_gap": fmt_um(DEFAULT_CAP_GAP_UM),
+}
+_CONTROL_OPTIONS = {"stub_length": fmt_um(300.0)}
+
+
 def build_layout(arch: Architecture, config: DesignConfig) -> LayoutDocument:
     """Initial physical layout of an architecture.
 
@@ -547,11 +568,7 @@ def build_layout(arch: Architecture, config: DesignConfig) -> LayoutDocument:
             name=f"Q_{q}",
             kind="transmon",
             position=qubit_xy[q],
-            options={
-                "pad_width": fmt_um(DEFAULT_PAD_WIDTH_UM),
-                "pad_height": fmt_um(DEFAULT_PAD_HEIGHT_UM),
-                "pad_gap": fmt_um(DEFAULT_PAD_GAP_UM),
-            },
+            options=dict(_PAD_OPTIONS),
         ))
 
     lattice = lay.coupling_freq_lattice_ghz
@@ -579,11 +596,7 @@ def build_layout(arch: Architecture, config: DesignConfig) -> LayoutDocument:
             name=f"CAP_{q}",
             kind="capacitor",
             position=(xc, cap_y),
-            options={
-                "cap_width": fmt_um(DEFAULT_CAP_WIDTH_UM),
-                "cap_plate_height": fmt_um(DEFAULT_CAP_PLATE_HEIGHT_UM),
-                "cap_gap": fmt_um(DEFAULT_CAP_GAP_UM),
-            },
+            options=dict(_CAP_OPTIONS),
         ))
 
         f_read = float(arch.frequencies[q]) + lay.readout_detuning_ghz
@@ -597,7 +610,7 @@ def build_layout(arch: Architecture, config: DesignConfig) -> LayoutDocument:
             name=f"CTL_{q}",
             kind="control_line",
             position=(slot_x, ctl_y),
-            options={"stub_length": fmt_um(300.0)},
+            options=dict(_CONTROL_OPTIONS),
         ))
 
         pad_bottom = (x, y - DEFAULT_PAD_GAP_UM / 2 - DEFAULT_PAD_HEIGHT_UM)

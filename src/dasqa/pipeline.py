@@ -5,7 +5,10 @@ architecture, score it with the router (plus a statevector equivalence check
 at desk scale), map it to a physical layout, fit the geometry surrogate and
 optimize the transmon geometries, then emit ``architecture.json``,
 ``layout.json``, ``layout.svg`` and ``report.json``. Outputs are
-deterministic: fixed inputs give byte-identical files.
+deterministic: fixed inputs give byte-identical files. Each text is encoded
+once and written as bytes to a temp file beside its name; the four are
+renamed into place only once all are written, so a failed write leaves the
+previous outputs as they were. Outputs get the mode a plain ``open`` gives.
 
 The architecture generator is ``run_flow``'s ``architecture_generator``
 argument, so another ``(circuit, config) -> Architecture`` callable drops in
@@ -24,9 +27,9 @@ flow's outputs do not depend on what the process designed before it.
 """
 from __future__ import annotations
 
+import contextlib
 import json
 import os
-import tempfile
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -38,6 +41,10 @@ from .errors import DasqaError, file_error_reason
 from .layout import build_layout, round9
 from .qasm import parse_qasm_file
 from .svg import render_svg
+
+# O_BINARY, where the OS has it, turns newline translation off
+_CREATE_NEW = os.O_WRONLY | os.O_CREAT | os.O_EXCL | getattr(os, "O_BINARY", 0)
+
 
 @dataclass(frozen=True)
 class FlowResult:
@@ -117,28 +124,36 @@ def build_report(
     return report
 
 
-def _write_atomic(path: Path, text: str) -> None:
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
-
-
 def _write_outputs(out: Path, files: dict[str, str]) -> None:
-    """Create ``out`` and write each named file into it atomically."""
-    path = out
+    """Create ``out`` and write the named files into it: each text as bytes
+    to a new temp file beside its name, with the mode ``open(path, "w")``
+    gives (a mkstemp file would keep 0o600), then, once all are written,
+    each renamed over its name. No temp file is left behind."""
+    path, temps = out, {}
     try:
         out.mkdir(parents=True, exist_ok=True)
         for name, text in files.items():
             path = out / name
-            _write_atomic(path, text)
+            while path not in temps:  # a fresh name, retried if it is taken
+                tmp = out / f".{name}.{os.urandom(6).hex()}.tmp"
+                with contextlib.suppress(FileExistsError):
+                    fd = os.open(tmp, _CREATE_NEW, 0o666)
+                    temps[path] = tmp
+            try:
+                data = memoryview(text.encode("utf-8"))
+                while data:
+                    data = data[os.write(fd, data):]
+            finally:
+                os.close(fd)
+        for path, tmp in list(temps.items()):
+            os.replace(tmp, path)
+            del temps[path]
     except OSError as exc:
         raise DasqaError(f"cannot write {path}: {file_error_reason(exc)}") from exc
+    finally:
+        for tmp in temps.values():
+            with contextlib.suppress(OSError):
+                os.unlink(tmp)
 
 
 def run_flow(
@@ -151,9 +166,10 @@ def run_flow(
     """Execute the full flow and write the four output files; the
     architecture comes from ``architecture_generator(circuit, config)``.
 
-    All computation happens before any file is written; each file is then
-    written to a temp name and renamed, so a failed run leaves no partial
-    outputs behind.
+    All computation happens before any file is written, and every file is
+    written to a temp name before any is renamed, so a failed stage or write
+    leaves the directory as it was; only a failed rename keeps the renames
+    made before it.
 
     The layout is checked once: ``build_layout`` validates the whole chip,
     and each geometry edit checks only the transmon it changes, so no

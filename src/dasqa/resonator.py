@@ -94,20 +94,21 @@ def synthesize_meander(
 
     amps = [amplitude] * (n_lobes - 1) + [(extra - 2 * amplitude * (n_lobes - 1)) / 2]
 
+    # the point at progress t along the baseline and offset dv across it is
+    # (sx + ux*t) + vx*dv, (sy + uy*t) + vy*dv; on the baseline dv is 0.0
+    sx, sy = start
+    zx, zy = vx * 0.0, vy * 0.0
     points = [start]
-    t = 0.0  # progress along the baseline
-
-    def at(du: float, dv: float) -> Point:
-        return (start[0] + ux * du + vx * dv, start[1] + uy * du + vy * dv)
-
+    t = 0.0
     side = 1.0
     for amp in amps:
+        dv = side * amp
         t += w  # gap
-        points.append(at(t, 0.0))
-        points.append(at(t, side * amp))
+        bx, by = sx + ux * t, sy + uy * t
+        points += ((bx + zx, by + zy), (bx + vx * dv, by + vy * dv))
         t += w  # lobe width
-        points.append(at(t, side * amp))
-        points.append(at(t, 0.0))
+        bx, by = sx + ux * t, sy + uy * t
+        points += ((bx + vx * dv, by + vy * dv), (bx + zx, by + zy))
         side = -side
     points.append(end)
     return points

@@ -28,8 +28,8 @@ from dasqa.archgen import (
     realized_weight,
 )
 from dasqa.circuit import Gate, GateKind, InteractionGraph, QuantumCircuit, interaction_graph
-from dasqa.config import DesignConfig, config_from_dict
-from dasqa.errors import ArchitectureError, DasqaError, FrequencyAllocationError, PlacementError
+from dasqa.config import DesignConfig, FrequencyConfig, config_from_dict
+from dasqa.errors import ArchitectureError, ConfigError, DasqaError, FrequencyAllocationError, PlacementError
 from dasqa.router import _hop_table, route
 
 from conftest import random_circuit
@@ -257,6 +257,19 @@ def test_narrow_band_infeasible():
     with pytest.raises(FrequencyAllocationError) as info:
         allocate_frequencies(CouplingGraph(2, [(0, 1)]), cfg)
     assert info.value.qubit is not None
+
+
+def test_oversized_lattice_of_an_unvalidated_config_is_rejected_before_it_is_built():
+    # load rejects it as a config error; a config built in Python without
+    # validate() reaches the allocator, which rejects it the same way
+    fc = FrequencyConfig(step_ghz=1e-300)
+    with pytest.raises(ConfigError) as info:
+        config_from_dict({"frequency": {"step_ghz": 1e-300}})
+    message = str(info.value)
+    assert message.startswith("frequency lattice [5.0, 5.3] GHz in steps of 1e-300 GHz has 3e+299 points")
+    with pytest.raises(ConfigError) as info:
+        allocate_frequencies(CouplingGraph(2, [(0, 1)]), DesignConfig(frequency=fc))
+    assert str(info.value) == message
 
 
 def test_generate_architecture_star(five_qubit_app, config):

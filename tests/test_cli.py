@@ -280,12 +280,12 @@ REJECTED_INPUT_CASES = {
     # the band lattice held 3e299 points or an unrepresentable count of them
     "tiny_frequency_step": (
         {"c.yml": "frequency: {step_ghz: 1e-300}\n"},
-        "[architecture] frequency lattice [5.0, 5.3] GHz in steps of 1e-300 GHz has 3e+299 points, "
+        "[config] frequency lattice [5.0, 5.3] GHz in steps of 1e-300 GHz has 3e+299 points, "
         "more than the 100000 allowed",
     ),
     "overflowing_frequency_band": (
         {"c.yml": "frequency: {band_lo_ghz: 1.0, band_hi_ghz: 1.0e308}\n"},
-        "[architecture] frequency lattice [1.0, 1e+308] GHz in steps of 0.01 GHz has inf points, "
+        "[config] frequency lattice [1.0, 1e+308] GHz in steps of 0.01 GHz has inf points, "
         "more than the 100000 allowed",
     ),
     # both ended in "[layout] target frequency must be positive", about a

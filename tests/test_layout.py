@@ -515,12 +515,83 @@ def test_validate_rejects_a_chip_that_is_not_finite(chip):
     "parse, value, message",
     [
         (parse_quantity, 5, "option value must be a unit string, got 5"),
+        (parse_quantity, ["5um"], "option value must be a unit string, got ['5um']"),
+        (parse_quantity, {"5um": 1}, "option value must be a unit string, got {'5um': 1}"),
         (length_um, "5GHz", "expected a length (um/mm), got '5GHz'"),
         (frequency_ghz, "5um", "expected a frequency in GHz, got '5um'"),
     ],
-    ids=["not_a_string", "length_in_ghz", "frequency_in_um"],
+    ids=["not_a_string", "list", "dict", "length_in_ghz", "frequency_in_um"],
 )
 def test_quantity_of_the_wrong_type_or_unit(parse, value, message):
     with pytest.raises(LayoutError) as info:
         parse(value)
     assert str(info.value) == message
+
+
+def test_kept_quantity_splits_keep_no_error():
+    # a malformed text is rejected on every call, not only the first; a
+    # str subclass that cannot hash is read as its text
+    for _ in range(2):
+        with pytest.raises(LayoutError) as info:
+            parse_quantity("12 parsecs")
+        assert str(info.value) == "malformed unit value '12 parsecs' (expected e.g. '10um', '7.0GHz')"
+        with pytest.raises(LayoutError) as info:
+            parse_quantity("0um")
+        assert str(info.value) == "option value must be positive, got '0um'"
+
+    class Unhashable(str):
+        def __eq__(self, other):
+            return str.__eq__(self, other)
+
+    assert Unhashable.__hash__ is None
+    assert parse_quantity(Unhashable("1.5mm")) == parse_quantity("1.5mm") == (1.5, "mm")
+
+
+def _odd_paths(chip) -> dict[str, list]:
+    """Paths whose verdict rests on how NaN and infinities compare: NaN
+    first or later, with or without a point off the chip, infinities, and
+    points on and just past the tolerance."""
+    nan, inf = float("nan"), float("inf")
+    x0, y0, w, h = chip
+    inside = (x0 + w / 2, y0 + h / 2)
+    right, below = (x0 + w + 1.0, y0 + h / 2), (x0 + w / 2, y0 - 1.0)
+    return {
+        "nan_first": [(nan, inside[1]), inside],
+        "nan_first_both": [(nan, nan), inside],
+        "nan_later": [inside, (inside[0], nan)],
+        "nan_first_then_outside": [(nan, nan), right],
+        "outside_then_nan": [below, (nan, nan)],
+        "inside_nan_outside": [inside, (nan, inside[1]), inside, right],
+        "nan_between_outside": [inside, below, (nan, nan), right],
+        "plus_inf": [inside, (inf, inside[1])],
+        "minus_inf_first": [(inside[0], -inf), inside],
+        "on_tolerance": [(x0 - 1e-6, y0 - 1e-6), (x0 + w + 1e-6, y0 + h + 1e-6)],
+        "past_tolerance": [inside, (x0 + w + 2e-6, inside[1])],
+    }
+
+
+def test_odd_paths_get_the_verdict_of_a_point_by_point_walk(config):
+    # written straight into a connection, then checked by validate(); and,
+    # for two-point paths, set as the connection's anchors and committed by
+    # edit(); both must give the first error a point-by-point walk gives
+    verdicts = {}
+    for name, line in _odd_paths(build_layout(grid_architecture(2, 2, np.full(4, 5.0)), config).chip).items():
+        doc = build_layout(grid_architecture(2, 2, np.full(4, 5.0)), config)
+        conn = doc.component("CONN_QC_0")
+        conn.polylines = [list(line)]
+        expected = _first_error(lambda: _reference_check_shapes(doc))
+        assert _first_error(doc.validate) == expected, name
+        verdicts[name] = expected
+        if len(line) == 2:
+            doc = build_layout(grid_architecture(2, 2, np.full(4, 5.0)), config)
+            conn = doc.component("CONN_QC_0")
+            conn.anchors = tuple(line)
+            assert _reference_edit(doc, conn, {}) == expected, name
+            assert _first_error(lambda: doc.edit(conn, {})) == expected, name
+    outside = f"CONN_QC_0: path {_OUTSIDE}"
+    assert verdicts == {
+        "nan_first": None, "nan_first_both": None, "nan_later": None, "on_tolerance": None,
+        "nan_first_then_outside": outside, "outside_then_nan": outside, "inside_nan_outside": outside,
+        "nan_between_outside": outside, "plus_inf": outside, "minus_inf_first": outside,
+        "past_tolerance": outside,
+    }

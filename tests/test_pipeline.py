@@ -332,6 +332,56 @@ def test_failed_rename_removes_its_temp_file(tmp_path, monkeypatch):
     assert sorted(p.name for p in out.iterdir()) == ["architecture.json"]
 
 
+def test_failed_write_leaves_the_previous_outputs_untouched(tmp_path, monkeypatch):
+    # every file is written to its temp name before any is renamed, so a
+    # write that fails on the third file (layout.svg) renames none of them
+    out = tmp_path / "out"
+    run_flow(CIRCUIT, CONFIG, out_dir=out)
+    before = _outputs(out)
+    circuit = tmp_path / "mixed.qasm"
+    circuit.write_text(to_qasm(mixed_circuit(9, 90, seed=0)), encoding="utf-8")
+    config = tmp_path / "bench.yml"
+    config.write_text(yaml.safe_dump(BENCH_CONFIG), encoding="utf-8")
+    opened = []
+    real_open, real_write = os.open, os.write
+
+    def counting_open(path, *args):
+        opened.append(path)
+        return real_open(path, *args)
+
+    def fail_third_file(fd, data):
+        if len(opened) == 3:
+            raise OSError(errno.ENOSPC, "No space left on device")
+        return real_write(fd, data)
+
+    monkeypatch.setattr(os, "open", counting_open)
+    monkeypatch.setattr(os, "write", fail_third_file)
+    with pytest.raises(StageFailure) as info:
+        run_flow(circuit, config, out_dir=out)
+    assert str(info.value) == f"[write] cannot write {out / 'layout.svg'}: No space left on device"
+    assert sorted(p.name for p in out.iterdir()) == sorted(OUTPUT_NAMES)
+    assert _outputs(out) == before
+    monkeypatch.undo()
+    run_flow(circuit, config, out_dir=out)
+    assert _outputs(out) != before
+
+
+@pytest.mark.parametrize("umask", [0o022, 0o027, 0o002])
+def test_outputs_get_the_mode_a_plain_open_gives(tmp_path, umask):
+    # a temp file made by tempfile.mkstemp is 0o600, and the rename kept that
+    old = os.umask(umask)
+    try:
+        with open(tmp_path / "plain", "w"):
+            pass
+        run_flow(CIRCUIT, CONFIG, out_dir=tmp_path / "out")
+    finally:
+        os.umask(old)
+    plain = (tmp_path / "plain").stat().st_mode
+    assert plain & 0o777 == 0o666 & ~umask
+    for name in OUTPUT_NAMES:
+        assert (tmp_path / "out" / name).stat().st_mode == plain, name
+
+
 def test_bad_config_fails_in_config_stage(tmp_path):
     bad = tmp_path / "bad.yml"
     bad.write_text("layout: {resonator_mode: thirdwave}\n", encoding="utf-8")
