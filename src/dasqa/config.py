@@ -26,7 +26,8 @@ from pathlib import Path
 import yaml
 
 from .circuit import MAX_QUBITS
-from .errors import ConfigError, read_text
+from .errors import ConfigError, LayoutError, read_text
+from .resonator import COUPLER_CLEARANCE_UM, READOUT_SPAN_UM, resonator_length
 
 # the bundled 11 x 11 (gap, height) table fits up to degree 10; the degree is
 # also the size of each root problem that inverts the fitted surrogate
@@ -151,6 +152,24 @@ class DesignConfig:
             raise ConfigError("layout.coupling_freq_lattice_ghz entries must be positive")
         if lay.meander_amplitude_um <= 0:
             raise ConfigError("layout.meander_amplitude_um must be positive")
+        # a resonator is meandered over a straight run, so it must not be
+        # cut shorter; the highest frequency gives the shortest cut
+        for key, f_ghz, mode, what, run_um, run in (
+            ("layout.coupling_freq_lattice_ghz", max(lay.coupling_freq_lattice_ghz), lay.resonator_mode,
+             "coupler", lay.pitch_um - 2 * COUPLER_CLEARANCE_UM,
+             f"layout.pitch_um - {2 * COUPLER_CLEARANCE_UM:g} um"),
+            ("frequency.band_hi_ghz + layout.readout_detuning_ghz", f.band_hi_ghz + lay.readout_detuning_ghz,
+             "quarter", "readout resonator", READOUT_SPAN_UM, "its fixed baseline"),
+        ):
+            try:
+                cut_um = resonator_length(f_ghz, lay.epsilon_eff, mode) * 1000.0
+            except LayoutError as exc:  # a wavelength that is not a positive finite number
+                raise ConfigError(f"{key}: {exc}") from exc
+            if cut_um < run_um:
+                raise ConfigError(
+                    f"{key} at {f_ghz:.6g} GHz gives a {mode}-wave {what} of {cut_um:.6g} um, "
+                    f"shorter than the {run_um:.6g} um it spans ({run})"
+                )
         geo = self.geometry
         if not 0 <= geo.poly_degree <= MAX_POLY_DEGREE:
             raise ConfigError(f"geometry.poly_degree must be in 0..{MAX_POLY_DEGREE}")

@@ -47,8 +47,8 @@ import numpy as np
 
 from .circuit import MAX_QUBITS
 from .config import MAX_POLY_DEGREE, DesignConfig
-from .errors import DasqaError, GeometryError, LayoutError, UnreachableTargetError, read_text
-from .layout import Component, LayoutDocument, fmt_um, length_um, round9
+from .errors import DasqaError, GeometryError, UnreachableTargetError, read_text
+from .layout import LayoutDocument, fmt_um, length_um, round9
 
 INVERT_TOL_GHZ = 1e-6
 GRID_POINTS = 101
@@ -413,12 +413,13 @@ def optimize_layout(
     targets at one gap that it has not solved yet go in one batch. Every
     transmon that shares a solve gets the same geometry or the same nearest
     frequency.
-    Each transmon still gets its own :meth:`LayoutDocument.edit`, which sets
-    ``pad_gap`` and ``pad_height`` together and checks the rebuilt pads
-    against the chip and every other transmon, so the result needs no
-    whole-chip check. Errors are raised in transmon order: the solves run
-    first, but an error is raised only once the transmons before it are
-    edited.
+    Each transmon still gets its own :meth:`LayoutDocument.edit`, found by
+    name, which sets ``pad_gap`` and ``pad_height`` together, checks the
+    rebuilt pads against the chip and the transmons near them, and puts the
+    new transmon in its slot, so the result needs no whole-chip check and
+    each edit does work that does not grow with the chip. Errors are raised
+    in transmon order: the solves run first, but an error is raised only
+    once the transmons before it are edited.
     """
     freqs = np.asarray(frequencies, dtype=float)
     transmons = layout.by_kind("transmon")
@@ -426,18 +427,15 @@ def optimize_layout(
         raise GeometryError(
             f"layout has {len(transmons)} transmon(s), got {len(freqs)} frequencies"
         )
-    by_name = {comp.name: comp for comp in transmons}
     fixed = config.geometry.invert_mode == "fixed_gap"
-    plan: list[tuple[Component, float, float | None]] = []
+    plan: list[tuple[str, float, float | None]] = []
     stop: Exception | None = None  # raised at the transmon after the planned ones
     for q, f_target in enumerate(freqs):
         try:
-            comp = by_name.get(f"Q_{q}")
-            if comp is None:
-                raise LayoutError(f"unknown component 'Q_{q}'")
+            comp = layout.component(f"Q_{q}")
             target = float(f_target)
             gap = length_um(comp.options["pad_gap"]) if fixed else None
-            plan.append((comp, _finite_target(target), gap))
+            plan.append((comp.name, _finite_target(target), gap))
         except (DasqaError, KeyError) as exc:  # a missing pad_gap option is a KeyError
             stop = exc
             break
@@ -451,16 +449,16 @@ def optimize_layout(
         for target, outcome in zip(targets, _solve(model, list(targets), gap))
     }
     results: list[QubitGeometryResult] = []
-    for comp, target, gap in plan:
+    for name, target, gap in plan:
         outcome = solved[target, gap]
         if isinstance(outcome, Exception):
             raise outcome
         if isinstance(outcome, float):
-            results.append(QubitGeometryResult(comp.name, target, error=str(_unreachable(target, outcome))))
+            results.append(QubitGeometryResult(name, target, error=str(_unreachable(target, outcome))))
             continue
         gap, height, achieved = outcome
-        layout.edit(comp, {"pad_gap": fmt_um(gap), "pad_height": fmt_um(height)})
-        results.append(QubitGeometryResult(comp.name, target, achieved, gap, height))
+        layout.edit(name, {"pad_gap": fmt_um(gap), "pad_height": fmt_um(height)})
+        results.append(QubitGeometryResult(name, target, achieved, gap, height))
     if stop is not None:
         raise stop
     return layout, results

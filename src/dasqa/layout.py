@@ -11,15 +11,17 @@ each text it has read (``QUANTITY_MEMO_SIZE``), so the shape rebuild and the
 checks that read a text again find it split.
 
 Checks run once: :func:`build_layout` ends with the whole-chip
-:meth:`LayoutDocument.validate`, and every later change is a single-writer
-:meth:`LayoutDocument.edit` that checks only the rebuilt copy of the edited
-component before committing it. A document changed only through edits needs
-no second whole-chip check. Both find overlapping transmon pads through a
-uniform-grid index of the pads (a broad phase, as in Ericson, *Real-Time
-Collision Detection*, ch. 7), so a pad is compared only with the pads that
-share a grid cell with it; the verdict and the first error are those of a
-scan of every pad pair. Shapes are checked against the chip's bounds, grown
-by the tolerance once per component, in one walk over their points.
+:meth:`LayoutDocument.validate`, and every later change is a
+:meth:`LayoutDocument.edit`, which checks only the rebuilt component before
+it takes the edited one's slot. The document is the only writer of its
+components: a :class:`Component` is immutable, so a document changed only
+through edits needs no second whole-chip check, and the uniform-grid index of
+its transmon pads (a broad phase, as in Ericson, *Real-Time Collision
+Detection*, ch. 7), which each edit updates, is always current. Through it a
+pad is compared only with the pads that share a grid cell with it; the
+verdict and the first error are those of a scan of every pad pair. Shapes are
+checked against the chip's bounds, grown by the tolerance once per component,
+in one walk over their points.
 
 :meth:`LayoutDocument.to_json` writes the text straight from the components,
 each component from one template, and formats each distinct number once per
@@ -30,15 +32,23 @@ from __future__ import annotations
 
 import functools
 import math
-import operator
 import re
-from dataclasses import dataclass, field
+from collections.abc import Iterable, Mapping
 from json.encoder import encode_basestring_ascii as _json_str
+from types import MappingProxyType
+from typing import NamedTuple
 
 from .archgen import EMPTY, Architecture
 from .config import DesignConfig, LayoutConfig
 from .errors import LayoutError
-from .resonator import Point, polyline_length, resonator_length, synthesize_meander
+from .resonator import (
+    COUPLER_CLEARANCE_UM,
+    READOUT_SPAN_UM,
+    Point,
+    polyline_length,
+    resonator_length,
+    synthesize_meander,
+)
 
 DEFAULT_PAD_WIDTH_UM = 455.0
 DEFAULT_PAD_HEIGHT_UM = 90.0
@@ -51,8 +61,6 @@ DEFAULT_CAP_GAP_UM = 40.0
 CAP_OFFSET_UM = 500.0  # qubit center to capacitor center
 CHAIN_X_OFFSET_UM = 400.0  # readout chain sits right of the qubit column
 READOUT_DROP_UM = 150.0  # capacitor center to readout meander start
-READOUT_SPAN_UM = 800.0  # readout meander baseline
-COUPLER_CLEARANCE_UM = 300.0  # pad clearance at coupling resonator ends
 
 _QTY_RE = re.compile(r"^\s*([0-9]*\.?[0-9]+(?:[eE][+-]?[0-9]+)?)\s*(um|mm|GHz)\s*$")
 
@@ -111,19 +119,24 @@ def round9(value: float) -> float:
 Rect = tuple[float, float, float, float]  # x_min, y_min, width, height
 
 
-@dataclass
-class Component:
+_NO_OPTIONS: Mapping[str, str] = MappingProxyType({})
+
+
+class Component(NamedTuple):
+    """One chip component. It is immutable: a document changes a component
+    only by putting a rebuilt one in its slot (:meth:`LayoutDocument.edit`)."""
+
     name: str
     kind: str
     position: Point
-    options: dict[str, str] = field(default_factory=dict)
+    options: Mapping[str, str] = _NO_OPTIONS
     # resonator metadata (not options: dimensionless / enumerated)
     mode: str | None = None
     epsilon_eff: float | None = None
     anchors: tuple[Point, Point] | None = None
     # derived geometry
-    rects: list[Rect] = field(default_factory=list)
-    polylines: list[list[Point]] = field(default_factory=list)
+    rects: tuple[Rect, ...] = ()
+    polylines: tuple[tuple[Point, ...], ...] = ()
 
 
 _PAD_CELL_UM = 1000.0  # side of a pad index cell
@@ -149,36 +162,21 @@ def _pad_cells(rect: Rect) -> list[tuple[int, int]] | None:
 class _PadIndex:
     """The transmon pads of a document, bucketed by cell.
 
-    Transmons are numbered in document order. Each cell holds the numbers of
-    the transmons with a pad touching it; a transmon with a pad that cannot
-    be bucketed is *loose* and is a candidate for every pad. ``shapes`` holds
-    a copy of each transmon's rects as indexed, so a shape written straight
-    into a component shows as a difference.
+    A transmon is known by its slot in the document. Each cell holds the
+    slots of the transmons with a pad touching it; a transmon with a pad that
+    cannot be bucketed is *loose* and is a candidate for every pad.
     """
 
     def __init__(self, components: list[Component]):
-        self.transmons = [c for c in components if c.kind == "transmon"]
-        self.number = {id(c): k for k, c in enumerate(self.transmons)}
-        self.shapes = [list(c.rects) for c in self.transmons]
+        self.transmons = [k for k, c in enumerate(components) if c.kind == "transmon"]
         self.cells: dict[tuple[int, int], set[int]] = {}
         self.loose: set[int] = set()
-        self.placed: list[set[tuple[int, int]] | None] = [None] * len(self.transmons)
-        for k in range(len(self.transmons)):
-            self._place(k)
+        self.placed: dict[int, set[tuple[int, int]]] = {}
+        for k in self.transmons:
+            self.place(k, components[k].rects)
 
-    def stale(self, components: list[Component]) -> bool:
-        """Whether ``components`` now hold other transmons, or other transmon
-        shapes, than those indexed: a list entry replaced, a component added,
-        removed or given another kind, or rects written straight in."""
-        transmons = [c for c in components if c.kind == "transmon"]
-        return (
-            len(transmons) != len(self.transmons)
-            or not all(map(operator.is_, transmons, self.transmons))
-            or [c.rects for c in transmons] != self.shapes
-        )
-
-    def _place(self, k: int) -> None:
-        touched = [_pad_cells(rect) for rect in self.shapes[k]]
+    def place(self, k: int, rects) -> None:
+        touched = [_pad_cells(rect) for rect in rects]
         if None in touched:
             self.loose.add(k)
             return
@@ -189,99 +187,93 @@ class _PadIndex:
             else:
                 self.cells[cell] = {k}
 
-    def move(self, comp: Component) -> None:
-        """Re-bucket ``comp`` after an edit changed its rects."""
-        k = self.number.get(id(comp))
-        if k is None:
-            return
+    def move(self, k: int, rects) -> None:
+        """Re-bucket the transmon in slot ``k`` at its new ``rects``."""
         self.loose.discard(k)
-        for cell in self.placed[k] or ():
+        for cell in self.placed.pop(k, ()):
             self.cells[cell].discard(k)
-        self.placed[k] = None
-        self.shapes[k] = list(comp.rects)
-        self._place(k)
+        self.place(k, rects)
 
     def near(self, pad: Rect) -> list[int]:
-        """Ascending numbers of the transmons whose pads may overlap ``pad``."""
+        """Ascending slots of the transmons whose pads may overlap ``pad``."""
         cells = _pad_cells(pad)
         if cells is None:
-            return list(range(len(self.transmons)))
+            return self.transmons
         found = set(self.loose)
         for cell in cells:
             found.update(self.cells.get(cell, ()))
         return sorted(found)
 
 
-@dataclass
 class LayoutDocument:
     """A chip, its components and its nets.
 
-    The document keeps a :class:`_PadIndex`: :meth:`validate` rebuilds it,
-    and :meth:`edit` uses it. Components replaced, added, removed or given
-    another kind, and shapes written straight into them, are noticed at the
-    next edit, which rebuilds the index.
+    The document is the only writer of its components. It keeps them in
+    slots found by name (so names are unique), gives them out as a read-only
+    :attr:`components` tuple, and changes one only through :meth:`edit`,
+    which swaps that slot and its entry in the pad index. So the index,
+    built with the document, is never stale.
     """
 
-    chip: Rect  # origin_x, origin_y, width, height
-    components: list[Component] = field(default_factory=list)
-    nets: list[tuple[str, str, str]] = field(default_factory=list)
-    _index: _PadIndex | None = field(default=None, init=False, repr=False, compare=False)
+    def __init__(
+        self, chip: Rect, components: Iterable[Component] = (), nets: Iterable[tuple[str, str, str]] = ()
+    ):
+        self.chip = chip  # origin_x, origin_y, width, height
+        self.nets: list[tuple[str, str, str]] = list(nets)
+        self._components = list(components)
+        self._slots: dict[str, int] = {}
+        for slot, comp in enumerate(self._components):
+            if self._slots.setdefault(comp.name, slot) != slot:
+                raise LayoutError(f"duplicate component name {comp.name!r}")
+        self._index = _PadIndex(self._components)
 
-    def _fresh_index(self) -> _PadIndex:
-        """The index, rebuilt if it is stale."""
-        index = self._index
-        if index is None or index.stale(self.components):
-            index = self._index = _PadIndex(self.components)
-        return index
+    @property
+    def components(self) -> tuple[Component, ...]:
+        """The components in document order, as a tuple that later edits leave as it is."""
+        return tuple(self._components)
 
     def component(self, name: str) -> Component:
-        for comp in self.components:
-            if comp.name == name:
-                return comp
-        raise LayoutError(f"unknown component {name!r}")
+        slot = self._slots.get(name)
+        if slot is None:
+            raise LayoutError(f"unknown component {name!r}")
+        return self._components[slot]
 
     def by_kind(self, kind: str) -> list[Component]:
-        return [c for c in self.components if c.kind == kind]
+        return [c for c in self._components if c.kind == kind]
 
     def census(self) -> dict[str, int]:
         counts = dict.fromkeys(COMPONENT_KINDS, 0)
-        for comp in self.components:
-            _check_kind(comp)
+        for comp in self._components:
+            _check_kind(comp.name, comp.kind)
             counts[comp.kind] += 1
         return counts
 
     # -- invariants --------------------------------------------------------
 
     def validate(self) -> None:
-        """Whole-chip check: a finite chip rectangle, names, option values and
-        net endpoints, then each component in document order, a transmon's
-        pads against those of later transmons only: each pad pair is compared
-        at most once, and an overlap is reported at the earlier transmon.
-        The pad index is rebuilt for the component checks."""
+        """Whole-chip check: a finite chip rectangle, option values and net
+        endpoints, then each component in document order, a transmon's pads
+        against those of later transmons only: each pad pair is compared at
+        most once, and an overlap is reported at the earlier transmon. Names
+        are unique by construction."""
         if not all(map(math.isfinite, self.chip)):
             raise LayoutError(f"chip {self.chip} is not finite (margin or pitch too large)")
-        names = [c.name for c in self.components]
-        if len(set(names)) != len(names):
-            dup = sorted({n for n in names if names.count(n) > 1})[0]
-            raise LayoutError(f"duplicate component name {dup!r}")
-        for comp in self.components:
-            _check_kind(comp)
+        for comp in self._components:
+            _check_kind(comp.name, comp.kind)
             for value in comp.options.values():
                 parse_quantity(value)
-        known = set(names)
         for a, b, kind in self.nets:
             for endpoint in (a, b):
-                if endpoint not in known:
+                if endpoint not in self._slots:
                     raise LayoutError(f"net endpoint {endpoint!r} does not exist")
-        index = self._index = _PadIndex(self.components)
-        for comp in self.components:
-            self._check_component(comp, index.number.get(id(comp), -1))
+        for slot, comp in enumerate(self._components):
+            self._check_component(comp, slot, slot)
 
-    def _check_component(self, comp: Component, after: int) -> None:
-        """Every shape of ``comp`` lies on the chip; a transmon's pads clear
-        the pads of the indexed transmons numbered above ``after``, other
-        than those named like ``comp``. The first overlap in pad order, then
-        in document order, is reported."""
+    def _check_component(self, comp: Component, slot: int, after: int) -> None:
+        """Every shape of ``comp``, for slot ``slot``, lies on the chip; a
+        transmon's pads clear the pads of the transmons in the other slots
+        above ``after``. The first overlap in pad order, then in document
+        order, is reported."""
         x0, y0, w, h = self.chip
         tol = 1e-6
         lo_x, lo_y, hi_x, hi_y = x0 - tol, y0 - tol, (x0 + w) + tol, (y0 + h) + tol
@@ -295,33 +287,34 @@ class LayoutDocument:
                     raise LayoutError(f"{comp.name}: path {outside}")
         if comp.kind != "transmon":
             return
-        index = self._index
+        components = self._components
         for pad in comp.rects:
-            for k in index.near(pad):
-                other = index.transmons[k]
-                if k <= after or other.name == comp.name:
+            for k in self._index.near(pad):
+                if k <= after or k == slot:
                     continue
+                other = components[k]
                 for rect in other.rects:
                     if _rects_overlap(pad, rect):
                         raise LayoutError(f"transmon pads of {comp.name} and {other.name} overlap")
 
-    def edit(self, comp: Component, staged: dict[str, str]) -> None:
-        """Set options of ``comp``, a component of this document, if the result
-        passes: the copy it is rebuilt on must lie on the chip and, for a
-        transmon, clear every other transmon's pads, found through the pad
-        index. A rejected edit changes nothing."""
-        candidate = Component(
-            comp.name, comp.kind, comp.position, {**comp.options, **staged},
-            comp.mode, comp.epsilon_eff, comp.anchors,
+    def edit(self, target: Component | str, staged: Mapping[str, str]) -> Component:
+        """Set options of the component named ``target`` (or named like it)
+        and return it rebuilt, if it passes: it must lie on the chip and, for
+        a transmon, clear every other transmon's pads, found through the pad
+        index. It then takes the old one's slot. A rejected edit, or a name
+        that is not in the document, changes nothing."""
+        name = target if isinstance(target, str) else target.name
+        old = self.component(name)
+        new = _component(
+            name, old.kind, old.position, MappingProxyType({**old.options, **staged}),
+            old.mode, old.epsilon_eff, old.anchors,
         )
-        rebuild_geometry(candidate)
-        index = self._fresh_index()
-        self._check_component(candidate, -1)
-        # commit into the live component: callers may hold it across the call
-        comp.options = candidate.options
-        comp.rects = candidate.rects
-        comp.polylines = candidate.polylines
-        index.move(comp)
+        slot = self._slots[name]
+        self._check_component(new, slot, -1)
+        if new.kind == "transmon":
+            self._index.move(slot, new.rects)
+        self._components[slot] = new
+        return new
 
     # -- serialization -----------------------------------------------------
 
@@ -331,7 +324,7 @@ class LayoutDocument:
         options in sorted order, ``mode``/``epsilon_eff`` only when set."""
         num = _NumberTexts()
         x0, y0, w, h = self.chip
-        comps = _SEP[2].join([_component_json(comp, num) for comp in self.components])
+        comps = _SEP[2].join([_component_json(comp, num) for comp in self._components])
         nets = _SEP[2].join([f"[{_IN[3]}{_SEP[3].join(map(_json_str, net))}{_IN[2]}]" for net in self.nets])
         return (
             f'{{{_IN[1]}"chip": {{{_IN[2]}"origin_x_um": {num[x0]},{_IN[2]}"origin_y_um": {num[y0]},'
@@ -397,71 +390,79 @@ def _rects_overlap(a: Rect, b: Rect) -> bool:
 # -- geometry synthesis ------------------------------------------------------
 
 
-def _rebuild_plates(comp: Component, width: str, height: str, gap: str) -> float:
-    """Two plates centred on ``comp`` above and below a gap; returns the gap."""
-    x, y = comp.position
-    options = comp.options
+# each kind's shape builder takes (name, position, options, anchors) and
+# returns the component's (rects, polylines)
+
+
+def _plates(position: Point, options, width: str, height: str, gap: str) -> tuple[tuple[Rect, Rect], float]:
+    """Two plates centred on ``position`` above and below a gap, and the gap."""
+    x, y = position
     w, h, g = length_um(options[width]), length_um(options[height]), length_um(options[gap])
-    comp.rects = [(x - w / 2, y + g / 2, w, h), (x - w / 2, y - g / 2 - h, w, h)]
-    return g
+    return ((x - w / 2, y + g / 2, w, h), (x - w / 2, y - g / 2 - h, w, h)), g
 
 
-def _rebuild_transmon(comp: Component) -> None:
-    x, y = comp.position
-    gap = _rebuild_plates(comp, "pad_width", "pad_height", "pad_gap")
+def _transmon_shapes(name, position, options, anchors):
+    x, y = position
+    rects, gap = _plates(position, options, "pad_width", "pad_height", "pad_gap")
     # junction marker bridging the gap
-    comp.polylines = [[(x, y - gap / 2), (x, y + gap / 2)]]
+    return rects, (((x, y - gap / 2), (x, y + gap / 2)),)
 
 
-def _rebuild_resonator(comp: Component) -> None:
-    if comp.anchors is None:
-        raise LayoutError(f"{comp.name}: resonator has no endpoints")
-    total = length_um(comp.options["total_length"])
-    amplitude = length_um(comp.options["meander_amplitude"])
-    comp.rects = []
-    comp.polylines = [synthesize_meander(comp.anchors[0], comp.anchors[1], total, amplitude)]
+def _resonator_shapes(name, position, options, anchors):
+    if anchors is None:
+        raise LayoutError(f"{name}: resonator has no endpoints")
+    total = length_um(options["total_length"])
+    amplitude = length_um(options["meander_amplitude"])
+    return (), (tuple(synthesize_meander(anchors[0], anchors[1], total, amplitude)),)
 
 
-def _rebuild_capacitor(comp: Component) -> None:
-    _rebuild_plates(comp, "cap_width", "cap_plate_height", "cap_gap")
-    comp.polylines = []
+def _capacitor_shapes(name, position, options, anchors):
+    return _plates(position, options, "cap_width", "cap_plate_height", "cap_gap")[0], ()
 
 
-def _rebuild_control_line(comp: Component) -> None:
-    x, y = comp.position
-    stub = length_um(comp.options["stub_length"])
-    comp.rects = []
-    comp.polylines = [[(x - stub / 2, y), (x + stub / 2, y)]]
+def _control_line_shapes(name, position, options, anchors):
+    x, y = position
+    stub = length_um(options["stub_length"])
+    return (), (((x - stub / 2, y), (x + stub / 2, y)),)
 
 
-def _rebuild_connection(comp: Component) -> None:
-    if comp.anchors is None:
-        raise LayoutError(f"{comp.name}: connection has no endpoints")
-    comp.rects = []
-    comp.polylines = [[comp.anchors[0], comp.anchors[1]]]
+def _connection_shapes(name, position, options, anchors):
+    if anchors is None:
+        raise LayoutError(f"{name}: connection has no endpoints")
+    return (), ((anchors[0], anchors[1]),)
 
 
 _RESONATOR_OPTIONS = ("target_frequency", "total_length", "meander_amplitude")
 
 # component kind -> (geometry options update_component accepts, shape builder)
 COMPONENT_KINDS = {
-    "transmon": (("pad_width", "pad_height", "pad_gap"), _rebuild_transmon),
-    "coupling_resonator": (_RESONATOR_OPTIONS, _rebuild_resonator),
-    "readout_resonator": (_RESONATOR_OPTIONS, _rebuild_resonator),
-    "capacitor": (("cap_width", "cap_plate_height", "cap_gap"), _rebuild_capacitor),
-    "control_line": (("stub_length",), _rebuild_control_line),
-    "connection": ((), _rebuild_connection),
+    "transmon": (("pad_width", "pad_height", "pad_gap"), _transmon_shapes),
+    "coupling_resonator": (_RESONATOR_OPTIONS, _resonator_shapes),
+    "readout_resonator": (_RESONATOR_OPTIONS, _resonator_shapes),
+    "capacitor": (("cap_width", "cap_plate_height", "cap_gap"), _capacitor_shapes),
+    "control_line": (("stub_length",), _control_line_shapes),
+    "connection": ((), _connection_shapes),
 }
 
 
-def _check_kind(comp: Component) -> None:
-    if comp.kind not in COMPONENT_KINDS:
-        raise LayoutError(f"{comp.name}: unknown component kind {comp.kind!r}")
+def _check_kind(name: str, kind: str) -> None:
+    if kind not in COMPONENT_KINDS:
+        raise LayoutError(f"{name}: unknown component kind {kind!r}")
 
 
-def rebuild_geometry(comp: Component) -> None:
-    _check_kind(comp)
-    COMPONENT_KINDS[comp.kind][1](comp)
+def _component(
+    name: str, kind: str, position: Point, options: Mapping[str, str] = _NO_OPTIONS,
+    mode: str | None = None, epsilon_eff: float | None = None, anchors: tuple[Point, Point] | None = None,
+) -> Component:
+    """A component with the shapes its kind's builder gives."""
+    _check_kind(name, kind)
+    rects, polylines = COMPONENT_KINDS[kind][1](name, position, options, anchors)
+    return Component(name, kind, position, options, mode, epsilon_eff, anchors, rects, polylines)
+
+
+def rebuild_geometry(comp: Component) -> Component:
+    """``comp`` with the shapes its position, options and anchors give."""
+    return _component(*comp[:7])
 
 
 def _resonator_options(f_ghz: float, epsilon_eff: float, mode: str) -> dict[str, str]:
@@ -475,8 +476,10 @@ def update_component(layout: LayoutDocument, name: str, option: str, value: str)
 
     Checks the option name and parses its value here; for resonators, a
     ``target_frequency`` re-derives ``total_length`` by
-    :func:`_resonator_options`. The shapes are then checked and committed by
-    :meth:`LayoutDocument.edit`, so a rejected edit changes nothing.
+    :func:`_resonator_options`. :meth:`LayoutDocument.edit` then rebuilds
+    the component, checks it and puts it in the old one's slot, so a
+    rejected edit changes nothing, and a component read before the call
+    keeps its old options and shapes.
     """
     comp = layout.component(name)
     known = COMPONENT_KINDS[comp.kind][0] if comp.kind in COMPONENT_KINDS else ()
@@ -493,7 +496,7 @@ def update_component(layout: LayoutDocument, name: str, option: str, value: str)
     else:
         length_um(value)  # every other known option is a length
         staged = {option: value}
-    layout.edit(comp, staged)
+    layout.edit(name, staged)
     return layout
 
 
@@ -508,32 +511,27 @@ def _resonator(
     name: str, kind: str, f_ghz: float, mode: str, anchors: tuple[Point, Point], lay: LayoutConfig
 ) -> Component:
     """A resonator between ``anchors``, cut to the wavelength of ``f_ghz``."""
-    return Component(
-        name=name,
-        kind=kind,
-        position=_midpoint(*anchors),
-        options={
-            **_resonator_options(f_ghz, lay.epsilon_eff, mode),
-            "meander_amplitude": fmt_um(lay.meander_amplitude_um),
-        },
-        mode=mode,
-        epsilon_eff=lay.epsilon_eff,
-        anchors=anchors,
-    )
+    options = {
+        **_resonator_options(f_ghz, lay.epsilon_eff, mode),
+        "meander_amplitude": fmt_um(lay.meander_amplitude_um),
+    }
+    position = _midpoint(*anchors)
+    return _component(name, kind, position, MappingProxyType(options), mode, lay.epsilon_eff, anchors)
 
 
-# the option texts every transmon, capacitor and control line starts from
-_PAD_OPTIONS = {
+# the option texts every transmon, capacitor and control line starts from,
+# shared by them all: no component can change them
+_PAD_OPTIONS = MappingProxyType({
     "pad_width": fmt_um(DEFAULT_PAD_WIDTH_UM),
     "pad_height": fmt_um(DEFAULT_PAD_HEIGHT_UM),
     "pad_gap": fmt_um(DEFAULT_PAD_GAP_UM),
-}
-_CAP_OPTIONS = {
+})
+_CAP_OPTIONS = MappingProxyType({
     "cap_width": fmt_um(DEFAULT_CAP_WIDTH_UM),
     "cap_plate_height": fmt_um(DEFAULT_CAP_PLATE_HEIGHT_UM),
     "cap_gap": fmt_um(DEFAULT_CAP_GAP_UM),
-}
-_CONTROL_OPTIONS = {"stub_length": fmt_um(300.0)}
+})
+_CONTROL_OPTIONS = MappingProxyType({"stub_length": fmt_um(300.0)})
 
 
 def build_layout(arch: Architecture, config: DesignConfig) -> LayoutDocument:
@@ -554,22 +552,10 @@ def build_layout(arch: Architecture, config: DesignConfig) -> LayoutDocument:
 
     x0, y0 = -margin, -(rows - 1) * pitch - margin
     chip: Rect = (x0, y0, (cols - 1) * pitch + 2 * margin, (rows - 1) * pitch + 2 * margin)
-    doc = LayoutDocument(chip=chip)
-
     qubit_xy = {q: (c * pitch, -r * pitch) for r, row in enumerate(arch.layout.tolist())
                 for c, q in enumerate(row) if q != EMPTY}
-
-    def add(comp: Component) -> None:
-        rebuild_geometry(comp)
-        doc.components.append(comp)
-
-    for q in range(n):
-        add(Component(
-            name=f"Q_{q}",
-            kind="transmon",
-            position=qubit_xy[q],
-            options=dict(_PAD_OPTIONS),
-        ))
+    comps = [_component(f"Q_{q}", "transmon", qubit_xy[q], _PAD_OPTIONS) for q in range(n)]
+    nets = []
 
     lattice = lay.coupling_freq_lattice_ghz
     for k, (a, b) in enumerate(arch.coupling.sorted_edges()):
@@ -582,36 +568,24 @@ def build_layout(arch: Architecture, config: DesignConfig) -> LayoutDocument:
         start = (xa + ux * COUPLER_CLEARANCE_UM, ya + uy * COUPLER_CLEARANCE_UM)
         end = (xb - ux * COUPLER_CLEARANCE_UM, yb - uy * COUPLER_CLEARANCE_UM)
         f_ghz = lattice[k % len(lattice)]
-        add(_resonator(cr, "coupling_resonator", f_ghz, lay.resonator_mode, (start, end), lay))
-        doc.nets.append((f"Q_{a}", cr, "qubit-coupler"))
-        doc.nets.append((f"Q_{b}", cr, "qubit-coupler"))
+        comps.append(_resonator(cr, "coupling_resonator", f_ghz, lay.resonator_mode, (start, end), lay))
+        nets += ((f"Q_{a}", cr, "qubit-coupler"), (f"Q_{b}", cr, "qubit-coupler"))
 
     chip_x0, chip_y0, chip_w, _ = chip
     for q in range(n):
         x, y = qubit_xy[q]
         xc = x + CHAIN_X_OFFSET_UM
         cap_y = y - CAP_OFFSET_UM
-
-        add(Component(
-            name=f"CAP_{q}",
-            kind="capacitor",
-            position=(xc, cap_y),
-            options=dict(_CAP_OPTIONS),
-        ))
+        comps.append(_component(f"CAP_{q}", "capacitor", (xc, cap_y), _CAP_OPTIONS))
 
         f_read = float(arch.frequencies[q]) + lay.readout_detuning_ghz
         rd_start = (xc, cap_y - READOUT_DROP_UM)
         rd_end = (xc, cap_y - READOUT_DROP_UM - READOUT_SPAN_UM)
-        add(_resonator(f"RD_{q}", "readout_resonator", f_read, "quarter", (rd_start, rd_end), lay))
+        comps.append(_resonator(f"RD_{q}", "readout_resonator", f_read, "quarter", (rd_start, rd_end), lay))
 
         slot_x = chip_x0 + (q + 0.5) * chip_w / n
         ctl_y = chip_y0 + 150.0
-        add(Component(
-            name=f"CTL_{q}",
-            kind="control_line",
-            position=(slot_x, ctl_y),
-            options=dict(_CONTROL_OPTIONS),
-        ))
+        comps.append(_component(f"CTL_{q}", "control_line", (slot_x, ctl_y), _CONTROL_OPTIONS))
 
         pad_bottom = (x, y - DEFAULT_PAD_GAP_UM / 2 - DEFAULT_PAD_HEIGHT_UM)
         cap_top = (xc, cap_y + DEFAULT_CAP_GAP_UM / 2 + DEFAULT_CAP_PLATE_HEIGHT_UM)
@@ -622,14 +596,10 @@ def build_layout(arch: Architecture, config: DesignConfig) -> LayoutDocument:
             ("CR", f"CAP_{q}", f"RD_{q}", "capacitor-readout", (cap_bottom, rd_start)),
             ("CC", f"CAP_{q}", f"CTL_{q}", "capacitor-control", (cap_bottom, (slot_x, ctl_y))),
         ):
-            add(Component(
-                name=f"CONN_{suffix}_{q}",
-                kind="connection",
-                position=_midpoint(*anchors),
-                anchors=anchors,
-            ))
-            doc.nets.append((a_name, b_name, kind))
+            comps.append(_component(f"CONN_{suffix}_{q}", "connection", _midpoint(*anchors), anchors=anchors))
+            nets.append((a_name, b_name, kind))
 
+    doc = LayoutDocument(chip, comps, nets)
     doc.validate()
     return doc
 

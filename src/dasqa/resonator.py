@@ -15,6 +15,11 @@ from .errors import LayoutError
 SPEED_OF_LIGHT_M_PER_S = 2.998e8
 # far above any real layout (tens of lobes); bounds the point list before it is sized
 MAX_MEANDER_LOBES = 100_000
+# the straight runs that build_layout meanders resonators over: a coupler's
+# is the pitch less this clearance at each end, a readout's this baseline;
+# the config rejects a resonator cut shorter than its run
+COUPLER_CLEARANCE_UM = 300.0
+READOUT_SPAN_UM = 800.0
 
 Point = tuple[float, float]
 

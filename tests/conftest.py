@@ -171,6 +171,14 @@ def count_overlap_calls(monkeypatch) -> list:
     return calls
 
 
+def replaced_in(doc, new: dict):
+    """A new document like ``doc`` in which the component of each name in
+    ``new`` is replaced by its value; a component cannot be changed in place."""
+    from dasqa.layout import LayoutDocument
+
+    return LayoutDocument(doc.chip, [new.get(c.name, c) for c in doc.components], doc.nets)
+
+
 def edge_case_layout():
     """A hand-built document holding the values a text encoder can get wrong:
     zero of both signs in both orders, 1e-05, a twelve-digit integer, an int
@@ -188,8 +196,8 @@ def edge_case_layout():
                 kind="transmon",
                 position=(3, -0.0),
                 options={"pad_width": "455um", "pad_gap": "30um", "a": "1um"},
-                rects=[(0.0, -0.0, 1e-05, 123456789012.0), (-0.0, 0.0, 0.1 + 0.2, 1 / 3)],
-                polylines=[[(0.0, -0.0), (-0.004, 0.004)], []],
+                rects=((0.0, -0.0, 1e-05, 123456789012.0), (-0.0, 0.0, 0.1 + 0.2, 1 / 3)),
+                polylines=(((0.0, -0.0), (-0.004, 0.004)), ()),
             ),
             Component(
                 name="CR_0_1",
@@ -197,7 +205,7 @@ def edge_case_layout():
                 position=(-0.00049, 0.00049),
                 mode="half",
                 epsilon_eff=6.45,
-                polylines=[[(nan, inf), (-inf, 1e-05), (123456789012.0, -1e-05)]],
+                polylines=(((nan, inf), (-inf, 1e-05), (123456789012.0, -1e-05)),),
             ),
             Component(name="CONN_empty", kind="connection", position=(1e300, -2.5e-7)),
             Component(
@@ -207,7 +215,7 @@ def edge_case_layout():
                 options={"total_length": "5000um"},
                 mode="quarter",
                 epsilon_eff=-0.0,
-                rects=[(nan, -inf, inf, 0.0)],
+                rects=((nan, -inf, inf, 0.0),),
             ),
         ],
         nets=[("Q_0", "CR_0_1", "qubit-coupler"), ('Q_"quoted"\\back\u00e9\u2713', "RD_0", "x")],

@@ -172,6 +172,32 @@ REJECTED_INPUT_CASES = {
         {"c.yml": "layout: {coupling_freq_lattice_ghz: [7.0, 0]}"},
         "[config] layout.coupling_freq_lattice_ghz entries must be positive",
     ),
+    # a resonator cut shorter than the straight run it is meandered over was
+    # reported by the layout stage as "target length 1372.63 shorter than
+    # straight-line distance 1400", naming no config key; a coupler's run is
+    # the pitch less 600 um, a readout's 800 um
+    "short_coupler": (
+        {"c.yml": "layout: {coupling_freq_lattice_ghz: [40, 41, 42, 43]}\n"},
+        "[config] layout.coupling_freq_lattice_ghz at 43 GHz gives a half-wave coupler of 1372.63 um, "
+        "shorter than the 1400 um it spans (layout.pitch_um - 600 um)",
+    ),
+    "short_readout": (
+        {"c.yml": "layout: {readout_detuning_ghz: 40}\n"},
+        "[config] frequency.band_hi_ghz + layout.readout_detuning_ghz at 45.3 GHz gives a quarter-wave "
+        "readout resonator of 651.469 um, shorter than the 800 um it spans (its fixed baseline)",
+    ),
+    # the coupler span once overflowed when squared, then reached the layout
+    # stage as a coupler too short for it
+    "huge_pitch": (
+        {"c.yml": "layout: {pitch_um: 1e300}\n"},
+        "[config] layout.coupling_freq_lattice_ghz at 7.3 GHz gives a half-wave coupler of 8085.35 um, "
+        "shorter than the 1e+300 um it spans (layout.pitch_um - 600 um)",
+    ),
+    "huge_coupling_freq": (
+        {"c.yml": "layout: {coupling_freq_lattice_ghz: [1e300]}\n"},
+        "[config] layout.coupling_freq_lattice_ghz: target frequency 1e+300 GHz is out of range: "
+        "its wavelength comes to 0 mm",
+    ),
     "zero_meander_amplitude": (
         {"c.yml": "layout: {meander_amplitude_um: 0}"},
         "[config] layout.meander_amplitude_um must be positive",
@@ -366,14 +392,9 @@ def test_unreadable_or_unwritable_file_reports_stage_without_traceback(tmp_path,
     assert "Traceback" not in err
 
 
-# each ended in a Python traceback: the coupler span overflowed when squared,
-# and the meander sized a list of 10^12 (or an unrepresentable count of) lobes,
-# narrow ones or, on a long baseline, wide ones
+# each ended in a Python traceback: the meander sized a list of 10^12 (or an
+# unrepresentable count of) lobes, narrow ones or, on a long baseline, wide ones
 OUT_OF_RANGE_LAYOUT_CASES = {
-    "huge_pitch": (
-        "{pitch_um: 1e300}",
-        "target length 8431.87 shorter than straight-line distance 1e+300",
-    ),
     "tiny_meander_amplitude": (
         "{meander_amplitude_um: 1e-9}",
         "meander over a 1400 baseline needs 3.51593e+12 lobes of amplitude 1e-09, "
@@ -388,10 +409,6 @@ OUT_OF_RANGE_LAYOUT_CASES = {
         "{pitch_um: 1e19, coupling_freq_lattice_ghz: [1e-18]}",
         "meander over a 1e+19 baseline needs 9.83551e+19 lobes of amplitude 300, "
         "more than the 100000 allowed",
-    ),
-    "huge_coupling_freq": (
-        "{coupling_freq_lattice_ghz: [1e300]}",
-        "target frequency 1e+300 GHz is out of range: its wavelength comes to 0 mm",
     ),
     "small_pitch": ("{pitch_um: 500}", "pitch 500 too small to attach coupler CR_0_4"),
 }

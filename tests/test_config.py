@@ -162,3 +162,26 @@ def test_kept_configs_are_bounded(tmp_path):
     # the oldest text went out of the full table, so it is loaded anew
     again = load_config(first)
     assert again is not cfg and again == cfg
+
+
+@pytest.mark.parametrize(
+    "layout, designs",
+    [
+        ({"coupling_freq_lattice_ghz": [42.0]}, True),  # a 1405 um coupler over a 1400 um run
+        ({"coupling_freq_lattice_ghz": [43.0]}, False),  # 1373 um
+        ({"coupling_freq_lattice_ghz": [43.0], "pitch_um": 1970}, True),
+        ({"readout_detuning_ghz": 31.5}, True),  # a readout of 802 um at 36.8 GHz over 800 um
+        ({"readout_detuning_ghz": 31.6}, False),
+    ],
+)
+def test_resonator_cut_shorter_than_its_run_is_rejected_at_load(star_arch, layout, designs):
+    # a config passes exactly when every resonator it can ask for is at
+    # least as long as its run: a coupler at the highest lattice frequency,
+    # a readout above a qubit at the top of the band; one that passes designs
+    from dasqa.layout import build_layout
+
+    if designs:
+        build_layout(star_arch, config_from_dict({"layout": layout}))
+    else:
+        with pytest.raises(ConfigError, match="um it spans"):
+            config_from_dict({"layout": layout})

@@ -25,7 +25,7 @@ from dasqa.geomopt import (
 )
 from dasqa.layout import LayoutDocument, build_layout, length_um, rebuild_geometry
 
-from conftest import count_overlap_calls, grid_architecture
+from conftest import count_overlap_calls, grid_architecture, replaced_in
 
 GROUND_TRUTH = (7.2, -0.004, -0.012, 0.0, 0.0, 1.5e-5)  # over monomial_exponents(2)
 
@@ -460,13 +460,13 @@ def test_optimize_layout_solves_each_distinct_target_once(monkeypatch, config):
     # a transmon whose fixed gap differs shares no solve with its target's
     # others; the model solves only that new pair
     layout = build_layout(grid_architecture(6, 6, freqs), config)
-    layout.component("Q_5").options["pad_gap"] = "20um"
+    layout.edit("Q_5", {"pad_gap": "20um"})
     calls.clear()
     layout, results = optimize_layout(layout, freqs, config, model)
     assert calls == [((float(freqs[5]),), 20.0)]
     # a fresh model solves every pair again
     layout = build_layout(grid_architecture(6, 6, freqs), config)
-    layout.component("Q_5").options["pad_gap"] = "20um"
+    layout.edit("Q_5", {"pad_gap": "20um"})
     calls.clear()
     layout, again = optimize_layout(layout, freqs, config, fresh_model())
     assert calls == [(tuple(REFERENCE_FREQS), 30.0), ((float(freqs[5]),), 20.0)]
@@ -487,7 +487,8 @@ def test_a_solve_that_raises_is_not_kept(monkeypatch, star_arch, config):
     raised = []
     for _ in range(2):
         layout = build_layout(star_arch, config)
-        layout.component("Q_0").options["pad_gap"] = "1e200um"
+        q0 = layout.component("Q_0")  # the option alone, past edit(), whose pads would leave the chip
+        layout = replaced_in(layout, {"Q_0": q0._replace(options={**q0.options, "pad_gap": "1e200um"})})
         with pytest.raises(OverflowError) as info:
             optimize_layout(layout, REFERENCE_FREQS, config, model)
         raised.append(info.value)
@@ -530,7 +531,7 @@ def test_repeated_unreachable_targets_each_get_their_own_result(monkeypatch, sta
 
 def test_optimize_layout_missing_transmon_name_is_unknown_component(star_arch, config):
     layout = build_layout(star_arch, config)
-    layout.component("Q_3").name = "Q_x"
+    layout = replaced_in(layout, {"Q_3": layout.component("Q_3")._replace(name="Q_x")})
     with pytest.raises(LayoutError, match="unknown component 'Q_3'"):
         optimize_layout(layout, REFERENCE_FREQS, config, fit_model(bundled_dataset(), 2))
 
@@ -651,11 +652,11 @@ def test_optimize_layout_raises_errors_in_transmon_order(config):
 
     def run(targets, rename=None):
         layout = build_layout(grid_architecture(1, 6, np.full(6, 5.0), coupled=False), config)
-        wide = layout.component("Q_2")  # written straight in: Q_2's pads reach Q_1's
-        wide.options["pad_width"] = "4000um"
-        rebuild_geometry(wide)
+        wide = layout.component("Q_2")  # built past edit(): Q_2's pads reach Q_1's
+        new = {"Q_2": rebuild_geometry(wide._replace(options={**wide.options, "pad_width": "4000um"}))}
         if rename is not None:
-            layout.component(rename).name = "Q_x"
+            new[rename] = layout.component(rename)._replace(name="Q_x")
+        layout = replaced_in(layout, new)
         with pytest.raises(DasqaError) as info:
             optimize_layout(layout, targets, config, model)
         return str(info.value)

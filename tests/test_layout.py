@@ -2,7 +2,6 @@
 from __future__ import annotations
 
 import json
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -27,7 +26,7 @@ from dasqa.layout import (
 )
 from dasqa.resonator import resonator_length
 
-from conftest import count_overlap_calls, edge_case_layout, grid_architecture
+from conftest import count_overlap_calls, edge_case_layout, grid_architecture, replaced_in
 
 
 @pytest.fixture()
@@ -113,12 +112,12 @@ def test_unknown_component_kind_is_a_layout_error(star_layout):
     resistor = Component("R_0", "resistor", (0.0, 0.0), {"length": "10um"})
     with pytest.raises(LayoutError, match="R_0: unknown component kind 'resistor'"):
         rebuild_geometry(resistor)
-    star_layout.components.append(resistor)
-    for check in (star_layout.validate, star_layout.census):
+    doc = LayoutDocument(star_layout.chip, [*star_layout.components, resistor], star_layout.nets)
+    for check in (doc.validate, doc.census):
         with pytest.raises(LayoutError, match="R_0: unknown component kind 'resistor'"):
             check()
     with pytest.raises(LayoutError, match="unknown option 'length' for resistor 'R_0'"):
-        update_component(star_layout, "R_0", "length", "20um")
+        update_component(doc, "R_0", "length", "20um")
 
 
 def test_update_malformed_value(star_layout):
@@ -136,8 +135,8 @@ def test_update_is_idempotent(star_layout):
 
 
 def test_update_resonator_frequency_recomputes_length(star_layout, config):
-    comp = star_layout.component("CR_0_4")
     update_component(star_layout, "CR_0_4", "target_frequency", "7.5GHz")
+    comp = star_layout.component("CR_0_4")
     expected_um = resonator_length(7.5, config.layout.epsilon_eff, "half") * 1000
     assert length_um(comp.options["total_length"]) == pytest.approx(expected_um, rel=1e-9)
     assert abs(measured_length_um(comp) - expected_um) / expected_um < 1e-6
@@ -149,6 +148,45 @@ def test_update_out_of_bounds_is_rolled_back(star_layout):
         # a quarter-meter pad cannot fit the chip
         update_component(star_layout, "Q_0", "pad_width", "250mm")
     assert star_layout.to_json() == before
+
+
+def test_components_cannot_be_written_past_the_document(star_layout):
+    comp = star_layout.component("Q_0")
+    with pytest.raises(AttributeError):
+        comp.position = (0.0, 0.0)
+    with pytest.raises(AttributeError):
+        comp.kind = "capacitor"
+    with pytest.raises(TypeError):
+        comp.options["pad_gap"] = "10um"
+    with pytest.raises(TypeError):
+        comp.rects[0] = (0.0, 0.0, 1.0, 1.0)
+    with pytest.raises(TypeError):
+        comp.polylines[0][0] = (0.0, 0.0)
+    with pytest.raises(AttributeError):
+        star_layout.components.append(comp)
+    with pytest.raises(TypeError):
+        star_layout.components[0] = comp
+    with pytest.raises(AttributeError):
+        star_layout.components = [comp]
+    assert star_layout.component("Q_0") is comp
+
+
+def test_edit_finds_its_component_by_name(star_layout):
+    # a copy of Q_0 that is not in the document edits the document's Q_0
+    # (the copy itself cannot change); a name the document does not hold is
+    # rejected and changes nothing
+    copy = star_layout.component("Q_0")._replace(options={"pad_gap": "5um"})
+    new = star_layout.edit(copy, {"pad_height": "120um"})
+    assert star_layout.component("Q_0") is new
+    assert dict(new.options) == {"pad_width": "455um", "pad_height": "120um", "pad_gap": "30um"}
+    assert new.rects == rebuild_geometry(new).rects != copy.rects
+    assert copy.options == {"pad_gap": "5um"}
+    before = star_layout.to_json()
+    for target in (copy._replace(name="Q_99"), "Q_99"):
+        with pytest.raises(LayoutError) as info:
+            star_layout.edit(target, {"pad_height": "100um"})
+        assert str(info.value) == "unknown component 'Q_99'"
+        assert star_layout.to_json() == before
 
 
 def test_pad_overlap_detected():
@@ -191,21 +229,42 @@ def test_random_update_sequences_keep_invariants(star_layout):
 
 def _tight_grid_layout(rows: int, cols: int, pitch: float = 500.0) -> LayoutDocument:
     """Uncoupled transmons at a pitch where neighbouring pads share index
-    cells; the wide margin leaves every control-line stub room."""
+    cells; the wide margin leaves every control-line stub room along the
+    bottom edge, where each port takes 300 um."""
     n = rows * cols
-    cfg = config_from_dict({"layout": {"pitch_um": pitch, "margin_um": 40000}})
+    cfg = config_from_dict({"layout": {"pitch_um": pitch, "margin_um": max(40000, 160 * n)}})
     return build_layout(grid_architecture(rows, cols, np.full(n, 5.0), coupled=False), cfg)
 
 
+class _CountedList(list):
+    """A list that counts the walks over it and the items read from it."""
+
+    walks = reads = 0
+
+    def __iter__(self):
+        self.walks += 1
+        return super().__iter__()
+
+    def __getitem__(self, k):
+        self.reads += 1
+        return super().__getitem__(k)
+
+
 def test_transmon_edit_checks_only_its_own_pads(monkeypatch):
-    # 16x16 grid of 256 transmons at a 500 um pitch: an edit compares the
-    # edited transmon's two pads with the pads near it only, a number that
-    # does not grow with the grid (a scan of every transmon makes 4 * 255)
-    doc = _tight_grid_layout(16, 16)
+    # 16x16 and 32x32 grids of 256 and 1024 transmons at a 500 um pitch: an
+    # edit compares the edited transmon's two pads with the pads near it
+    # only, and reads only their components, a number that does not grow
+    # with the grid (a scan of every transmon makes 4 * (n - 1) comparisons)
     calls = count_overlap_calls(monkeypatch)
-    update_component(doc, "Q_135", "pad_height", "120um")
-    assert 0 < len(calls) <= 64
-    assert doc.component("Q_135").options["pad_height"] == "120um"
+    for side in (16, 32):
+        doc = _tight_grid_layout(side, side)
+        name = f"Q_{side * side // 2 + side // 2}"
+        components = doc._components = _CountedList(doc._components)
+        calls.clear()
+        update_component(doc, name, "pad_height", "120um")
+        assert 0 < len(calls) <= 64
+        assert components.walks == 0 and 0 < components.reads <= 64
+        assert doc.component(name).options["pad_height"] == "120um"
 
 
 def test_whole_chip_check_compares_each_pad_pair_once(monkeypatch):
@@ -259,8 +318,7 @@ def _reference_check_shapes(doc: LayoutDocument) -> None:
 def _reference_edit(doc: LayoutDocument, comp: Component, staged: dict[str, str]) -> str | None:
     """First error of ``doc.edit(comp, staged)`` as a scan of every component
     finds it, or None when the edit passes."""
-    candidate = replace(comp, options={**comp.options, **staged})
-    rebuild_geometry(candidate)
+    candidate = rebuild_geometry(comp._replace(options={**comp.options, **staged}))
     others = [c for c in doc.components if c.kind == "transmon" and c.name != comp.name]
     return _reference_shape_error(doc, candidate, others)
 
@@ -274,28 +332,30 @@ def _first_error(check) -> str | None:
 
 
 def test_whole_chip_check_reports_the_same_first_error_as_both_sides_scan(config):
-    # faults are written into the document directly, past update_component's
-    # checks: pads widened into their neighbours, shapes pushed off the chip,
-    # or both; the first error must be the one the both-sides scan finds
+    # faults are built into a new document, past update_component's checks:
+    # pads widened into their neighbours, shapes pushed off the chip, or
+    # both; the first error must be the one the both-sides scan finds
     rng = np.random.default_rng(23)
     n = 16
     seen = set()
     for trial in range(90):
         doc = build_layout(grid_architecture(4, 4, np.full(n, 5.0)), config)
+        new = {}
         if trial % 3 != 1:
             for q in rng.choice(n, size=int(rng.integers(1, 5)), replace=False):
                 comp = doc.component(f"Q_{q}")
-                comp.options["pad_width"] = fmt_um(float(rng.uniform(455, 6000)))
-                comp.options["pad_height"] = fmt_um(float(rng.uniform(90, 2500)))
-                rebuild_geometry(comp)
+                options = {**comp.options, "pad_width": fmt_um(float(rng.uniform(455, 6000)))}
+                options["pad_height"] = fmt_um(float(rng.uniform(90, 2500)))
+                new[comp.name] = rebuild_geometry(comp._replace(options=options))
         if trial % 3 != 0:
             for k in rng.choice(len(doc.components), size=int(rng.integers(1, 4)), replace=False):
                 comp = doc.components[int(k)]
+                comp = new.get(comp.name, comp)
                 dx, dy = (float(v) for v in rng.uniform(-9000, 9000, size=2))
-                comp.position = (comp.position[0] + dx, comp.position[1] + dy)
-                if comp.anchors is not None:
-                    comp.anchors = tuple((x + dx, y + dy) for x, y in comp.anchors)
-                rebuild_geometry(comp)
+                position = (comp.position[0] + dx, comp.position[1] + dy)
+                anchors = comp.anchors and tuple((x + dx, y + dy) for x, y in comp.anchors)
+                new[comp.name] = rebuild_geometry(comp._replace(position=position, anchors=anchors))
+        doc = replaced_in(doc, new)
         expected = _first_error(lambda: _reference_check_shapes(doc))
         assert _first_error(doc.validate) == expected
         seen.add("clean" if expected is None else expected.split()[-1])
@@ -312,22 +372,22 @@ _PAD_VALUES = {
 _ODD = (float("nan"), float("inf"), float("-inf"))
 
 
-def _write_shape_directly(rng: np.random.Generator, doc: LayoutDocument) -> None:
-    """Change the document's pads past edit(): a qubit's new options rebuilt,
-    a move, one rect replaced in place by a touching, cell-aligned, non-finite
-    or negative-extent rect, the qubit's list entry replaced by a moved copy,
-    or a capacitor made a transmon, so that its plates count as pads."""
+def _with_odd_shapes(rng: np.random.Generator, doc: LayoutDocument) -> LayoutDocument:
+    """A new document with pads changed past edit(): a qubit's new options
+    rebuilt, a move, one rect replaced by a touching, cell-aligned,
+    non-finite or negative-extent rect, or a capacitor made a transmon, so
+    that its plates count as pads."""
     transmons = doc.by_kind("transmon")
     qubits = [c for c in transmons if c.name.startswith("Q_")]
     comp = qubits[int(rng.integers(len(qubits)))]
-    how = int(rng.integers(5))
+    how = int(rng.integers(4))
     if how == 0:
         option = ("pad_width", "pad_height", "pad_gap")[int(rng.integers(3))]
-        comp.options[option] = fmt_um(float(rng.choice(_PAD_VALUES[option])))
-        rebuild_geometry(comp)
+        options = {**comp.options, option: fmt_um(float(rng.choice(_PAD_VALUES[option])))}
+        comp = rebuild_geometry(comp._replace(options=options))
     elif how == 1:
-        comp.position = (comp.position[0] + float(rng.choice([-500.0, 250.0, 1000.0])), comp.position[1])
-        rebuild_geometry(comp)
+        dx = float(rng.choice([-500.0, 250.0, 1000.0]))
+        comp = rebuild_geometry(comp._replace(position=(comp.position[0] + dx, comp.position[1])))
     elif how == 2:
         x, y, w, h = comp.rects[int(rng.integers(2))]
         other = transmons[int(rng.integers(len(transmons)))]
@@ -342,22 +402,20 @@ def _write_shape_directly(rng: np.random.Generator, doc: LayoutDocument) -> None
             (x, y, -w, h),
             tuple(odd),
         ]
-        rect = choices[int(rng.integers(len(choices)))]
-        comp.rects[int(rng.integers(2))] = rect
-    elif how == 3:
-        dx = float(rng.choice([-500.0, 250.0, 1000.0]))
-        copy = replace(comp, position=(comp.position[0] + dx, comp.position[1]), options=dict(comp.options))
-        rebuild_geometry(copy)
-        doc.components[next(i for i, c in enumerate(doc.components) if c is comp)] = copy
+        rects = list(comp.rects)
+        rects[int(rng.integers(2))] = choices[int(rng.integers(len(choices)))]
+        comp = comp._replace(rects=tuple(rects))
     else:
         caps = doc.by_kind("capacitor")
-        if caps:
-            caps[int(rng.integers(len(caps)))].kind = "transmon"
+        if not caps:
+            return doc
+        comp = caps[int(rng.integers(len(caps)))]._replace(kind="transmon")
+    return replaced_in(doc, {comp.name: comp})
 
 
 def test_pad_index_gives_the_verdicts_of_a_full_scan():
-    # random documents: edits through the index, shapes written straight into
-    # components between them, and whole-chip checks; each verdict and first
+    # random documents: edits through the index, new documents built with
+    # odd shapes between them, and whole-chip checks; each verdict and first
     # error must be what a scan of every component gives
     rng = np.random.default_rng(2718)
     seen = set()
@@ -369,7 +427,7 @@ def test_pad_index_gives_the_verdicts_of_a_full_scan():
         for _ in range(30):
             roll = rng.random()
             if roll < 0.25:
-                _write_shape_directly(rng, doc)
+                doc = _with_odd_shapes(rng, doc)
                 continue
             if roll < 0.35:
                 expected = _first_error(lambda: _reference_check_shapes(doc))
@@ -383,7 +441,7 @@ def test_pad_index_gives_the_verdicts_of_a_full_scan():
             before = doc.to_json()
             assert _first_error(lambda: doc.edit(comp, staged)) == expected
             if expected is None:
-                assert comp.options[option] == staged[option]
+                assert doc.component(comp.name).options[option] == staged[option]
             else:
                 assert doc.to_json() == before
             seen.add(("edit", "ok" if expected is None else expected.split()[-1]))
@@ -488,11 +546,10 @@ def test_json_matches_reference_encoder_on_edge_values():
 
 
 def test_validate_rejects_duplicate_names_and_dangling_nets(star_layout):
-    star_layout.components.append(star_layout.component("Q_1"))
+    # the name table that finds a component by name refuses a second one
     with pytest.raises(LayoutError) as info:
-        star_layout.validate()
+        LayoutDocument(star_layout.chip, [*star_layout.components, star_layout.component("Q_1")])
     assert str(info.value) == "duplicate component name 'Q_1'"
-    star_layout.components.pop()
     star_layout.nets.append(("Q_0", "Q_99", "coupling"))
     with pytest.raises(LayoutError) as info:
         star_layout.validate()
@@ -571,23 +628,21 @@ def _odd_paths(chip) -> dict[str, list]:
 
 
 def test_odd_paths_get_the_verdict_of_a_point_by_point_walk(config):
-    # written straight into a connection, then checked by validate(); and,
-    # for two-point paths, set as the connection's anchors and committed by
-    # edit(); both must give the first error a point-by-point walk gives
+    # built into a connection of a new document, then checked by validate();
+    # and, for two-point paths, set as the connection's anchors and rebuilt
+    # by edit(); both must give the first error a point-by-point walk gives
     verdicts = {}
-    for name, line in _odd_paths(build_layout(grid_architecture(2, 2, np.full(4, 5.0)), config).chip).items():
-        doc = build_layout(grid_architecture(2, 2, np.full(4, 5.0)), config)
-        conn = doc.component("CONN_QC_0")
-        conn.polylines = [list(line)]
+    built = build_layout(grid_architecture(2, 2, np.full(4, 5.0)), config)
+    conn = built.component("CONN_QC_0")
+    for name, line in _odd_paths(built.chip).items():
+        doc = replaced_in(built, {conn.name: conn._replace(polylines=(tuple(line),))})
         expected = _first_error(lambda: _reference_check_shapes(doc))
         assert _first_error(doc.validate) == expected, name
         verdicts[name] = expected
         if len(line) == 2:
-            doc = build_layout(grid_architecture(2, 2, np.full(4, 5.0)), config)
-            conn = doc.component("CONN_QC_0")
-            conn.anchors = tuple(line)
-            assert _reference_edit(doc, conn, {}) == expected, name
-            assert _first_error(lambda: doc.edit(conn, {})) == expected, name
+            doc = replaced_in(built, {conn.name: conn._replace(anchors=tuple(line))})
+            assert _reference_edit(doc, doc.component(conn.name), {}) == expected, name
+            assert _first_error(lambda: doc.edit(conn.name, {})) == expected, name
     outside = f"CONN_QC_0: path {_OUTSIDE}"
     assert verdicts == {
         "nan_first": None, "nan_first_both": None, "nan_later": None, "on_tolerance": None,
