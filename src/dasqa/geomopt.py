@@ -6,12 +6,10 @@ simulated qubit frequencies, then inverted exactly to find the geometry that
 hits a target frequency: at a fixed gap it is one polynomial in height, whose
 roots give every height where it meets the target or comes closest to it.
 :func:`optimize_layout` applies the inverted geometries to the layout's
-transmons: one checked edit per transmon, and one batched solve per pad gap.
-``np.roots`` finds roots as the eigenvalues of a companion matrix (Edelman &
-Murakami, *Polynomial roots from companion matrix eigenvalues*, 1995), so all
-the distinct targets at one gap go through one ``eigvals`` call on stacked
-companion matrices built as ``np.roots`` builds them, with bit-identical
-roots; :func:`invert_for_geometry` is that batch with one target.
+transmons: one checked edit per transmon, and one solve per distinct
+``(target, fixed gap)``, which the model keeps. A solve takes ``np.roots``
+twice per gap it tries, of the height polynomial minus the target and of its
+derivative; :func:`invert_for_geometry` is the same solve, not kept.
 
 A bundled synthetic table (``data/pad_geometry.csv``, regenerable with
 ``python -m dasqa.data.make_pad_geometry``) stands in for simulation data;
@@ -47,7 +45,7 @@ import numpy as np
 
 from .circuit import MAX_QUBITS
 from .config import MAX_POLY_DEGREE, DesignConfig
-from .errors import DasqaError, GeometryError, UnreachableTargetError, read_text
+from .errors import GeometryError, LayoutError, UnreachableTargetError, read_text
 from .layout import LayoutDocument, fmt_um, length_um, round9
 
 INVERT_TOL_GHZ = 1e-6
@@ -247,46 +245,15 @@ def predict_frequency(model: GeometryModel, gap_um: float, height_um: float) -> 
     )
 
 
-def _real_roots(polys: np.ndarray) -> np.ndarray:
-    """Real parts of the roots of each row of ``polys`` (highest power first),
-    found as :func:`np.roots` finds them, with one ``eigvals`` call per
-    stripped shape: leading zeros are dropped, each trailing zero is a root
-    at 0, and the rest are the eigenvalues of the companion matrix whose first
-    row is ``-p[1:] / p[0]``. A row with fewer than ``n - 1`` roots is padded
-    with nan."""
-    rows, n = polys.shape
-    out = np.full((rows, max(n - 1, 0)), np.nan)
-    if n < 2:
-        return out
-    nonzero = polys != 0
-    first = nonzero.argmax(axis=1)
-    last = n - 1 - nonzero[:, ::-1].argmax(axis=1)
-    for lo, hi in set(zip(first.tolist(), last.tolist())):
-        sel = (first == lo) & (last == hi) & nonzero[:, lo]  # an all-zero row has no roots
-        if not sel.any():
-            continue
-        m = hi - lo
-        if m:
-            p = polys[sel, lo:hi + 1]
-            companion = np.zeros((len(p), m, m))
-            companion[:, 1:, :-1] = np.eye(m - 1)
-            companion[:, 0, :] = -p[:, 1:] / p[:, :1]
-            out[sel, :m] = np.linalg.eigvals(companion).real
-        out[sel, m:n - 1 - lo] = 0.0
-    return out
-
-
 def _invert(
-    model: GeometryModel, targets: list[float], fixed_gap_um: float | None
-) -> list[tuple[float, float] | float | Exception]:
-    """Per finite target: (gap, height), the nearest candidate frequency when
-    no gap reaches it, or the exception its solve raised at some gap before
-    it was reached, returned so the caller raises it in turn.
+    model: GeometryModel, target: float, fixed_gap_um: float | None
+) -> tuple[float, float] | float:
+    """(gap, height) that meets the finite ``target``, or the nearest
+    candidate frequency when no gap does.
 
-    At each gap the targets still open are solved together: the crossings of
-    every target are the roots of the height polynomial minus that target,
-    one batch, and the turning points are the roots of its derivative, once.
-    Per target, the crossings and turning points inside the training bounds
+    At each gap the crossings are the roots of the height polynomial minus
+    the target, and the turning points the roots of its derivative, real
+    parts taken. The crossings and turning points inside the training bounds
     and the bounds themselves are the candidates, in ascending order; the
     first within ``INVERT_TOL_GHZ`` is the height, and otherwise the candidate
     of least error (the lowest on ties) competes for the nearest frequency,
@@ -297,55 +264,19 @@ def _invert(
     else:
         gaps = [float(fixed_gap_um)]
     h_lo, h_hi = model.height_bounds
-    outcomes: list = [None] * len(targets)
-    wanted = np.array(targets, dtype=float)
-    best_err, best_val = np.full(len(targets), np.inf), np.full(len(targets), np.nan)
-    pending = np.arange(len(targets))
+    nearest = (np.inf, np.nan)  # (error, frequency)
     for gap in gaps:
-        if not pending.size:
-            break
-        k = len(pending)
-        try:
-            poly = _height_polynomial(model, gap)
-            n = len(poly)
-            # rows 0..k-1 are the polynomial minus each target, as np.polysub
-            # gives them; row k is its derivative behind a leading zero, which
-            # the root finder strips as np.roots does
-            polys = np.empty((k + 1, n))
-            polys[:k] = poly
-            polys[:k, -1] = poly[-1] - wanted[pending]
-            polys[k, 0] = 0.0
-            polys[k, 1:] = np.polyder(poly)
-            roots = _real_roots(polys)
-            candidates = np.empty((k, 2 * n))
-            candidates[:, :n - 1] = roots[:k]
-            candidates[:, n - 1:-2] = roots[k]
-            candidates[:, -2:] = h_lo, h_hi
-            inside = (h_lo <= candidates) & (candidates <= h_hi)
-            inside[:, -2:] = True  # the bounds are always candidates
-            heights = np.sort(np.where(inside, candidates, np.inf), axis=1)
-            live = np.arange(2 * n) < inside.sum(axis=1, keepdims=True)
-            values = np.polyval(poly, np.where(live, heights, h_lo))
-            errors = np.abs(values - wanted[pending, None])
-            errors[~live] = np.inf
-        except (ArithmeticError, np.linalg.LinAlgError) as exc:  # the polynomial overflows or is not finite
-            for i in pending.tolist():
-                outcomes[i] = exc
-            return outcomes
-        hit = errors <= INVERT_TOL_GHZ
-        reached = hit.any(axis=1)
-        rows = np.arange(k)
-        first_hit = heights[rows, hit.argmax(axis=1)]
-        for i, height in zip(pending[reached].tolist(), first_hit[reached].tolist()):
-            outcomes[i] = (gap, height)
-        k = errors.argmin(axis=1)
-        err, val = errors[rows, k], values[rows, k]
-        closer = (err < best_err[pending]) | ((err == best_err[pending]) & (val < best_val[pending]))
-        best_err[pending[closer]], best_val[pending[closer]] = err[closer], val[closer]
-        pending = pending[~reached]
-    for i in pending.tolist():
-        outcomes[i] = float(best_val[i])
-    return outcomes
+        poly = _height_polynomial(model, gap)
+        roots = np.concatenate([np.roots(np.polysub(poly, [target])), np.roots(np.polyder(poly))]).real
+        heights = np.sort(np.append(roots[(h_lo <= roots) & (roots <= h_hi)], (h_lo, h_hi)))
+        values = np.polyval(poly, heights)
+        errors = np.abs(values - target)
+        hits = np.flatnonzero(errors <= INVERT_TOL_GHZ)
+        if hits.size:
+            return gap, float(heights[hits[0]])
+        k = int(errors.argmin())
+        nearest = min(nearest, (float(errors[k]), float(values[k])))
+    return nearest[1]
 
 
 def _unreachable(f_target_ghz: float, nearest_ghz: float) -> UnreachableTargetError:
@@ -375,11 +306,9 @@ def invert_for_geometry(
     tried; without it, ``GRID_POINTS`` gaps across the training bounds are
     tried in ascending order and the first that reaches the target wins.
     Unreachable targets raise, naming the nearest candidate frequency.
-    This is :func:`optimize_layout`'s batched solve with one target.
+    This is :func:`optimize_layout`'s solve, unrounded and not kept.
     """
-    (outcome,) = _invert(model, [_finite_target(f_target_ghz)], fixed_gap_um)
-    if isinstance(outcome, Exception):
-        raise outcome
+    outcome = _invert(model, _finite_target(f_target_ghz), fixed_gap_um)
     if isinstance(outcome, float):
         raise _unreachable(f_target_ghz, outcome)
     return outcome
@@ -408,18 +337,16 @@ def optimize_layout(
     searches both. Unreachable targets are reported and skipped; the rest of
     the layout is still updated.
 
-    Each distinct ``(target, fixed gap)`` is solved once per model, which
-    keeps the outcome for later calls (see the module docstring); the
-    targets at one gap that it has not solved yet go in one batch. Every
-    transmon that shares a solve gets the same geometry or the same nearest
-    frequency.
-    Each transmon still gets its own :meth:`LayoutDocument.edit`, found by
-    name, which sets ``pad_gap`` and ``pad_height`` together, checks the
-    rebuilt pads against the chip and the transmons near them, and puts the
-    new transmon in its slot, so the result needs no whole-chip check and
-    each edit does work that does not grow with the chip. Errors are raised
-    in transmon order: the solves run first, but an error is raised only
-    once the transmons before it are edited.
+    The transmons are taken in order, and each ``(target, fixed gap)`` is
+    solved once per model, which keeps the outcome for later transmons and
+    calls (see the module docstring), so every transmon that shares a solve
+    gets the same geometry or the same nearest frequency. Each transmon gets
+    its own :meth:`LayoutDocument.edit`, found by name, which sets
+    ``pad_gap`` and ``pad_height`` together, checks the rebuilt pads against
+    the chip and the transmons near them, and puts the new transmon in its
+    slot, so the result needs no whole-chip check and each edit does work
+    that does not grow with the chip. An error stops the loop at its
+    transmon, so errors are raised in transmon order.
     """
     freqs = np.asarray(frequencies, dtype=float)
     transmons = layout.by_kind("transmon")
@@ -428,64 +355,40 @@ def optimize_layout(
             f"layout has {len(transmons)} transmon(s), got {len(freqs)} frequencies"
         )
     fixed = config.geometry.invert_mode == "fixed_gap"
-    plan: list[tuple[str, float, float | None]] = []
-    stop: Exception | None = None  # raised at the transmon after the planned ones
-    for q, f_target in enumerate(freqs):
-        try:
-            comp = layout.component(f"Q_{q}")
-            target = float(f_target)
-            gap = length_um(comp.options["pad_gap"]) if fixed else None
-            plan.append((comp.name, _finite_target(target), gap))
-        except (DasqaError, KeyError) as exc:  # a missing pad_gap option is a KeyError
-            stop = exc
-            break
-    # fixed gap (None in free mode) -> its distinct targets, in first-seen order
-    by_gap: dict[float | None, dict[float, None]] = {}
-    for _, target, gap in plan:
-        by_gap.setdefault(gap, {})[target] = None
-    solved = {
-        (target, gap): outcome
-        for gap, targets in by_gap.items()
-        for target, outcome in zip(targets, _solve(model, list(targets), gap))
-    }
     results: list[QubitGeometryResult] = []
-    for name, target, gap in plan:
-        outcome = solved[target, gap]
-        if isinstance(outcome, Exception):
-            raise outcome
+    for q, f_target in enumerate(freqs):
+        comp = layout.component(f"Q_{q}")
+        target = _finite_target(float(f_target))
+        gap = None
+        if fixed:
+            if "pad_gap" not in comp.options:
+                raise LayoutError(f"{comp.name}: transmon has no pad_gap option")
+            gap = length_um(comp.options["pad_gap"])
+        outcome = _solve(model, target, gap)
         if isinstance(outcome, float):
-            results.append(QubitGeometryResult(name, target, error=str(_unreachable(target, outcome))))
+            results.append(QubitGeometryResult(comp.name, target, error=str(_unreachable(target, outcome))))
             continue
         gap, height, achieved = outcome
-        layout.edit(name, {"pad_gap": fmt_um(gap), "pad_height": fmt_um(height)})
-        results.append(QubitGeometryResult(name, target, achieved, gap, height))
-    if stop is not None:
-        raise stop
+        layout.edit(comp.name, {"pad_gap": fmt_um(gap), "pad_height": fmt_um(height)})
+        results.append(QubitGeometryResult(comp.name, target, achieved, gap, height))
     return layout, results
 
 
 def _solve(
-    model: GeometryModel, targets: list[float], fixed_gap: float | None
-) -> list[tuple[float, float, float] | float | Exception]:
-    """:func:`_invert`, with each (gap, height) rounded to the 9 significant
-    digits of the stored options and the frequency predicted there added.
-
-    Only the targets the model has not kept at this gap are inverted, in one
-    batch; a target's outcome does not depend on the batch, since every
-    companion matrix's eigenvalues are found on their own. The new outcomes
-    are kept, except exceptions: a kept one would grow its traceback at every
-    re-raise."""
+    model: GeometryModel, target: float, fixed_gap: float | None
+) -> tuple[float, float, float] | float:
+    """The model's kept outcome for ``(target, fixed_gap)``, or else
+    :func:`_invert`'s, with (gap, height) rounded to the 9 significant digits
+    of the stored options and the frequency predicted there added, kept for
+    the next call. A solve that raises keeps nothing."""
     kept = model._solves
-    new = [target for target in targets if (target, fixed_gap) not in kept]
-    solved = dict(zip(new, _invert(model, new, fixed_gap))) if new else {}
-    for target, outcome in solved.items():
+    outcome = kept.get((target, fixed_gap))
+    if outcome is None:
+        outcome = _invert(model, target, fixed_gap)
         if isinstance(outcome, tuple):
             gap, height = round9(outcome[0]), round9(outcome[1])
-            solved[target] = (gap, height, predict_frequency(model, gap, height).frequency_ghz)
-    outcomes = [solved[t] if t in solved else kept[t, fixed_gap] for t in targets]
-    for target, outcome in solved.items():
-        if not isinstance(outcome, Exception):
-            if len(kept) >= SOLVE_MEMO_SIZE:
-                del kept[next(iter(kept))]  # the oldest goes first
-            kept[target, fixed_gap] = outcome
-    return outcomes
+            outcome = (gap, height, predict_frequency(model, gap, height).frequency_ghz)
+        if len(kept) >= SOLVE_MEMO_SIZE:
+            del kept[next(iter(kept))]  # the oldest goes first
+        kept[target, fixed_gap] = outcome
+    return outcome

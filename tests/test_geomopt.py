@@ -430,13 +430,13 @@ def test_optimized_layout_passes_whole_chip_check_or_is_rejected(
 
 
 def _count_inversions(monkeypatch) -> list:
-    """Record (targets, fixed gap) of each batched solve from here on."""
+    """Record (target, fixed gap) of each solve from here on."""
     calls = []
     real_invert = geomopt._invert
 
-    def counting_invert(model, targets, fixed_gap):
-        calls.append((tuple(targets), fixed_gap))
-        return real_invert(model, targets, fixed_gap)
+    def counting_invert(model, target, fixed_gap):
+        calls.append((target, fixed_gap))
+        return real_invert(model, target, fixed_gap)
 
     monkeypatch.setattr(geomopt, "_invert", counting_invert)
     return calls
@@ -448,28 +448,28 @@ def fresh_model() -> GeometryModel:
 
 
 def test_optimize_layout_solves_each_distinct_target_once(monkeypatch, config):
-    # each distinct (target, gap) is solved exactly once per model, in one
-    # batch per gap
+    # each distinct (target, gap) is solved exactly once per model, in
+    # first-seen order
     n = 36
     freqs = np.resize(REFERENCE_FREQS, n)
     layout = build_layout(grid_architecture(6, 6, freqs), config)
     model = fresh_model()
     calls = _count_inversions(monkeypatch)
     layout, results = optimize_layout(layout, freqs, config, model)
-    assert calls == [(tuple(REFERENCE_FREQS), 30.0)]
+    assert calls == [(f, 30.0) for f in REFERENCE_FREQS]
     # a transmon whose fixed gap differs shares no solve with its target's
     # others; the model solves only that new pair
     layout = build_layout(grid_architecture(6, 6, freqs), config)
     layout.edit("Q_5", {"pad_gap": "20um"})
     calls.clear()
     layout, results = optimize_layout(layout, freqs, config, model)
-    assert calls == [((float(freqs[5]),), 20.0)]
+    assert calls == [(float(freqs[5]), 20.0)]
     # a fresh model solves every pair again
     layout = build_layout(grid_architecture(6, 6, freqs), config)
     layout.edit("Q_5", {"pad_gap": "20um"})
     calls.clear()
     layout, again = optimize_layout(layout, freqs, config, fresh_model())
-    assert calls == [(tuple(REFERENCE_FREQS), 30.0), ((float(freqs[5]),), 20.0)]
+    assert calls == [(f, 30.0) for f in REFERENCE_FREQS] + [(float(freqs[5]), 20.0)]
     assert again == results
     # every transmon still gets the geometry its own solve gives
     for q, r in enumerate(results):
@@ -481,7 +481,8 @@ def test_optimize_layout_solves_each_distinct_target_once(monkeypatch, config):
 
 
 def test_a_solve_that_raises_is_not_kept(monkeypatch, star_arch, config):
-    # the surrogate overflows at this gap; each call solves and raises anew
+    # the surrogate overflows at Q_0's gap, which stops the loop before any
+    # other solve; nothing is kept, so each call solves and raises anew
     model = fresh_model()
     calls = _count_inversions(monkeypatch)
     raised = []
@@ -492,10 +493,10 @@ def test_a_solve_that_raises_is_not_kept(monkeypatch, star_arch, config):
         with pytest.raises(OverflowError) as info:
             optimize_layout(layout, REFERENCE_FREQS, config, model)
         raised.append(info.value)
-    at_huge_gap = ((REFERENCE_FREQS[0],), 1e200)
-    assert calls == [at_huge_gap, (tuple(REFERENCE_FREQS[1:]), 30.0), at_huge_gap]
+    at_huge_gap = (REFERENCE_FREQS[0], 1e200)
+    assert calls == [at_huge_gap, at_huge_gap]
     assert raised[0] is not raised[1]
-    assert sorted(model._solves) == sorted((f, 30.0) for f in REFERENCE_FREQS[1:])
+    assert model._solves == {}
 
 
 def test_dataset_and_model_arrays_are_read_only_copies():
@@ -518,7 +519,7 @@ def test_repeated_unreachable_targets_each_get_their_own_result(monkeypatch, sta
     calls = _count_inversions(monkeypatch)
     targets = [9.99, 5.06, 9.99, 9.99, 5.24]
     layout, results = optimize_layout(layout, targets, config, model)
-    assert calls == [((9.99, 5.06, 5.24), 30.0)]
+    assert calls == [(9.99, 30.0), (5.06, 30.0), (5.24, 30.0)]
     failures = [r for r in results if r.error is not None]
     assert [r.qubit for r in failures] == ["Q_0", "Q_2", "Q_3"]
     assert all(r.target_ghz == 9.99 and r.achieved_ghz is None for r in failures)
@@ -563,12 +564,12 @@ def _reference_solve(model: GeometryModel, target: float, fixed_gap: float | Non
             f"nearest achievable is {best[1]:.6g} GHz", best[1])
 
 
-def _batched_solve(model: GeometryModel, targets: list[float], fixed_gap: float | None) -> list:
-    """The same, through the batched solve ``optimize_layout`` uses."""
+def _solve_each(model: GeometryModel, targets: list[float], fixed_gap: float | None) -> list:
+    """The same, through the solve ``optimize_layout`` uses, one target at a time."""
     return [
         (str(err := geomopt._unreachable(target, outcome)), err.nearest_ghz)
         if isinstance(outcome, float) else outcome
-        for target, outcome in zip(targets, geomopt._solve(model, targets, fixed_gap))
+        for target, outcome in ((t, geomopt._solve(model, t, fixed_gap)) for t in targets)
     ]
 
 
@@ -599,8 +600,8 @@ def test_batched_solve_matches_per_target_roots_bit_for_bit(degree):
         targets = [float(np.polyval(poly, rng.uniform(*model.height_bounds))) for _ in range(4)]
         targets += [float(poly[-1]), float(rng.uniform(3.0, 7.0)), 0.0, -0.0, targets[0]]
         targets = list(dict.fromkeys(targets))  # 0.0 == -0.0: one of them stays
-        batched = _batched_solve(model, targets, fixed_gap)
-        for target, outcome in zip(targets, batched):
+        solved = _solve_each(model, targets, fixed_gap)
+        for target, outcome in zip(targets, solved):
             assert repr(outcome) == repr(_reference_solve(model, target, fixed_gap))
             kinds.add("unreached" if isinstance(outcome[0], str) else "met")
         kinds.update("complex" for target in targets if np.iscomplexobj(np.roots(poly - target)))
@@ -610,8 +611,8 @@ def test_batched_solve_matches_per_target_roots_bit_for_bit(degree):
 
 def test_batched_solve_keeps_zero_targets_apart_and_rejects_non_finite_ones():
     model = parabola_model(221.0)
-    assert _batched_solve(model, [0.0], 30.0) == [_reference_solve(model, 0.0, 30.0)]
-    assert _batched_solve(model, [-0.0], 30.0) == [_reference_solve(model, -0.0, 30.0)]
+    assert _solve_each(model, [0.0], 30.0) == [_reference_solve(model, 0.0, 30.0)]
+    assert _solve_each(model, [-0.0], 30.0) == [_reference_solve(model, -0.0, 30.0)]
     assert "target -0 GHz" in _reference_solve(model, -0.0, 30.0)[0]
     for bad in (np.nan, np.inf, -np.inf):
         with pytest.raises(GeometryError, match="must be finite"):
@@ -622,12 +623,12 @@ def test_batched_solve_keeps_zero_targets_apart_and_rejects_non_finite_ones():
     straddle = GeometryModel(2, model.coefficients, model.gap_bounds, (-50.0, 50.0))
     constant = float(geomopt._height_polynomial(straddle, 30.0)[-1])
     for target in (constant, constant + 1e-3):
-        assert repr(_batched_solve(straddle, [target], 30.0)) == repr([_reference_solve(straddle, target, 30.0)])
+        assert repr(_solve_each(straddle, [target], 30.0)) == repr([_reference_solve(straddle, target, 30.0)])
     assert invert_for_geometry(straddle, constant, 30.0) == (30.0, 0.0)
     # bounds given high first leave no root inside, yet both stay candidates
     swapped = GeometryModel(2, model.coefficients, model.gap_bounds, model.height_bounds[::-1])
     for target in (5.0001, 5.2, 4.9):
-        assert repr(_batched_solve(swapped, [target], 30.0)) == repr([_reference_solve(swapped, target, 30.0)])
+        assert repr(_solve_each(swapped, [target], 30.0)) == repr([_reference_solve(swapped, target, 30.0)])
 
 
 @pytest.mark.parametrize("invert_mode", ["fixed_gap", "free"])
@@ -643,6 +644,42 @@ def test_optimize_layout_matches_per_target_solves(invert_mode, config):
             assert (r.error, r.achieved_ghz) == (expected[0], None)
         else:
             assert repr((r.pad_gap_um, r.pad_height_um, r.achieved_ghz)) == repr(expected)
+
+
+@pytest.mark.parametrize("invert_mode", ["fixed_gap", "free"])
+def test_a_warm_model_designs_what_a_cold_one_designs(monkeypatch, invert_mode):
+    # repeated, unreachable and zero targets of both signs: the second run
+    # finds every solve kept, and gives the same results and bytes
+    targets = np.resize([5.06, 9.99, 0.0, 5.24, -0.0, 5.06, 4.0, 5.27, 9.99], 36)
+    cfg = config_from_dict({"geometry": {"invert_mode": invert_mode}})
+    model = fresh_model()
+    calls = _count_inversions(monkeypatch)
+    runs = []
+    for _ in range(2):
+        layout = build_layout(grid_architecture(6, 6, np.full(36, 5.0)), cfg)
+        layout, results = optimize_layout(layout, targets, cfg, model)
+        runs.append((repr(results), layout.to_json()))
+    gap = 30.0 if invert_mode == "fixed_gap" else None
+    assert calls == [(f, gap) for f in (5.06, 9.99, 0.0, 5.24, 4.0, 5.27)]  # 0.0 == -0.0
+    assert runs[0] == runs[1]
+    assert "target -0 GHz" in results[4].error and "target 0 GHz" in results[2].error
+
+
+def test_a_transmon_without_a_pad_gap_is_a_layout_error(star_arch, config):
+    layout = build_layout(star_arch, config)
+    q2 = layout.component("Q_2")
+    no_gap = {k: v for k, v in q2.options.items() if k != "pad_gap"}
+    layout = replaced_in(layout, {"Q_2": q2._replace(options=no_gap)})
+    layout.validate()
+    with pytest.raises(LayoutError, match=r"^Q_2: transmon has no pad_gap option$"):
+        optimize_layout(layout, REFERENCE_FREQS, config, fresh_model())
+    # the transmons before it are tuned, those after it are not reached
+    assert layout.component("Q_1").options["pad_height"] != "90um"
+    assert layout.component("Q_3").options["pad_height"] == "90um"
+    # free mode reads no gap, and sets one
+    free = config_from_dict({"geometry": {"invert_mode": "free"}})
+    layout, results = optimize_layout(layout, REFERENCE_FREQS, free, fresh_model())
+    assert results[2].error is None and "pad_gap" in layout.component("Q_2").options
 
 
 def test_optimize_layout_raises_errors_in_transmon_order(config):

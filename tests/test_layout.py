@@ -550,10 +550,20 @@ def test_validate_rejects_duplicate_names_and_dangling_nets(star_layout):
     with pytest.raises(LayoutError) as info:
         LayoutDocument(star_layout.chip, [*star_layout.components, star_layout.component("Q_1")])
     assert str(info.value) == "duplicate component name 'Q_1'"
-    star_layout.nets.append(("Q_0", "Q_99", "coupling"))
+    dangling = LayoutDocument(
+        star_layout.chip, star_layout.components, [*star_layout.nets, ("Q_0", "Q_99", "coupling")]
+    )
     with pytest.raises(LayoutError) as info:
-        star_layout.validate()
+        dangling.validate()
     assert str(info.value) == "net endpoint 'Q_99' does not exist"
+    # the document owns its nets and chip: neither can be changed after validate()
+    star_layout.validate()
+    with pytest.raises(AttributeError):
+        star_layout.nets.append(("Q_0", "Q_99", "coupling"))
+    with pytest.raises(AttributeError):
+        star_layout.chip = (0.0, 0.0, 1.0, 1.0)
+    with pytest.raises(TypeError):
+        star_layout.nets[0][0] = "Q_99"
 
 
 @pytest.mark.parametrize(

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 import yaml
 
-from dasqa import cli, geomopt
+from dasqa import cli, geomopt, router
 from dasqa.archgen import Architecture, CouplingGraph, detuning_violations
 from dasqa.circuit import Gate, GateKind, InteractionGraph, QuantumCircuit, to_qasm
 from dasqa.config import FrequencyConfig
@@ -265,6 +265,28 @@ def test_flow_above_the_simulation_guard_reports_no_equivalence_result(tmp_path)
     run_flow(circuit, config, out_dir=tmp_path / "b")
     for name in OUTPUT_NAMES:
         assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+
+@pytest.mark.parametrize("n, expected", [(9, True), (16, None)])
+def test_run_flow_walks_the_routing_once(tmp_path, monkeypatch, n, expected):
+    # validate_routing's replay proves the routing equivalent, so the flow
+    # reports that without check_equivalence walking the same gates again
+    check_equivalence = router.check_equivalence
+
+    def second_walk(*args):
+        raise AssertionError("run_flow called check_equivalence")
+
+    monkeypatch.setattr(router, "check_equivalence", second_walk)
+    config = tmp_path / "config.yml"
+    config.write_text(yaml.safe_dump(BENCH_CONFIG), encoding="utf-8")
+    qc = mixed_circuit(n, 10 * n, 3)
+    circuit = tmp_path / f"mixed_{n}.qasm"
+    circuit.write_text(to_qasm(qc), encoding="utf-8")
+    result = run_flow(circuit, config, out_dir=tmp_path / "out")
+    assert result.equivalence_ok is expected
+    assert json.loads(result.report_path.read_text())["routing"]["equivalence_ok"] is expected
+    if expected is not None:  # what the dense check gives, below the simulation guard
+        assert check_equivalence(qc, router.route(qc, result.architecture)) is expected
 
 
 def test_report_structure(tmp_path):
