@@ -23,6 +23,7 @@ import numpy as np
 from .circuit import MAX_QUBITS as MAX_COUPLING_QUBITS, InteractionGraph, QuantumCircuit, interaction_graph
 from .config import FREQ_EPS, DesignConfig
 from .errors import ArchitectureError, DasqaError, FrequencyAllocationError, PlacementError, read_text
+from .jsontext import IN, array, int_array, number
 
 # cells x (qubits + 1): a pick next to no placed qubit scans the free cells, and the
 # exchange pass keeps tables of cells x qubits
@@ -49,6 +50,7 @@ class CouplingGraph:
             self._adj[a].add(b)
             self._adj[b].add(a)
         self._dist: np.ndarray | None = None
+        self._hops: tuple[tuple[int, ...], ...] | None = None
 
     def neighbors(self, q: int) -> set[int]:
         return self._adj[q]
@@ -65,25 +67,39 @@ class CouplingGraph:
     def distances(self) -> np.ndarray:
         """All-pairs shortest path lengths (BFS); unreachable = -1."""
         if self._dist is None:
-            n = self.num_qubits
-            rows = []
-            for src in range(n):
-                row = [-1] * n
-                row[src] = 0
-                frontier = [src]
-                d = 0
-                while frontier:
-                    d += 1
-                    nxt = []
-                    for u in frontier:
-                        for v in self._adj[u]:
-                            if row[v] < 0:
-                                row[v] = d
-                                nxt.append(v)
-                    frontier = nxt
-                rows.append(row)
-            self._dist = np.array(rows, dtype=np.int64).reshape(n, n)
+            self._shortest_paths()
         return self._dist
+
+    def hop_table(self) -> tuple[tuple[int, ...], ...]:
+        """The :meth:`distances` as nested tuples, unreachable pairs costing
+        ``num_qubits**2``: the cost table of initial mapping and routing,
+        kept by the graph like its distances."""
+        if self._hops is None:
+            self._shortest_paths()
+        return self._hops
+
+    def _shortest_paths(self) -> None:
+        """Both distance tables, from one BFS per qubit."""
+        n = self.num_qubits
+        rows = []
+        for src in range(n):
+            row = [-1] * n
+            row[src] = 0
+            frontier = [src]
+            d = 0
+            while frontier:
+                d += 1
+                nxt = []
+                for u in frontier:
+                    for v in self._adj[u]:
+                        if row[v] < 0:
+                            row[v] = d
+                            nxt.append(v)
+                frontier = nxt
+            rows.append(row)
+        self._dist = np.array(rows, dtype=np.int64).reshape(n, n)
+        unreachable = n * n
+        self._hops = tuple([tuple([d if d >= 0 else unreachable for d in row]) for row in rows])
 
     def is_connected(self) -> bool:
         """One search from qubit 0 reaches every qubit; no distance table is built."""
@@ -164,12 +180,16 @@ class Architecture:
                 raise ArchitectureError(f"detuning violations: {bad}")
 
     def to_json(self) -> str:
-        return json.dumps({
-            "num_qubits": self.num_qubits,
-            "layout": [[int(v) for v in row] for row in self.layout],
-            "edges": [list(e) for e in self.coupling.sorted_edges()],
-            "frequencies_ghz": [float(f) for f in self.frequencies],
-        }, indent=2) + "\n"
+        """``architecture.json``: the bytes ``json.dumps(..., indent=2)`` gives
+        the architecture's qubit count, grid rows, sorted coupling edges and
+        frequencies, written from a template (:mod:`dasqa.jsontext`)."""
+        layout = array([int_array(map(int, row), 2) for row in self.layout], 1)
+        edges = array([int_array(e, 2) for e in self.coupling.sorted_edges()], 1)
+        frequencies = array([number(float(f)) for f in self.frequencies], 1)
+        return (
+            f'{{{IN[1]}"num_qubits": {self.num_qubits},{IN[1]}"layout": {layout},'
+            f'{IN[1]}"edges": {edges},{IN[1]}"frequencies_ghz": {frequencies}\n}}\n'
+        )
 
 
 def load_coupling(path: str | Path) -> CouplingGraph:

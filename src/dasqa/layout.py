@@ -34,13 +34,13 @@ import functools
 import math
 import re
 from collections.abc import Iterable, Mapping
-from json.encoder import encode_basestring_ascii as _json_str
 from types import MappingProxyType
 from typing import NamedTuple
 
 from .archgen import EMPTY, Architecture
 from .config import DesignConfig, LayoutConfig
 from .errors import LayoutError
+from .jsontext import IN as _IN, SEP as _SEP, number, string as _json_str
 from .resonator import (
     COUPLER_CLEARANCE_UM,
     READOUT_SPAN_UM,
@@ -344,13 +344,6 @@ class LayoutDocument:
         )
 
 
-_JSON_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
-
-# a newline and the indent of each nesting depth of layout.json, and a comma before it
-_IN = tuple("\n" + "  " * depth for depth in range(8))
-_SEP = tuple("," + indent for indent in _IN)
-
-
 class _NumberTexts(dict):
     """Number -> its layout.json text, filled as it is read, so each distinct
     value is formatted once per document. Zero is never stored: ``0.0 == -0.0``
@@ -359,8 +352,7 @@ class _NumberTexts(dict):
     def __missing__(self, value: float) -> str:
         if not value:
             return "-0.0" if math.copysign(1.0, value) < 0 else "0.0"
-        text = repr(round9(value))
-        self[value] = text = _JSON_NON_FINITE.get(text, text)
+        self[value] = text = number(round9(value))
         return text
 
 

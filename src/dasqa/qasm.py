@@ -17,19 +17,28 @@ before anything is parsed, so an unexpected character anywhere is reported
 first. A token carries only its text, kind and source offset; line and
 column are computed from the offset when a diagnostic is raised.
 
-The pattern's first alternative matches a run of up to ``_MAX_RUN`` simple
-gate statements, ``name[(numeric literal)] reg[i](, reg[j])?;`` (OpenQASM
-2.0, arXiv:1707.03429), with only whitespace between them. At a statement
-start such a run is one token. The parser splits it at its ``;``s and looks
-each statement's text, less leading whitespace, up in a per-parse memo; a
-text it has not seen is matched by the one-statement pattern and its
-``Gate`` built straight from the groups, once. Registers are never
-redeclared, so a text names the same qubits all through the parse. A run
-elsewhere, or one in which a register, index or gate check fails, is read
-whole as plain tokens by the one grammar below, none of its gates kept, so
-every diagnostic comes from there. The run is bounded because the regex
-engine keeps backtracking state for every repetition it has taken: parsing
-10 000 gates in one unbounded run peaks at 13.5 MB, in runs of 64 at 0.6 MB.
+The pattern's first alternative matches a run of up to ``_MAX_RUN`` run
+statements with only whitespace between them. A run statement is a gate
+name followed only by characters that a simple gate statement,
+``name[(numeric literal)] reg[i](, reg[j])?;`` (OpenQASM 2.0,
+arXiv:1707.03429), can hold (letters, digits, ``_``, whitespace and
+``[](),.+-``), up to its ``;``: one character-class repeat, for which the
+regex engine keeps no state per character. Of those characters only a "."
+can be a bad one, and only when no digit follows it; the scan reads a run
+holding such a "." as plain tokens to find out, so the first bad character
+of the source is still the first reported. At a statement start a run is
+one token. The parser splits it at its ``;``s and looks each statement's
+text, less leading whitespace, up in a per-parse memo; a text it has not
+seen is matched by the one-statement pattern and its ``Gate`` built
+straight from the groups, once. Registers are never redeclared, so a text
+names the same qubits all through the parse. A run elsewhere, or one
+holding a text the one-statement pattern rejects (``rz(pi)``, ``h(1.0)``)
+or in which a register, index or gate check fails, is read whole as plain
+tokens by the one grammar below, none of its gates kept, so the token path
+gives its gates or its diagnostic. The run is bounded because the regex
+engine keeps backtracking state for every repetition of the run it has
+taken: parsing 10 000 gates in one unbounded run peaks at 2.7 MB
+(tracemalloc), in runs of 64 at 0.57 MB.
 """
 from __future__ import annotations
 
@@ -70,8 +79,10 @@ _MAX_RUN = 64  # statements one "stmt" token may hold
 _FLAGS = re.VERBOSE | re.DOTALL | re.ASCII  # OpenQASM digits and spaces are ASCII
 _STMT_RE = re.compile(_STMT, _FLAGS)
 _PLAIN_RE = re.compile(_PLAIN, _FLAGS)
-_RUN_STMT = re.sub(r"\(\?P<\w+>", "(?:", _STMT)  # a repeat cannot hold named groups
+# a run statement, less its ";" (module docstring)
+_RUN_STMT = rf"(?:{_GATE_NAMES}) [A-Za-z0-9_\s\[\](),.+\-]*"
 _TOKEN_RE = re.compile(rf"(?P<stmt> {_RUN_STMT}; (?: \s* {_RUN_STMT}; ){{0,{_MAX_RUN - 1}}} ) | {_PLAIN}", _FLAGS)
+_BARE_DOT_RE = re.compile(r"\.(?![0-9])")
 
 # Parentheses an angle expression may nest; each level costs three frames of
 # the recursive-descent parser, so this stays far below the recursion limit.
@@ -98,9 +109,11 @@ def _line_column(source: str, pos: int) -> tuple[int, int]:
 def _tokenize(source: str) -> list[_Token]:
     """Tokens of ``source``, scanned to the end before any is parsed.
 
-    A run of simple gate statements right after a ``;`` (so at a statement
-    start, since a ``;`` read anywhere else is an error at once) is one
-    "stmt" token; elsewhere its text is read as plain tokens.
+    A run of statements right after a ``;`` (so at a statement start, since
+    a ``;`` read anywhere else is an error at once) is one "stmt" token;
+    elsewhere its text is read as plain tokens. A run with a "." that no
+    digit follows is read as plain tokens as well, to find out whether that
+    "." is a bad character, and kept whole when it is not.
     """
     tokens = []
     append = tokens.append
@@ -110,24 +123,38 @@ def _tokenize(source: str) -> list[_Token]:
         if kind == "skip":
             continue
         if kind == "stmt":
-            if at_start:
-                append((m.group(), kind, m.start()))
-            else:
+            if not at_start:
                 tokens += _plain_tokens(source, m.start(), m.end())
                 at_start = True
+                continue
+            text = m.group()
+            if "." in text and _BARE_DOT_RE.search(text):
+                _plain_tokens(source, m.start(), m.end())  # raises at a bad "."
+            append((text, kind, m.start()))
             continue
         if kind == "bad":
-            raise QasmError(f"unexpected character {m.group()!r}", *_line_column(source, m.start()))
+            raise _bad_character(source, m)
         text = m.group()
         append((text, kind, m.start()))
         at_start = text == ";"
     return tokens
 
 
+def _bad_character(source: str, m: re.Match) -> QasmError:
+    return QasmError(f"unexpected character {m.group()!r}", *_line_column(source, m.start()))
+
+
 def _plain_tokens(source: str, start: int, end: int) -> list[_Token]:
-    """The plain tokens of a run of statements, ``source[start:end]``."""
-    matches = _PLAIN_RE.finditer(source, start, end)
-    return [(m.group(), m.lastgroup, m.start()) for m in matches if m.lastgroup != "skip"]
+    """The plain tokens of a run of statements, ``source[start:end]``;
+    raises at the first bad character."""
+    tokens = []
+    for m in _PLAIN_RE.finditer(source, start, end):
+        kind = m.lastgroup
+        if kind == "bad":
+            raise _bad_character(source, m)
+        if kind != "skip":
+            tokens.append((m.group(), kind, m.start()))
+    return tokens
 
 
 class _Parser:
@@ -264,7 +291,7 @@ def _simple_gate(groups: tuple, qregs: dict[str, tuple[int, int]]) -> Gate | Non
             return None
         qubits = (offset + i, offset1 + j)
     try:
-        return Gate(kind, qubits, angle=angle)
+        return Gate(kind, qubits, angle)
     except CircuitError:
         return None
 
@@ -304,7 +331,8 @@ def parse_qasm(source: str, name: str = "circuit") -> QuantumCircuit:
             for text in map(str.lstrip, tok[0].split(";")[:-1]):
                 gate = memo.get(text)
                 if gate is None:
-                    gate = _simple_gate(_STMT_RE.fullmatch(text).groups(), qregs)
+                    m = _STMT_RE.fullmatch(text)
+                    gate = m and _simple_gate(m.groups(), qregs)
                     if gate is None:
                         break
                     memo[text] = gate
@@ -313,7 +341,8 @@ def parse_qasm(source: str, name: str = "circuit") -> QuantumCircuit:
                 gates += run
                 p.pos += 1
                 continue
-            # a check failed: the token path reads the run and raises its diagnostic
+            # a text is no simple statement, or a check failed: the token
+            # path reads the run, and gives its gates or its diagnostic
             tokens[p.pos : p.pos + 1] = _plain_tokens(source, tok[2], tok[2] + len(tok[0]))
         tok = p.next()
         text = tok[0]

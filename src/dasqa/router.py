@@ -7,8 +7,9 @@ not already make the operands adjacent.
 The router is a deterministic lookahead heuristic: while the front gate is
 non-adjacent it evaluates every coupling edge touching either operand's
 position and applies the swap minimizing a decayed sum of coupling distances
-over the pending two-qubit gates. That single-window lookahead is what lets
-it park a hot qubit on a hub and later undo a swap instead of ping-ponging.
+over the pending two-qubit gates, the smallest (score, edge). That
+single-window lookahead is what lets it park a hot qubit on a hub and later
+undo a swap instead of ping-ponging.
 A swap of physical u and v changes only the window terms of the logical
 qubits sitting there, so each candidate is scored by the change in those
 terms alone, read from each logical qubit's sliding window of terms; the
@@ -34,8 +35,10 @@ simulates dense statevector blocks only when it fails.
 """
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -61,12 +64,6 @@ ORACLE_MAX_GATES = 10
 
 def _coupling_of(arch: Architecture | CouplingGraph) -> CouplingGraph:
     return arch.coupling if isinstance(arch, Architecture) else arch
-
-
-def _hop_table(coupling: CouplingGraph) -> list[list[int]]:
-    """Coupling distances as nested lists; unreachable pairs cost n_phys**2."""
-    n = coupling.num_qubits
-    return [[d if d >= 0 else n * n for d in row] for row in coupling.distances().tolist()]
 
 
 def _swapped(l2p, u: int, v: int) -> list[int]:
@@ -162,7 +159,7 @@ def initial_mapping(ig: InteractionGraph, arch: Architecture | CouplingGraph) ->
     for lq, pq in zip(logical, physical):
         l2p[lq] = pq
 
-    exchange_pass(ig, range(n_log), l2p, sorted(physical[n_log:]), _hop_table(coupling))
+    exchange_pass(ig, range(n_log), l2p, sorted(physical[n_log:]), coupling.hop_table())
     return Mapping(tuple(l2p))
 
 
@@ -179,11 +176,12 @@ def route(
     (kind, physical operands); RZ and MEASURE are built per gate.
 
     While the front gate's operands are not adjacent, each coupling edge
-    (u, v) at either operand's image is a candidate, in sorted order, less
-    the edge just swapped. The window is the next ``LOOKAHEAD_WINDOW``
-    two-qubit gates, the k-th weighted ``4**k * 5**(19 - k)`` (that is
-    5**19 * 0.8**k exactly). Each logical qubit keeps its window terms,
-    (pending index j, other operand), in a deque; a routed two-qubit gate
+    (u, v) at either operand's image is a candidate, less the edge just
+    swapped; the two images' edge lists are walked in turn and share no
+    edge. The window is the next ``LOOKAHEAD_WINDOW`` two-qubit gates, the
+    k-th weighted ``4**k * 5**(19 - k)`` (that is 5**19 * 0.8**k exactly).
+    Each logical qubit keeps its window terms, (pending index j, other
+    operand), in a deque; a routed two-qubit gate
     pops its own term off both operands and pushes the pending gate
     ``LOOKAHEAD_WINDOW`` further on, so a term's weight is that of
     ``j - pend_idx``. A candidate's score is the change in the window cost
@@ -193,7 +191,8 @@ def route(
     term's other operand. The term joining ``lu`` and ``lv`` keeps its
     length and an empty site has no terms, so both are skipped; an
     unreachable term costs n_phys**2 on either side, so it adds nothing.
-    The first candidate with the strictly smallest score is swapped. The
+    The candidate with the smallest (score, edge) is swapped: of those with
+    the least score, the lowest edge, so no candidate list is sorted. The
     scores are exact integers held in floats: u and v are adjacent, so each
     term's ``hops[v][po] - hops[u][po]`` is -1, 0 or +1 (0 when ``po`` is
     unreachable), each weight is at most 5**19 < 2**53, and a score sums
@@ -208,7 +207,7 @@ def route(
         mapping = initial_mapping(interaction_graph(qc), arch)
     mapping.validate(qc.num_qubits, coupling.num_qubits)
 
-    hops = _hop_table(coupling)
+    hops = coupling.hop_table()
     n_phys = coupling.num_qubits
     unreachable = n_phys * n_phys
     longest = int(coupling.distances().max(initial=0))  # unreachable reads -1 there
@@ -237,14 +236,17 @@ def route(
     shared: dict[tuple, Gate] = {}
 
     stall_cap = n_phys + longest + 2
-    # coupling edges (low, high) at each physical qubit, sorted: the swap candidates
-    edges_at = [sorted((min(p, nb), max(p, nb)) for nb in coupling.neighbors(p)) for p in range(n_phys)]
+    # coupling edges (low, high) at each physical qubit: the swap candidates,
+    # in any order, since the pick does not depend on it. Both ends list
+    # the one tuple of an edge, so the edge just swapped is found by identity
+    edge_of = {e: e for e in coupling.edges}
+    edges_at = [[edge_of[min(p, nb), max(p, nb)] for nb in coupling.neighbors(p)] for p in range(n_phys)]
 
-    for g in qc.gates:
-        if not g.kind.is_two_qubit:
-            qubits = tuple(map(l2p.__getitem__, g.qubits))
+    for kind, gate_qubits, angle, cbit in qc.gates:
+        if not kind.is_two_qubit:
+            qubits = tuple(map(l2p.__getitem__, gate_qubits))
         else:
-            a, b = g.qubits
+            a, b = gate_qubits
             pa, pb = l2p[a], l2p[b]
             if hops[pa][pb] >= unreachable:
                 raise RoutingError(
@@ -263,14 +265,15 @@ def route(
                         out.append(swap_gates[edge])
                         pa = l2p[a]
                     break
-                # reachable, non-adjacent images: disjoint non-empty edge lists, so 2+ candidates
-                candidates = sorted(edges_at[pa] + edges_at[pb])
-                # a swap moves only the terms of the qubits on u and v (an empty
-                # site, -1, has none, and the term joining them keeps its length)
-                best_edge, best_delta = None, None
-                for edge in candidates:
-                    if edge == last_edge:
+                # reachable, non-adjacent images: disjoint non-empty edge lists,
+                # so 2+ candidates; the smallest (score, edge) is the first
+                # strictly smallest score in sorted order
+                best_edge, best_delta = None, math.inf
+                for edge in chain(edges_at[pa], edges_at[pb]):
+                    if edge is last_edge:
                         continue
+                    # a swap moves only the terms of the qubits on u and v (an empty
+                    # site, -1, has none, and the term joining them keeps its length)
                     u, v = edge
                     lu, lv = p2l[u], p2l[v]
                     hu, hv = fhops[u], fhops[v]
@@ -285,7 +288,7 @@ def route(
                             if o != lu:
                                 po = l2p[o]
                                 delta += weights[j - pend_idx] * (hu[po] - hv[po])
-                    if best_delta is None or delta < best_delta:
+                    if delta < best_delta or (delta == best_delta and edge < best_edge):
                         best_edge, best_delta = edge, delta
                 _swap_sites(l2p, p2l, *best_edge)
                 out.append(swap_gates[best_edge])
@@ -301,12 +304,12 @@ def route(
                 window[x].append((j, y))
                 window[y].append((j, x))
             pend_idx += 1
-        if g.angle is not None or g.cbit is not None:
-            out.append(Gate(g.kind, qubits, g.angle, g.cbit))
+        if angle is not None or cbit is not None:
+            out.append(Gate(kind, qubits, angle, cbit))
             continue
-        rg = shared.get((g.kind, qubits))
+        rg = shared.get((kind, qubits))
         if rg is None:
-            rg = shared[g.kind, qubits] = Gate(g.kind, qubits)
+            rg = shared[kind, qubits] = Gate(kind, qubits)
         out.append(rg)
 
     return RoutedCircuit(
@@ -317,6 +320,10 @@ def route(
         final_mapping=Mapping(tuple(l2p)),
         depth=layered_depth(out, n_phys),
     )
+
+
+# the fields _replay reads once every circuit gate is consumed; no routed gate has kind None
+_NO_GATE = (None, (), None, None)
 
 
 def _replay(circuit: QuantumCircuit, routed: RoutedCircuit, edges: set | None = None) -> None:
@@ -337,25 +344,19 @@ def _replay(circuit: QuantumCircuit, routed: RoutedCircuit, edges: set | None = 
     image = l2p.__getitem__
     swap = GateKind.SWAP
     pending = iter(circuit.gates)
-    o = next(pending, None)  # the next circuit gate, None once all are consumed
-    for g in routed.gates:
-        kind = g.kind
-        if edges is not None and kind.is_two_qubit and g.qubits not in edges:
-            raise RoutingError(f"gate on non-edge {g.qubits}")
-        if (
-            o is not None
-            and kind is o.kind
-            and g.qubits == tuple(map(image, o.qubits))
-            and g.angle == o.angle
-            and g.cbit == o.cbit
-        ):
-            o = next(pending, None)
+    # the next circuit gate's fields, unpacked once per circuit gate
+    o_kind, o_qubits, o_angle, o_cbit = next(pending, _NO_GATE)
+    for kind, qubits, angle, cbit in routed.gates:
+        if edges is not None and kind.is_two_qubit and qubits not in edges:
+            raise RoutingError(f"gate on non-edge {qubits}")
+        if kind is o_kind and qubits == tuple(map(image, o_qubits)) and angle == o_angle and cbit == o_cbit:
+            o_kind, o_qubits, o_angle, o_cbit = next(pending, _NO_GATE)
             continue
         if kind is not swap:
-            raise RoutingError(f"{kind.value} {g.qubits} is neither the next circuit gate nor a SWAP")
-        u, v = g.qubits  # positional: a call through *g.qubits took a quarter of the walk
+            raise RoutingError(f"{kind.value} {qubits} is neither the next circuit gate nor a SWAP")
+        u, v = qubits  # positional: a call through *qubits took a quarter of the walk
         _swap_sites(l2p, p2l, u, v)
-    if o is not None:
+    if o_kind is not None:
         left = 1 + sum(1 for _ in pending)
         raise RoutingError(f"{left} circuit gate(s) left over after the routed gates")
     if tuple(l2p) != routed.final_mapping.log_to_phys:

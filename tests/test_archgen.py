@@ -30,7 +30,7 @@ from dasqa.archgen import (
 from dasqa.circuit import Gate, GateKind, InteractionGraph, QuantumCircuit, interaction_graph
 from dasqa.config import DesignConfig, FrequencyConfig, config_from_dict
 from dasqa.errors import ArchitectureError, ConfigError, DasqaError, FrequencyAllocationError, PlacementError
-from dasqa.router import _hop_table, route
+from dasqa.router import route
 
 from conftest import random_circuit
 
@@ -617,7 +617,7 @@ def _exchange_cases(rng: np.random.Generator):
         keep = rng.random(len(pairs)) < rng.uniform(0.05, 0.5)
         coupling = CouplingGraph(n_phys, [p for p, k in zip(pairs, keep) if k])
         physical = [int(p) for p in rng.permutation(n_phys)]
-        yield ig, list(range(ig.num_qubits)), physical[: ig.num_qubits], physical[ig.num_qubits :], _hop_table(coupling)
+        yield ig, list(range(ig.num_qubits)), physical[: ig.num_qubits], physical[ig.num_qubits :], coupling.hop_table()
 
 
 def test_exchange_pass_matches_reference_on_grids_and_hop_tables():

@@ -1,6 +1,9 @@
 """Circuit IR: gate validation, interaction graph, stats, QASM round trip."""
 from __future__ import annotations
 
+import copy
+import pickle
+
 import numpy as np
 import pytest
 
@@ -34,6 +37,70 @@ def test_two_qubit_gate_rejects_duplicate_operand():
 def test_rz_requires_angle():
     with pytest.raises(CircuitError):
         Gate(GateKind.RZ, (0,))
+
+
+# (fields, the message any way of building the gate raises)
+_BAD_GATES = [
+    ((GateKind.CX, (0,), None, None), "cx expects 2 operand(s), got 1"),
+    ((GateKind.H, (0, 1), None, None), "h expects 1 operand(s), got 2"),
+    ((GateKind.SWAP, (3, 3), None, None), "duplicate operand q3 on two-qubit gate swap"),
+    ((GateKind.RZ, (0,), None, None), "rz requires an angle"),
+    ((GateKind.RZ, (0,), float("inf"), None), "rz angle must be finite, got inf"),
+    ((GateKind.RZ, (0,), float("nan"), None), "rz angle must be finite, got nan"),
+]
+
+
+def _pickled_with(gate: Gate, fields: tuple, protocol: int) -> bytes:
+    """A pickle of ``gate`` whose fields were swapped for ``fields`` on the way."""
+    class Swapped(Gate):
+        __slots__ = ()
+
+        def __reduce__(self):
+            return Gate, fields
+
+    return pickle.dumps(tuple.__new__(Swapped, gate), protocol)
+
+
+@pytest.mark.parametrize("fields,message", _BAD_GATES, ids=[m for _, m in _BAD_GATES])
+def test_every_way_of_building_a_gate_checks_it(fields, message):
+    good = Gate(GateKind.T, (0,))
+    builds = {
+        "call": lambda: Gate(*fields),
+        "make": lambda: Gate._make(fields),
+        "replace": lambda: good._replace(**dict(zip(Gate._fields, fields))),
+        **{f"pickle-{p}": lambda p=p: pickle.loads(_pickled_with(good, fields, p))
+           for p in range(pickle.HIGHEST_PROTOCOL + 1)},
+    }
+    for how, build in builds.items():
+        with pytest.raises(CircuitError) as info:
+            build()
+        assert str(info.value) == message, how
+
+
+def test_a_gate_is_an_immutable_tuple_that_pickles_and_copies_to_an_equal_gate():
+    gate = Gate(GateKind.RZ, (2,), angle=-0.5)
+    assert tuple(gate) == (GateKind.RZ, (2,), -0.5, None) and isinstance(gate, tuple)
+    assert gate == Gate(GateKind.RZ, (2,), -0.5) and hash(gate) == hash(Gate(GateKind.RZ, (2,), -0.5))
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        again = pickle.loads(pickle.dumps(gate, protocol))
+        assert type(again) is Gate and again == gate
+    assert copy.copy(gate) == copy.deepcopy(gate) == gate._replace() == Gate._make(gate) == gate
+    with pytest.raises(AttributeError):
+        gate.angle = 1.0
+    with pytest.raises(AttributeError):
+        gate.label = "x"  # no instance dict
+
+
+def test_two_qubit_pairs_is_one_kept_tuple(five_qubit_app):
+    qc = QuantumCircuit(5, five_qubit_app.gates)
+    pairs = qc.two_qubit_pairs()
+    assert type(pairs) is tuple and qc.two_qubit_pairs() is pairs
+    assert pairs == tuple(
+        tuple(sorted(g.qubits)) for g in five_qubit_app.gates if g.kind in (GateKind.CX, GateKind.CZ, GateKind.SWAP)
+    )
+    # the interaction graph and the stats count that tuple
+    assert sum(interaction_graph(qc).weights.values()) == circuit_stats(qc).two_qubit_count == len(pairs)
+    assert list(interaction_graph(qc).weights) == list(dict.fromkeys(pairs))
 
 
 def test_circuit_rejects_out_of_range_operand():

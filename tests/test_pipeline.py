@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 import yaml
 
-from dasqa import cli, geomopt, router
+from dasqa import cli, geomopt, pipeline, router
 from dasqa.archgen import Architecture, CouplingGraph, detuning_violations
 from dasqa.circuit import Gate, GateKind, InteractionGraph, QuantumCircuit, to_qasm
 from dasqa.config import FrequencyConfig
@@ -95,6 +95,50 @@ def test_free_mode_flow_outputs_are_pinned(tmp_path):
         for name in OUTPUT_NAMES:
             digest.update((tmp_path / f"out_{k}" / name).read_bytes())
     assert digest.hexdigest() == FREE_MODE_DIGEST
+
+
+def test_report_and_architecture_texts_are_json_dumps_bytes(tmp_path, monkeypatch):
+    """The templates write what ``json.dumps(..., indent=2)`` writes: on the
+    worked example with a baseline, under a non-ASCII file name, on seeded
+    flows whose band leaves some targets unreachable (null geometry), and
+    above the simulation guard (a null equivalence_ok)."""
+    reports = []
+    build_report = pipeline.build_report
+
+    def recorded(*args, **kwargs):
+        reports.append(build_report(*args, **kwargs))
+        return reports[-1]
+
+    monkeypatch.setattr(pipeline, "build_report", recorded)
+    renamed = tmp_path / "schaltkreis_ü_测试.qasm"
+    renamed.write_bytes(CIRCUIT.read_bytes())
+    runs = [(CIRCUIT, CONFIG, BASELINE), (renamed, CONFIG, BASELINE)]
+    for k, (band, n) in enumerate([((5.5, 7.5), 9), ((5.5, 7.5), 9), ((5.0, 7.0), 16)]):
+        config = tmp_path / f"c{k}.yml"
+        frequency = dict(zip(("band_lo_ghz", "band_hi_ghz"), band))
+        config.write_text(yaml.safe_dump({**BENCH_CONFIG, "frequency": frequency}), encoding="utf-8")
+        circuit = tmp_path / f"mixed_{k}.qasm"
+        circuit.write_text(to_qasm(mixed_circuit(n, 10 * n, seed=k)), encoding="utf-8")
+        runs.append((circuit, config, None))
+    seen = set()
+    for k, (circuit, config, baseline) in enumerate(runs):
+        out = tmp_path / f"out_{k}"
+        result = run_flow(circuit, config, out_dir=out, baseline_path=baseline)
+        report = reports[-1]
+        assert (out / "report.json").read_bytes() == (json.dumps(report, indent=2) + "\n").encode()
+        arch = result.architecture
+        arch_dict = {
+            "num_qubits": arch.num_qubits,
+            "layout": [[int(v) for v in row] for row in arch.layout],
+            "edges": [list(e) for e in arch.coupling.sorted_edges()],
+            "frequencies_ghz": [float(f) for f in arch.frequencies],
+        }
+        assert (out / "architecture.json").read_bytes() == (json.dumps(arch_dict, indent=2) + "\n").encode()
+        seen |= {"baseline"} & set(report)
+        seen |= {"unreached" for r in result.geometry_results if r.error is not None}
+        seen |= {"unchecked"} if report["routing"]["equivalence_ok"] is None else set()
+        seen |= {"non-ascii"} if not report["circuit"]["name"].isascii() else set()
+    assert seen == {"baseline", "unreached", "unchecked", "non-ascii"}
 
 
 def _outputs(out: Path) -> dict[str, bytes]:

@@ -417,3 +417,48 @@ def test_simple_gate_statements_make_no_plain_tokens(monkeypatch):
     assert parse_qasm(to_qasm(qc)).gates == qc.gates
     # OPENQASM 2.0 ; include "qelib1.inc" ; qreg q [ 25 ] ;
     assert calls == {"next": 12, "plain": 0}
+
+
+def _outcome(source: str):
+    """The parsed (kind, qubits, angle repr) list, or the diagnostic's (message, line, column)."""
+    try:
+        return [(g.kind, g.qubits, repr(g.angle)) for g in parse_qasm(source).gates]
+    except QasmError as exc:
+        return str(exc), exc.line, exc.column
+
+
+# statement texts whose characters a run statement may hold while the simple
+# statement pattern rejects them, or which hold a "." that no digit follows
+_ODD_RUN_TEXTS = [
+    "rz(+-0.5) q[1];", "rz((0.5)) q[2];", "h(1.0) q[0];", "rz(pi) q[0];", "rz(-(-0.5)) q[1];",
+    "rz(0.5, 1) q[0];", "cx q[0] q[1];", "sdg q[0];", "hq[0];", "x q[0]. ;", "x q1.x;", "rz(5.) q[0];",
+    "rz(5.5.) q[0];", "rz(1e5.) q[0];", "x r[0];",
+]
+
+
+@pytest.mark.parametrize("odd", _ODD_RUN_TEXTS + ["rz(pi/2) q[0];", "rz(0.25*2) q[1];"])
+def test_a_run_with_a_text_the_statement_pattern_rejects_gives_the_token_path_outcome(odd, monkeypatch):
+    """The odd text sits inside a run: the run is read by the token path,
+    which gives its gates, or its diagnostic at its line and column."""
+    source = HEADER + "qreg q[3];\nh q[0]; cx q[0],q[1];\n" + odd + " x q[2]; rz(0.25) q[1];\n"
+    got = _outcome(source)
+    if odd in _ODD_RUN_TEXTS and (isinstance(got, list) or "unexpected character" not in got[0]):
+        assert any(odd in tok[0] for tok in qasm._tokenize(source) if tok[1] == "stmt")
+    monkeypatch.setattr(qasm, "_TOKEN_RE", qasm._PLAIN_RE)  # no runs: every statement token by token
+    assert got == _outcome(source)
+
+
+def test_a_bad_dot_in_a_run_is_found_before_anything_is_parsed():
+    """A "." that no digit follows can be a bad character; the scan finds it
+    in a run at a statement start, as it finds one anywhere else."""
+    for dot_text, column in (("x q[0]. ;", 7), ("x q1.x;", 5)):
+        source = "OPENQASM 3.0;\nqreg q[3];\nh q[0]; " + dot_text + "\n"
+        with pytest.raises(QasmError) as info:
+            parse_qasm(source)
+        assert (str(info.value), info.value.line, info.value.column) == (
+            f"line 3, column {8 + column}: unexpected character '.'", 3, 8 + column
+        )
+    # one that is not bad keeps the run whole
+    source = HEADER + "qreg q[1];\nh q[0]; rz(5.) q[0]; rz( -5.e-1 ) q[0];\n"
+    assert [tok[0].count(";") for tok in qasm._tokenize(source) if tok[1] == "stmt"] == [3]
+    assert [g.angle for g in parse_qasm(source).gates] == [None, 5.0, -0.5]

@@ -904,3 +904,116 @@ def test_generated_architectures_and_mappings_are_pinned(n, num_gates):
     mapping = initial_mapping(interaction_graph(qc), arch)
     digest = hashlib.sha256((arch.to_json() + repr(mapping.log_to_phys)).encode())
     assert digest.hexdigest() == PINNED_GENERATIONS[(n, num_gates)]
+
+
+def _sorted_candidate_route(qc: QuantumCircuit, coupling: CouplingGraph, mapping: Mapping):
+    """Reference: the term-delta lookahead that sorts its candidates.
+
+    Each SWAP step concatenates the edges at both operands' images, sorts
+    them, and swaps the first with the strictly smallest score; the scores,
+    the window and the stall fallback are those :func:`route` documents.
+    Returns the routed (kind, qubits) list and the final mapping.
+    """
+    n = coupling.num_qubits
+    dist = coupling.distances()
+    hops = [[d if d >= 0 else n * n for d in row] for row in dist.tolist()]
+    fhops = [[float(d) for d in row] for row in hops]
+    weights = [float(w) for w in router._WINDOW_WEIGHTS]
+    stall_cap = n + int(dist.max(initial=0)) + 2
+    edges_at = [sorted((min(p, nb), max(p, nb)) for nb in coupling.neighbors(p)) for p in range(n)]
+    l2p = list(mapping.log_to_phys)
+    p2l = [-1] * n
+    for q, p in enumerate(l2p):
+        p2l[p] = q
+    pending = qc.two_qubit_pairs()
+    window = [[] for _ in range(qc.num_qubits)]
+    for j, (x, y) in enumerate(pending[: router.LOOKAHEAD_WINDOW]):
+        window[x].append((j, y))
+        window[y].append((j, x))
+    out = []
+
+    def swap(u, v):
+        lu, lv = p2l[u], p2l[v]
+        p2l[u], p2l[v] = lv, lu
+        if lu >= 0:
+            l2p[lu] = v
+        if lv >= 0:
+            l2p[lv] = u
+        out.append((GateKind.SWAP, (u, v)))
+
+    k = 0
+    for g in qc.gates:
+        if not g.is_two_qubit:
+            out.append((g.kind, tuple(l2p[q] for q in g.qubits)))
+            continue
+        a, b = g.qubits
+        steps, last = 0, None
+        while hops[l2p[a]][l2p[b]] > 1:
+            if steps >= stall_cap:
+                while hops[l2p[a]][l2p[b]] > 1:
+                    pa, pb = l2p[a], l2p[b]
+                    hop = min(nb for nb in coupling.neighbors(pa) if hops[nb][pb] < hops[pa][pb])
+                    swap(min(pa, hop), max(pa, hop))
+                break
+            best, best_delta = None, None
+            for edge in sorted(edges_at[l2p[a]] + edges_at[l2p[b]]):
+                if edge == last:
+                    continue
+                u, v = edge
+                lu, lv = p2l[u], p2l[v]
+                delta = 0.0
+                for lq, here, there in ((lu, fhops[u], fhops[v]), (lv, fhops[v], fhops[u])):
+                    if lq >= 0:
+                        for j, o in window[lq]:
+                            if o not in (lu, lv):
+                                delta += weights[j - k] * (there[l2p[o]] - here[l2p[o]])
+                if best_delta is None or delta < best_delta:
+                    best, best_delta = edge, delta
+            swap(*best)
+            last = best
+            steps += 1
+        out.append((g.kind, (l2p[a], l2p[b])))
+        window[a].pop(0)
+        window[b].pop(0)
+        j = k + router.LOOKAHEAD_WINDOW
+        if j < len(pending):
+            x, y = pending[j]
+            window[x].append((j, y))
+            window[y].append((j, x))
+        k += 1
+    return out, tuple(l2p)
+
+
+def _sorted_candidate_cases():
+    """(circuit, coupling): seeded circuits on square grids with spare sites,
+    the stall circuit, and a deep-sized circuit of 25 qubits and 10 000 gates."""
+    rng = np.random.default_rng(33)
+    for trial in range(30):
+        n_log = int(rng.integers(3, 21))
+        side = int(np.ceil(np.sqrt(n_log))) + int(rng.integers(1, 3))
+        qc = random_circuit(rng, max_qubits=n_log, min_qubits=n_log, max_gates=15 * n_log)
+        yield f"grid-{trial}", qc, grid_architecture(side, side, [5.0] * side * side).coupling
+    stall = parse_qasm((DATA_DIR / "stall_9q.qasm").read_text(encoding="utf-8"))
+    yield "stall_9q", stall, generate_architecture(stall, config_from_dict(BENCH_CONFIG)).coupling
+    deep = mixed_circuit(25, 10_000, seed=33)
+    yield "deep", deep, generate_architecture(deep, config_from_dict(BENCH_CONFIG)).coupling
+
+
+def test_route_matches_the_sorted_candidate_loop_gate_for_gate():
+    """The smallest (score, edge) over both images' edge lists, walked in
+    turn, picks every SWAP the sorted candidate list picked."""
+    empty_site_swaps = 0
+    for name, qc, coupling in _sorted_candidate_cases():
+        mapping = initial_mapping(interaction_graph(qc), coupling)
+        expected, final = _sorted_candidate_route(qc, coupling, mapping)
+        routed = route(qc, coupling, mapping)
+        assert [(g.kind, g.qubits) for g in routed.gates] == expected, name
+        assert routed.final_mapping.log_to_phys == final, name
+        occupied = set(mapping.log_to_phys)
+        for kind, qubits in expected:
+            if kind is GateKind.SWAP and len(occupied & set(qubits)) == 1:  # onto an empty site
+                empty_site_swaps += 1
+                occupied ^= set(qubits)
+        if name == "deep":
+            assert routed.swap_count > 1000
+    assert empty_site_swaps >= 20
