@@ -244,7 +244,10 @@ def route(
 
     for kind, gate_qubits, angle, cbit in qc.gates:
         if not kind.is_two_qubit:
-            qubits = tuple(map(l2p.__getitem__, gate_qubits))
+            if len(gate_qubits) == 1:  # a one-qubit gate or measure, without a map call
+                qubits = (l2p[gate_qubits[0]],)
+            else:  # a barrier
+                qubits = tuple(map(l2p.__getitem__, gate_qubits))
         else:
             a, b = gate_qubits
             pa, pb = l2p[a], l2p[b]
@@ -290,7 +293,8 @@ def route(
                                 delta += weights[j - pend_idx] * (hu[po] - hv[po])
                     if delta < best_delta or (delta == best_delta and edge < best_edge):
                         best_edge, best_delta = edge, delta
-                _swap_sites(l2p, p2l, *best_edge)
+                u, v = best_edge  # positional, as in _replay
+                _swap_sites(l2p, p2l, u, v)
                 out.append(swap_gates[best_edge])
                 last_edge = best_edge
                 swaps_this_gate += 1
@@ -349,7 +353,9 @@ def _replay(circuit: QuantumCircuit, routed: RoutedCircuit, edges: set | None = 
     for kind, qubits, angle, cbit in routed.gates:
         if edges is not None and kind.is_two_qubit and qubits not in edges:
             raise RoutingError(f"gate on non-edge {qubits}")
-        if kind is o_kind and qubits == tuple(map(image, o_qubits)) and angle == o_angle and cbit == o_cbit:
+        if kind is o_kind and angle == o_angle and cbit == o_cbit and qubits == (
+            (l2p[o_qubits[0]],) if len(o_qubits) == 1 else tuple(map(image, o_qubits))  # no map over one operand
+        ):
             o_kind, o_qubits, o_angle, o_cbit = next(pending, _NO_GATE)
             continue
         if kind is not swap:
