@@ -23,7 +23,7 @@ import numpy as np
 from .circuit import MAX_QUBITS as MAX_COUPLING_QUBITS, InteractionGraph, QuantumCircuit, interaction_graph
 from .config import FREQ_EPS, DesignConfig
 from .errors import ArchitectureError, DasqaError, FrequencyAllocationError, PlacementError, read_text
-from .jsontext import IN, array, int_array, number
+from .jsontext import dumps
 
 # cells x (qubits + 1): a pick next to no placed qubit scans the free cells, and the
 # exchange pass keeps tables of cells x qubits
@@ -180,16 +180,12 @@ class Architecture:
                 raise ArchitectureError(f"detuning violations: {bad}")
 
     def to_json(self) -> str:
-        """``architecture.json``: the bytes ``json.dumps(..., indent=2)`` gives
-        the architecture's qubit count, grid rows, sorted coupling edges and
-        frequencies, written from a template (:mod:`dasqa.jsontext`)."""
-        layout = array([int_array(map(int, row), 2) for row in self.layout], 1)
-        edges = array([int_array(e, 2) for e in self.coupling.sorted_edges()], 1)
-        frequencies = array([number(float(f)) for f in self.frequencies], 1)
-        return (
-            f'{{{IN[1]}"num_qubits": {self.num_qubits},{IN[1]}"layout": {layout},'
-            f'{IN[1]}"edges": {edges},{IN[1]}"frequencies_ghz": {frequencies}\n}}\n'
-        )
+        return dumps({
+            "num_qubits": self.num_qubits,
+            "layout": [[int(v) for v in row] for row in self.layout],
+            "edges": [list(e) for e in self.coupling.sorted_edges()],
+            "frequencies_ghz": [float(f) for f in self.frequencies],
+        }) + "\n"
 
 
 def load_coupling(path: str | Path) -> CouplingGraph:

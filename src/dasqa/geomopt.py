@@ -8,10 +8,8 @@ roots give every height where it meets the target or comes closest to it.
 :func:`optimize_layout` applies the inverted geometries to the layout's
 transmons: one checked edit per transmon, and one solve per distinct
 ``(target, fixed gap)``, which the model keeps. A solve takes ``np.roots``
-of the height polynomial minus the target at each gap it tries; the roots of
-its derivative depend on the gap alone, so the model keeps them per gap, and
-an unreachable target costs one ``np.roots`` per gap once the gaps are kept.
-:func:`invert_for_geometry` is the same solve, its outcome not kept.
+twice per gap it tries, of the height polynomial minus the target and of its
+derivative; :func:`invert_for_geometry` is the same solve, not kept.
 
 A bundled synthetic table (``data/pad_geometry.csv``, regenerable with
 ``python -m dasqa.data.make_pad_geometry``) stands in for simulation data;
@@ -27,9 +25,7 @@ the work of each circuit:
   ``MAX_POLY_DEGREE``;
 - a model keeps the outcome of each ``(target, fixed gap)`` that
   :func:`optimize_layout` solved, at most ``SOLVE_MEMO_SIZE``, the oldest
-  going first. A solve that raised keeps nothing;
-- a model keeps the height polynomial and its turning points of each gap a
-  solve tried, at most ``GAP_MEMO_SIZE``, the oldest going first.
+  going first. A solve that raised keeps nothing.
 
 Only a process that runs several flows on one dataset gains from this.
 
@@ -63,10 +59,6 @@ DATASET_MEMO_SIZE = 2
 # per transmon, so this keeps every solve of the largest flow, at about 120
 # bytes an entry (tracemalloc)
 SOLVE_MEMO_SIZE = MAX_QUBITS
-# gaps whose height polynomial and turning points each model keeps: the free
-# mode's grid plus one fixed gap per transmon of the largest flow, at about
-# 320 bytes a gap at degree 2 (tracemalloc)
-GAP_MEMO_SIZE = GRID_POINTS + MAX_QUBITS
 
 
 def _read_only(values) -> np.ndarray:
@@ -173,8 +165,6 @@ class GeometryModel:
     residual_rms_ghz: float = 0.0
     # (target, fixed gap) -> _solve's outcome, for optimize_layout
     _solves: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-    # gap -> (height polynomial, its turning points), for _invert
-    _gaps: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "coefficients", _read_only(self.coefficients))
@@ -276,8 +266,8 @@ def _invert(
     h_lo, h_hi = model.height_bounds
     nearest = (np.inf, np.nan)  # (error, frequency)
     for gap in gaps:
-        poly, turning = _gap_terms(model, gap)
-        roots = np.concatenate([np.roots(np.polysub(poly, [target])), turning]).real
+        poly = _height_polynomial(model, gap)
+        roots = np.concatenate([np.roots(np.polysub(poly, [target])), np.roots(np.polyder(poly))]).real
         heights = np.sort(np.append(roots[(h_lo <= roots) & (roots <= h_hi)], (h_lo, h_hi)))
         values = np.polyval(poly, heights)
         errors = np.abs(values - target)
@@ -287,23 +277,6 @@ def _invert(
         k = int(errors.argmin())
         nearest = min(nearest, (float(errors[k]), float(values[k])))
     return nearest[1]
-
-
-def _gap_terms(model: GeometryModel, gap: float) -> tuple[np.ndarray, np.ndarray]:
-    """The height polynomial at ``gap`` and the roots of its derivative, which
-    no target changes: the model keeps them per gap, at most
-    ``GAP_MEMO_SIZE``, the oldest going first."""
-    kept = model._gaps
-    terms = kept.get(gap)
-    if terms is None:
-        poly = _height_polynomial(model, gap)
-        terms = poly, np.roots(np.polyder(poly))  # as np.roots gives them: _invert takes real parts
-        for values in terms:
-            values.flags.writeable = False
-        if len(kept) >= GAP_MEMO_SIZE:
-            del kept[next(iter(kept))]  # the oldest goes first
-        kept[gap] = terms
-    return terms
 
 
 def _unreachable(f_target_ghz: float, nearest_ghz: float) -> UnreachableTargetError:

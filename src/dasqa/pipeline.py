@@ -8,8 +8,8 @@ The routing is walked once, by :func:`router.validate_routing`, whose replay
 against the circuit proves the two equivalent; the report records that
 (``equivalence_ok``) up to ``SIM_MAX_QUBITS`` and leaves it unchecked above.
 Outputs are deterministic: fixed inputs give byte-identical files. The JSON
-texts are written from templates, with the bytes ``json.dumps(...,
-indent=2)`` gives (:mod:`dasqa.jsontext`). Each text is encoded once and
+texts are the bytes ``json.dumps(..., indent=2)`` gives, written without its
+pure-Python encoder (:mod:`dasqa.jsontext`). Each text is encoded once and
 written as bytes to a temp file beside its name; the four are renamed into
 place only once all are written, so a failed write leaves the previous
 outputs as they were. Outputs get the mode a plain ``open`` gives.
@@ -41,7 +41,7 @@ from .archgen import Architecture, load_coupling
 from .circuit import QuantumCircuit, circuit_stats
 from .config import load_config
 from .errors import DasqaError, file_error_reason
-from .jsontext import IN, array, int_array, literal, number, string
+from .jsontext import dumps
 from .layout import build_layout, round9
 from .qasm import parse_qasm_file
 from .svg import render_svg
@@ -126,53 +126,6 @@ def build_report(
     if baseline is not None:
         report["baseline"] = baseline
     return report
-
-
-def _report_json(report: dict) -> str:
-    """``report.json``: the bytes ``json.dumps(report, indent=2) + "\\n"``
-    gives the dict of :func:`build_report`, written from a template
-    (:mod:`dasqa.jsontext`)."""
-    c, a, r = report["circuit"], report["architecture"], report["routing"]
-    i1, i2, i3, i4 = IN[1:5]
-    qubits = array([
-        f'{{{i4}"name": {string(q["name"])},{i4}"target_ghz": {number(q["target_ghz"])},'
-        f'{i4}"achieved_ghz": {_number_or_null(q["achieved_ghz"])},'
-        f'{i4}"pad_gap_um": {_number_or_null(q["pad_gap_um"])},'
-        f'{i4}"pad_height_um": {_number_or_null(q["pad_height_um"])},'
-        f'{i4}"error": {literal(None) if q["error"] is None else string(q["error"])}{i3}}}'
-        for q in report["geometry"]["qubits"]
-    ], 2)
-    text = (
-        f'{{{i1}"circuit": {{{i2}"name": {string(c["name"])},{i2}"num_qubits": {c["num_qubits"]},'
-        f'{i2}"gate_count": {c["gate_count"]},{i2}"two_qubit_count": {c["two_qubit_count"]},'
-        f'{i2}"depth": {c["depth"]}{i1}}},'
-        f'{i1}"architecture": {{{i2}"num_qubits": {a["num_qubits"]},{i2}"grid": {int_array(a["grid"], 2)},'
-        f'{i2}"edges": {_edges(a["edges"])},'
-        f'{i2}"frequencies_ghz": {array(map(number, a["frequencies_ghz"]), 2)}{i1}}},'
-        f'{i1}"routing": {{{i2}"swap_count": {r["swap_count"]},{i2}"routed_depth": {r["routed_depth"]},'
-        f'{i2}"initial_mapping": {int_array(r["initial_mapping"], 2)},'
-        f'{i2}"final_mapping": {int_array(r["final_mapping"], 2)},'
-        f'{i2}"equivalence_checked": {literal(r["equivalence_checked"])},'
-        f'{i2}"equivalence_ok": {literal(r["equivalence_ok"])}{i1}}},'
-        f'{i1}"geometry": {{{i2}"qubits": {qubits}{i1}}}'
-    )
-    b = report.get("baseline")
-    if b is not None:
-        text += (
-            f',{i1}"baseline": {{{i2}"source": {string(b["source"])},{i2}"num_qubits": {b["num_qubits"]},'
-            f'{i2}"edges": {_edges(b["edges"])},{i2}"swap_count": {b["swap_count"]},'
-            f'{i2}"routed_depth": {b["routed_depth"]}{i1}}}'
-        )
-    return text + "\n}\n"
-
-
-def _number_or_null(value: float | None) -> str:
-    return literal(None) if value is None else number(value)
-
-
-def _edges(edges: list[list[int]]) -> str:
-    """A report section's edge list, at nesting depth 2."""
-    return array([int_array(e, 3) for e in edges], 2)
 
 
 def _write_outputs(out: Path, files: dict[str, str]) -> None:
@@ -269,7 +222,7 @@ def run_flow(
         "architecture.json": arch.to_json(),
         "layout.json": layout.to_json(),
         "layout.svg": render_svg(layout),
-        "report.json": _report_json(report),
+        "report.json": dumps(report) + "\n",
     }
     out = Path(out_dir)
     _run_stage("write", _write_outputs, out, files)

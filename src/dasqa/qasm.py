@@ -22,11 +22,14 @@ statements with only whitespace between them. A run statement is a gate
 name followed only by characters that a simple gate statement,
 ``name[(numeric literal)] reg[i](, reg[j])?;`` (OpenQASM 2.0,
 arXiv:1707.03429), can hold (letters, digits, ``_``, whitespace and
-``[](),.+-``), up to its ``;``: one character-class repeat, for which the
-regex engine keeps no state per character. Of those characters only a "."
-can be a bad one, and only when no digit follows it; the scan reads a run
-holding such a "." as plain tokens to find out, so the first bad character
-of the source is still the first reported. At a statement start a run is
+``[](),.+-``), at most ``_MAX_RUN_STMT`` of them, up to its ``;``: one
+character-class repeat, for which the regex engine keeps no state per
+character. The bound keeps a source without ``;``s linear to scan: each
+gate name in it costs at most that many characters before the run fails
+there. Of those characters only a "." can be a bad one, and only when no
+digit follows it; the scan reads a run holding such a "." as plain tokens
+to find out, so the first bad character of the source is still the first
+reported. At a statement start a run is
 one token. The parser splits it at its ``;``s and looks each statement's
 text, less leading whitespace, up in a per-parse memo; a text it has not
 seen is matched by the one-statement pattern and its ``Gate`` built
@@ -79,8 +82,13 @@ _MAX_RUN = 64  # statements one "stmt" token may hold
 _FLAGS = re.VERBOSE | re.DOTALL | re.ASCII  # OpenQASM digits and spaces are ASCII
 _STMT_RE = re.compile(_STMT, _FLAGS)
 _PLAIN_RE = re.compile(_PLAIN, _FLAGS)
+# Characters a run statement may hold after its name: a float's repr takes at
+# most 24 and two operands with 40-character register names fit as well. A
+# longer text is read as plain tokens, so a gate name with no ";" after it
+# costs the scan this many characters, not the rest of the source.
+_MAX_RUN_STMT = 128
 # a run statement, less its ";" (module docstring)
-_RUN_STMT = rf"(?:{_GATE_NAMES}) [A-Za-z0-9_\s\[\](),.+\-]*"
+_RUN_STMT = rf"(?:{_GATE_NAMES}) [A-Za-z0-9_\s\[\](),.+\-]{{0,{_MAX_RUN_STMT}}}"
 _TOKEN_RE = re.compile(rf"(?P<stmt> {_RUN_STMT}; (?: \s* {_RUN_STMT}; ){{0,{_MAX_RUN - 1}}} ) | {_PLAIN}", _FLAGS)
 _BARE_DOT_RE = re.compile(r"\.(?![0-9])")
 

@@ -704,32 +704,3 @@ def test_optimize_layout_raises_errors_in_transmon_order(config):
     assert run(freqs, rename="Q_4") == overlap
     assert run([5.06, float("inf")] + freqs[2:]) == "target frequency must be finite, got inf"
     assert run(freqs, rename="Q_0") == "unknown component 'Q_0'"
-
-
-def test_each_gap_finds_its_turning_points_once_per_model(monkeypatch):
-    """Counts calls, not time: the roots of the height polynomial's
-    derivative depend on the gap alone, so a model finds them once per gap.
-    An unreachable target in free mode then costs one np.roots per gap."""
-    calls = []
-    roots = np.roots
-    monkeypatch.setattr(np, "roots", lambda p: calls.append(len(p)) or roots(p))
-    model = fresh_model()
-    grid = geomopt.GRID_POINTS
-    unreachable = [9.9, 9.8, 9.7, 0.5]
-    for k, target in enumerate(unreachable):
-        calls.clear()
-        assert isinstance(geomopt._solve(model, target, None), float)
-        # crossings at every gap, and the turning points on the first target only
-        assert len(calls) == (2 * grid if k == 0 else grid)
-    calls.clear()
-    off_grid = 30.13
-    assert off_grid not in np.linspace(*model.gap_bounds, grid).tolist()
-    for target in (5.06, 5.24):  # a fixed gap: its turning points on the first target only
-        geomopt._solve(model, target, off_grid)
-    assert len(calls) == 3
-    # the kept terms are those a fresh computation gives, and cannot be written
-    for gap, (poly, turning) in model._gaps.items():
-        expected = geomopt._height_polynomial(model, gap)
-        assert np.array_equal(poly, expected) and np.array_equal(turning, roots(np.polyder(expected)))
-        assert not poly.flags.writeable and not turning.flags.writeable
-    assert len(model._gaps) == grid + 1

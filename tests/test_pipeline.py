@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 import yaml
 
-from dasqa import cli, geomopt, pipeline, router
+from dasqa import cli, geomopt, jsontext, pipeline, router
 from dasqa.archgen import Architecture, CouplingGraph, detuning_violations
 from dasqa.circuit import Gate, GateKind, InteractionGraph, QuantumCircuit, to_qasm
 from dasqa.config import FrequencyConfig
@@ -98,7 +98,7 @@ def test_free_mode_flow_outputs_are_pinned(tmp_path):
 
 
 def test_report_and_architecture_texts_are_json_dumps_bytes(tmp_path, monkeypatch):
-    """The templates write what ``json.dumps(..., indent=2)`` writes: on the
+    """``jsontext.dumps`` writes what ``json.dumps(..., indent=2)`` writes: on the
     worked example with a baseline, under a non-ASCII file name, on seeded
     flows whose band leaves some targets unreachable (null geometry), and
     above the simulation guard (a null equivalence_ok)."""
@@ -139,6 +139,36 @@ def test_report_and_architecture_texts_are_json_dumps_bytes(tmp_path, monkeypatc
         seen |= {"unchecked"} if report["routing"]["equivalence_ok"] is None else set()
         seen |= {"non-ascii"} if not report["circuit"]["name"].isascii() else set()
     assert seen == {"baseline", "unreached", "unchecked", "non-ascii"}
+
+
+def test_dumps_writes_json_dumps_bytes_for_every_value_kind():
+    """Empty and nested containers, tuples, non-finite floats, negative zero,
+    non-ASCII and escaped strings, and subclasses of int, float and str take
+    the bytes ``json.dumps(..., indent=2)`` gives; another type raises its
+    TypeError."""
+
+    class Count(int):
+        pass
+
+    class Ratio(float):
+        pass
+
+    class Name(str):
+        pass
+
+    values = [
+        {}, [], (), 0, -7, 2**70, 0.1, -0.0, 1e300, float("nan"), float("inf"), float("-inf"),
+        "", 'a"b\\c\n\t\u0001', "ü测试\U0001F600", True, False, None,
+        {"a": {}, "b": [], "c": [[], {}], "d": {"e": [1, 2.5, "x", None, True]}},
+        [[[1, [2, [3]]]], {"k": (4, 5)}],
+        [Count(3), Ratio(0.5), Name("n"), np.float64(1.25), True],
+        {"n": Count(2), "r": Ratio(-0.0), Name("key"): Name("v")},
+    ]
+    for value in values:
+        assert jsontext.dumps(value) == json.dumps(value, indent=2), value
+    for bad in ({1, 2}, [b"x"], {"a": object()}):
+        with pytest.raises(TypeError):
+            jsontext.dumps(bad)
 
 
 def _outputs(out: Path) -> dict[str, bytes]:

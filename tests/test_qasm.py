@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import math
 import re
+import time
 
 import numpy as np
 import pytest
@@ -462,3 +463,41 @@ def test_a_bad_dot_in_a_run_is_found_before_anything_is_parsed():
     source = HEADER + "qreg q[1];\nh q[0]; rz(5.) q[0]; rz( -5.e-1 ) q[0];\n"
     assert [tok[0].count(";") for tok in qasm._tokenize(source) if tok[1] == "stmt"] == [3]
     assert [g.angle for g in parse_qasm(source).gates] == [None, 5.0, -0.5]
+
+
+def test_a_run_statement_longer_than_its_bound_is_read_by_the_token_path():
+    """A statement whose text after its name holds ``_MAX_RUN_STMT``
+    characters is one run; one character more and it is plain tokens. Both
+    give the gates the token path gives."""
+    for pad in (0, 1):
+        spaces = " " * (qasm._MAX_RUN_STMT - len("q[0],q[1]") + pad)
+        source = HEADER + f"qreg q[2];\nh q[0];\ncx{spaces}q[0],q[1];\nh q[1];\n"
+        runs = [tok[0] for tok in qasm._tokenize(source) if tok[1] == "stmt"]
+        assert any("cx" in text for text in runs) == (not pad)
+        assert parse_qasm(source).gates == (
+            Gate(GateKind.H, (0,)), Gate(GateKind.CX, (0, 1)), Gate(GateKind.H, (1,))
+        )
+
+
+def test_a_source_without_semicolons_is_rejected_in_linear_time(monkeypatch):
+    """Times against a linear bound: each gate name in a source with no
+    ``;`` costs the scan at most ``_MAX_RUN_STMT`` characters, so the scan
+    takes no longer than scanning the same source as plain tokens only (an
+    unbounded run statement took 37 times as long on these 16 000 lines)."""
+    source = HEADER + "qreg q[2];\n" + "h q[0]\n" * 16_000
+
+    def best_of_three() -> float:
+        times = []
+        for _ in range(3):
+            start = time.perf_counter()
+            qasm._tokenize(source)
+            times.append(time.perf_counter() - start)
+        return min(times)
+
+    with_runs = best_of_three()
+    monkeypatch.setattr(qasm, "_TOKEN_RE", qasm._PLAIN_RE)
+    plain_only = best_of_three()
+    assert with_runs < 4 * plain_only
+    monkeypatch.undo()
+    with pytest.raises(QasmError, match="line 5, column 1: expected ';', found 'h'"):
+        parse_qasm(source)
