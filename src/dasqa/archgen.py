@@ -36,6 +36,8 @@ class CouplingGraph:
     """Undirected graph over physical qubits 0..num_qubits-1."""
 
     def __init__(self, num_qubits: int, edges):
+        if num_qubits < 0:
+            raise ArchitectureError("negative qubit count")
         self.num_qubits = num_qubits
         norm = set()
         for a, b in edges:

@@ -178,7 +178,8 @@ def fit_model(data: GeometryDataset, degree: int) -> GeometryModel:
 
     Raises GeometryError when the system is underdetermined (fewer rows than
     coefficients), when the degree reaches the number of distinct gaps or
-    heights, or when it is otherwise rank deficient (collinear samples).
+    heights, when a monomial column or its norm overflows, or when it is
+    otherwise rank deficient (collinear samples).
 
     The dataset keeps the model of each degree up to ``MAX_POLY_DEGREE``, so
     a second call with that degree returns the same model.
@@ -200,8 +201,14 @@ def fit_model(data: GeometryDataset, degree: int) -> GeometryModel:
     if degree >= min(gaps, heights):
         raise GeometryError(f"rank-deficient fit: degree {degree} needs more than {degree} distinct "
                             f"gaps and heights; the samples have {gaps} gap(s) and {heights} height(s)")
-    design = _design_matrix(data.gap_um, data.height_um, degree)
-    scale = np.linalg.norm(design, axis=0)
+    with np.errstate(over="ignore"):  # an overflow is reported below
+        design = _design_matrix(data.gap_um, data.height_um, degree)
+        scale = np.linalg.norm(design, axis=0)
+    if not np.isfinite(scale).all():
+        raise GeometryError(
+            f"degree {degree} fit overflows: a monomial column of the geometry samples "
+            "exceeds the float range"
+        )
     scale[scale == 0] = 1.0
     solution, _, rank, _ = np.linalg.lstsq(design / scale, data.frequency_ghz, rcond=None)
     if rank < n_coeff:

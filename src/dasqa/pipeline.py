@@ -189,7 +189,7 @@ def run_flow(
     _run_stage("architecture", arch.validate)
 
     routed = _run_stage("routing", router.route, qc, arch)
-    # the replay that passed here is check_equivalence's proof, so it is not walked again
+    # the replay proves the routing equivalent exactly, so no dense check runs here
     _run_stage("routing", router.validate_routing, routed, arch)
     equivalence_ok = True if max(qc.num_qubits, arch.num_qubits) <= router.SIM_MAX_QUBITS else None
     score = router.ArchitectureScore(routed.swap_count, routed.depth)

@@ -25,13 +25,12 @@ steps to its smallest-index neighbour one hop closer to the second's, read
 from the same hop table the costs use. A BFS oracle
 (:func:`optimal_swap_count`) provides exact minima at desk scale for testing.
 
-A routing is checked by one walk, at every size: the routed gates are
-replayed against the circuit through a live mapping that only SWAPs change,
-each routed gate being either the next circuit gate under the live images or
-a SWAP. A walk that passes proves the routing equivalent to the circuit
-exactly. :func:`validate_routing` is that walk plus the edge check of every
-routed two-qubit gate; :func:`check_equivalence` is the walk alone, and
-simulates dense statevector blocks only when it fails.
+A routing has two independent checks. :func:`validate_routing` replays the
+routed gates against the circuit at every size: each is the next circuit
+gate under the live images or a SWAP, and each two-qubit gate lies on a
+coupling edge, so a replay that passes proves equivalence exactly.
+:func:`check_equivalence` simulates both sides densely at desk scale and
+shares no code with the replay.
 """
 from __future__ import annotations
 
@@ -293,7 +292,7 @@ def route(
                                 delta += weights[j - pend_idx] * (hu[po] - hv[po])
                     if delta < best_delta or (delta == best_delta and edge < best_edge):
                         best_edge, best_delta = edge, delta
-                u, v = best_edge  # positional, as in _replay
+                u, v = best_edge  # positional, as in validate_routing
                 _swap_sites(l2p, p2l, u, v)
                 out.append(swap_gates[best_edge])
                 last_edge = best_edge
@@ -326,32 +325,34 @@ def route(
     )
 
 
-# the fields _replay reads once every circuit gate is consumed; no routed gate has kind None
+# the fields read once every circuit gate is consumed; no routed gate has kind None
 _NO_GATE = (None, (), None, None)
 
 
-def _replay(circuit: QuantumCircuit, routed: RoutedCircuit, edges: set | None = None) -> None:
-    """Replay the routed gates against ``circuit`` through a live mapping.
+def validate_routing(routed: RoutedCircuit, arch: Architecture | CouplingGraph) -> None:
+    """Replay the routed gates against ``routed.circuit`` through a live mapping.
 
-    Each routed gate either equals the next circuit gate (kind, angle, cbit,
-    and operands under the live images), which it consumes, or is a SWAP,
-    which exchanges whatever sits on its two sites. Every circuit gate must
-    be consumed and the mapping must end at ``final_mapping``. Each step
-    keeps ``U_routed . embed(initial) == embed(live) . U_circuit`` on the
-    prefixes, empty sites in |0>, so a replay that passes proves the two
-    equivalent exactly. With ``edges`` (both orientations of each coupling
-    edge), every routed two-qubit gate must also lie on one. Raises
+    Each routed two-qubit gate must lie on a coupling edge, in either
+    operand order. Each routed gate either equals the next circuit gate
+    (kind, angle, cbit, and operands under the live images), which it
+    consumes, or is a SWAP, which exchanges whatever sits on its two sites.
+    Every circuit gate must be consumed and the mapping must end at
+    ``final_mapping``. Each step keeps ``U_routed . embed(initial) ==
+    embed(live) . U_circuit`` on the prefixes, empty sites in |0>, so a
+    replay that passes proves the two equivalent exactly. Raises
     :class:`RoutingError` at the first rule broken.
     """
+    edges = set(_coupling_of(arch).edges)
+    edges.update([(b, a) for a, b in edges])  # both orientations
     l2p = list(routed.initial_mapping.log_to_phys)
     p2l = _occupants(l2p, routed.num_physical)
     image = l2p.__getitem__
     swap = GateKind.SWAP
-    pending = iter(circuit.gates)
+    pending = iter(routed.circuit.gates)
     # the next circuit gate's fields, unpacked once per circuit gate
     o_kind, o_qubits, o_angle, o_cbit = next(pending, _NO_GATE)
     for kind, qubits, angle, cbit in routed.gates:
-        if edges is not None and kind.is_two_qubit and qubits not in edges:
+        if kind.is_two_qubit and qubits not in edges:
             raise RoutingError(f"gate on non-edge {qubits}")
         if kind is o_kind and angle == o_angle and cbit == o_cbit and qubits == (
             (l2p[o_qubits[0]],) if len(o_qubits) == 1 else tuple(map(image, o_qubits))  # no map over one operand
@@ -367,14 +368,6 @@ def _replay(circuit: QuantumCircuit, routed: RoutedCircuit, edges: set | None = 
         raise RoutingError(f"{left} circuit gate(s) left over after the routed gates")
     if tuple(l2p) != routed.final_mapping.log_to_phys:
         raise RoutingError("replaying SWAPs does not reproduce the final mapping")
-
-
-def validate_routing(routed: RoutedCircuit, arch: Architecture | CouplingGraph) -> None:
-    """Every routed two-qubit gate on a coupling edge, and the routed gates
-    the circuit's own plus SWAPs (:func:`_replay`). Raises on violation."""
-    edges = set(_coupling_of(arch).edges)
-    edges.update([(b, a) for a, b in edges])  # both orientations
-    _replay(routed.circuit, routed, edges)
 
 
 def optimal_swap_count(
@@ -464,13 +457,10 @@ def check_equivalence(original: QuantumCircuit, routed: RoutedCircuit) -> bool:
     tolerance 1e-9. Unmapped physical qubits start and must effectively stay
     in |0>. MEASURE/BARRIER carry no unitary action and are skipped.
 
-    A routing that keeps the gate order and only adds SWAPs passes
-    :func:`_replay` (without the edge check), which proves the equality
-    exactly. Any other routing is decided densely: the original gates,
-    relabelled through the final mapping, run from ``embed(final)`` and the
-    routed gates from ``embed(initial)``, both through
-    :func:`sim.apply_gates` on a 2**n_phys x 2**n_log block, compared
-    amplitude-wise.
+    Both sides are simulated, sharing no code with :func:`validate_routing`:
+    the original gates, relabelled through the final mapping, run from
+    ``embed(final)`` and the routed gates from ``embed(initial)``, both
+    through :func:`sim.apply_gates` on a 2**n_phys x 2**n_log block.
     """
     n_log = original.num_qubits
     n_phys = routed.num_physical
@@ -478,11 +468,6 @@ def check_equivalence(original: QuantumCircuit, routed: RoutedCircuit) -> bool:
         raise SimulationLimitError(
             f"{max(n_log, n_phys)} qubits exceeds the simulation guard ({SIM_MAX_QUBITS})"
         )
-    try:
-        _replay(original, routed)
-        return True
-    except RoutingError:
-        pass
     final = routed.final_mapping
     relabelled = [Gate(g.kind, tuple(map(final.__getitem__, g.qubits)), g.angle, g.cbit) for g in original.gates]
     rhs = apply_gates(_embedded_identity(final, n_log, n_phys), relabelled, n_phys)

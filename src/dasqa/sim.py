@@ -2,9 +2,8 @@
 
 Only what the equivalence checker needs: apply a gate list to a batch of
 state columns and build small unitaries. Measurements and barriers carry no
-unitary action and are skipped. The router's replay proves every routing
-that keeps the circuit's gate order; this module decides only the routings
-the replay rejects, and is the reference the tests compare against.
+unitary action and are skipped. It shares no code with the router's replay,
+so it checks every routing that replay passes independently.
 :func:`apply_gates` contracts each gate's matrix with the state's operand
 axes: one plain matrix product per gate, of every kind.
 """

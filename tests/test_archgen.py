@@ -79,6 +79,18 @@ def test_bad_coupling_edges_raise_architecture_error(tmp_path, edges, match):
         load_coupling(path)
 
 
+def test_negative_qubit_count_raises_architecture_error(tmp_path):
+    """Accepted once, so distances() failed in a numpy reshape and a baseline
+    file failed late, as an architecture too small for the circuit."""
+    with pytest.raises(ArchitectureError, match="^negative qubit count$"):
+        CouplingGraph(-3, [])
+    path = tmp_path / "coupling.json"
+    path.write_text('{"num_qubits": -3, "edges": []}', encoding="utf-8")
+    with pytest.raises(DasqaError) as info:
+        load_coupling(path)
+    assert str(info.value) == f"malformed coupling file {path}: negative qubit count"
+
+
 # each was read as a qubit number: 5.7 and "5" as 5, true as 1 or True
 @pytest.mark.parametrize(
     "text, bad",

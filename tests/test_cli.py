@@ -145,6 +145,11 @@ UNREADABLE_FILE_CASES = {
 BUNDLED_DATASET = (Path(geomopt.__file__).parent / "data" / "pad_geometry.csv").read_text("utf-8")
 DATASET_CONFIG = (DATA / "config.yml").read_text(encoding="utf-8") + "geometry:\n  dataset_path: d.csv\n"
 
+# a 4 x 4 grid of gaps and heights near 1e200 um, whose squares overflow
+OVERFLOWING_DATASET = "pad_gap_um,pad_height_um,frequency_ghz\n" + "".join(
+    f"{g}e200,{h}e200,5.{g}{h}\n" for g in range(1, 5) for h in range(1, 5)
+)
+
 # int() refuses a digit string longer than 4300 digits with a ValueError
 LONG_INT = "1" * 5000
 
@@ -291,6 +296,11 @@ REJECTED_INPUT_CASES = {
         {"c.yml": "frequency: {min_adjacent_detuning_ghz: .nan}\n"},
         "[config] frequency.min_adjacent_detuning_ghz must be a finite number",
     ),
+    # a numpy traceback at 1e200 um; a warning, then "collinear", at 1e150 um
+    "overflowing_dataset": (
+        {"c.yml": DATASET_CONFIG, "d.csv": OVERFLOWING_DATASET},
+        "[geometry] degree 2 fit overflows: ",
+    ),
     "dataset_row_not_numeric": (
         {"c.yml": DATASET_CONFIG, "d.csv": BUNDLED_DATASET + "30,abc,5.1\n"},
         "[geometry] d.csv line 123: expected three numbers, got '30,abc,5.1'",
@@ -328,6 +338,11 @@ REJECTED_INPUT_CASES = {
     "non_integer_baseline_qubit": (
         {"t.json": '{"num_qubits": 5, "edges": [[0, 1], [true, 2], [1, 3], [3, 4]]}'},
         "[baseline] malformed coupling file t.json: qubit number true is not an integer",
+    ),
+    # failed late, as "[baseline] architecture has -3 qubits, circuit needs 5"
+    "negative_baseline_qubits": (
+        {"t.json": '{"num_qubits": -3, "edges": []}'},
+        "[baseline] malformed coupling file t.json: negative qubit count",
     ),
     # routing would have built a 2000 x 2000 hop table for four edges
     "oversized_baseline": (

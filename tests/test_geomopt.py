@@ -105,6 +105,21 @@ def test_degree_beyond_the_distinct_sample_values_rejected(degree):
         fit_model(GeometryDataset(line, line, np.array([5.0, 5.1, 5.2, 5.3])), 1)
 
 
+def _grid_dataset(size_um: float) -> GeometryDataset:
+    """A 4 x 4 grid of gaps and heights at multiples of ``size_um``."""
+    gaps, heights = np.meshgrid(np.arange(1.0, 5.0) * size_um, np.arange(1.0, 5.0) * size_um)
+    return GeometryDataset(gaps.ravel(), heights.ravel(), 5.0 + 0.01 * np.arange(16.0))
+
+
+@pytest.mark.parametrize("size_um", [1e150, 1e200])
+def test_overflowing_fit_names_its_degree_without_a_warning(size_um):
+    """At 1e200 um the squares overflow and the solve failed in numpy's SVD;
+    at 1e150 only the column norms do, and the fit warned, then blamed
+    collinear samples. Warnings are errors under this suite's settings."""
+    with pytest.raises(GeometryError, match="^degree 2 fit overflows: "):
+        fit_model(_grid_dataset(size_um), 2)
+
+
 def test_predict_linear_model():
     model = linear_model()
     pred = predict_frequency(model, 30.0, 100.0)

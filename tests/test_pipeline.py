@@ -317,6 +317,21 @@ def test_default_config_sweep_succeeds_or_fails_in_a_known_way(tmp_path):
             arch.coupling, arch.frequencies, freq.min_adjacent_detuning_ghz, freq.min_next_detuning_ghz
         )
         assert violations == [], name
+        # what report.json says of the architecture is what architecture.json holds
+        report = json.loads(result.report_path.read_text(encoding="utf-8"))
+        stored = json.loads((tmp_path / name / "architecture.json").read_text(encoding="utf-8"))
+        assert report["architecture"] == {
+            "num_qubits": stored["num_qubits"],
+            "grid": [len(stored["layout"]), len(stored["layout"][0])],
+            "edges": stored["edges"],
+            "frequencies_ghz": stored["frequencies_ghz"],
+        }, name
+        qubits = report["geometry"]["qubits"]
+        assert len(qubits) == stored["num_qubits"], name
+        for q in qubits:  # each tuned qubit meets its target
+            assert q["error"] is not None or abs(q["achieved_ghz"] - q["target_ghz"]) <= geomopt.INVERT_TOL_GHZ, (
+                name, q
+            )
         successes.append(name)
     assert successes
     name = successes[-1]
@@ -344,7 +359,7 @@ def test_flow_above_the_simulation_guard_reports_no_equivalence_result(tmp_path)
 @pytest.mark.parametrize("n, expected", [(9, True), (16, None)])
 def test_run_flow_walks_the_routing_once(tmp_path, monkeypatch, n, expected):
     # validate_routing's replay proves the routing equivalent, so the flow
-    # reports that without check_equivalence walking the same gates again
+    # reports that without running the dense check as well
     check_equivalence = router.check_equivalence
 
     def second_walk(*args):

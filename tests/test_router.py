@@ -387,7 +387,7 @@ def test_validate_routing_rejects_mutants_above_the_sim_guard(routed_25q, mutate
         check_equivalence(routed.circuit, mutant)
 
 
-def test_circuits_with_swaps_of_their_own_replay_without_a_dense_check(lima, dense):
+def test_circuits_with_swaps_of_their_own_replay_and_count_only_inserted_swaps(lima):
     """A routed SWAP equal to the next circuit gate under the live images is
     that circuit gate, so these routings replay and count only inserted SWAPs."""
     rng = np.random.default_rng(28)
@@ -401,7 +401,6 @@ def test_circuits_with_swaps_of_their_own_replay_without_a_dense_check(lima, den
         assert check_equivalence(qc, routed)
         counts.append(routed.swap_count)
     assert counts == [5, 3, 5, 5, 3, 3, 3, 1, 2, 8, 4, 5]
-    assert dense.calls == 0
 
 
 def test_routed_gates_without_angle_or_cbit_are_shared(routed_25q):
@@ -519,59 +518,62 @@ def _equivalence_mutants(routed: RoutedCircuit, rng: np.random.Generator) -> dic
     return {name: replace(routed, gates=tuple(edit)) for name, edit in edits.items()}
 
 
-class _DenseCounter:
-    """Counts the dense ``apply_gates`` calls of :func:`check_equivalence`;
-    :meth:`check` decides a routing densely, with the replay made to fail."""
-
-    def __init__(self, monkeypatch):
-        self.calls = 0
-        real_apply = router.apply_gates
-
-        def counted_apply(*args):
-            self.calls += 1
-            return real_apply(*args)
-
-        monkeypatch.setattr(router, "apply_gates", counted_apply)
-
-    def check(self, qc: QuantumCircuit, routed: RoutedCircuit) -> bool:
-        def replay_fails(*args):
-            raise RoutingError("replay skipped")
-
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(router, "_replay", replay_fails)
-            return check_equivalence(qc, routed)
+def _replays(routed: RoutedCircuit, arch) -> bool:
+    """Whether :func:`validate_routing` passes the routing."""
+    try:
+        validate_routing(routed, arch)
+    except RoutingError:
+        return False
+    return True
 
 
-@pytest.fixture
-def dense(monkeypatch) -> _DenseCounter:
-    return _DenseCounter(monkeypatch)
-
-
-def test_replay_agrees_with_the_dense_check(dense):
-    """Seeded 9-qubit flows and their mutants: the replay check returns what
-    the dense comparison returns, and the unmutated routings never touch a
-    full state."""
+def test_replay_agrees_with_the_dense_check():
+    """Seeded 9-qubit flows and their mutants: a routing the replay passes is
+    one the dense comparison finds equivalent."""
     rng = np.random.default_rng(22)
     mutants = []
     for seed in range(1, 5):
         qc = mixed_circuit(9, 90, seed=seed)
-        routed = route(qc, generate_architecture(qc, config_from_dict(BENCH_CONFIG)))
+        arch = generate_architecture(qc, config_from_dict(BENCH_CONFIG))
+        routed = route(qc, arch)
+        validate_routing(routed, arch)
         assert check_equivalence(qc, routed)
-        mutants += [(name, qc, m) for name, m in _equivalence_mutants(routed, rng).items()]
-    assert dense.calls == 0
-    assert dense.check(qc, routed)
+        mutants += [(name, qc, arch, m) for name, m in _equivalence_mutants(routed, rng).items()]
 
     outcomes = set()
-    for name, qc, mutant in mutants:
-        calls = dense.calls
-        got = check_equivalence(qc, mutant)
-        outcomes.add((dense.calls > calls, got))
-        if dense.calls == calls:  # else ``got`` is already the dense answer
-            assert got == dense.check(qc, mutant), name
+    for name, qc, arch, mutant in mutants:
+        replayed, dense = _replays(mutant, arch), check_equivalence(qc, mutant)
+        assert dense or not replayed, name
+        outcomes.add((replayed, dense))
     # the replay proves a mutant that keeps the order (an H moved past a SWAP
-    # on other sites) and leaves the others to the dense path, which finds
-    # both answers; a failed replay alone never decides False
-    assert outcomes == {(False, True), (True, False), (True, True)}
+    # on other sites) and rejects the others, of which the dense check finds
+    # both answers: a failed replay alone never decides False
+    assert outcomes == {(True, True), (False, False), (False, True)}
+
+
+def test_check_equivalence_simulates_every_routing(five_qubit_app, lima, monkeypatch):
+    """The dense oracle runs on a router output that the replay passes, and
+    calls none of the replay's code."""
+    routed = route(five_qubit_app, lima, Mapping.identity(5))
+    validate_routing(routed, lima)
+    broken = _mutate_first(routed, GateKind.SWAP, lambda g: [])
+    calls = []
+    real_apply = router.apply_gates
+
+    def counted_apply(*args):
+        calls.append(args)
+        return real_apply(*args)
+
+    def replay_code(*args):
+        raise AssertionError("check_equivalence ran the replay's code")
+
+    monkeypatch.setattr(router, "apply_gates", counted_apply)
+    for name in ("validate_routing", "_occupants", "_swap_sites", "_coupling_of"):
+        monkeypatch.setattr(router, name, replay_code)
+    assert check_equivalence(five_qubit_app, routed)
+    assert len(calls) == 2  # both sides simulated
+    assert not check_equivalence(five_qubit_app, broken)
+    assert len(calls) == 4
 
 
 # a 3-qubit circuit on a 5-site chain, started with physical 1 and 3 empty
@@ -598,7 +600,7 @@ def test_swaps_through_unoccupied_physical_qubits_replay_and_stay_equivalent():
     assert check_equivalence(GAPPED_QC, routed)
 
 
-def test_replay_proves_swaps_measures_and_barriers_through_empty_sites(dense):
+def test_replay_proves_swaps_measures_and_barriers_through_empty_sites():
     qc = QuantumCircuit(
         3,
         (
@@ -631,8 +633,6 @@ def test_replay_proves_swaps_measures_and_barriers_through_empty_sites(dense):
     assert routed.swap_count == 3
     validate_routing(routed, CHAIN_5)
     assert check_equivalence(qc, routed)
-    assert dense.calls == 0
-    assert dense.check(qc, routed)
 
 
 # an original SWAP then X(0), routed by hand on one edge from the identity
@@ -640,20 +640,21 @@ _SWAP_X = QuantumCircuit(2, (Gate(GateKind.SWAP, (0, 1)), Gate(GateKind.X, (0,))
 
 
 @pytest.mark.parametrize(
-    "gates, final, equivalent",
+    "gates, final, equivalent, replays",
     [
         # a routing SWAP, then the original SWAP and X through the exchanged images
-        ([(GateKind.SWAP, (0, 1)), (GateKind.SWAP, (1, 0)), (GateKind.X, (1,))], (1, 0), True),
+        ([(GateKind.SWAP, (0, 1)), (GateKind.SWAP, (1, 0)), (GateKind.X, (1,))], (1, 0), True, True),
         # the same SWAP read as the original one
-        ([(GateKind.SWAP, (0, 1)), (GateKind.X, (0,))], (0, 1), True),
+        ([(GateKind.SWAP, (0, 1)), (GateKind.X, (0,))], (0, 1), True, True),
         # a routing SWAP with the original SWAP left out
-        ([(GateKind.SWAP, (0, 1)), (GateKind.X, (1,))], (1, 0), False),
-        # the original SWAP with its operands reversed: the same unitary
-        ([(GateKind.SWAP, (1, 0)), (GateKind.X, (0,))], (0, 1), True),
+        ([(GateKind.SWAP, (0, 1)), (GateKind.X, (1,))], (1, 0), False, False),
+        # the original SWAP with its operands reversed: the same unitary, but
+        # the replay reads it as a routing SWAP and then misses the original
+        ([(GateKind.SWAP, (1, 0)), (GateKind.X, (0,))], (0, 1), True, False),
         # the SWAP alone, with the X left out
-        ([(GateKind.SWAP, (0, 1))], (0, 1), False),
+        ([(GateKind.SWAP, (0, 1))], (0, 1), False, False),
         # a CX where the routing SWAP belongs: it relabels nothing
-        ([(GateKind.CX, (0, 1)), (GateKind.SWAP, (1, 0)), (GateKind.X, (1,))], (1, 0), False),
+        ([(GateKind.CX, (0, 1)), (GateKind.SWAP, (1, 0)), (GateKind.X, (1,))], (1, 0), False, False),
     ],
     ids=[
         "routing_then_original",
@@ -664,7 +665,7 @@ _SWAP_X = QuantumCircuit(2, (Gate(GateKind.SWAP, (0, 1)), Gate(GateKind.X, (0,))
         "cx_for_routing_swap",
     ],
 )
-def test_hand_routings_of_a_swap_get_the_dense_answer(dense, gates, final, equivalent):
+def test_hand_routings_of_a_swap_get_the_dense_answer(gates, final, equivalent, replays):
     """The first routed gate is a SWAP equal to the original SWAP under the
     live images, or stands where one would be."""
     routed = RoutedCircuit(
@@ -676,7 +677,7 @@ def test_hand_routings_of_a_swap_get_the_dense_answer(dense, gates, final, equiv
         len(gates),
     )
     assert check_equivalence(_SWAP_X, routed) is equivalent
-    assert dense.check(_SWAP_X, routed) is equivalent
+    assert _replays(routed, CouplingGraph(2, [(0, 1)])) is replays
 
 
 def test_unused_physical_qubits_must_stay_in_zero():
